@@ -31,6 +31,7 @@ from .core import (
     MFConformalError,
     ShapeError,
     Split,
+    order_stat_index,
     random_split,
     theoretical_coverage,
 )
@@ -115,7 +116,7 @@ def _cmd_calibrate(args) -> int:
     if tau is not None:
         tau = float(tau)
 
-    if mode == "split" and alpha < 1.0 / (split.l + 1):
+    if mode == "split" and order_stat_index(split.l, alpha) > split.l:
         raise ConfigError(
             f"alpha={alpha} is below the feasibility bound 1/(l+1) = "
             f"{1.0 / (split.l + 1):.6g}; the band would be the whole space"

@@ -3,11 +3,12 @@
 A band predictor combines a fitted regressor, a modulation set and a
 calibrated radius: the band for a new observation is
 ``prediction(t) +- radius * s_j(t)`` simultaneously over all components and
-grid points. Two calibrators are provided: the plain split one (closed bands,
-valid and often conservative coverage) and the smoothed one (randomized by a
-uniform tie-breaker, exact coverage, open or closed bands). The concatenated
-per-component and pointwise constructions are included for comparison; both
-are provably subsets of the simultaneous band.
+grid points. There is one calibrator and one rank rule: the smoothed one,
+randomized by a uniform tie-breaker tau (exact coverage, open or closed
+bands); plain split calibration (closed bands, valid and often conservative
+coverage) is smoothed calibration at tau = 1. The concatenated per-component
+and pointwise constructions are included for comparison; both are provably
+subsets of the simultaneous band.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from .core import (
     MFCurve,
     ShapeError,
     Split,
-    _snap_floor,
+    _mode_tau,
     order_stat_index,
-    smoothed_order_stat_index,
     total_integral,
 )
 from .modulate import ModulationSet
@@ -120,8 +120,7 @@ class BandPredictor:
     infinite: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("split", "smoothed"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        _mode_tau(self.mode, self.tau)
         if self.mode == "split" and self.closure != "closed":
             raise ValueError("split-mode bands are closed")
         if not self.infinite and not self.radius >= 0:
@@ -166,25 +165,26 @@ def score(residual: MFCurve, s: ModulationSet) -> float:
     )
 
 
+def _modulated_residuals(dataset, split, model, s) -> list[np.ndarray]:
+    """|residual| / s of the calibration observations: one (l, G_j) array per
+    component, the common input of every calibration reduction."""
+    res = residuals(model, dataset, split.calib_idx)
+    return [
+        np.stack([np.abs(r.values[j]) for r in res]) / f for j, f in enumerate(s.fns)
+    ]
+
+
 def calibration_scores(
     dataset: Dataset, split: Split, model: FittedRegressor, s: ModulationSet
 ) -> Scores:
     """Scores of the calibration observations under the fitted model."""
-    res = residuals(model, dataset, split.calib_idx)
-    return Scores(np.array([score(r, s) for r in res]))
+    mods = _modulated_residuals(dataset, split, model, s)
+    return Scores(np.max([a.max(axis=1) for a in mods], axis=0))
 
 
 def calibrate_split(scores: Scores, alpha: float) -> Calibration:
-    """Split calibration: radius is the ceil((l+1)(1-alpha))-th smallest
-    score; below the feasibility bound alpha < 1/(l+1) the band is the whole
-    space."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    l = scores.l
-    rank = order_stat_index(l, alpha)
-    if rank > l:
-        return Calibration(radius=math.nan, closure="closed", infinite=True)
-    return Calibration(radius=float(scores.sorted_values[rank - 1]), closure="closed")
+    """Split calibration, :func:`calibrate_smoothed` at tau = 1."""
+    return calibrate_smoothed(scores, alpha, 1.0)
 
 
 def calibrate_smoothed(scores: Scores, alpha: float, tau: float) -> Calibration:
@@ -193,8 +193,9 @@ def calibrate_smoothed(scores: Scores, alpha: float, tau: float) -> Calibration:
     The radius is the ceil(l + tau - (l+1)alpha)-th smallest score. Whether
     the band is closed or open at that radius depends on tau relative to a
     threshold built from the tie counts around the selected order statistic
-    (ties can only arise from duplicated inputs). At ``tau = 1`` this
-    coincides with :func:`calibrate_split`.
+    (ties can only arise from duplicated inputs). At ``tau = 1`` this is
+    split calibration: always closed, and the whole space below the
+    feasibility bound alpha < 1/(l+1).
 
     Raises
     ------
@@ -206,7 +207,7 @@ def calibrate_smoothed(scores: Scores, alpha: float, tau: float) -> Calibration:
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
     l = scores.l
-    rank = smoothed_order_stat_index(l, alpha, tau)
+    rank = order_stat_index(l, alpha, tau)
     if rank > l:
         return Calibration(radius=math.nan, closure="closed", infinite=True)
     if rank < 1:
@@ -218,9 +219,10 @@ def calibrate_smoothed(scores: Scores, alpha: float, tau: float) -> Calibration:
     w = float(srt[rank - 1])
     right_ties = int(np.count_nonzero(srt[rank:] == w))
     left_ties = int(np.count_nonzero(srt[: rank - 1] == w))
-    threshold = (
-        (l + 1) * alpha - _snap_floor((l + 1) * alpha - tau) + right_ties
-    ) / (right_ties + left_ties + 2)
+    # floor((l+1)alpha - tau) is l - rank by the rank rule.
+    threshold = ((l + 1) * alpha - (l - rank) + right_ties) / (
+        right_ties + left_ties + 2
+    )
     closure = "closed" if tau > threshold else "open"
     return Calibration(radius=w, closure=closure)
 
@@ -237,14 +239,7 @@ def calibrate(
     """End-to-end calibration: score the calibration set and wrap the result
     into a band predictor."""
     scores = calibration_scores(dataset, split, model, s)
-    if mode == "split":
-        cal = calibrate_split(scores, alpha)
-    elif mode == "smoothed":
-        if tau is None:
-            raise ValueError("smoothed mode needs a tau realization")
-        cal = calibrate_smoothed(scores, alpha, tau)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    cal = calibrate_smoothed(scores, alpha, _mode_tau(mode, tau))
     return BandPredictor(
         model=model,
         modulation=s,
@@ -257,6 +252,18 @@ def calibrate(
     )
 
 
+def _concatenated_band(model, s, radii, x, closure: str = "closed") -> Band:
+    """Band prediction -+ radii * s with one radius per component (or per grid
+    point; the simultaneous band repeats one radius); the whole space when
+    ``radii`` is ``None``."""
+    if radii is None:
+        return Band(lower=None, upper=None, closure=closure, infinite=True)
+    yhat = predict(model, x)
+    lower = tuple(v - k * f for v, k, f in zip(yhat.values, radii, s.fns))
+    upper = tuple(v + k * f for v, k, f in zip(yhat.values, radii, s.fns))
+    return Band(lower=lower, upper=upper, closure=closure)
+
+
 def make_band(
     pred: BandPredictor, x: Covariates, truncate_at_zero: bool = False
 ) -> Band:
@@ -264,18 +271,15 @@ def make_band(
 
     ``truncate_at_zero`` clamps both bounds at 0 after construction (for
     nonnegative responses)."""
-    if pred.infinite:
-        return Band(lower=None, upper=None, closure=pred.closure, infinite=True)
-    yhat = predict(pred.model, x)
-    lower, upper = [], []
-    for v, f in zip(yhat.values, pred.modulation.fns):
-        half = pred.radius * f
-        lo, hi = v - half, v + half
-        if truncate_at_zero:
-            lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
-        lower.append(lo)
-        upper.append(hi)
-    return Band(lower=tuple(lower), upper=tuple(upper), closure=pred.closure)
+    radii = None if pred.infinite else [pred.radius] * pred.modulation.grid.p
+    band = _concatenated_band(pred.model, pred.modulation, radii, x, pred.closure)
+    if truncate_at_zero and not band.infinite:
+        band = Band(
+            lower=tuple(np.maximum(a, 0.0) for a in band.lower),
+            upper=tuple(np.maximum(a, 0.0) for a in band.upper),
+            closure=band.closure,
+        )
+    return band
 
 
 def contains(band: Band, y: MFCurve) -> bool:
@@ -298,15 +302,14 @@ def contains(band: Band, y: MFCurve) -> bool:
 
 
 def p_value(calib_scores: Scores, new_score: float) -> float:
-    """Conformal p-value: fraction of calibration scores at least the new
-    one, counting the new observation itself."""
-    count = int(np.count_nonzero(calib_scores.values >= new_score)) + 1
-    return count / (calib_scores.l + 1)
+    """Conformal p-value, :func:`p_value_smoothed` at tau = 1: fraction of
+    calibration scores at least the new one, counting the new observation."""
+    return p_value_smoothed(calib_scores, new_score, 1.0)
 
 
 def p_value_smoothed(calib_scores: Scores, new_score: float, tau: float) -> float:
     """Smoothed conformal p-value: ties (including the new observation
-    against itself) weighted by ``tau``. Equals :func:`p_value` at tau = 1."""
+    against itself) weighted by ``tau``."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
     strict = int(np.count_nonzero(calib_scores.values > new_score))
@@ -332,6 +335,19 @@ def band_size(pred: BandPredictor) -> float:
     return q
 
 
+def _split_radii(dataset, split, model, s, alpha, pointwise=False) -> list | None:
+    """Per-component split-rank order statistic of each curve's modulated
+    sup residual (or, if ``pointwise``, of the residuals at every grid point);
+    ``None`` below the feasibility bound alpha < 1/(l+1)."""
+    rank = order_stat_index(split.l, alpha)
+    if rank > split.l:
+        return None
+    return [
+        np.sort(a if pointwise else a.max(axis=1), axis=0)[rank - 1]
+        for a in _modulated_residuals(dataset, split, model, s)
+    ]
+
+
 def cub_radii(
     dataset: Dataset,
     split: Split,
@@ -345,19 +361,10 @@ def cub_radii(
     radius is bounded above by the simultaneous radius. Undefined below the
     feasibility bound alpha < 1/(l+1).
     """
-    l = split.l
-    rank = order_stat_index(l, alpha)
-    if rank > l:
+    radii = _split_radii(dataset, split, model, s, alpha)
+    if radii is None:
         raise ValueError(f"alpha={alpha} below the feasibility bound 1/(l+1)")
-    res = residuals(model, dataset, split.calib_idx)
-    p = dataset.grid.p
-    radii = np.empty(p)
-    for j in range(p):
-        comp_scores = np.sort(
-            [float(np.max(np.abs(r.values[j]) / s.fns[j])) for r in res]
-        )
-        radii[j] = comp_scores[rank - 1]
-    return radii
+    return np.array(radii)
 
 
 def cub_band(
@@ -372,13 +379,8 @@ def cub_band(
 
     Below the feasibility bound every univariate band is the whole space, so
     the concatenation is returned as an infinite band."""
-    if order_stat_index(split.l, alpha) > split.l:
-        return Band(lower=None, upper=None, closure="closed", infinite=True)
-    radii = cub_radii(dataset, split, model, s, alpha)
-    yhat = predict(model, x)
-    lower = tuple(v - k * f for v, k, f in zip(yhat.values, radii, s.fns))
-    upper = tuple(v + k * f for v, k, f in zip(yhat.values, radii, s.fns))
-    return Band(lower=lower, upper=upper, closure="closed")
+    radii = _split_radii(dataset, split, model, s, alpha)
+    return _concatenated_band(model, s, radii, x)
 
 
 def pointwise_radii(
@@ -390,16 +392,10 @@ def pointwise_radii(
 ) -> tuple[np.ndarray, ...]:
     """Per-point radii: the calibration order statistic of the modulated
     absolute residuals separately at every component and grid point."""
-    l = split.l
-    rank = order_stat_index(l, alpha)
-    if rank > l:
+    radii = _split_radii(dataset, split, model, s, alpha, pointwise=True)
+    if radii is None:
         raise ValueError(f"alpha={alpha} below the feasibility bound 1/(l+1)")
-    res = residuals(model, dataset, split.calib_idx)
-    out = []
-    for j in range(dataset.grid.p):
-        stacked = np.stack([np.abs(r.values[j]) / s.fns[j] for r in res])
-        out.append(np.sort(stacked, axis=0)[rank - 1])
-    return tuple(out)
+    return tuple(radii)
 
 
 def pointwise_band(
@@ -412,10 +408,5 @@ def pointwise_band(
 ) -> Band:
     """Concatenation of the per-point prediction intervals (infinite below
     the feasibility bound, like :func:`cub_band`)."""
-    if order_stat_index(split.l, alpha) > split.l:
-        return Band(lower=None, upper=None, closure="closed", infinite=True)
-    radii = pointwise_radii(dataset, split, model, s, alpha)
-    yhat = predict(model, x)
-    lower = tuple(v - k * f for v, k, f in zip(yhat.values, radii, s.fns))
-    upper = tuple(v + k * f for v, k, f in zip(yhat.values, radii, s.fns))
-    return Band(lower=lower, upper=upper, closure="closed")
+    radii = _split_radii(dataset, split, model, s, alpha, pointwise=True)
+    return _concatenated_band(model, s, radii, x)

@@ -216,9 +216,11 @@ class Covariates:
     functional: dict[str, tuple[np.ndarray, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "scalar", {k: float(v) for k, v in self.scalar.items()}
-        )
+        scalar = {k: float(v) for k, v in self.scalar.items()}
+        for k, v in scalar.items():
+            if not math.isfinite(v):
+                raise ShapeError(f"scalar covariate {k!r} is not finite: {v!r}")
+        object.__setattr__(self, "scalar", scalar)
         object.__setattr__(
             self,
             "functional",
@@ -341,10 +343,11 @@ def random_split(n: int, l: int, seed=None, strategy: str = "uniform") -> Split:
     return Split(tuple(train), tuple(calib))
 
 
-# Order-statistic index arithmetic. Products like (l+1)*(1-alpha) are exact
-# integers for many (l, alpha) pairs used in calibration; floating point can
-# land one ulp off, so values within a relative 1e-9 of an integer are
-# snapped before applying floor/ceil.
+# Order-statistic rank arithmetic. Split calibration is smoothed calibration
+# at tau = 1, so one rank rule serves both modes. Products like (l+1)*alpha
+# are exact integers for many (l, alpha) pairs used in calibration; floating
+# point can land one ulp off, so values within a relative 1e-9 of an integer
+# are snapped before taking the floor.
 _SNAP_TOL = 1e-9
 
 
@@ -355,28 +358,34 @@ def _snap_floor(x: float) -> int:
     return math.floor(x)
 
 
-def _snap_ceil(x: float) -> int:
-    r = round(x)
-    if abs(x - r) <= _SNAP_TOL * max(1.0, abs(x)):
-        return int(r)
-    return math.ceil(x)
+def _mode_tau(mode: str, tau: float | None) -> float:
+    """Tie-breaker of a conformal mode: split mode is smoothed at tau = 1."""
+    if mode == "split":
+        return 1.0
+    if mode != "smoothed":
+        raise ValueError(f"unknown mode {mode!r}")
+    if tau is None or not 0.0 <= tau <= 1.0:
+        raise ValueError("smoothed mode needs tau in [0, 1]")
+    return tau
 
 
-def order_stat_index(count: int, alpha: float) -> int:
-    """1-based rank ceil((count+1)*(1-alpha)) of the calibration quantile.
-
-    Computed as ``count + 1 - floor((count+1)*alpha)``, which is the same
-    integer but avoids forming ``1 - alpha``.
-    """
-    return count + 1 - _snap_floor((count + 1) * alpha)
-
-def smoothed_order_stat_index(count: int, alpha: float, tau: float) -> int:
-    """1-based rank ceil(count + tau - (count+1)*alpha) used in smoothed mode.
+def order_stat_index(count: int, alpha: float, tau: float = 1.0) -> int:
+    """1-based rank ceil(count + tau - (count+1)*alpha) of the calibration
+    quantile, ceil((count+1)*(1-alpha)) at the default tau = 1.
 
     May be < 1 (band would be empty) or > count (band is infinite); callers
     decide how to handle those regimes.
     """
-    return _snap_ceil(count + tau - (count + 1) * alpha)
+    # With x = F + frac for the snapped floor F, the ceiling is
+    # count + 1 - F, less one when tau does not exceed frac.
+    x = (count + 1) * alpha
+    floor = _snap_floor(x)
+    return count + 1 - floor - (tau <= max(x - floor, 0.0))
+
+
+def smoothed_order_stat_index(count: int, alpha: float, tau: float) -> int:
+    """:func:`order_stat_index` with the tie-breaker ``tau`` required."""
+    return order_stat_index(count, alpha, tau)
 
 
 def theoretical_coverage(l: int, alpha: float) -> float:

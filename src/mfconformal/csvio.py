@@ -10,6 +10,7 @@ names the covariate. Schema violations report the offending line number.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -31,9 +32,12 @@ class SchemaError(MFConformalError, ValueError):
 
 def _parse_float(text: str, line: int, what: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise SchemaError(f"line {line}: {what} {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise SchemaError(f"line {line}: {what} {text!r} is not finite")
+    return value
 
 
 def _parse_component(text: str, line: int) -> int:

@@ -155,10 +155,10 @@ def _replication(cfg: StudyConfig, rep: int):
     s = modulate.make_modulation(cfg.modulation, train_res, dataset.grid, trim)
 
     if cfg.method == "cub":
-        band = conformal.cub_band(dataset, split, model, s, cfg.alpha, x_new)
-        if band.infinite:
+        radii = conformal._split_radii(dataset, split, model, s, cfg.alpha)
+        if radii is None:
             return True, None, True
-        radii = conformal.cub_radii(dataset, split, model, s, cfg.alpha)
+        band = conformal._concatenated_band(model, s, radii, x_new)
         size = 2.0 * sum(
             float(k) * float(np.dot(c.weights, f))
             for k, c, f in zip(radii, dataset.grid.components, s.fns)

@@ -22,8 +22,8 @@ from .core import (
     Grid,
     MFConformalError,
     MFCurve,
+    _mode_tau,
     order_stat_index,
-    smoothed_order_stat_index,
     sup_abs,
     total_integral,
 )
@@ -41,8 +41,6 @@ __all__ = [
     "trimmed_envelope",
     "zero_adjust",
 ]
-
-LABELS = ("s0", "sigma", "sbar", "sbar_c")
 
 # Relative size of the positive value added where an envelope vanishes.
 ZERO_ADJUST_REL = 1e-6
@@ -69,18 +67,12 @@ class TrimConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.mode not in ("split", "smoothed"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "smoothed":
-            if self.tau is None or not 0.0 <= self.tau <= 1.0:
-                raise ValueError("smoothed mode needs tau in [0, 1]")
+        _mode_tau(self.mode, self.tau)
 
     def rank(self, count: int) -> int:
         """1-based trimming rank for ``count`` residual curves. May exceed
         ``count`` (keep everything) or, in smoothed mode, be < 1."""
-        if self.mode == "split":
-            return order_stat_index(count, self.alpha)
-        return smoothed_order_stat_index(count, self.alpha, self.tau)
+        return order_stat_index(count, self.alpha, _mode_tau(self.mode, self.tau))
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,15 +7,19 @@ see the lines as they complete.
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfconformal import (
     ScenarioSpec,
     Scores,
     StudyConfig,
     calibrate,
+    calibrate_smoothed,
     calibrate_split,
     calibration_scores,
     contains,
@@ -29,9 +33,10 @@ from mfconformal import (
     run_study,
     s_bar_c,
     score,
+    theoretical_coverage,
 )
-from mfconformal.conformal import cub_radii, pointwise_radii
-from mfconformal.core import MFCurve
+from mfconformal.conformal import EmptyBandError, cub_radii, pointwise_radii
+from mfconformal.core import _SNAP_TOL, MFCurve
 from mfconformal.modulate import TrimConfig, make_modulation, trimmed_envelope
 from mfconformal.regress import residuals
 from mfconformal.simgen import generate, regressor_for
@@ -119,6 +124,120 @@ def test_criterion_4_smoothed_exactness():
     ok = abs(rep.coverage - 0.90) <= tol
     _report(4, ok, f"smoothed coverage {rep.coverage:.4f} in 0.90+-{tol:.4f}")
     assert abs(rep.coverage - 0.90) <= tol
+
+
+# Exact finite-sample checks. With the fit held fixed, exchangeability makes
+# every one of the l+1 pooled scores equally likely to be the test point, so
+# enumerating those choices gives the coverage exactly, with no Monte Carlo
+# error. Membership is read off the calibrator's radius and closure.
+
+
+@st.composite
+def _level(draw, max_l=30):
+    """(l, alpha) with alpha at k/(l+1), one ulp either side of it, scaled
+    just outside (1 - 3e-9) or inside (1 - 5e-10) the rank rule's snapping
+    tolerance, or anywhere in (0, 1)."""
+    l = draw(st.integers(1, max_l))
+    base = draw(st.integers(1, l)) / (l + 1)
+    alpha = draw(
+        st.sampled_from(
+            [
+                base,
+                math.nextafter(base, 0.0),
+                math.nextafter(base, 1.0),
+                base * (1 - 3e-9),
+                base * (1 - 5e-10),
+            ]
+        )
+        | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    )
+    return l, alpha
+
+
+def _pooled_scores(draw, size, ties):
+    if ties:  # duplicated curves give duplicated scores
+        values = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    else:
+        values = draw(st.permutations(range(size)))
+    return np.array(values, dtype=float)
+
+
+def _inside(pooled, j, calibrate):
+    """Whether pooled score j falls in the band that ``calibrate`` builds
+    from the other scores."""
+    try:
+        cal = calibrate(Scores(np.delete(pooled, j)))
+    except EmptyBandError:
+        return False
+    if cal.infinite:
+        return True
+    if cal.closure == "closed":
+        return bool(pooled[j] <= cal.radius)
+    return bool(pooled[j] < cal.radius)
+
+
+def _covered(pooled, calibrate):
+    return sum(_inside(pooled, j, calibrate) for j in range(pooled.size))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_exact_split_coverage_over_test_point_choices(data):
+    l, alpha = data.draw(_level(max_l=60))
+    ties = data.draw(st.booleans())
+    pooled = _pooled_scores(data.draw, l + 1, ties)
+    count = _covered(pooled, lambda sc: calibrate_split(sc, alpha))
+    # ceil((l+1)(1-alpha)) when there are no ties; ties can only add hits.
+    expected = theoretical_coverage(l, alpha) * (l + 1)
+    if ties:
+        assert count >= round(expected)
+    else:
+        assert count == pytest.approx(expected, abs=1e-9)
+
+
+def _resolved_level(l, alpha):
+    """alpha as the rank rule reads it: k/(l+1) when (l+1)*alpha lies within
+    the relative snapping tolerance of an integer k, else exactly alpha."""
+    x = Fraction(alpha) * (l + 1)
+    k = round(x)
+    if abs(x - k) <= Fraction(_SNAP_TOL) * max(1, x):
+        return Fraction(k, l + 1)
+    return Fraction(alpha)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_exact_smoothed_coverage_integrated_over_tau(data):
+    l, alpha = data.draw(_level(max_l=25))
+    pooled = _pooled_scores(data.draw, l + 1, data.draw(st.booleans()))
+    level = _resolved_level(l, alpha)
+    # The smoothed p-value of score j, (#greater + tau * #equal) / (l+1),
+    # exceeds the level exactly for tau above
+    # crossing_j = ((l+1) level - #greater) / #equal, so the band must take
+    # score j in there and only there. Checked on both sides of each
+    # crossing; 1e-7 is wider than the float and snapping slack of the
+    # calibrator's threshold.
+    near = Fraction(1, 10**7)
+
+    def at(tau):
+        return lambda sc: calibrate_smoothed(sc, alpha, float(tau))
+
+    crossings = []
+    for j, v in enumerate(pooled):
+        greater = int(np.count_nonzero(pooled > v))
+        equal = int(np.count_nonzero(pooled == v))
+        crossing = ((l + 1) * level - greater) / equal
+        crossings.append(min(max(crossing, Fraction(0)), Fraction(1)))
+        for tau, inside in ((crossing - near, False), (crossing + near, True)):
+            if 0 <= tau <= 1:
+                assert _inside(pooled, j, at(tau)) == inside
+    # Coverage is then piecewise constant in tau between crossings: read it
+    # at each piece's midpoint and integrate exactly.
+    cuts = sorted({Fraction(0), Fraction(1), *crossings})
+    total = sum(
+        (hi - lo) * _covered(pooled, at((lo + hi) / 2)) for lo, hi in zip(cuts, cuts[1:])
+    )
+    assert total / (l + 1) == 1 - level
 
 
 def test_criterion_5_cub_undercoverage():

@@ -140,6 +140,58 @@ class TestCalibrateCommand:
         assert code == EXIT_NUMERIC
         assert "1/(l+1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "alpha,expected", [(0.1 * (1 - 5e-10), EXIT_OK), (0.1 * (1 - 3e-9), EXIT_NUMERIC)]
+    )
+    def test_feasibility_follows_the_rank_rule(self, tmp_path, alpha, expected):
+        # l=9 and alpha a hair below 1/(l+1): inside the rank rule's snapping
+        # tolerance the rank is 9 and the radius the largest score, outside
+        # it the band would be the whole space.
+        points = np.linspace(0, 1, 4)
+        curves = {"a": [np.zeros(4)]}
+        curves.update({f"c{k}": [np.full(4, float(k))] for k in range(1, 10)})
+        write_curves_csv(tmp_path / "curves.csv", points, curves)
+        write_config(
+            tmp_path / "config.json",
+            alpha=alpha,
+            modulation="s0",
+            regressor={"kind": "intercept_only"},
+            split={"strategy": "explicit", "train": [0], "calib": list(range(1, 10))},
+        )
+        out = tmp_path / "b.json"
+        code = main(
+            ["calibrate", str(tmp_path / "curves.csv"), str(tmp_path / "config.json"),
+             "-o", str(out)]
+        )
+        assert code == expected
+        if expected == EXIT_OK:
+            assert json.loads(out.read_text())["radius"] == 9.0
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "1e999"])
+    def test_non_finite_training_covariate_is_schema_error(self, tmp_path, capfd, text):
+        points = np.linspace(0, 1, 6)
+        rng = np.random.default_rng(4)
+        curves = {f"c{i}": [rng.normal(size=6)] for i in range(6)}
+        write_curves_csv(tmp_path / "curves.csv", points, curves)
+        rows = [f"c{i},{(i + 1) / 7!r}" for i in range(6)]
+        rows[1] = f"c1,{text}"  # a training row, on line 3
+        (tmp_path / "cov.csv").write_text("curve_id,w\n" + "\n".join(rows) + "\n")
+        write_config(
+            tmp_path / "config.json",
+            alpha=0.5,
+            modulation="sigma",
+            regressor={"kind": "concurrent_fos", "terms": [["w"]]},
+            split={"strategy": "explicit", "train": [0, 1, 2, 3], "calib": [4, 5]},
+        )
+        code = main(
+            ["calibrate", str(tmp_path / "curves.csv"), str(tmp_path / "cov.csv"),
+             str(tmp_path / "config.json"), "-o", str(tmp_path / "b.json")]
+        )
+        out, err = capfd.readouterr()
+        assert code == EXIT_SCHEMA
+        assert f"line 3: w {text!r} is not finite" in err
+        assert "DLASCL" not in out + err
+
     def test_schema_error_is_exit_2(self, tmp_path):
         (tmp_path / "bad.csv").write_text("id,comp,t,value\nx,1,0.0,1.0\n")
         write_config(tmp_path / "config.json", alpha=0.5,
@@ -246,6 +298,17 @@ class TestBandCommand:
         assert code == EXIT_NUMERIC
         assert main(["band", str(bundle), str(tmp_path / "new.csv"),
                      "--curve-id", "q", "-o", str(tmp_path / "band.csv")]) == EXIT_OK
+
+    def test_nan_covariate_at_band_time_is_schema_error(self, tmp_path, capfd):
+        bundle, *_ = self._calibrated_bundle(tmp_path)
+        capfd.readouterr()
+        write_scalar_csv(tmp_path / "new.csv", {"new": {"w": float("nan")}}, ["w"])
+        code = main(["band", str(bundle), str(tmp_path / "new.csv"),
+                     "-o", str(tmp_path / "band.csv")])
+        out, err = capfd.readouterr()
+        assert code == EXIT_SCHEMA
+        assert "line 2: w 'nan' is not finite" in err
+        assert "DLASCL" not in out + err
 
     def test_version_mismatch_fails_loudly(self, tmp_path):
         bundle, *_ = self._calibrated_bundle(tmp_path)

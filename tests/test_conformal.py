@@ -92,12 +92,18 @@ class TestCalibrateSplit:
 
 class TestCalibrateSmoothed:
     def test_tau_one_reduces_to_split(self, rng):
-        for alpha in (0.1, 0.25, 0.37):
-            vals = rng.normal(size=17) ** 2
+        cases = [(rng.normal(size=17) ** 2, alpha) for alpha in (0.1, 0.25, 0.37)]
+        # l=9 with alpha just outside the snapping tolerance below 1/(l+1):
+        # both calibrators give the whole space.
+        cases.append((np.arange(1.0, 10.0), 0.1 * (1 - 3e-9)))
+        for vals, alpha in cases:
             split_cal = calibrate_split(Scores(vals), alpha)
             smooth_cal = calibrate_smoothed(Scores(vals), alpha, 1.0)
-            assert smooth_cal.radius == split_cal.radius
-            assert smooth_cal.closure == "closed"
+            assert smooth_cal.infinite == split_cal.infinite
+            assert smooth_cal.closure == split_cal.closure == "closed"
+            if not split_cal.infinite:
+                assert smooth_cal.radius == split_cal.radius
+        assert split_cal.infinite
 
     def test_hand_worked_open_case(self):
         # l=9, alpha=0.10, tau=0.5: rank ceil(8.5)=9, no ties, threshold

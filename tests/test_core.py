@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from mfconformal import (
     ComponentGrid,
+    Covariates,
     Grid,
     MFCurve,
     ShapeError,
@@ -15,7 +18,7 @@ from mfconformal import (
     total_integral,
     uniform_grid,
 )
-from mfconformal.core import order_stat_index, smoothed_order_stat_index
+from mfconformal.core import _snap_floor, order_stat_index, smoothed_order_stat_index
 
 from conftest import random_curve
 
@@ -113,6 +116,11 @@ class TestGridTypes:
         with pytest.raises(ShapeError):
             MFCurve((np.array([1.0, np.nan]),))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_scalar_covariates_must_be_finite(self, value):
+        with pytest.raises(ShapeError, match="scalar covariate 'w'"):
+            Covariates(scalar={"v": 1.0, "w": value})
+
 
 class TestRandomSplit:
     def test_minimal(self):
@@ -172,6 +180,22 @@ class TestOrderIndices:
                 assert smoothed_order_stat_index(l, alpha, 1.0) == order_stat_index(
                     l, alpha
                 )
+        # alpha at k/(l+1), one ulp either side, and scaled down by 3e-9
+        # (outside the relative snapping tolerance) and by 5e-10 (inside it):
+        # the floor of (l+1)*alpha is decided by the tolerance there.
+        for l in range(1, 201):
+            for k in range(1, l + 1):
+                base = k / (l + 1)
+                for alpha in (
+                    base,
+                    math.nextafter(base, 0.0),
+                    math.nextafter(base, 1.0),
+                    base * (1 - 3e-9),
+                    base * (1 - 5e-10),
+                ):
+                    expected = l + 1 - _snap_floor((l + 1) * alpha)
+                    assert order_stat_index(l, alpha, 1.0) == expected, (l, alpha)
+                    assert smoothed_order_stat_index(l, alpha, 1.0) == expected
 
     def test_theoretical_coverage(self):
         assert theoretical_coverage(9, 0.10) == 0.9

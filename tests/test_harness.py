@@ -139,6 +139,22 @@ class TestRunStudy:
         assert rep.n_failed == 2
         assert rep.n_reps == 4
 
+    def test_cub_replication_computes_residuals_once_per_part(self, monkeypatch):
+        from mfconformal import conformal, regress
+
+        calls = []
+        real = regress.residuals
+
+        def counting(model, dataset, idx):
+            calls.append(tuple(idx))
+            return real(model, dataset, idx)
+
+        monkeypatch.setattr(regress, "residuals", counting)
+        monkeypatch.setattr(conformal, "residuals", counting)
+        _, size, infinite = _replication(small_config(method="cub"), 0)
+        assert not infinite and size > 0
+        assert len(calls) == 2 and len(set(calls)) == 2  # train, then calib
+
     def test_cub_requires_split_mode(self):
         with pytest.raises(ValueError):
             small_config(method="cub", mode="smoothed")

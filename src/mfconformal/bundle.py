@@ -69,6 +69,10 @@ def predictor_to_doc(pred: BandPredictor, metadata: dict | None = None) -> dict:
 
 
 def predictor_from_doc(doc: dict) -> tuple[BandPredictor, dict]:
+    if not isinstance(doc, dict) or not isinstance(doc.get("metadata", {}), dict):
+        raise BundleFormatError(
+            "malformed bundle: the top level and its metadata must be JSON objects"
+        )
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise BundleFormatError(
@@ -106,8 +110,6 @@ def predictor_from_doc(doc: dict) -> tuple[BandPredictor, dict]:
             tau=None if doc.get("tau") is None else float(doc["tau"]),
             infinite=infinite,
         )
-    except BundleFormatError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise BundleFormatError(f"malformed bundle: {exc}") from exc
     return pred, dict(doc.get("metadata", {}))

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import datetime
 import json
 import sys
 
@@ -107,6 +106,8 @@ def _cmd_calibrate(args) -> int:
     if alpha is None:
         raise ConfigError("config needs 'alpha'")
     alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     mode = config.get("mode", "split")
     split = _split_from_config(config.get("split", {}), dataset.n)
 
@@ -132,7 +133,6 @@ def _cmd_calibrate(args) -> int:
 
     theo = 1.0 - alpha if mode == "smoothed" else theoretical_coverage(split.l, alpha)
     metadata = {
-        "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "tool_version": __version__,
         "seed": config.get("seed", 0),
         "n": dataset.n,

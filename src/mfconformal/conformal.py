@@ -169,9 +169,7 @@ def _modulated_residuals(dataset, split, model, s) -> list[np.ndarray]:
     """|residual| / s of the calibration observations: one (l, G_j) array per
     component, the common input of every calibration reduction."""
     res = residuals(model, dataset, split.calib_idx)
-    return [
-        np.stack([np.abs(r.values[j]) for r in res]) / f for j, f in enumerate(s.fns)
-    ]
+    return [np.abs(r) / f for r, f in zip(res, s.fns)]
 
 
 def calibration_scores(

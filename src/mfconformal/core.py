@@ -160,6 +160,18 @@ class Grid:
                     f"expected ({c.size},)"
                 )
 
+    def validate_blocks(self, blocks: Sequence[np.ndarray], what: str) -> int:
+        """Check one (count, G_j) array per component, with one count >= 1 for
+        all components; returns the count."""
+        shapes = [np.shape(b) for b in blocks]
+        count = shapes[0][0] if shapes and len(shapes[0]) == 2 else 0
+        if count < 1 or shapes != [(count, g) for g in self.sizes]:
+            raise ShapeError(
+                f"{what} have shapes {shapes}, expected one (count, G_j) block "
+                f"per component with count >= 1 and G_j = {self.sizes}"
+            )
+        return count
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Grid):
             return NotImplemented
@@ -231,24 +243,60 @@ class Covariates:
         )
 
 
+def _readonly_block(rows) -> np.ndarray:
+    arr = np.array(rows, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Regression pairs sharing one grid."""
+    """Regression pairs sharing one grid, validated once and held as read-only
+    column blocks.
+
+    ``responses[j]`` is the (n, G_j) array of component j, ``scalar[name]``
+    the (n,) vector of a scalar covariate and ``functional[name][j]`` the
+    (n, G_j) array of a functional covariate on component j. Every pair must
+    carry the same covariate names.
+    """
 
     grid: Grid
     pairs: tuple[tuple[Covariates, MFCurve], ...]
+    responses: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    scalar: dict[str, np.ndarray] = field(init=False, repr=False)
+    functional: dict[str, tuple[np.ndarray, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
         pairs = tuple(self.pairs)
         if len(pairs) < 2:
             raise ShapeError("a dataset needs at least 2 pairs")
+        xs, ys = zip(*pairs)
+        names = (xs[0].scalar.keys(), xs[0].functional.keys())
         for i, (x, y) in enumerate(pairs):
             self.grid.validate_values(y.values, what=f"curve {i}")
+            if (x.scalar.keys(), x.functional.keys()) != names:
+                raise ShapeError(
+                    f"pair {i} carries covariates {[*x.scalar, *x.functional]}, "
+                    f"pair 0 carries {[*xs[0].scalar, *xs[0].functional]}"
+                )
             for name, arrs in x.functional.items():
                 self.grid.validate_values(
                     arrs, what=f"functional covariate {name!r} of pair {i}"
                 )
-        object.__setattr__(self, "pairs", pairs)
+        js = range(self.grid.p)
+        columns = {
+            "pairs": pairs,
+            "responses": tuple(_readonly_block([y.values[j] for y in ys]) for j in js),
+            "scalar": {
+                k: _readonly_block([x.scalar[k] for x in xs]) for k in xs[0].scalar
+            },
+            "functional": {
+                k: tuple(_readonly_block([x.functional[k][j] for x in xs]) for j in js)
+                for k in xs[0].functional
+            },
+        }
+        for name, value in columns.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -28,6 +29,24 @@ __all__ = [
 
 class SchemaError(MFConformalError, ValueError):
     """A CSV file violates its documented schema."""
+
+
+@contextmanager
+def _csv_reader(path):
+    """The header row and a ``csv.reader`` over the data rows of a UTF-8
+    file. An empty file and faults of the reader or the decoder are schema
+    errors."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError("line 1: empty file")
+            yield header, reader
+        except csv.Error as exc:
+            raise SchemaError(f"line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _parse_float(text: str, line: int, what: str) -> float:
@@ -56,12 +75,7 @@ def _read_long_table(path, value_col: str):
     cells: dict[str, dict[int, dict[float, float]]] = {}
     order: list[str] = []
     ts: dict[int, set[float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("line 1: empty file") from None
+    with _csv_reader(path) as (header, reader):
         if len(header) != 4 or [h.strip() for h in header[:3]] != [
             "curve_id",
             "component",
@@ -131,12 +145,7 @@ def read_curves(path) -> tuple[Grid, list[str], list[MFCurve]]:
 
 def read_scalar_covariates(path) -> tuple[list[str], dict[str, dict[str, float]]]:
     """Read the wide scalar-covariate table ``curve_id,<name>,...``."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("line 1: empty file") from None
+    with _csv_reader(path) as (header, reader):
         if not header or header[0].strip() != "curve_id":
             raise SchemaError("line 1: first column must be curve_id")
         names = [h.strip() for h in header[1:]]

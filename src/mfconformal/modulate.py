@@ -2,7 +2,9 @@
 
 Four families are built from residual curves, all strictly positive and
 normalized to unit total integral (the canonical representative of each
-scaling-equivalence class):
+scaling-equivalence class). Residuals arrive as
+:func:`~mfconformal.regress.residuals` returns them: one (m, G_j) block per
+component, one row per curve, so every family is a reduction over rows.
 
 - constant ("s0"): no modulation;
 - standard deviation ("sigma"): pointwise sample std of training residuals;
@@ -15,16 +17,15 @@ scaling-equivalence class):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from .core import (
     Grid,
     MFConformalError,
-    MFCurve,
     _mode_tau,
     order_stat_index,
-    sup_abs,
     total_integral,
 )
 
@@ -152,25 +153,20 @@ def s_const(grid: Grid) -> ModulationSet:
     return ModulationSet(grid=grid, fns=fns, label="s0")
 
 
-def s_sigma(train_residuals: list[MFCurve], grid: Grid) -> ModulationSet:
+def s_sigma(train_residuals: Sequence[np.ndarray], grid: Grid) -> ModulationSet:
     """Pointwise sample standard deviation of the residuals, normalized.
 
     Uses divisor m-1; the choice is immaterial after normalization. Grid
     points where the std vanishes receive the standard zero adjustment.
     """
-    if len(train_residuals) < 2:
+    if grid.validate_blocks(train_residuals, "residuals") < 2:
         raise ValueError("s_sigma needs at least 2 residual curves")
-    for r in train_residuals:
-        grid.validate_values(r.values, what="residual")
-    stds = [
-        np.std(np.stack([r.values[j] for r in train_residuals]), axis=0, ddof=1)
-        for j in range(grid.p)
-    ]
+    stds = [np.std(r, axis=0, ddof=1) for r in train_residuals]
     return _normalize(zero_adjust(stds), grid, "sigma")
 
 
 def trimmed_envelope(
-    residuals: list[MFCurve], grid: Grid, cfg: TrimConfig
+    residuals: Sequence[np.ndarray], grid: Grid, cfg: TrimConfig
 ) -> tuple[np.ndarray, ...] | None:
     """Pointwise max of the residual curves kept by the trimming rule.
 
@@ -180,28 +176,17 @@ def trimmed_envelope(
     curve count keeps everything. Returns ``None`` when the smoothed rank is
     below 1 (callers fall back to the constant family).
     """
-    count = len(residuals)
-    if count < 1:
-        raise ValueError("need at least one residual curve")
-    for r in residuals:
-        grid.validate_values(r.values, what="residual")
+    count = grid.validate_blocks(residuals, "residuals")
     rank = cfg.rank(count)
     if rank < 1:
         return None
-    if rank > count:
-        kept = list(residuals)
-    else:
-        scores = np.array([sup_abs(r) for r in residuals])
-        cutoff = np.sort(scores)[rank - 1]
-        kept = [r for r, w in zip(residuals, scores) if w <= cutoff]
-    return tuple(
-        np.max(np.stack([np.abs(r.values[j]) for r in kept]), axis=0)
-        for j in range(grid.p)
-    )
+    sups = np.max([np.abs(r).max(axis=1) for r in residuals], axis=0)
+    keep = sups <= np.sort(sups)[min(rank, count) - 1]
+    return tuple(np.max(np.abs(r[keep]), axis=0) for r in residuals)
 
 
 def s_bar(
-    train_residuals: list[MFCurve], grid: Grid, cfg: TrimConfig
+    train_residuals: Sequence[np.ndarray], grid: Grid, cfg: TrimConfig
 ) -> ModulationSet:
     """Trimmed max-envelope modulation built from training residuals.
 
@@ -215,30 +200,31 @@ def s_bar(
 
 
 def s_bar_c(
-    calib_residuals: list[MFCurve], grid: Grid, cfg: TrimConfig
+    calib_residuals: Sequence[np.ndarray], grid: Grid, cfg: TrimConfig
 ) -> ModulationSet:
     """Calibration-side counterpart of :func:`s_bar`.
 
     Unlike the training-side family, the trimming rank must be a valid
-    calibration order statistic (for split mode this means
-    ``alpha >= 1/(l+1)``); anything else raises :class:`QuantileIndexError`.
+    calibration order statistic, tau/(l+1) <= alpha < (l+tau)/(l+1) with
+    tau = 1 in split mode; anything else raises :class:`QuantileIndexError`.
     """
-    count = len(calib_residuals)
-    if count < 1:
-        raise ValueError("need at least one residual curve")
+    count = grid.validate_blocks(calib_residuals, "residuals")
     rank = cfg.rank(count)
     if not 1 <= rank <= count:
-        raise QuantileIndexError(
-            f"rank {rank} outside 1..{count}; for split mode this needs "
-            f"alpha >= 1/(l+1) = {1.0 / (count + 1):.6g}"
+        tau = _mode_tau(cfg.mode, cfg.tau)
+        need = (
+            f">= {tau:g}/(l+1) = {tau / (count + 1):.6g}" if rank > count
+            else f"< (l+{tau:g})/(l+1) = {(count + tau) / (count + 1):.6g}"
         )
+        raise QuantileIndexError(f"rank {rank} outside 1..{count}; {cfg.mode} "
+                                 f"mode with tau={tau:g} needs alpha {need}")
     env = trimmed_envelope(calib_residuals, grid, cfg)
     return _normalize(zero_adjust(list(env)), grid, "sbar_c")
 
 
 def make_modulation(
     label: str,
-    residuals: list[MFCurve],
+    residuals: Sequence[np.ndarray],
     grid: Grid,
     cfg: TrimConfig | None = None,
 ) -> ModulationSet:

@@ -113,46 +113,38 @@ class FittedRegressor:
         return predict(self, x, truncate_at_zero)
 
 
-def _covariate_values(x: Covariates, name: str, j: int, size: int) -> np.ndarray:
-    """Values of one named covariate on component j's grid."""
-    if name in x.scalar:
-        return np.full(size, x.scalar[name])
-    if name in x.functional:
-        arr = x.functional[name][j]
-        if arr.shape != (size,):
-            raise ShapeError(
-                f"functional covariate {name!r} component {j} has shape "
-                f"{arr.shape}, expected ({size},)"
-            )
-        return arr
-    raise ShapeError(f"covariate {name!r} missing from the observation")
-
-
-def _scalar_design(
-    xs: list[Covariates], names: tuple[str, ...], intercept: bool
-) -> np.ndarray | None:
-    """Design matrix (n_obs, q) shared by every grid point, or None when some
-    covariate is functional (the design then varies along the grid)."""
-    if not all(name in x.scalar for x in xs for name in names):
-        return None
-    cols = []
-    if intercept:
-        cols.append(np.ones(len(xs)))
+def _design(columns, names: tuple[str, ...], intercept: bool, j: int, rows):
+    """Design of component j at the given rows of ``columns``: the column
+    blocks of a :class:`Dataset`, or one :class:`Covariates` read as a
+    one-row block (``rows=[0]``). Returns an (n_rows, q) matrix shared by
+    every grid point when all named covariates are scalar, otherwise an
+    (n_rows, G_j, q) tensor varying along the grid."""
+    cols = [np.ones(len(rows))] if intercept else []
     for name in names:
-        cols.append(np.array([x.scalar[name] for x in xs]))
-    return np.column_stack(cols)
+        if name in columns.scalar:
+            cols.append(np.atleast_1d(columns.scalar[name])[rows])
+        elif name in columns.functional:
+            cols.append(np.atleast_2d(columns.functional[name][j])[rows])
+        else:
+            raise ShapeError(f"covariate {name!r} missing from the observation")
+    if all(c.ndim == 1 for c in cols):
+        return np.column_stack(cols)
+    shape = next(c.shape for c in cols if c.ndim == 2)
+    return np.stack(
+        [c if c.ndim == 2 else np.broadcast_to(c[:, None], shape) for c in cols],
+        axis=-1,
+    )
 
 
-def _design_stack(
-    xs: list[Covariates], names: tuple[str, ...], intercept: bool, j: int, size: int
-) -> np.ndarray:
-    """Full design tensor of shape (n_obs, G_j, q_j)."""
-    cols = []
-    if intercept:
-        cols.append(np.ones((len(xs), size)))
-    for name in names:
-        cols.append(np.stack([_covariate_values(x, name, j, size) for x in xs]))
-    return np.stack(cols, axis=-1)
+def _predictions(model: FittedRegressor, columns, rows) -> list[np.ndarray]:
+    """Fitted values at the given rows of ``columns``: one (n_rows, G_j) array
+    per component."""
+    terms = model.spec.component_terms(model.grid.p)
+    out = []
+    for j, coef in enumerate(model.coefficients):
+        X = _design(columns, terms[j], model.spec.intercept, j, rows)
+        out.append(X @ coef.T if X.ndim == 2 else np.einsum("igq,gq->ig", X, coef))
+    return out
 
 
 def fit(dataset: Dataset, train_idx, spec: RegressorSpec) -> FittedRegressor:
@@ -178,26 +170,20 @@ def fit(dataset: Dataset, train_idx, spec: RegressorSpec) -> FittedRegressor:
         value below ``RANK_RCOND`` times the largest).
     """
     idx = [int(i) for i in train_idx]
-    if not idx:
-        raise InsufficientDataError("empty training set")
-    xs = [dataset.covariates(i) for i in idx]
-    ys = [dataset.curve(i) for i in idx]
     grid = dataset.grid
     terms = spec.component_terms(grid.p)
     m = len(idx)
 
     blocks = []
-    for j, comp in enumerate(grid.components):
+    for j in range(grid.p):
         q = len(terms[j]) + (1 if spec.intercept else 0)
-        if q == 0:
-            raise ValueError(f"component {j} has an empty design")
         if m < q:
             raise InsufficientDataError(
                 f"component {j}: {m} training curves for {q} design columns"
             )
-        resp = np.stack([y.values[j] for y in ys])  # (m, G_j)
-        X = _scalar_design(xs, terms[j], spec.intercept)
-        if X is not None:
+        resp = dataset.responses[j][idx]  # (m, G_j)
+        X = _design(dataset, terms[j], spec.intercept, j, idx)
+        if X.ndim == 2:
             sol, _, rank, _ = np.linalg.lstsq(X, resp, rcond=RANK_RCOND)
             if rank < q:
                 raise SingularDesignError(
@@ -206,10 +192,9 @@ def fit(dataset: Dataset, train_idx, spec: RegressorSpec) -> FittedRegressor:
                 )
             blocks.append(sol.T)  # (G_j, q)
         else:
-            design = _design_stack(xs, terms[j], spec.intercept, j, comp.size)
-            coef = np.empty((comp.size, q))
-            for g in range(comp.size):
-                sol, _, rank, _ = np.linalg.lstsq(design[:, g, :], resp[:, g],
+            coef = np.empty((X.shape[1], q))
+            for g in range(X.shape[1]):
+                sol, _, rank, _ = np.linalg.lstsq(X[:, g, :], resp[:, g],
                                                   rcond=RANK_RCOND)
                 if rank < q:
                     raise SingularDesignError(
@@ -229,53 +214,28 @@ def predict(model, x: Covariates, truncate_at_zero: bool = False) -> MFCurve:
     depends on the estimator). With ``truncate_at_zero`` the predicted curves
     are clamped at 0 from below (for responses that cannot be negative).
     """
-    if not isinstance(model, FittedRegressor):
-        curve = model.predict(x)
-        if truncate_at_zero:
-            curve = MFCurve(tuple(np.maximum(v, 0.0) for v in curve.values))
-        return curve
-    terms = model.spec.component_terms(model.grid.p)
-    out = []
-    for j, comp in enumerate(model.grid.components):
-        X = _scalar_design([x], terms[j], model.spec.intercept)
-        if X is not None:
-            pred = (X @ model.coefficients[j].T)[0]
-        else:
-            design = _design_stack([x], terms[j], model.spec.intercept, j, comp.size)
-            pred = np.einsum("gq,gq->g", design[0], model.coefficients[j])
-        if truncate_at_zero:
-            pred = np.maximum(pred, 0.0)
-        out.append(pred)
-    return MFCurve(tuple(out))
+    if isinstance(model, FittedRegressor):
+        for name, arrs in x.functional.items():
+            model.grid.validate_values(arrs, what=f"functional covariate {name!r}")
+        values = [p[0] for p in _predictions(model, x, [0])]
+    else:
+        values = model.predict(x).values
+    if truncate_at_zero:
+        values = [np.maximum(v, 0.0) for v in values]
+    return MFCurve(tuple(values))
 
 
-def residuals(model, dataset: Dataset, idx) -> list[MFCurve]:
-    """Residual curves y_i - prediction for the given observation indices.
+def residuals(model, dataset: Dataset, idx) -> list[np.ndarray]:
+    """Residuals y_i - prediction of the given observations: one
+    (len(idx), G_j) block per component, rows in the order of ``idx``.
 
-    For the built-in regressor, predictions for all observations are
-    evaluated in one batch per component; other estimators are called one
-    observation at a time.
+    The built-in regressor predicts all rows in one batch per component;
+    other estimators are called one observation at a time.
     """
     idx = [int(i) for i in idx]
-    if not isinstance(model, FittedRegressor):
-        out = []
-        for i in idx:
-            x, y = dataset.pairs[i]
-            yhat = predict(model, x)
-            out.append(MFCurve(tuple(a - b for a, b in zip(y.values, yhat.values))))
-        return out
-    xs = [dataset.covariates(i) for i in idx]
-    terms = model.spec.component_terms(model.grid.p)
-    per_comp = []
-    for j, comp in enumerate(model.grid.components):
-        X = _scalar_design(xs, terms[j], model.spec.intercept)
-        if X is not None:
-            preds = X @ model.coefficients[j].T
-        else:
-            design = _design_stack(xs, terms[j], model.spec.intercept, j, comp.size)
-            preds = np.einsum("igq,gq->ig", design, model.coefficients[j])
-        resp = np.stack([dataset.curve(i).values[j] for i in idx])
-        per_comp.append(resp - preds)
-    return [
-        MFCurve(tuple(block[r] for block in per_comp)) for r in range(len(idx))
-    ]
+    if isinstance(model, FittedRegressor):
+        preds = _predictions(model, dataset, idx)
+    else:
+        rows = [model.predict(dataset.covariates(i)).values for i in idx]
+        preds = [np.array([r[j] for r in rows]) for j in range(dataset.grid.p)]
+    return [y[idx] - yhat for y, yhat in zip(dataset.responses, preds)]

@@ -221,14 +221,9 @@ def _assemble(
     covs: list[Covariates],
 ):
     """Permute the n+1 generated pairs and split off the held-out one."""
-    n = spec.n
-    perm = rng.permutation(n + 1)
-    pairs = [
-        (covs[i], MFCurve((y1[i], y2[i]))) for i in perm
-    ]
-    dataset = Dataset(grid=grid, pairs=tuple(pairs[:n]))
-    test_x, test_y = pairs[n]
-    return dataset, (test_x, test_y)
+    perm = rng.permutation(spec.n + 1)
+    pairs = [(covs[i], MFCurve((y1[i], y2[i]))) for i in perm]
+    return Dataset(grid=grid, pairs=tuple(pairs[:-1])), pairs[-1]
 
 
 def _scalar_covs(w: np.ndarray) -> list[Covariates]:

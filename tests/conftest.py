@@ -24,6 +24,12 @@ def random_curve(rng, grid):
     return MFCurve(tuple(rng.normal(size=c.size) for c in grid.components))
 
 
+def as_blocks(curves):
+    """Residual blocks of a list of curves: one (len(curves), G_j) array per
+    component, rows in list order."""
+    return tuple(np.stack([c.values[j] for c in curves]) for j in range(curves[0].p))
+
+
 def make_dataset(rng, grid, n, slope=1.5):
     """Linear-in-w toy data: y_j = slope * w + noise."""
     pairs = []

@@ -289,13 +289,15 @@ def test_criterion_6_size_dominates_calibration_envelope():
         calib_res = residuals(model, dataset, split.calib_idx)
         cfg = TrimConfig(alpha=alpha)
 
+        calib_curves = [MFCurve(tuple(b[i] for b in calib_res)) for i in range(l)]
+
         s0 = make_modulation("s0", calib_res, dataset.grid)
         k0 = calibrate_split(
-            Scores(np.array([score(r, s0) for r in calib_res])), alpha
+            Scores(np.array([score(r, s0) for r in calib_curves])), alpha
         ).radius
         sc = s_bar_c(calib_res, dataset.grid, cfg)
         kc = calibrate_split(
-            Scores(np.array([score(r, sc) for r in calib_res])), alpha
+            Scores(np.array([score(r, sc) for r in calib_curves])), alpha
         ).radius
 
         assert 2 * k0 >= 2 * kc, "constant-family band must not be smaller"

@@ -37,6 +37,14 @@ def write_functional_csv(path, name, points, tables, p=1):
                     w.writerow([cid, j, repr(float(t)), repr(float(v))])
 
 
+def corrupt_line(line, fault):
+    """A CSV line whose first field is over the csv module's 131072-character
+    limit, or which carries a byte that is not UTF-8."""
+    if fault == "long-field":
+        return b'"' + b"x" * 131073 + b'"' + line[line.index(b","):]
+    return b"\xff" + line
+
+
 def write_config(path, **kwargs):
     with open(path, "w") as fh:
         json.dump(kwargs, fh)
@@ -94,7 +102,7 @@ class TestCalibrateCommand:
         doc = json.loads(out.read_text())
         assert doc["metadata"]["m"] == 22 and doc["metadata"]["l"] == 19
 
-    def test_rerun_identical_minus_timestamp(self, tmp_path):
+    def test_rerun_writes_identical_bytes(self, tmp_path):
         points = np.linspace(0, 1, 6)
         rng = np.random.default_rng(3)
         curves = {f"c{i}": [rng.normal(size=6)] for i in range(6)}
@@ -111,17 +119,36 @@ class TestCalibrateCommand:
             regressor={"kind": "concurrent_fos", "terms": [["w"]]},
             split={"strategy": "random", "l": 2, "seed": 11},
         )
-        docs = []
+        raw = []
         for name in ("b1.json", "b2.json"):
             code = main(
                 ["calibrate", str(tmp_path / "curves.csv"), str(tmp_path / "cov.csv"),
                  str(tmp_path / "config.json"), "-o", str(tmp_path / name)]
             )
             assert code == EXIT_OK
-            doc = json.loads((tmp_path / name).read_text())
-            doc["metadata"].pop("created")
-            docs.append(json.dumps(doc, sort_keys=True))
-        assert docs[0] == docs[1]
+            raw.append((tmp_path / name).read_bytes())
+        assert raw[0] == raw[1]
+        assert "created" not in json.loads(raw[0])["metadata"]
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.1])
+    def test_alpha_outside_unit_interval_is_a_range_error(self, tmp_path, capsys, alpha):
+        points = np.linspace(0, 1, 4)
+        curves = {"a": [np.zeros(4)], "b": [np.ones(4)], "c": [np.ones(4) * 2]}
+        write_curves_csv(tmp_path / "curves.csv", points, curves)
+        write_config(
+            tmp_path / "config.json",
+            alpha=alpha,
+            regressor={"kind": "intercept_only"},
+            split={"strategy": "explicit", "train": [0], "calib": [1, 2]},
+        )
+        code = main(
+            ["calibrate", str(tmp_path / "curves.csv"), str(tmp_path / "config.json"),
+             "-o", str(tmp_path / "b.json")]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+        assert f"alpha must lie in (0, 1), got {alpha}" in err
+        assert "feasibility" not in err
 
     def test_infeasible_alpha_reports_bound(self, tmp_path, capsys):
         points = np.linspace(0, 1, 4)
@@ -191,6 +218,26 @@ class TestCalibrateCommand:
         assert code == EXIT_SCHEMA
         assert f"line 3: w {text!r} is not finite" in err
         assert "DLASCL" not in out + err
+
+    @pytest.mark.parametrize("fault", ["long-field", "not-utf8"])
+    def test_unreadable_curves_csv_is_schema_error(self, tmp_path, capfd, fault):
+        points = np.linspace(0, 1, 4)
+        curves = {f"c{i}": [np.full(4, float(i))] for i in range(4)}
+        write_curves_csv(tmp_path / "curves.csv", points, curves)
+        lines = (tmp_path / "curves.csv").read_bytes().splitlines(keepends=True)
+        lines[2] = corrupt_line(lines[2], fault)
+        (tmp_path / "curves.csv").write_bytes(b"".join(lines))
+        write_config(tmp_path / "config.json", alpha=0.5,
+                     split={"strategy": "random", "l": 2, "seed": 0})
+        code = main(
+            ["calibrate", str(tmp_path / "curves.csv"), str(tmp_path / "config.json"),
+             "-o", str(tmp_path / "b.json")]
+        )
+        err = capfd.readouterr().err
+        assert code == EXIT_SCHEMA
+        assert "Traceback" not in err
+        assert ("line 3: field larger than field limit" if fault == "long-field"
+                else "is not UTF-8 text") in err
 
     def test_schema_error_is_exit_2(self, tmp_path):
         (tmp_path / "bad.csv").write_text("id,comp,t,value\nx,1,0.0,1.0\n")
@@ -309,6 +356,36 @@ class TestBandCommand:
         assert code == EXIT_SCHEMA
         assert "line 2: w 'nan' is not finite" in err
         assert "DLASCL" not in out + err
+
+    @pytest.mark.parametrize("fault", ["long-field", "not-utf8"])
+    def test_unreadable_covariates_csv_is_schema_error(self, tmp_path, capfd, fault):
+        bundle, *_ = self._calibrated_bundle(tmp_path)
+        capfd.readouterr()
+        write_scalar_csv(tmp_path / "new.csv", {"new": {"w": 0.3}}, ["w"])
+        header, row = (tmp_path / "new.csv").read_bytes().splitlines(keepends=True)
+        (tmp_path / "new.csv").write_bytes(header + corrupt_line(row, fault))
+        code = main(["band", str(bundle), str(tmp_path / "new.csv"),
+                     "-o", str(tmp_path / "band.csv")])
+        err = capfd.readouterr().err
+        assert code == EXIT_SCHEMA
+        assert "Traceback" not in err
+        assert ("line 2: field larger than field limit" if fault == "long-field"
+                else "is not UTF-8 text") in err
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda doc: [doc], lambda doc: {**doc, "metadata": 5}],
+        ids=["top-level-list", "metadata-int"],
+    )
+    def test_malformed_bundle_fails_at_load(self, tmp_path, capsys, corrupt):
+        bundle, *_ = self._calibrated_bundle(tmp_path)
+        capsys.readouterr()
+        bundle.write_text(json.dumps(corrupt(json.loads(bundle.read_text()))))
+        write_scalar_csv(tmp_path / "new.csv", {"new": {"w": 0.3}}, ["w"])
+        code = main(["band", str(bundle), str(tmp_path / "new.csv"),
+                     "-o", str(tmp_path / "band.csv")])
+        assert code == EXIT_NUMERIC
+        assert "malformed bundle" in capsys.readouterr().err
 
     def test_version_mismatch_fails_loudly(self, tmp_path):
         bundle, *_ = self._calibrated_bundle(tmp_path)

@@ -394,9 +394,9 @@ class TestComparativeBands:
         model = fit(ds, split.train_idx, RegressorSpec(kind="intercept_only"))
         s = s_const(grid)
         pw = pointwise_radii(ds, split, model, s, 0.5)
-        res = residuals(model, ds, split.calib_idx)[0]
-        for arr, rv, f in zip(pw, res.values, s.fns):
-            assert np.allclose(arr, np.abs(rv) / f, rtol=1e-12)
+        res = residuals(model, ds, split.calib_idx)
+        for arr, rv, f in zip(pw, res, s.fns):
+            assert np.allclose(arr, np.abs(rv[0]) / f, rtol=1e-12)
 
 
 class TestStructuralProperties:

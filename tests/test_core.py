@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mfconformal import (
     ComponentGrid,
     Covariates,
+    Dataset,
     Grid,
     MFCurve,
     ShapeError,
@@ -120,6 +121,39 @@ class TestGridTypes:
     def test_scalar_covariates_must_be_finite(self, value):
         with pytest.raises(ShapeError, match="scalar covariate 'w'"):
             Covariates(scalar={"v": 1.0, "w": value})
+
+
+class TestDataset:
+    def test_blocks_hold_the_pairs_column_by_column(self, rng, grid2):
+        temps = [tuple(rng.normal(size=c.size) for c in grid2.components)
+                 for _ in range(3)]
+        curves = [random_curve(rng, grid2) for _ in range(3)]
+        pairs = tuple(
+            (Covariates(scalar={"w": 0.1 * i}, functional={"temp": temps[i]}), y)
+            for i, y in enumerate(curves)
+        )
+        ds = Dataset(grid=grid2, pairs=pairs)
+        for j in range(2):
+            assert np.array_equal(ds.responses[j], [y.values[j] for y in curves])
+            assert np.array_equal(ds.functional["temp"][j], [t[j] for t in temps])
+        assert np.array_equal(ds.scalar["w"], [0.0, 0.1, 0.2])
+        for block in (*ds.responses, ds.scalar["w"], *ds.functional["temp"]):
+            assert not block.flags.writeable
+
+    @pytest.mark.parametrize(
+        "odd",
+        [
+            Covariates(scalar={"v": 1.0}),
+            Covariates(scalar={"w": 1.0, "v": 1.0}),
+            Covariates(),
+            Covariates(functional={"w": (np.zeros(50), np.zeros(50))}),
+        ],
+    )
+    def test_pairs_must_carry_the_same_covariate_names(self, rng, grid2, odd):
+        covs = [Covariates(scalar={"w": 0.5})] * 2 + [odd]
+        pairs = tuple((x, random_curve(rng, grid2)) for x in covs)
+        with pytest.raises(ShapeError, match=r"pair 2 carries covariates"):
+            Dataset(grid=grid2, pairs=pairs)
 
 
 class TestRandomSplit:

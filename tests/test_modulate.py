@@ -3,6 +3,7 @@ import pytest
 
 from mfconformal import (
     MFCurve,
+    ShapeError,
     TrimConfig,
     s_bar,
     s_bar_c,
@@ -19,7 +20,7 @@ from mfconformal.modulate import (
     zero_adjust,
 )
 
-from conftest import random_curve
+from conftest import as_blocks, random_curve
 
 
 def residual_set(rng, grid, m):
@@ -46,7 +47,7 @@ class TestSSigma:
         shifted = [
             MFCurve(tuple(v + c for v in base.values)) for c in (-1.0, 0.0, 1.0)
         ]
-        s = s_sigma(shifted, grid2)
+        s = s_sigma(as_blocks(shifted), grid2)
         ref = s_const(grid2)
         for a, b in zip(s.fns, ref.fns):
             assert np.allclose(a, b, atol=1e-12)
@@ -64,13 +65,13 @@ class TestSSigma:
             for j in range(2)
         ]
         assert np.allclose(stacked[0], c * np.sqrt(2.0), atol=1e-12)
-        s = s_sigma(res, grid2)
+        s = s_sigma(as_blocks(res), grid2)
         for a, b in zip(s.fns, s_const(grid2).fns):
             assert np.allclose(a, b, atol=1e-12)
 
     def test_matches_two_pass_variance_oracle(self, rng, grid2):
         res = residual_set(rng, grid2, 9)
-        s = s_sigma(res, grid2)
+        s = s_sigma(as_blocks(res), grid2)
         oracle = []
         for j in range(2):
             stack = np.stack([r.values[j] for r in res])
@@ -83,7 +84,7 @@ class TestSSigma:
 
     def test_needs_two_curves(self, rng, grid2):
         with pytest.raises(ValueError):
-            s_sigma(residual_set(rng, grid2, 1), grid2)
+            s_sigma(as_blocks(residual_set(rng, grid2, 1)), grid2)
 
 
 class TestSBar:
@@ -93,7 +94,7 @@ class TestSBar:
             MFCurve(tuple(np.full(g.size, k) for g in grid2.components))
             for k in (3.0, 1.0, 4.0, 2.0)
         ]
-        env = trimmed_envelope(res, grid2, TrimConfig(alpha=0.5))
+        env = trimmed_envelope(as_blocks(res), grid2, TrimConfig(alpha=0.5))
         for e in env:
             assert np.allclose(e, 3.0)
 
@@ -102,7 +103,7 @@ class TestSBar:
         base = MFCurve(tuple(np.abs(v) + 0.1 for v in base.values))
         res = [base] * 5
         for alpha in (0.1, 0.5, 0.9):
-            s = s_bar(res, grid2, TrimConfig(alpha=alpha))
+            s = s_bar(as_blocks(res), grid2, TrimConfig(alpha=alpha))
             tot = total_integral([np.abs(v) for v in base.values], grid2)
             for a, v in zip(s.fns, base.values):
                 assert np.allclose(a, np.abs(v) / tot, rtol=1e-12)
@@ -118,14 +119,14 @@ class TestSBar:
             np.max(np.stack([np.abs(r.values[j]) for r in kept]), axis=0)
             for j in range(2)
         ]
-        env = trimmed_envelope(res, grid2, TrimConfig(alpha=alpha))
+        env = trimmed_envelope(as_blocks(res), grid2, TrimConfig(alpha=alpha))
         for a, b in zip(env, oracle):
             assert np.array_equal(a, b)
 
     def test_monotone_in_alpha(self, rng, grid2):
         res = residual_set(rng, grid2, 15)
-        env_loose = trimmed_envelope(res, grid2, TrimConfig(alpha=0.1))
-        env_tight = trimmed_envelope(res, grid2, TrimConfig(alpha=0.4))
+        env_loose = trimmed_envelope(as_blocks(res), grid2, TrimConfig(alpha=0.1))
+        env_tight = trimmed_envelope(as_blocks(res), grid2, TrimConfig(alpha=0.4))
         for lo, hi in zip(env_tight, env_loose):
             assert np.all(lo <= hi)
 
@@ -135,7 +136,7 @@ class TestSBar:
         ] * 2
         # count + tau - (count+1) alpha = 2 + 0 - 3*0.9 = -0.7 -> rank <= 0
         cfg = TrimConfig(alpha=0.9, mode="smoothed", tau=0.0)
-        s = s_bar(res, grid2, cfg)
+        s = s_bar(as_blocks(res), grid2, cfg)
         assert s.label == "sbar"
         for a, b in zip(s.fns, s_const(grid2).fns):
             assert np.array_equal(a, b)
@@ -143,7 +144,7 @@ class TestSBar:
     def test_smoothed_rank_above_count_keeps_all(self, rng, grid2):
         res = residual_set(rng, grid2, 3)
         cfg = TrimConfig(alpha=0.05, mode="smoothed", tau=1.0)
-        env = trimmed_envelope(res, grid2, cfg)
+        env = trimmed_envelope(as_blocks(res), grid2, cfg)
         oracle = [
             np.max(np.stack([np.abs(r.values[j]) for r in res]), axis=0)
             for j in range(2)
@@ -155,7 +156,7 @@ class TestSBar:
 class TestSBarC:
     def test_max_rank_keeps_whole_calibration_set(self, rng, grid2):
         res = residual_set(rng, grid2, 9)
-        s = s_bar_c(res, grid2, TrimConfig(alpha=0.10))
+        s = s_bar_c(as_blocks(res), grid2, TrimConfig(alpha=0.10))
         oracle = [
             np.max(np.stack([np.abs(r.values[j]) for r in res]), axis=0)
             for j in range(2)
@@ -175,14 +176,21 @@ class TestSBarC:
             np.max(np.stack([np.abs(res[i].values[j]) for i in members]), axis=0)
             for j in range(2)
         ]
-        env = trimmed_envelope(res, grid2, TrimConfig(alpha=alpha))
+        env = trimmed_envelope(as_blocks(res), grid2, TrimConfig(alpha=alpha))
         for a, b in zip(env, oracle):
             assert np.array_equal(a, b)
 
     def test_rejects_out_of_range_rank(self, rng, grid2):
         res = residual_set(rng, grid2, 9)
         with pytest.raises(QuantileIndexError):
-            s_bar_c(res, grid2, TrimConfig(alpha=0.05))  # alpha < 1/10
+            s_bar_c(as_blocks(res), grid2, TrimConfig(alpha=0.05))  # alpha < 1/10
+        with pytest.raises(QuantileIndexError, match=r"split mode .* 1/\(l\+1\)"):
+            s_bar_c(as_blocks(res), grid2, TrimConfig(alpha=0.05))
+        # Smoothed rank ceil(9 + 0 - 10 * 0.9) = 0: alpha is at the upper
+        # bound (l+tau)/(l+1) = 0.9, not below a split-mode bound.
+        cfg = TrimConfig(alpha=0.9, mode="smoothed", tau=0.0)
+        with pytest.raises(QuantileIndexError, match=r"smoothed mode .* alpha < \(l\+0\)/\(l\+1\) = 0\.9$"):
+            s_bar_c(as_blocks(res), grid2, cfg)
 
 
 class TestInvariants:
@@ -192,12 +200,21 @@ class TestInvariants:
         cfg = TrimConfig(alpha=0.25)
         s = {
             "s0": lambda: s_const(grid2),
-            "sigma": lambda: s_sigma(res, grid2),
-            "sbar": lambda: s_bar(res, grid2, cfg),
-            "sbar_c": lambda: s_bar_c(res, grid2, cfg),
+            "sigma": lambda: s_sigma(as_blocks(res), grid2),
+            "sbar": lambda: s_bar(as_blocks(res), grid2, cfg),
+            "sbar_c": lambda: s_bar_c(as_blocks(res), grid2, cfg),
         }[label]()
         assert all(np.all(f > 0) for f in s.fns)
         assert s.total == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("label", ["sigma", "sbar", "sbar_c"])
+    def test_blocks_must_share_one_row_count(self, rng, grid2, label):
+        blocks = as_blocks(residual_set(rng, grid2, 11))
+        ragged = (blocks[0], blocks[1][:10])
+        build = {"sigma": s_sigma, "sbar": s_bar, "sbar_c": s_bar_c}[label]
+        args = () if label == "sigma" else (TrimConfig(alpha=0.25),)
+        with pytest.raises(ShapeError, match=r"\(11, 50\), \(10, 50\)"):
+            build(ragged, grid2, *args)
 
     def test_zero_adjust_noop_on_positive(self, rng, grid2):
         fns = [np.abs(rng.normal(size=c.size)) + 0.05 for c in grid2.components]

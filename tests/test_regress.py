@@ -93,7 +93,8 @@ class TestConcurrentFos:
         ws = np.array([ds.covariates(i).scalar["w"] for i in range(n)])
         X = np.column_stack([np.ones(n), ws])
         for j in range(2):
-            R = np.stack([r.values[j] for r in res])  # (n, G)
+            R = res[j]
+            assert R.shape == (n, grid.components[j].size)
             grams = X.T @ R
             scale = max(1.0, float(np.abs(R).max()) * n)
             assert np.max(np.abs(grams)) <= 1e-8 * scale

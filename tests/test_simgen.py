@@ -65,9 +65,9 @@ class TestStudy1:
                             error_scale=0.0)
         ds, (x_new, y_new) = generate(spec)
         model = fit(ds, range(ds.n), regressor_for(spec))
-        for r in residuals(model, ds, range(ds.n)):
-            for v in r.values:
-                assert np.max(np.abs(v)) < 1e-10
+        for block in residuals(model, ds, range(ds.n)):
+            assert block.shape == (ds.n, spec.grid_points)
+            assert np.max(np.abs(block)) < 1e-10
 
     def test_w_values_equally_spaced(self):
         spec = ScenarioSpec(study=1, scenario=1, n=10, seed=4)
@@ -178,9 +178,7 @@ class TestStudy3:
         stack = np.stack([ds.curve(i).values[0] for i in range(ds.n)])
         # remove the systematic component via the correct model fit
         model = fit(ds, range(ds.n), regressor_for(spec))
-        res = np.stack(
-            [r.values[0] for r in residuals(model, ds, range(ds.n))]
-        )
+        res = residuals(model, ds, range(ds.n))[0]
         std = res.std(axis=0)
         center = std[45:55].mean()
         edges = (std[:10].mean() + std[-10:].mean()) / 2

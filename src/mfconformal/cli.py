@@ -58,11 +58,34 @@ def _load_json(path) -> dict:
     return doc
 
 
+def _typed(doc: dict, key: str, kind: type, what: str, item: type = object):
+    """``doc[key]``, an empty ``kind`` when absent; a ConfigError unless it is
+    a ``kind`` of ``item`` entries, described to the user as ``what``."""
+    value = doc.get(key, kind())
+    if not isinstance(value, kind) or not all(isinstance(v, item) for v in value):
+        raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
+    return value
+
+
+def _convert(doc: dict, key: str, convert, *default):
+    """``convert(doc[key])``. An absent key gives the default, and is a
+    ConfigError without one; so is a value that does not convert."""
+    if key not in doc:
+        if default:
+            return default[0]
+        raise ConfigError(f"config needs {key!r}")
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from None
+
+
 def _regressor_from_config(doc: dict) -> regress.RegressorSpec:
+    terms = _typed(doc, "terms", list, "a list of lists of covariate names", list)
     try:
         return regress.RegressorSpec(
             kind=doc.get("kind", "intercept_only"),
-            terms=tuple(tuple(t) for t in doc.get("terms", [])),
+            terms=tuple(tuple(t) for t in terms),
             intercept=bool(doc.get("intercept", True)),
         )
     except ValueError as exc:
@@ -72,20 +95,27 @@ def _regressor_from_config(doc: dict) -> regress.RegressorSpec:
 def _split_from_config(doc: dict, n: int) -> Split:
     strategy = doc.get("strategy", "random")
     if strategy == "explicit":
+        train, calib = (
+            _typed(doc, key, list, "a list of indices") for key in ("train", "calib")
+        )
         try:
-            return Split(tuple(doc["train"]), tuple(doc["calib"]))
-        except (KeyError, ShapeError) as exc:
-            raise ConfigError(f"explicit split: {exc}") from exc
-    l = doc.get("l")
-    if l is None:
-        raise ConfigError("split config needs 'l' (calibration size)")
+            split = Split(tuple(train), tuple(calib))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"explicit split: {exc}") from None
+        if split.m + split.l > n:
+            raise ConfigError(
+                f"explicit split indexes {split.m + split.l} curves, the data has {n}"
+            )
+        return split
+    l = _convert(doc, "l", int)
+    seed = doc.get("seed", 0)
     try:
         if strategy == "random":
-            return random_split(n, int(l), seed=doc.get("seed", 0))
+            return random_split(n, l, seed=seed)
         if strategy == "parity":
-            return random_split(n, int(l), strategy="parity")
-    except ValueError as exc:
-        raise ConfigError(f"split config: {exc}") from exc
+            return random_split(n, l, strategy="parity")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"split config (l={l}, seed={seed!r}): {exc}") from None
     raise ConfigError(f"unknown split strategy {strategy!r}")
 
 
@@ -95,27 +125,25 @@ def _cmd_calibrate(args) -> int:
     scalar = None
     if args.covariates is not None:
         _, scalar = csvio.read_scalar_covariates(args.covariates)
-    functional = [
-        csvio.read_functional_covariate(path, grid)
-        for path in config.get("functional_covariates", [])
-    ]
+    paths = _typed(config, "functional_covariates", list, "a list of file paths", str)
+    functional = [csvio.read_functional_covariate(path, grid) for path in paths]
     covs = csvio.merge_covariates(curve_ids, scalar, functional)
     dataset = Dataset(grid=grid, pairs=tuple(zip(covs, curves)))
 
-    alpha = config.get("alpha")
-    if alpha is None:
-        raise ConfigError("config needs 'alpha'")
-    alpha = float(alpha)
+    alpha = _convert(config, "alpha", float)
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     mode = config.get("mode", "split")
-    split = _split_from_config(config.get("split", {}), dataset.n)
+    split = _split_from_config(
+        _typed(config, "split", dict, "a JSON object"), dataset.n
+    )
 
-    tau = config.get("tau")
+    tau = None if config.get("tau") is None else _convert(config, "tau", float)
     if mode == "smoothed" and tau is None:
-        tau = float(np.random.default_rng(config.get("seed", 0)).uniform())
-    if tau is not None:
-        tau = float(tau)
+        try:
+            tau = float(np.random.default_rng(config.get("seed", 0)).uniform())
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config key 'seed': {exc}") from None
 
     if mode == "split" and order_stat_index(split.l, alpha) > split.l:
         raise ConfigError(
@@ -123,7 +151,9 @@ def _cmd_calibrate(args) -> int:
             f"{1.0 / (split.l + 1):.6g}; the band would be the whole space"
         )
 
-    rspec = _regressor_from_config(config.get("regressor", {}))
+    rspec = _regressor_from_config(
+        _typed(config, "regressor", dict, "a JSON object")
+    )
     model = regress.fit(dataset, split.train_idx, rspec)
     label = config.get("modulation", "s0")
     trim = modulate.TrimConfig(alpha=alpha, mode=mode, tau=tau)
@@ -179,29 +209,31 @@ def _cmd_band(args) -> int:
 
 
 def _study_config_from_doc(doc: dict, workers: int) -> harness.StudyConfig:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"study config entry must be a JSON object, got {doc!r}")
     try:
         scenario = simgen.ScenarioSpec(
-            study=int(doc["study"]),
-            scenario=int(doc["scenario"]),
-            n=int(doc["n"]),
-            covariate_set=int(doc.get("covariate_set", 2)),
-            coeff_seed=int(doc.get("coeff_seed", 0)),
-            grid_points=int(doc.get("grid_points", 100)),
-            error_scale=float(doc.get("error_scale", 1.0)),
+            study=_convert(doc, "study", int),
+            scenario=_convert(doc, "scenario", int),
+            n=_convert(doc, "n", int),
+            covariate_set=_convert(doc, "covariate_set", int, 2),
+            coeff_seed=_convert(doc, "coeff_seed", int, 0),
+            grid_points=_convert(doc, "grid_points", int, 100),
+            error_scale=_convert(doc, "error_scale", float, 1.0),
         )
         return harness.StudyConfig(
             scenario=scenario,
-            l=int(doc["l"]),
-            n_reps=int(doc["n_reps"]),
-            alpha=float(doc.get("alpha", 0.10)),
+            l=_convert(doc, "l", int),
+            n_reps=_convert(doc, "n_reps", int),
+            alpha=_convert(doc, "alpha", float, 0.10),
             modulation=doc.get("modulation", "sigma"),
             mode=doc.get("mode", "split"),
             method=doc.get("method", "mpb"),
-            master_seed=int(doc.get("master_seed", 0)),
+            master_seed=_convert(doc, "master_seed", int, 0),
             workers=workers,
             skip_failures=bool(doc.get("skip_failures", False)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"study config entry: {exc}") from exc
 
 
@@ -261,7 +293,7 @@ def _cmd_study(args) -> int:
     entries = doc.get("configs")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("study config needs a non-empty 'configs' list")
-    workers = int(doc.get("workers", harness.default_workers()))
+    workers = _convert(doc, "workers", int, harness.default_workers())
     reports = [
         harness.run_study(_study_config_from_doc(entry, workers)) for entry in entries
     ]

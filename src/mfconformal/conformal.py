@@ -121,10 +121,12 @@ class BandPredictor:
 
     def __post_init__(self):
         _mode_tau(self.mode, self.tau)
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if self.mode == "split" and self.closure != "closed":
             raise ValueError("split-mode bands are closed")
-        if not self.infinite and not self.radius >= 0:
-            raise ValueError("radius must be nonnegative")
+        if not self.infinite and not 0 <= self.radius < math.inf:
+            raise ValueError(f"radius must be finite and >= 0, got {self.radius!r}")
         if self.model.grid != self.modulation.grid:
             raise ShapeError("model and modulation grids differ")
 

@@ -44,10 +44,14 @@ class ShapeError(MFConformalError, ValueError):
     """Input does not conform to the expected grid layout."""
 
 
-def _readonly_vector(values, name: str) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ShapeError(f"{name} must be one-dimensional, got shape {arr.shape}")
+def _readonly(values, name: str, ndim: int = 1) -> np.ndarray:
+    """Read-only float copy with ``ndim`` dimensions and finite entries."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ShapeError(f"{name} is ragged or not numeric") from None
+    if arr.ndim != ndim:
+        raise ShapeError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ShapeError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
@@ -80,8 +84,8 @@ class ComponentGrid:
     weights: np.ndarray
 
     def __post_init__(self):
-        pts = _readonly_vector(self.points, "points")
-        w = _readonly_vector(self.weights, "weights")
+        pts = _readonly(self.points, "points")
+        w = _readonly(self.weights, "weights")
         if pts.size < 2:
             raise ShapeError("a component grid needs at least 2 points")
         if not np.all(np.diff(pts) > 0):
@@ -202,7 +206,7 @@ class MFCurve:
 
     def __post_init__(self):
         vals = tuple(
-            _readonly_vector(v, f"curve component {j}")
+            _readonly(v, f"curve component {j}")
             for j, v in enumerate(self.values)
         )
         if len(vals) < 1:
@@ -237,76 +241,114 @@ class Covariates:
             self,
             "functional",
             {
-                k: tuple(_readonly_vector(a, f"functional covariate {k!r}") for a in arrs)
+                k: tuple(_readonly(a, f"functional covariate {k!r}") for a in arrs)
                 for k, arrs in self.functional.items()
             },
         )
 
 
-def _readonly_block(rows) -> np.ndarray:
-    arr = np.array(rows, dtype=float)
-    arr.setflags(write=False)
-    return arr
+def _columns(rows, p: int, what: str) -> list[list[np.ndarray]]:
+    """Regroup per-observation rows of p component vectors into p lists, one
+    per component."""
+    for i, row in enumerate(rows):
+        if len(row) != p:
+            raise ShapeError(
+                f"{what} of pair {i} has {len(row)} components, grid has {p}"
+            )
+    return [[row[j] for row in rows] for j in range(p)]
 
 
-@dataclass(frozen=True, eq=False)
+def _readonly_blocks(blocks, what: str) -> tuple[np.ndarray, ...]:
+    return tuple(
+        _readonly(b, f"{what} component {j}", 2) for j, b in enumerate(blocks)
+    )
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Dataset:
-    """Regression pairs sharing one grid, validated once and held as read-only
-    column blocks.
+    """Regression data sharing one grid, held only as read-only column blocks.
 
     ``responses[j]`` is the (n, G_j) array of component j, ``scalar[name]``
     the (n,) vector of a scalar covariate and ``functional[name][j]`` the
-    (n, G_j) array of a functional covariate on component j. Every pair must
-    carry the same covariate names.
+    (n, G_j) array of a functional covariate on component j.
+    ``Dataset(grid, pairs)`` stacks (:class:`Covariates`, :class:`MFCurve`)
+    pairs, which must all carry the same covariate names;
+    :meth:`from_blocks` takes the arrays directly. Both go through one block
+    check.
     """
 
     grid: Grid
-    pairs: tuple[tuple[Covariates, MFCurve], ...]
-    responses: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    scalar: dict[str, np.ndarray] = field(init=False, repr=False)
-    functional: dict[str, tuple[np.ndarray, ...]] = field(init=False, repr=False)
+    responses: tuple[np.ndarray, ...] = field(repr=False)
+    scalar: dict[str, np.ndarray] = field(repr=False)
+    functional: dict[str, tuple[np.ndarray, ...]] = field(repr=False)
 
-    def __post_init__(self):
-        pairs = tuple(self.pairs)
-        if len(pairs) < 2:
-            raise ShapeError("a dataset needs at least 2 pairs")
-        xs, ys = zip(*pairs)
-        names = (xs[0].scalar.keys(), xs[0].functional.keys())
-        for i, (x, y) in enumerate(pairs):
-            self.grid.validate_values(y.values, what=f"curve {i}")
+    def __init__(self, grid: Grid, pairs):
+        xs, ys = tuple(zip(*pairs)) or ((), ())
+        x0 = xs[0] if xs else Covariates()
+        names = (x0.scalar.keys(), x0.functional.keys())
+        for i, x in enumerate(xs):
             if (x.scalar.keys(), x.functional.keys()) != names:
                 raise ShapeError(
                     f"pair {i} carries covariates {[*x.scalar, *x.functional]}, "
-                    f"pair 0 carries {[*xs[0].scalar, *xs[0].functional]}"
+                    f"pair 0 carries {[*x0.scalar, *x0.functional]}"
                 )
-            for name, arrs in x.functional.items():
-                self.grid.validate_values(
-                    arrs, what=f"functional covariate {name!r} of pair {i}"
-                )
-        js = range(self.grid.p)
-        columns = {
-            "pairs": pairs,
-            "responses": tuple(_readonly_block([y.values[j] for y in ys]) for j in js),
-            "scalar": {
-                k: _readonly_block([x.scalar[k] for x in xs]) for k in xs[0].scalar
+        self._hold(
+            grid,
+            _columns([y.values for y in ys], grid.p, "curve"),
+            {k: [x.scalar[k] for x in xs] for k in x0.scalar},
+            {
+                k: _columns([x.functional[k] for x in xs], grid.p,
+                            f"functional covariate {k!r}")
+                for k in x0.functional
             },
-            "functional": {
-                k: tuple(_readonly_block([x.functional[k][j] for x in xs]) for j in js)
-                for k in xs[0].functional
-            },
-        }
-        for name, value in columns.items():
+        )
+
+    @classmethod
+    def from_blocks(cls, grid: Grid, responses, scalar=None, functional=None):
+        """Dataset from one (n, G_j) response array per component, optional
+        (n,) scalar covariate vectors and optional functional covariates of
+        one (n, G_j) array per component. The arrays are copied."""
+        dataset = cls.__new__(cls)
+        dataset._hold(grid, responses, scalar or {}, functional or {})
+        return dataset
+
+    def _hold(self, grid: Grid, responses, scalar: dict, functional: dict):
+        """The block check: read-only copies of finite values, every block
+        shaped for the grid and one row count n >= 2 for all of them."""
+        responses = _readonly_blocks(responses, "responses")
+        n = grid.validate_blocks(responses, "responses")
+        scalar = {k: _readonly(v, f"scalar covariate {k!r}")
+                  for k, v in scalar.items()}
+        functional = {k: _readonly_blocks(v, f"functional covariate {k!r}")
+                      for k, v in functional.items()}
+        counts = [v.size for v in scalar.values()] + [
+            grid.validate_blocks(v, f"functional covariate {k!r} blocks")
+            for k, v in functional.items()
+        ]
+        if n < 2 or any(c != n for c in counts):
+            raise ShapeError(
+                f"a dataset needs one row count n >= 2 for all blocks; the "
+                f"responses have {n} rows, the covariates {counts}"
+            )
+        for name, value in (("grid", grid), ("responses", responses),
+                            ("scalar", scalar), ("functional", functional)):
             object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
-        return len(self.pairs)
+        return self.responses[0].shape[0]
 
     def covariates(self, i: int) -> Covariates:
-        return self.pairs[i][0]
+        """The covariates of row i as one observation."""
+        return Covariates(
+            scalar={k: v[i] for k, v in self.scalar.items()},
+            functional={k: tuple(b[i] for b in blocks)
+                        for k, blocks in self.functional.items()},
+        )
 
     def curve(self, i: int) -> MFCurve:
-        return self.pairs[i][1]
+        """The response of row i as one curve."""
+        return MFCurve(tuple(b[i] for b in self.responses))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import conformal, modulate, regress, simgen
-from .core import random_split, theoretical_coverage
+from .core import MFConformalError, random_split, theoretical_coverage
 
 __all__ = [
     "StudyConfig",
@@ -36,7 +36,7 @@ METHODS = ("mpb", "cub")
 WORKERS_ENV_VAR = "MFCONFORMAL_WORKERS"
 
 
-class ReplicationError(RuntimeError):
+class ReplicationError(MFConformalError, RuntimeError):
     """A replication failed; carries the replication index."""
 
 
@@ -80,6 +80,8 @@ class StudyConfig:
             raise ValueError("the concatenated method is defined in split mode")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass(frozen=True)

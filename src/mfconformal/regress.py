@@ -66,6 +66,8 @@ class RegressorSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown regressor kind {self.kind!r}")
         terms = tuple(tuple(t) for t in self.terms)
+        if not all(isinstance(name, str) for t in terms for name in t):
+            raise ValueError(f"terms must name covariates by strings, got {terms!r}")
         if self.kind == "intercept_only":
             if any(terms):
                 raise ValueError("intercept_only admits no covariates")
@@ -95,6 +97,8 @@ class FittedRegressor:
     coefficients: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        if len(self.coefficients) != self.grid.p:
+            raise ShapeError("one coefficient block per component is required")
         coefs = []
         for j, c in enumerate(self.coefficients):
             arr = np.ascontiguousarray(c, dtype=float)
@@ -105,8 +109,6 @@ class FittedRegressor:
                 )
             arr.setflags(write=False)
             coefs.append(arr)
-        if len(coefs) != self.grid.p:
-            raise ShapeError("one coefficient block per component is required")
         object.__setattr__(self, "coefficients", tuple(coefs))
 
     def predict(self, x: Covariates, truncate_at_zero: bool = False) -> MFCurve:

@@ -185,6 +185,8 @@ class ScenarioSpec:
             raise ValueError("covariate_set must be 1, 2 or 3")
         if self.n < 2:
             raise ValueError("n must be at least 2")
+        if self.grid_points < 2:
+            raise ValueError("grid_points must be at least 2")
         if isinstance(self.seed, (list, tuple)):
             object.__setattr__(self, "seed", tuple(int(v) for v in self.seed))
 
@@ -218,16 +220,20 @@ def _assemble(
     rng,
     y1: np.ndarray,
     y2: np.ndarray,
-    covs: list[Covariates],
+    scalar: dict[str, np.ndarray],
 ):
-    """Permute the n+1 generated pairs and split off the held-out one."""
+    """Permute the n+1 generated rows and split off the held-out one."""
     perm = rng.permutation(spec.n + 1)
-    pairs = [(covs[i], MFCurve((y1[i], y2[i]))) for i in perm]
-    return Dataset(grid=grid, pairs=tuple(pairs[:-1])), pairs[-1]
+    keep, out = perm[:-1], perm[-1]
+    dataset = Dataset.from_blocks(
+        grid, (y1[keep], y2[keep]), {k: v[keep] for k, v in scalar.items()}
+    )
+    held_out = Covariates(scalar={k: v[out] for k, v in scalar.items()})
+    return dataset, (held_out, MFCurve((y1[out], y2[out])))
 
 
-def _scalar_covs(w: np.ndarray) -> list[Covariates]:
-    return [Covariates(scalar={"w": wi, "w2": wi * wi}) for wi in w]
+def _scalar_covs(w: np.ndarray) -> dict[str, np.ndarray]:
+    return {"w": w, "w2": w * w}
 
 
 def gen_study1(spec: ScenarioSpec):
@@ -324,7 +330,7 @@ def gen_study3(spec: ScenarioSpec):
         w = np.arange(1, n + 2) / (n + 1)
         y1 = b0 + np.outer(w, b1) + eps[:, 0]
         y2 = b0 + np.outer(w * w, b2) + eps[:, 1]
-        covs = _scalar_covs(w)
+        scalar = _scalar_covs(w)
     else:
         bump_coefs = np.zeros(13)
         bump_coefs[6] = 0.5
@@ -332,8 +338,8 @@ def gen_study3(spec: ScenarioSpec):
         wij = _contamination_weights(n)
         y1 = np.outer(wij[:, 0], bump) + eps[:, 0]
         y2 = np.outer(wij[:, 1], bump) + eps[:, 1]
-        covs = [Covariates() for _ in range(n + 1)]
-    return _assemble(spec, grid, rng, y1, y2, covs)
+        scalar = {}
+    return _assemble(spec, grid, rng, y1, y2, scalar)
 
 
 def generate(spec: ScenarioSpec):

@@ -156,6 +156,102 @@ class TestDataset:
             Dataset(grid=grid2, pairs=pairs)
 
 
+class TestDatasetFromBlocks:
+    def blocks(self, rng, n=4):
+        responses = tuple(rng.normal(size=(n, 50)) for _ in range(2))
+        temp = tuple(rng.normal(size=(n, 50)) for _ in range(2))
+        return responses, {"w": rng.normal(size=n)}, {"temp": temp}
+
+    def test_equals_the_pairs_path(self, rng, grid2):
+        responses, scalar, functional = self.blocks(rng)
+        pairs = tuple(
+            (
+                Covariates(scalar={"w": scalar["w"][i]},
+                           functional={"temp": tuple(b[i] for b in functional["temp"])}),
+                MFCurve(tuple(b[i] for b in responses)),
+            )
+            for i in range(4)
+        )
+        a = Dataset.from_blocks(grid2, responses, scalar, functional)
+        b = Dataset(grid=grid2, pairs=pairs)
+        assert a.n == b.n == 4
+        for ds in (a, b):
+            held = (*ds.responses, ds.scalar["w"], *ds.functional["temp"])
+            for got, want in zip(held, (*responses, scalar["w"], *functional["temp"])):
+                assert np.array_equal(got, want) and not got.flags.writeable
+        for i in range(4):
+            assert np.array_equal(a.curve(i).values, pairs[i][1].values)
+            assert a.covariates(i).scalar == pairs[i][0].scalar
+            assert np.array_equal(a.covariates(i).functional["temp"],
+                                  pairs[i][0].functional["temp"])
+
+    def test_copies_its_input(self, rng, grid2):
+        responses, scalar, _ = self.blocks(rng)
+        ds = Dataset.from_blocks(grid2, responses, scalar)
+        responses[0][0, 0] += 1.0
+        assert responses[0].flags.writeable
+        assert ds.responses[0][0, 0] != responses[0][0, 0]
+        assert ds.functional == {}
+
+    @pytest.mark.parametrize(
+        "fault",
+        ["nan response", "inf scalar", "nan functional", "ragged", "wrong G_j",
+         "component count", "row mismatch", "scalar rows", "functional rows",
+         "scalar shape", "one row"],
+    )
+    def test_rejects_malformed_blocks(self, rng, grid2, fault):
+        responses, scalar, functional = self.blocks(rng)
+        r0, r1 = responses
+        temp = functional["temp"]
+        if fault == "nan response":
+            r0[1, 2] = np.nan
+        elif fault == "inf scalar":
+            scalar["w"][3] = np.inf
+        elif fault == "nan functional":
+            temp[1][0, 0] = np.nan
+        elif fault == "ragged":
+            r0 = [r0[0], r0[1][:49], r0[2], r0[3]]
+        elif fault == "wrong G_j":
+            r1 = r1[:, :49]
+        elif fault == "component count":
+            responses = (r0,)
+        elif fault == "row mismatch":
+            r1 = r1[:3]
+        elif fault == "scalar rows":
+            scalar["w"] = scalar["w"][:3]
+        elif fault == "functional rows":
+            functional["temp"] = (temp[0][:3], temp[1][:3])
+        elif fault == "scalar shape":
+            scalar["w"] = scalar["w"][:, None]
+        else:
+            r0, r1, scalar, functional = r0[:1], r1[:1], None, None
+        if fault != "component count":
+            responses = (r0, r1)
+        with pytest.raises(ShapeError):
+            Dataset.from_blocks(grid2, responses, scalar, functional)
+
+    def test_pairs_path_rejects_a_ragged_curve(self, rng, grid2):
+        pairs = [(Covariates(), random_curve(rng, grid2)) for _ in range(3)]
+        short = MFCurve((np.zeros(50), np.zeros(49)))
+        with pytest.raises(ShapeError):
+            Dataset(grid=grid2, pairs=(*pairs, (Covariates(), short)))
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_pairs_path_rejects_a_wrong_component_count(self, rng, grid2, p):
+        pairs = [(Covariates(), random_curve(rng, grid2)) for _ in range(3)]
+        odd = MFCurve(tuple(np.zeros(50) for _ in range(p)))
+        with pytest.raises(ShapeError, match=f"pair 3 has {p} components"):
+            Dataset(grid=grid2, pairs=(*pairs, (Covariates(), odd)))
+
+    def test_pairs_path_rejects_a_wrong_functional_component_count(self, rng, grid2):
+        pairs = tuple(
+            (Covariates(functional={"temp": (np.zeros(50),) * k}), random_curve(rng, grid2))
+            for k in (2, 2, 3)
+        )
+        with pytest.raises(ShapeError, match="functional covariate 'temp' of pair 2"):
+            Dataset(grid=grid2, pairs=pairs)
+
+
 class TestRandomSplit:
     def test_minimal(self):
         split = random_split(2, 1, seed=0)

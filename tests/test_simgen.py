@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
-from mfconformal import ScenarioSpec, eval_bspline, fit, generate
+from mfconformal import Covariates, MFCurve, ScenarioSpec, eval_bspline, fit, generate
 from mfconformal.regress import residuals
 from mfconformal.simgen import (
     _spline_errors,
@@ -206,6 +206,26 @@ class TestAllScenarioCombinations:
             for v in ds.curve(i).values:
                 assert v.size == 100 and np.all(np.isfinite(v))
         assert all(np.all(np.isfinite(v)) for v in y_new.values)
+
+    @pytest.mark.parametrize("study,scenario", [(1, 1), (2, 3), (3, 3)])
+    def test_builds_one_curve_and_one_covariates_per_call(
+        self, monkeypatch, study, scenario
+    ):
+        # The n kept rows reach the dataset as arrays; only the held-out row
+        # becomes single-observation objects.
+        counts = {MFCurve: 0, Covariates: 0}
+        for cls in counts:
+            def counting(self, real=cls.__post_init__, cls=cls):
+                counts[cls] += 1
+                real(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        ds, (x_new, y_new) = generate(
+            ScenarioSpec(study=study, scenario=scenario, n=20, seed=3)
+        )
+        assert counts == {MFCurve: 1, Covariates: 1}
+        assert ds.n == 20 and isinstance(x_new, Covariates)
+        assert isinstance(y_new, MFCurve)
 
     def test_unsupported_contamination_size(self):
         with pytest.raises(ValueError, match="contamination"):

@@ -80,6 +80,15 @@ def _convert(doc: dict, key: str, convert, *default):
         raise ConfigError(f"config key {key!r}: {exc}") from None
 
 
+def _seed(doc: dict, key: str, name: str):
+    """``doc[key]``, 0 when absent; a null, which would draw from fresh
+    entropy, is a ConfigError naming the key as ``name``."""
+    seed = doc.get(key, 0)
+    if seed is None:
+        raise ConfigError(f"config key {name!r} must be an integer seed, got null")
+    return seed
+
+
 def _regressor_from_config(doc: dict) -> regress.RegressorSpec:
     terms = _typed(doc, "terms", list, "a list of lists of covariate names", list)
     try:
@@ -102,13 +111,13 @@ def _split_from_config(doc: dict, n: int) -> Split:
             split = Split(tuple(train), tuple(calib))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"explicit split: {exc}") from None
-        if split.m + split.l > n:
+        if split.m + split.l != n:
             raise ConfigError(
                 f"explicit split indexes {split.m + split.l} curves, the data has {n}"
             )
         return split
     l = _convert(doc, "l", int)
-    seed = doc.get("seed", 0)
+    seed = _seed(doc, "seed", "split.seed")
     try:
         if strategy == "random":
             return random_split(n, l, seed=seed)
@@ -138,10 +147,11 @@ def _cmd_calibrate(args) -> int:
         _typed(config, "split", dict, "a JSON object"), dataset.n
     )
 
+    seed = _seed(config, "seed", "seed")
     tau = None if config.get("tau") is None else _convert(config, "tau", float)
     if mode == "smoothed" and tau is None:
         try:
-            tau = float(np.random.default_rng(config.get("seed", 0)).uniform())
+            tau = float(np.random.default_rng(seed).uniform())
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config key 'seed': {exc}") from None
 
@@ -164,7 +174,7 @@ def _cmd_calibrate(args) -> int:
     theo = 1.0 - alpha if mode == "smoothed" else theoretical_coverage(split.l, alpha)
     metadata = {
         "tool_version": __version__,
-        "seed": config.get("seed", 0),
+        "seed": seed,
         "n": dataset.n,
         "m": split.m,
         "l": split.l,

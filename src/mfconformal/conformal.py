@@ -123,6 +123,8 @@ class BandPredictor:
         _mode_tau(self.mode, self.tau)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        if self.closure not in ("closed", "open"):
+            raise ValueError(f"unknown closure {self.closure!r}")
         if self.mode == "split" and self.closure != "closed":
             raise ValueError("split-mode bands are closed")
         if not self.infinite and not 0 <= self.radius < math.inf:

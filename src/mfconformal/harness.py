@@ -180,10 +180,10 @@ def _replication_batch(cfg: StudyConfig, reps: list[int]):
     out = []
     for rep in reps:
         try:
-            out.append((rep, *_replication(cfg, rep)))
+            out.append(ReplicationRecord(rep, *_replication(cfg, rep)))
         except Exception as exc:
             if cfg.skip_failures:
-                out.append((rep, None, None, False))
+                out.append(ReplicationRecord(rep, None, None, False))
             else:
                 raise ReplicationError(f"replication {rep} failed: {exc}") from exc
     return out
@@ -209,11 +209,11 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     else:
         results = _replication_batch(cfg, reps)
 
-    results.sort(key=lambda r: r[0])
-    hits = sum(1 for _, hit, _, _ in results if hit)
-    n_failed = sum(1 for _, hit, _, _ in results if hit is None)
-    n_infinite = sum(1 for _, _, _, inf in results if inf)
-    sizes = sorted(size for _, _, size, _ in results if size is not None)
+    results.sort(key=lambda r: r.rep)
+    hits = sum(1 for r in results if r.hit)
+    n_failed = sum(1 for r in results if r.hit is None)
+    n_infinite = sum(1 for r in results if r.infinite)
+    sizes = sorted(r.size for r in results if r.size is not None)
     n_effective = cfg.n_reps - n_failed
 
     coverage, lo, hi = coverage_ci(hits, n_effective)
@@ -240,9 +240,5 @@ def run_study(cfg: StudyConfig) -> StudyReport:
         n_infinite=n_infinite,
         n_failed=n_failed,
         sizes=tuple(sizes) if cfg.keep_sizes else None,
-        records=(
-            tuple(ReplicationRecord(*r) for r in results)
-            if cfg.keep_records
-            else None
-        ),
+        records=tuple(results) if cfg.keep_records else None,
     )

@@ -20,6 +20,7 @@ from .core import (
     MFConformalError,
     MFCurve,
     ShapeError,
+    _readonly_blocks,
 )
 
 __all__ = [
@@ -99,17 +100,14 @@ class FittedRegressor:
     def __post_init__(self):
         if len(self.coefficients) != self.grid.p:
             raise ShapeError("one coefficient block per component is required")
-        coefs = []
-        for j, c in enumerate(self.coefficients):
-            arr = np.ascontiguousarray(c, dtype=float)
-            if arr.ndim != 2 or arr.shape[0] != self.grid.components[j].size:
+        coefs = _readonly_blocks(self.coefficients, "coefficient")
+        for j, arr in enumerate(coefs):
+            if arr.shape[0] != self.grid.components[j].size:
                 raise ShapeError(
                     f"coefficient block {j} has shape {arr.shape}, expected "
                     f"({self.grid.components[j].size}, q)"
                 )
-            arr.setflags(write=False)
-            coefs.append(arr)
-        object.__setattr__(self, "coefficients", tuple(coefs))
+        object.__setattr__(self, "coefficients", coefs)
 
     def predict(self, x: Covariates, truncate_at_zero: bool = False) -> MFCurve:
         return predict(self, x, truncate_at_zero)

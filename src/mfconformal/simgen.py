@@ -39,9 +39,6 @@ __all__ = [
     "eval_bspline",
     "basis_matrix",
     "draw_trig_coefficients",
-    "gen_study1",
-    "gen_study2",
-    "gen_study3",
     "generate",
     "regressor_for",
 ]
@@ -198,11 +195,6 @@ def _coefficient_curves(spec: ScenarioSpec, points: np.ndarray) -> np.ndarray:
     return coefs @ _unit_grid_basis(4, 6, points.size).T
 
 
-def _spline_errors(rng, count: int, n_basis: int, scale, points: np.ndarray) -> np.ndarray:
-    coefs = rng.standard_normal((count, n_basis)) * scale
-    return coefs @ _unit_grid_basis(4, n_basis, points.size).T
-
-
 def draw_trig_coefficients(rng, count: int, scale: float = 1.0):
     """Amplitude vectors (count, 3) with unit variances and 0.7 cross
     correlation, plus uniform phases on [-0.5, 0.5]."""
@@ -212,74 +204,6 @@ def draw_trig_coefficients(rng, count: int, scale: float = 1.0):
     amps = rng.standard_normal((count, 3)) @ chol.T * scale
     phases = rng.uniform(-0.5, 0.5, count)
     return amps, phases
-
-
-def _assemble(
-    spec: ScenarioSpec,
-    grid: Grid,
-    rng,
-    y1: np.ndarray,
-    y2: np.ndarray,
-    scalar: dict[str, np.ndarray],
-):
-    """Permute the n+1 generated rows and split off the held-out one."""
-    perm = rng.permutation(spec.n + 1)
-    keep, out = perm[:-1], perm[-1]
-    dataset = Dataset.from_blocks(
-        grid, (y1[keep], y2[keep]), {k: v[keep] for k, v in scalar.items()}
-    )
-    held_out = Covariates(scalar={k: v[out] for k, v in scalar.items()})
-    return dataset, (held_out, MFCurve((y1[out], y2[out])))
-
-
-def _scalar_covs(w: np.ndarray) -> dict[str, np.ndarray]:
-    return {"w": w, "w2": w * w}
-
-
-def gen_study1(spec: ScenarioSpec):
-    """Study 1: linear (scenario 1) or exponentiated (scenario 2)
-    functional-on-scalar responses with 6-basis spline errors."""
-    n = spec.n
-    grid = uniform_grid(spec.grid_points, p=2)
-    points = grid.components[0].points
-    b0, b1, b2 = _coefficient_curves(spec, points)
-    w = np.arange(1, n + 2) / (n + 1)
-
-    rng = np.random.default_rng(spec.seed)
-    eps = _spline_errors(rng, 2 * (n + 1), 6, spec.error_scale, points)
-    eps = eps.reshape(n + 1, 2, points.size)
-    y1 = b0 + np.outer(w, b1) + eps[:, 0]
-    y2 = b0 + np.outer(w * w, b2) + eps[:, 1]
-    if spec.scenario == 2:
-        y1, y2 = np.exp(y1), np.exp(y2)
-    return _assemble(spec, grid, rng, y1, y2, _scalar_covs(w))
-
-
-def gen_study2(spec: ScenarioSpec):
-    """Study 2: both components share the full quadratic systematic part;
-    errors are independent (scenario 1), spliced at t = 0.5 (scenario 2,
-    the boundary point belongs to the first branch) or identical
-    (scenario 3)."""
-    n = spec.n
-    grid = uniform_grid(spec.grid_points, p=2)
-    points = grid.components[0].points
-    b0, b1, b2 = _coefficient_curves(spec, points)
-    w = np.arange(1, n + 2) / (n + 1)
-
-    rng = np.random.default_rng(spec.seed)
-    eps = _spline_errors(rng, 2 * (n + 1), 6, spec.error_scale, points)
-    eps = eps.reshape(n + 1, 2, points.size)
-    if spec.scenario == 1:
-        e1, e2 = eps[:, 0], eps[:, 1]
-    elif spec.scenario == 2:
-        first_half = points <= 0.5
-        e1 = eps[:, 0]
-        e2 = np.where(first_half, eps[:, 0], eps[:, 1])
-    else:
-        e1 = e2 = eps[:, 0]
-
-    sys = b0 + np.outer(w, b1) + np.outer(w * w, b2)
-    return _assemble(spec, grid, rng, sys + e1, sys + e2, _scalar_covs(w))
 
 
 def _contamination_weights(n: int) -> np.ndarray:
@@ -299,52 +223,78 @@ def _contamination_weights(n: int) -> np.ndarray:
     )
 
 
-def gen_study3(spec: ScenarioSpec):
-    """Study 3: trigonometric errors with correlated amplitudes
-    (scenario 1), 13-basis spline errors with one low-variance coefficient
-    (scenario 2), or the same spline errors plus a sparse deterministic bump
-    on ~5% of the curves (scenario 3, with no observable covariates)."""
+def _errors(spec: ScenarioSpec, rng, points: np.ndarray) -> np.ndarray:
+    """The (n+1, 2, G) error curves, drawn in the study's order.
+
+    Studies 1 and 2 use 6-basis spline errors; study 2 splices component 2
+    onto component 1 for t <= 0.5 (scenario 2, the boundary point belongs to
+    the first branch) or duplicates it (scenario 3). Study 3 uses
+    trigonometric errors with correlated amplitudes (scenario 1) or 13-basis
+    spline errors with one low-variance coefficient (scenarios 2 and 3).
+    """
+    count = 2 * (spec.n + 1)
+    if spec.study == 3 and spec.scenario == 1:
+        amps, phases = draw_trig_coefficients(rng, count, spec.error_scale)
+        arg = 10.0 * np.pi * (points[None, :] + phases[:, None])
+        eps = amps[:, [0]] + amps[:, [1]] * np.cos(arg) + amps[:, [2]] * np.sin(arg)
+    else:
+        n_basis, scale = 6, spec.error_scale
+        if spec.study == 3:
+            sd = np.full(13, np.sqrt(0.001))
+            sd[6] = np.sqrt(9e-6)
+            n_basis, scale = 13, sd * spec.error_scale
+        coefs = rng.standard_normal((count, n_basis)) * scale
+        eps = coefs @ _unit_grid_basis(4, n_basis, points.size).T
+    eps = eps.reshape(spec.n + 1, 2, points.size)
+    if spec.study == 2 and spec.scenario == 2:
+        eps[:, 1] = np.where(points <= 0.5, eps[:, 0], eps[:, 1])
+    elif spec.study == 2 and spec.scenario == 3:
+        eps[:, 1] = eps[:, 0]
+    return eps
+
+
+def _assemble(spec: ScenarioSpec, grid: Grid, rng, y: np.ndarray, scalar: dict):
+    """Permute the n+1 generated rows of ``y`` (n+1, 2, G) and split off the
+    held-out one."""
+    perm = rng.permutation(spec.n + 1)
+    keep, out = perm[:-1], perm[-1]
+    dataset = Dataset.from_blocks(
+        grid, (y[keep, 0], y[keep, 1]), {k: v[keep] for k, v in scalar.items()}
+    )
+    held_out = Covariates(scalar={k: v[out] for k, v in scalar.items()})
+    return dataset, (held_out, MFCurve((y[out, 0], y[out, 1])))
+
+
+def generate(spec: ScenarioSpec):
+    """One sample of the spec's study cell: (dataset, held-out pair).
+
+    Responses are the errors of :func:`_errors` plus one systematic part:
+    the linear part b0 + w b1 (component 1) and b0 + w^2 b2 (component 2),
+    exponentiated in study 1, scenario 2; the full quadratic part shared by
+    both components in study 2; and in study 3, scenario 3, a deterministic
+    bump on ~5% of the curves with no observable covariates.
+    """
     n = spec.n
     grid = uniform_grid(spec.grid_points, p=2)
     points = grid.components[0].points
     rng = np.random.default_rng(spec.seed)
+    y = _errors(spec, rng, points)
 
-    if spec.scenario == 1:
-        amps, phases = draw_trig_coefficients(rng, 2 * (n + 1), spec.error_scale)
-        arg = 10.0 * np.pi * (points[None, :] + phases[:, None])
-        eps = (
-            amps[:, [0]]
-            + amps[:, [1]] * np.cos(arg)
-            + amps[:, [2]] * np.sin(arg)
-        ).reshape(n + 1, 2, points.size)
+    if spec.study == 3 and spec.scenario == 3:
+        bump = 0.5 * _unit_grid_basis(4, 13, points.size)[:, 6]
+        y += _contamination_weights(n)[:, :, None] * bump
+        return _assemble(spec, grid, rng, y, {})
+
+    b0, b1, b2 = _coefficient_curves(spec, points)
+    w = np.arange(1, n + 2) / (n + 1)
+    if spec.study == 2:
+        y += (b0 + np.outer(w, b1) + np.outer(w * w, b2))[:, None]
     else:
-        sd = np.full(13, np.sqrt(0.001))
-        sd[6] = np.sqrt(9e-6)
-        coefs = rng.standard_normal((2 * (n + 1), 13)) * (sd * spec.error_scale)
-        eps = (coefs @ _unit_grid_basis(4, 13, points.size).T).reshape(
-            n + 1, 2, points.size
-        )
-
-    if spec.scenario in (1, 2):
-        b0, b1, b2 = _coefficient_curves(spec, points)
-        w = np.arange(1, n + 2) / (n + 1)
-        y1 = b0 + np.outer(w, b1) + eps[:, 0]
-        y2 = b0 + np.outer(w * w, b2) + eps[:, 1]
-        scalar = _scalar_covs(w)
-    else:
-        bump_coefs = np.zeros(13)
-        bump_coefs[6] = 0.5
-        bump = bump_coefs @ _unit_grid_basis(4, 13, points.size).T
-        wij = _contamination_weights(n)
-        y1 = np.outer(wij[:, 0], bump) + eps[:, 0]
-        y2 = np.outer(wij[:, 1], bump) + eps[:, 1]
-        scalar = {}
-    return _assemble(spec, grid, rng, y1, y2, scalar)
-
-
-def generate(spec: ScenarioSpec):
-    """Dispatch to the study generator; returns (dataset, held-out pair)."""
-    return {1: gen_study1, 2: gen_study2, 3: gen_study3}[spec.study](spec)
+        y[:, 0] += b0 + np.outer(w, b1)
+        y[:, 1] += b0 + np.outer(w * w, b2)
+    if spec.study == 1 and spec.scenario == 2:
+        np.exp(y, out=y)
+    return _assemble(spec, grid, rng, y, {"w": w, "w2": w * w})
 
 
 def regressor_for(spec: ScenarioSpec) -> RegressorSpec:

@@ -129,6 +129,10 @@ BUNDLE_REPROS = [
     ([(["alpha"], 5)], "alpha must lie in (0, 1)"),
     ([(["alpha"], -1)], "alpha must lie in (0, 1)"),
     ([(["grid", "components", 0], DELETE)], "one coefficient block per component"),
+    ([(["regressor", "coefficients", 0, 0, 0], math.inf)],
+     "coefficient component 0 contains non-finite entries"),
+    ([(["mode"], "smoothed"), (["tau"], 0.5), (["closure"], "ajar")],
+     "unknown closure 'ajar'"),
 ]
 CALIBRATE_REPROS = [
     ([(["functional_covariates"], [1])], "'functional_covariates'"),
@@ -143,6 +147,11 @@ CALIBRATE_REPROS = [
     ([(["regressor", "terms"], [[["w"]], ["w"]])], "terms must name covariates"),
     ([(["split"], {"strategy": "explicit", "train": list(range(8)), "calib": [8]})],
      "explicit split indexes 9 curves, the data has 8"),
+    ([(["split"], {"strategy": "explicit", "train": [0, 1, 2], "calib": [3, 4]})],
+     "explicit split indexes 5 curves, the data has 8"),
+    ([(["seed"], None)], "config key 'seed' must be an integer seed, got null"),
+    ([(["mode"], "smoothed"), (["seed"], None)], "config key 'seed'"),
+    ([(["split", "seed"], None)], "config key 'split.seed'"),
 ]
 STUDY_REPROS = [
     ([(["configs", 0, "n"], 2), (["configs", 0, "l"], 1)], "replication 0 failed"),

@@ -5,7 +5,7 @@ from scipy.interpolate import BSpline
 from mfconformal import Covariates, MFCurve, ScenarioSpec, eval_bspline, fit, generate
 from mfconformal.regress import residuals
 from mfconformal.simgen import (
-    _spline_errors,
+    _errors,
     basis_matrix,
     draw_trig_coefficients,
     regressor_for,
@@ -82,8 +82,10 @@ class TestStudy1:
         # 10^4 spline error curves: the pointwise mean must sit within four
         # standard errors of zero, with the pointwise variance known in
         # closed form from the basis functions.
+        # (The 2 * 5000 error curves of one study 1 sample.)
         points = np.linspace(0, 1, 100)
-        eps = _spline_errors(np.random.default_rng(11), 10_000, 6, 1.0, points)
+        spec = ScenarioSpec(study=1, scenario=1, n=4999)
+        eps = _errors(spec, np.random.default_rng(11), points).reshape(10_000, 100)
         bmat = basis_matrix(uniform_bspline_basis(4, 6), points)
         pointwise_var = (bmat**2).sum(axis=1)
         se = np.sqrt(pointwise_var / 10_000)
@@ -230,3 +232,65 @@ class TestAllScenarioCombinations:
     def test_unsupported_contamination_size(self):
         with pytest.raises(ValueError, match="contamination"):
             generate(ScenarioSpec(study=3, scenario=3, n=30, seed=1))
+
+
+# Per cell at n=40, seed 1, coeff_seed 7 and 5 grid points: the first response
+# row of each component, the held-out curve and the held-out w (None without
+# covariates). A change in draw order or assembly shifts these by O(1); the
+# tolerance only absorbs last-bit BLAS differences between hosts.
+PINNED_CELLS = {
+    (1, 1): (
+        [[-1.1537689116519776, -0.8559612226673038, -1.6791343766424296, -0.42349649313432164, -1.1064460206130187], [-0.6158337575552537, 0.3660249270927229, 0.18543527611346822, 0.5720421622998916, -0.8358358281473258]],
+        [[-1.1119495215645516, -0.049359888755349274, -0.4560760005399529, -0.6980502950939789, -2.8368211419925515], [0.4468271405930694, -0.609840534316092, -0.8082257213704782, -0.8076262508466756, -2.2267259884704576]],
+        0.4878048780487805,
+    ),
+    (1, 2): (
+        [[0.31544563941127274, 0.4248745956460402, 0.18653537555182878, 0.6547534717948856, 0.33073229058909426], [0.5401903197396675, 1.4419911868545423, 1.2037422863745757, 1.7718818294677614, 0.4335119884410292]],
+        [[0.3289171046335574, 0.951838512072684, 0.633765668735134, 0.49755444305525526, 0.05861168837335607], [1.5633440372053196, 0.5434375218013233, 0.4456480690183011, 0.4459153019908093, 0.10788105639203963]],
+        0.4878048780487805,
+    ),
+    (2, 1): (
+        [[-1.1414778986813718, -0.9012110310791335, -1.651019540874385, -0.4591495789308388, -1.1598027661001589], [-0.5952969176439332, 0.4837885191108326, 0.026866453157972425, 0.5417423358974831, -0.7139719717024271]],
+        [[-1.0868658216245402, -0.14170643653459353, -0.39869878468680053, -0.7708116946787078, -2.945712459313246], [0.47616548332352715, -0.44160683143307816, -1.0347526113069008, -0.8509117171358307, -2.0526347649777446]],
+        0.4878048780487805,
+    ),
+    (2, 2): (
+        [[-1.1414778986813718, -0.9012110310791335, -1.651019540874385, -0.4591495789308388, -1.1598027661001589], [-1.1414778986813718, -0.9012110310791335, -1.651019540874385, 0.5417423358974831, -0.7139719717024271]],
+        [[-1.0868658216245402, -0.14170643653459353, -0.39869878468680053, -0.7708116946787078, -2.945712459313246], [-1.0868658216245402, -0.14170643653459353, -0.39869878468680053, -0.8509117171358307, -2.0526347649777446]],
+        0.4878048780487805,
+    ),
+    (2, 3): (
+        [[-1.1414778986813718, -0.9012110310791335, -1.651019540874385, -0.4591495789308388, -1.1598027661001589], [-1.1414778986813718, -0.9012110310791335, -1.651019540874385, -0.4591495789308388, -1.1598027661001589]],
+        [[-1.0868658216245402, -0.14170643653459353, -0.39869878468680053, -0.7708116946787078, -2.945712459313246], [-1.0868658216245402, -0.14170643653459353, -0.39869878468680053, -0.7708116946787078, -2.945712459313246]],
+        0.4878048780487805,
+    ),
+    (3, 1): (
+        [[-0.6644632470950985, -0.6188463763462297, -1.6349480298144239, -1.6225173280979324, -1.563250582953578], [1.4639075505106174, 0.6382046034475769, -0.186911226783391, 0.3828525385912346, 0.414426397364025]],
+        [[1.5738265248541474, 3.114196917789688, 2.0530848663356536, 0.4580141715355367, 0.6243756807288783], [2.759956778479048, 4.680999216363649, 0.7833983641764974, -1.3112666083967761, 1.7550223185716411]],
+        0.14634146341463414,
+    ),
+    (3, 2): (
+        [[-0.009909028682114521, 0.024096725789491985, -0.6828360759476879, -0.6740955642562398, -0.9736113664729806], [0.10684991766368222, -0.06849724237388169, -0.5370994208077774, -0.6818082964444679, -1.0107231148553244]],
+        [[0.024222004350798798, 0.1710379641935295, -0.8481896057434514, -0.6820278081192427, -0.7300708709375691], [-0.03981875794104105, -0.19730054127508437, -0.4506262041890631, -0.8295187182914148, -1.2100036416557778]],
+        0.6585365853658537,
+    ),
+    (3, 3): (
+        [[-0.027275270541348883, -0.017077773010659797, -0.00740657837466717, -0.0006917038276798072, -0.07771498439751022], [0.09803194507434615, 0.010791626114845515, -0.003616320495367674, -0.010201119100562673, 0.01386306363064798]],
+        [[-0.016614911692801805, -0.004723496913033338, 0.008461403778707383, 0.026004425340641242, 0.02655253234373138], [-0.08676395443919468, 0.022355079838094153, -0.0043564719734448965, -0.047314213578721474, -0.01990266084234993]],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("study,scenario", sorted(PINNED_CELLS))
+def test_generator_pinned_per_cell(study, scenario):
+    first_rows, held_out, w = PINNED_CELLS[study, scenario]
+    ds, (x_new, y_new) = generate(ScenarioSpec(
+        study=study, scenario=scenario, n=40, seed=1, coeff_seed=7, grid_points=5
+    ))
+    np.testing.assert_allclose([b[0] for b in ds.responses], first_rows, rtol=1e-12)
+    np.testing.assert_allclose(y_new.values, held_out, rtol=1e-12)
+    if w is None:
+        assert x_new.scalar == {}
+    else:
+        assert x_new.scalar["w"] == pytest.approx(w, rel=1e-12)

@@ -68,12 +68,19 @@ def _typed(doc: dict, key: str, kind: type, what: str, item: type = object):
 
 
 def _convert(doc: dict, key: str, convert, *default):
-    """``convert(doc[key])``. An absent key gives the default, and is a
-    ConfigError without one; so is a value that does not convert."""
+    """``convert(doc[key])`` for ``convert`` one of bool, int and float. An
+    absent key gives the default, and is a ConfigError without one; so is a
+    value that does not convert, and a JSON boolean for a number or the
+    reverse (``bool("false")`` is true and ``int(True)`` is 1)."""
     if key not in doc:
         if default:
             return default[0]
         raise ConfigError(f"config needs {key!r}")
+    if isinstance(doc[key], bool) != (convert is bool):
+        raise ConfigError(
+            f"config key {key!r} must be a JSON "
+            f"{'boolean' if convert is bool else 'number'}, got {json.dumps(doc[key])}"
+        )
     try:
         return convert(doc[key])
     except (TypeError, ValueError, OverflowError) as exc:
@@ -82,10 +89,13 @@ def _convert(doc: dict, key: str, convert, *default):
 
 def _seed(doc: dict, key: str, name: str):
     """``doc[key]``, 0 when absent; a null, which would draw from fresh
-    entropy, is a ConfigError naming the key as ``name``."""
+    entropy, or a boolean is a ConfigError naming the key as ``name``."""
     seed = doc.get(key, 0)
-    if seed is None:
-        raise ConfigError(f"config key {name!r} must be an integer seed, got null")
+    entries = seed if isinstance(seed, list) else [seed]
+    if seed is None or any(isinstance(v, bool) for v in entries):
+        raise ConfigError(
+            f"config key {name!r} must be an integer seed, got {json.dumps(seed)}"
+        )
     return seed
 
 
@@ -95,7 +105,7 @@ def _regressor_from_config(doc: dict) -> regress.RegressorSpec:
         return regress.RegressorSpec(
             kind=doc.get("kind", "intercept_only"),
             terms=tuple(tuple(t) for t in terms),
-            intercept=bool(doc.get("intercept", True)),
+            intercept=_convert(doc, "intercept", bool, True),
         )
     except ValueError as exc:
         raise ConfigError(f"regressor config: {exc}") from exc
@@ -241,7 +251,7 @@ def _study_config_from_doc(doc: dict, workers: int) -> harness.StudyConfig:
             method=doc.get("method", "mpb"),
             master_seed=_convert(doc, "master_seed", int, 0),
             workers=workers,
-            skip_failures=bool(doc.get("skip_failures", False)),
+            skip_failures=_convert(doc, "skip_failures", bool, False),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"study config entry: {exc}") from exc

@@ -27,8 +27,8 @@ from .core import (
     ShapeError,
     Split,
     _mode_tau,
+    _readonly,
     order_stat_index,
-    total_integral,
 )
 from .modulate import ModulationSet
 from .regress import FittedRegressor, predict, residuals
@@ -73,16 +73,14 @@ class Scores:
     sorted_values: np.ndarray = dataclasses_field(init=False, default=None)
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size < 1:
+        vals = _readonly(self.values, "scores", error=ValueError)
+        if vals.size < 1:
             raise ShapeError("scores must be a non-empty vector")
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            raise ValueError("scores must be finite and nonnegative")
-        vals.setflags(write=False)
-        srt = np.sort(vals)
-        srt.setflags(write=False)
+        if np.any(vals < 0):
+            raise ValueError("scores must be nonnegative")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "sorted_values", srt)
+        object.__setattr__(self, "sorted_values",
+                           _readonly(np.sort(vals), "sorted scores"))
 
     @property
     def l(self) -> int:
@@ -163,7 +161,8 @@ class Band:
 def score(residual: MFCurve, s: ModulationSet) -> float:
     """Nonconformity score: max over components and grid points of
     |residual| / s."""
-    s.grid.validate_values(residual.values, what="residual")
+    s.grid.validate_blocks([np.asarray(r)[None] for r in residual.values],
+                           "residual components")
     return max(
         float(np.max(np.abs(r) / f)) for r, f in zip(residual.values, s.fns)
     )
@@ -319,6 +318,15 @@ def p_value_smoothed(calib_scores: Scores, new_score: float, tau: float) -> floa
     return (strict + tau * ties) / (calib_scores.l + 1)
 
 
+def _band_area(radii, s: ModulationSet) -> float:
+    """Quadrature area between the bounds of a band with one radius per
+    component, 2 * sum_j radii[j] * integral of s_j."""
+    return 2.0 * sum(
+        float(k) * float(np.dot(c.weights, f))
+        for k, c, f in zip(radii, s.grid.components, s.fns)
+    )
+
+
 def band_size(pred: BandPredictor) -> float:
     """Band size 2 * radius: the summed area between upper and lower bounds.
 
@@ -328,7 +336,8 @@ def band_size(pred: BandPredictor) -> float:
     if pred.infinite:
         raise InfiniteBandError("an infinite band has no finite size")
     q = 2.0 * pred.radius
-    by_quadrature = q * total_integral(pred.modulation.fns, pred.modulation.grid)
+    by_quadrature = _band_area([pred.radius] * pred.modulation.grid.p,
+                               pred.modulation)
     if abs(by_quadrature - q) > 1e-10 * max(1.0, abs(q)):
         raise MFConformalError(
             f"band size self-check failed: 2*radius={q!r} but quadrature "

@@ -44,8 +44,9 @@ class ShapeError(MFConformalError, ValueError):
     """Input does not conform to the expected grid layout."""
 
 
-def _readonly(values, name: str, ndim: int = 1) -> np.ndarray:
-    """Read-only float copy with ``ndim`` dimensions and finite entries."""
+def _readonly(values, name: str, ndim: int = 1, error=ShapeError) -> np.ndarray:
+    """Read-only float copy with ``ndim`` dimensions and finite entries; a
+    non-finite entry raises ``error``. The caller's array is left as it is."""
     try:
         arr = np.array(values, dtype=float)
     except (TypeError, ValueError):
@@ -53,7 +54,7 @@ def _readonly(values, name: str, ndim: int = 1) -> np.ndarray:
     if arr.ndim != ndim:
         raise ShapeError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ShapeError(f"{name} contains non-finite entries")
+        raise error(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
 
@@ -151,18 +152,6 @@ class Grid:
     def measure(self) -> float:
         """Total length of all component domains, sum_j |T_j|."""
         return float(sum(c.measure for c in self.components))
-
-    def validate_values(self, values: Sequence[np.ndarray], what: str = "curve"):
-        if len(values) != self.p:
-            raise ShapeError(
-                f"{what} has {len(values)} components, grid has {self.p}"
-            )
-        for j, (v, c) in enumerate(zip(values, self.components)):
-            if np.shape(v) != (c.size,):
-                raise ShapeError(
-                    f"{what} component {j} has shape {np.shape(v)}, "
-                    f"expected ({c.size},)"
-                )
 
     def validate_blocks(self, blocks: Sequence[np.ndarray], what: str) -> int:
         """Check one (count, G_j) array per component, with one count >= 1 for
@@ -385,7 +374,7 @@ def sup_abs(curve: MFCurve) -> float:
 
 def total_integral(fns: Sequence[np.ndarray], grid: Grid) -> float:
     """Sum over components of the quadrature integral of each sampled function."""
-    grid.validate_values(fns, what="integrand")
+    grid.validate_blocks([np.asarray(f)[None] for f in fns], "integrands")
     return float(
         sum(float(np.dot(c.weights, f)) for c, f in zip(grid.components, fns))
     )

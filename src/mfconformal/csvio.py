@@ -49,6 +49,21 @@ def _csv_reader(path):
             raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
 
 
+def _data_rows(reader, width: int):
+    """(line number, row) of each non-blank data row, each with ``width``
+    columns; a file with a header but no data rows is a schema error."""
+    empty = True
+    for line, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise SchemaError(f"line {line}: expected {width} columns, got {len(row)}")
+        empty = False
+        yield line, row
+    if empty:
+        raise SchemaError("file has a header but no data rows")
+
+
 def _parse_float(text: str, line: int, what: str) -> float:
     try:
         value = float(text)
@@ -85,11 +100,7 @@ def _read_long_table(path, value_col: str):
                 f"line 1: expected header curve_id,component,t,{value_col}"
             )
         name = header[3].strip()
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise SchemaError(f"line {line}: expected 4 columns, got {len(row)}")
+        for line, row in _data_rows(reader, 4):
             cid = row[0].strip()
             comp = _parse_component(row[1], line)
             t = _parse_float(row[2], line, "t")
@@ -104,8 +115,6 @@ def _read_long_table(path, value_col: str):
                 )
             comp_cells[t] = val
             ts.setdefault(comp, set()).add(t)
-    if not cells:
-        raise SchemaError("file has a header but no data rows")
     return name, cells, order, ts
 
 
@@ -153,13 +162,7 @@ def read_scalar_covariates(path) -> tuple[list[str], dict[str, dict[str, float]]
             raise SchemaError("line 1: duplicate covariate names")
         rows: dict[str, dict[str, float]] = {}
         order = []
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"line {line}: expected {len(header)} columns, got {len(row)}"
-                )
+        for line, row in _data_rows(reader, len(header)):
             cid = row[0].strip()
             if cid in rows:
                 raise SchemaError(f"line {line}: duplicate curve_id {cid!r}")
@@ -167,8 +170,6 @@ def read_scalar_covariates(path) -> tuple[list[str], dict[str, dict[str, float]]
                 name: _parse_float(v, line, name) for name, v in zip(names, row[1:])
             }
             order.append(cid)
-    if not rows:
-        raise SchemaError("file has a header but no data rows")
     return order, rows
 
 

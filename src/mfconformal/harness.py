@@ -37,7 +37,7 @@ WORKERS_ENV_VAR = "MFCONFORMAL_WORKERS"
 
 
 class ReplicationError(MFConformalError, RuntimeError):
-    """A replication failed; carries the replication index."""
+    """A replication failed (the message names its index), or all did."""
 
 
 def default_workers() -> int:
@@ -161,11 +161,7 @@ def _replication(cfg: StudyConfig, rep: int):
         if radii is None:
             return True, None, True
         band = conformal._concatenated_band(model, s, radii, x_new)
-        size = 2.0 * sum(
-            float(k) * float(np.dot(c.weights, f))
-            for k, c, f in zip(radii, dataset.grid.components, s.fns)
-        )
-        return conformal.contains(band, y_new), size, False
+        return conformal.contains(band, y_new), conformal._band_area(radii, s), False
 
     pred = conformal.calibrate(
         dataset, split, model, s, cfg.alpha, mode=cfg.mode, tau=tau
@@ -194,7 +190,8 @@ def run_study(cfg: StudyConfig) -> StudyReport:
 
     Failed replications abort the study unless ``skip_failures`` is set, in
     which case they are counted and excluded (a count is reported because
-    silently dropping them would bias the coverage estimate).
+    silently dropping them would bias the coverage estimate); a study whose
+    replications all fail raises :class:`ReplicationError`.
     """
     reps = list(range(cfg.n_reps))
     if cfg.workers > 1:
@@ -216,6 +213,8 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     sizes = sorted(r.size for r in results if r.size is not None)
     n_effective = cfg.n_reps - n_failed
 
+    if n_effective == 0:
+        raise ReplicationError(f"all {cfg.n_reps} replications failed")
     coverage, lo, hi = coverage_ci(hits, n_effective)
     if sizes:
         q1, med, q3 = size_quartiles(sizes)

@@ -25,6 +25,7 @@ from .core import (
     Grid,
     MFConformalError,
     _mode_tau,
+    _readonly,
     order_stat_index,
     total_integral,
 )
@@ -91,23 +92,20 @@ class ModulationSet:
     unit_integral: bool = True
 
     def __post_init__(self):
-        self.grid.validate_values(self.fns, what="modulation set")
-        fns = []
-        for j, f in enumerate(self.fns):
-            arr = np.ascontiguousarray(f, dtype=float)
-            if not np.all(np.isfinite(arr)) or not np.all(arr > 0):
-                raise ValueError(
-                    f"modulation component {j} must be strictly positive and finite"
-                )
-            arr.setflags(write=False)
-            fns.append(arr)
+        self.grid.validate_blocks([np.asarray(f)[None] for f in self.fns],
+                                  "modulation functions")
+        fns = tuple(_readonly(f, f"modulation component {j}", error=ValueError)
+                    for j, f in enumerate(self.fns))
+        for j, f in enumerate(fns):
+            if not np.all(f > 0):
+                raise ValueError(f"modulation component {j} must be strictly positive")
         if self.unit_integral:
             tot = total_integral(fns, self.grid)
             if abs(tot - 1.0) > NORMALIZATION_TOL:
                 raise ValueError(
                     f"modulation set integrates to {tot!r}, expected 1"
                 )
-        object.__setattr__(self, "fns", tuple(fns))
+        object.__setattr__(self, "fns", fns)
 
     @property
     def total(self) -> float:

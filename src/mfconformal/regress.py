@@ -216,7 +216,8 @@ def predict(model, x: Covariates, truncate_at_zero: bool = False) -> MFCurve:
     """
     if isinstance(model, FittedRegressor):
         for name, arrs in x.functional.items():
-            model.grid.validate_values(arrs, what=f"functional covariate {name!r}")
+            model.grid.validate_blocks([np.asarray(a)[None] for a in arrs],
+                                       f"functional covariate {name!r} components")
         values = [p[0] for p in _predictions(model, x, [0])]
     else:
         values = model.predict(x).values

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Covariates, Dataset, Grid, MFCurve, uniform_grid
+from .core import Covariates, Dataset, Grid, MFCurve, _readonly, uniform_grid
 from .regress import RegressorSpec
 
 __all__ = [
@@ -57,13 +57,12 @@ class BSplineBasis:
     def __post_init__(self):
         if self.order < 1 or self.n_basis < self.order:
             raise ValueError("need n_basis >= order >= 1")
-        knots = np.ascontiguousarray(self.knots, dtype=float)
+        knots = _readonly(self.knots, "knot vector", error=ValueError)
         if knots.shape != (self.n_basis + self.order,):
             raise ValueError(
                 f"knot vector must have n_basis + order = "
                 f"{self.n_basis + self.order} entries"
             )
-        knots.setflags(write=False)
         object.__setattr__(self, "knots", knots)
 
     @property
@@ -82,30 +81,13 @@ def uniform_bspline_basis(
     return BSplineBasis(order=order, n_basis=n_basis, knots=knots, domain=domain)
 
 
-def _span_index(basis: BSplineBasis, t: float) -> int:
-    # Right-closed at the domain end: t == b evaluates on the last span.
-    span = int(np.searchsorted(basis.knots, t, side="right")) - 1
-    return min(max(span, basis.degree), basis.n_basis - 1)
-
-
 def eval_bspline(basis: BSplineBasis, coeffs, t: float) -> float:
-    """Evaluate sum_k coeffs[k] * B_k(t) by the de Boor recursion."""
-    a, b = basis.domain
-    if not a <= t <= b:
-        raise ValueError(f"t={t} outside the domain [{a}, {b}]")
+    """Evaluate sum_k coeffs[k] * B_k(t): the row of :func:`basis_matrix` at
+    ``t`` dotted with the coefficients."""
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (basis.n_basis,):
         raise ValueError(f"need {basis.n_basis} coefficients, got {c.shape}")
-    p = basis.degree
-    knots = basis.knots
-    k = _span_index(basis, t)
-    d = [c[j + k - p] for j in range(p + 1)]
-    for r in range(1, p + 1):
-        for j in range(p, r - 1, -1):
-            denom = knots[j + 1 + k - r] - knots[j + k - p]
-            alpha = 0.0 if denom == 0.0 else (t - knots[j + k - p]) / denom
-            d[j] = (1.0 - alpha) * d[j - 1] + alpha * d[j]
-    return float(d[p])
+    return float(basis_matrix(basis, [t])[0] @ c)
 
 
 def basis_matrix(basis: BSplineBasis, ts) -> np.ndarray:
@@ -115,8 +97,8 @@ def basis_matrix(basis: BSplineBasis, ts) -> np.ndarray:
     """
     ts = np.asarray(ts, dtype=float)
     a, b = basis.domain
-    if np.any(ts < a) or np.any(ts > b):
-        raise ValueError("evaluation points outside the basis domain")
+    if not np.all((a <= ts) & (ts <= b)):
+        raise ValueError(f"evaluation points outside the basis domain [{a}, {b}]")
     p = basis.degree
     knots = basis.knots
     spans = np.searchsorted(knots, ts, side="right") - 1

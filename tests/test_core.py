@@ -9,17 +9,25 @@ from mfconformal import (
     ComponentGrid,
     Covariates,
     Dataset,
+    FittedRegressor,
     Grid,
+    ModulationSet,
     MFCurve,
+    RegressorSpec,
+    Scores,
     ShapeError,
     Split,
+    predict,
     random_split,
+    s_const,
+    score,
     sup_abs,
     theoretical_coverage,
     total_integral,
     uniform_grid,
 )
 from mfconformal.core import _snap_floor, order_stat_index, smoothed_order_stat_index
+from mfconformal.simgen import BSplineBasis
 
 from conftest import random_curve
 
@@ -121,6 +129,59 @@ class TestGridTypes:
     def test_scalar_covariates_must_be_finite(self, value):
         with pytest.raises(ShapeError, match="scalar covariate 'w'"):
             Covariates(scalar={"v": 1.0, "w": value})
+
+
+def stored_arrays(kind, arr):
+    """The arrays a type stores when built from the caller's vector ``arr``
+    (4 positive ascending entries)."""
+    if kind == "Scores":
+        scores = Scores(arr)
+        return scores.values, scores.sorted_values
+    if kind == "ModulationSet":
+        return ModulationSet(uniform_grid(4), (arr,), "x", unit_integral=False).fns
+    return (BSplineBasis(2, 2, arr).knots,)
+
+
+class TestStoredArrays:
+    @pytest.mark.parametrize("kind", ["Scores", "ModulationSet", "BSplineBasis"])
+    def test_caller_array_stays_writeable_and_unaliased(self, kind):
+        arr = np.array([0.25, 0.5, 0.75, 1.0])
+        stored = stored_arrays(kind, arr)
+        assert arr.flags.writeable
+        for held in stored:
+            assert not held.flags.writeable and not np.shares_memory(held, arr)
+        arr[0] = 2.0
+        assert all(held[0] == 0.25 for held in stored)
+
+    @pytest.mark.parametrize("kind", ["Scores", "ModulationSet", "BSplineBasis"])
+    def test_non_finite_entry_is_a_value_error_not_a_shape_error(self, kind):
+        # The CLI maps ShapeError to exit 2 and other ValueErrors to exit 3.
+        with pytest.raises(ValueError, match="non-finite") as info:
+            stored_arrays(kind, np.array([0.25, np.nan, 0.75, 1.0]))
+        assert not isinstance(info.value, ShapeError)
+
+
+# Checks of one observation, each read as a one-row block against the grid.
+ONE_OBSERVATION = {
+    "score": lambda grid, v: score(MFCurve(v), s_const(grid)),
+    "total_integral": lambda grid, v: total_integral(v, grid),
+    "ModulationSet": lambda grid, v: ModulationSet(grid, v, "x", unit_integral=False),
+    "predict": lambda grid, v: predict(
+        FittedRegressor(grid, RegressorSpec("intercept_only"),
+                        tuple(np.zeros((c.size, 1)) for c in grid.components)),
+        Covariates(functional={"temp": v}),
+    ),
+}
+
+
+class TestOneObservationShapes:
+    @pytest.mark.parametrize("fault", ["component count", "wrong G_j"])
+    @pytest.mark.parametrize("caller", sorted(ONE_OBSERVATION))
+    def test_rejects_a_wrong_shape(self, grid2, caller, fault):
+        bad = {"component count": (np.ones(50),),
+               "wrong G_j": (np.ones(50), np.ones(49))}[fault]
+        with pytest.raises(ShapeError, match=r"expected one \(count, G_j\) block"):
+            ONE_OBSERVATION[caller](grid2, bad)
 
 
 class TestDataset:

@@ -152,6 +152,12 @@ CALIBRATE_REPROS = [
     ([(["seed"], None)], "config key 'seed' must be an integer seed, got null"),
     ([(["mode"], "smoothed"), (["seed"], None)], "config key 'seed'"),
     ([(["split", "seed"], None)], "config key 'split.seed'"),
+    ([(["seed"], True)], "config key 'seed' must be an integer seed, got true"),
+    ([(["split", "seed"], [True, 1])], "config key 'split.seed' must be an integer"),
+    ([(["split", "l"], True)], "config key 'l' must be a JSON number, got true"),
+    ([(["mode"], "smoothed"), (["tau"], True)], "config key 'tau' must be a JSON"),
+    ([(["regressor", "intercept"], "false")],
+     "config key 'intercept' must be a JSON boolean, got \"false\""),
 ]
 STUDY_REPROS = [
     ([(["configs", 0, "n"], 2), (["configs", 0, "l"], 1)], "replication 0 failed"),
@@ -159,6 +165,13 @@ STUDY_REPROS = [
     ([(["configs", 0, "master_seed"], -1)], "master_seed must be >= 0"),
     ([(["configs", 0, "n"], 1e999)], "config key 'n'"),
     ([(["workers"], [])], "config key 'workers'"),
+    ([(["configs", 0, "n_reps"], True)], "config key 'n_reps' must be a JSON number"),
+    ([(["configs", 0, "l"], True)], "config key 'l' must be a JSON number, got true"),
+    ([(["configs", 0, "master_seed"], True)], "config key 'master_seed' must be"),
+    ([(["configs", 0, "skip_failures"], "false")],
+     "config key 'skip_failures' must be a JSON boolean, got \"false\""),
+    ([(["configs", 0, "n"], 2), (["configs", 0, "l"], 1), (["configs", 0, "n_reps"], 3),
+      (["configs", 0, "skip_failures"], True)], "all 3 replications failed"),
 ]
 
 

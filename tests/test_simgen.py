@@ -43,18 +43,26 @@ class TestBSpline:
             )
 
     def test_basis_matrix_agrees_with_pointwise_eval(self):
+        # eval_bspline is a row of basis_matrix, so scipy is the pointwise
+        # reference.
         rng = np.random.default_rng(6)
         basis = uniform_bspline_basis(4, 6)
         coeffs = rng.normal(size=6)
         ts = np.linspace(0, 1, 37)
-        via_matrix = basis_matrix(basis, ts) @ coeffs
-        via_eval = [eval_bspline(basis, coeffs, float(t)) for t in ts]
-        assert np.allclose(via_matrix, via_eval, atol=1e-13)
+        ref = BSpline(basis.knots, coeffs, basis.degree, extrapolate=False)
+        assert np.allclose(basis_matrix(basis, ts) @ coeffs, ref(ts), atol=1e-13)
 
     def test_outside_domain_rejected(self):
         basis = uniform_bspline_basis(4, 6)
         with pytest.raises(ValueError):
             eval_bspline(basis, np.zeros(6), 1.5)
+
+    def test_nan_point_rejected(self):
+        basis = uniform_bspline_basis(4, 6)
+        with pytest.raises(ValueError, match="outside the basis domain"):
+            eval_bspline(basis, np.zeros(6), np.nan)
+        with pytest.raises(ValueError, match="outside the basis domain"):
+            basis_matrix(basis, [0.5, np.nan])
 
 
 class TestStudy1:

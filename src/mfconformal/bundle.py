@@ -68,6 +68,15 @@ def predictor_to_doc(pred: BandPredictor, metadata: dict | None = None) -> dict:
     }
 
 
+def _flag(doc: dict, key: str, *default) -> bool:
+    """``doc[key]``, or the default when absent; a ValueError naming the key
+    unless it is a JSON boolean (``bool("false")`` is true)."""
+    value = doc[key] if key in doc or not default else default[0]
+    if not isinstance(value, bool):
+        raise ValueError(f"{key!r} must be a JSON boolean, got {json.dumps(value)}")
+    return value
+
+
 def predictor_from_doc(doc: dict) -> tuple[BandPredictor, dict]:
     if not isinstance(doc, dict) or not isinstance(doc.get("metadata", {}), dict):
         raise BundleFormatError(
@@ -85,7 +94,7 @@ def predictor_from_doc(doc: dict) -> tuple[BandPredictor, dict]:
         spec = RegressorSpec(
             kind=reg["kind"],
             terms=tuple(tuple(t) for t in reg["terms"]),
-            intercept=reg["intercept"],
+            intercept=_flag(reg, "intercept"),
         )
         model = FittedRegressor(
             grid=grid,
@@ -97,9 +106,9 @@ def predictor_from_doc(doc: dict) -> tuple[BandPredictor, dict]:
             grid=grid,
             fns=tuple(np.array(f) for f in mod["fns"]),
             label=mod["label"],
-            unit_integral=bool(mod.get("unit_integral", False)),
+            unit_integral=_flag(mod, "unit_integral", False),
         )
-        infinite = bool(doc["infinite"])
+        infinite = _flag(doc, "infinite")
         pred = BandPredictor(
             model=model,
             modulation=s,

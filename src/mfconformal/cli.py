@@ -70,8 +70,9 @@ def _typed(doc: dict, key: str, kind: type, what: str, item: type = object):
 def _convert(doc: dict, key: str, convert, *default):
     """``convert(doc[key])`` for ``convert`` one of bool, int and float. An
     absent key gives the default, and is a ConfigError without one; so is a
-    value that does not convert, and a JSON boolean for a number or the
-    reverse (``bool("false")`` is true and ``int(True)`` is 1)."""
+    value that does not convert, a JSON boolean for a number or the reverse
+    (``bool("false")`` is true and ``int(True)`` is 1), and a fraction for an
+    integer (``int(4.7)`` is 4)."""
     if key not in doc:
         if default:
             return default[0]
@@ -80,6 +81,10 @@ def _convert(doc: dict, key: str, convert, *default):
         raise ConfigError(
             f"config key {key!r} must be a JSON "
             f"{'boolean' if convert is bool else 'number'}, got {json.dumps(doc[key])}"
+        )
+    if convert is int and isinstance(doc[key], float) and not doc[key].is_integer():
+        raise ConfigError(
+            f"config key {key!r} must be an integer, got {json.dumps(doc[key])}"
         )
     try:
         return convert(doc[key])

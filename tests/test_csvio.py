@@ -1,0 +1,250 @@
+"""The column-wise long-table reader against the row-wise oracle.
+
+``rowwise_csvio`` keeps the reader ``csvio`` had before it parsed columns.
+On every generated file both readers must agree: a file one accepts the
+other accepts with byte-equal ids, grid points, weights and values (so a
+``-0.0`` read as ``0.0`` shows), and a file one rejects the other rejects
+with the same exception type. Files with a single fault get the same
+message from both.
+"""
+
+import csv
+import io
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rowwise_csvio as oracle
+from mfconformal import csvio
+from mfconformal.core import ComponentGrid, Grid, ShapeError, uniform_grid
+
+# Spellings Python's int and float accept, several per value, so equal
+# values arrive as different strings.
+COMPONENT_TEXT = {1: ["1", "+1", " 1", "01", "１"], 2: ["2", "+2", "2 ", "٢"],
+                  3: ["3", "0_3"], 10: ["1_0", "10"]}
+POINT_TEXT = {0.0: ["0", "0.0", "-0.0", "+0", "-0"], 0.25: ["0.25", "2_5e-2"],
+              0.5: ["0.5", "+.5", "5e-1", "０.５"], 1.0: ["1", "1.0", "1_0e-1"]}
+VALUE_TEXT = ["0.0", "-0.0", "1.5", "-2.25e3", "1_000", "３", " 7 ", "+4"]
+# Spellings neither reader accepts, per column.
+BAD_COMPONENT = ["0", "-1", "x", "", "1.0"]
+BAD_NUMBER = ["nan", "inf", "-1e999", "x", ""]
+IDS = ["a", "b", "c,d", 'e"f', "g\nh", "é"]
+ID_PADDING = ["{}", " {} ", "{}\t"]
+FAULTS = ["drop", "drop component", "duplicate", "field", "width"]
+
+
+@st.composite
+def long_tables(draw, value_name="value"):
+    """A small long-format CSV as text, valid about half of the time."""
+    curves = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=4, unique=True))
+    comps = draw(st.sampled_from([[1], [1, 2], [1, 2, 3]]))
+    if draw(st.integers(0, 9)) == 0:
+        comps = draw(st.sampled_from([[1, 3], [2], [1, 10]]))  # not contiguous
+    least = 1 if draw(st.integers(0, 9)) == 0 else 2  # a one-point grid is a fault
+    points = {c: draw(st.lists(st.sampled_from(sorted(POINT_TEXT)), min_size=least,
+                               max_size=4, unique=True)) for c in comps}
+    rows = [[draw(st.sampled_from(ID_PADDING)).format(cid),
+             draw(st.sampled_from(COMPONENT_TEXT[c])),
+             draw(st.sampled_from(POINT_TEXT[t])), draw(st.sampled_from(VALUE_TEXT))]
+            for cid in curves for c in comps for t in points[c]]
+    rows = draw(st.permutations(rows))
+    faults = draw(st.lists(st.sampled_from(FAULTS), max_size=2)) if draw(st.booleans()) else []
+    for fault in sorted(faults, key=FAULTS.index):  # structural faults first
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        row = list(rows[i])
+        if fault == "drop":  # ragged coverage
+            del rows[i]
+        elif fault == "drop component":
+            cell = (row[0].strip(), int(row[1]))
+            rows = [r for r in rows if (r[0].strip(), int(r[1])) != cell]
+        elif fault == "duplicate":  # under the same or another spelling
+            row[1] = draw(st.sampled_from(COMPONENT_TEXT[int(row[1])]))
+            rows.insert(draw(st.integers(0, len(rows))), row)
+        elif fault == "field":
+            col = draw(st.integers(1, 3))
+            row[col] = draw(st.sampled_from(BAD_COMPONENT if col == 1 else BAD_NUMBER))
+            rows[i] = row
+        else:
+            rows[i] = draw(st.sampled_from([row[:3], [*row, "x"]]))
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), [])  # blank records
+    header = draw(st.sampled_from([["curve_id", "component", "t", value_name]] * 4 + [
+        [" curve_id", "component ", "t", f" {value_name} "],
+        ["curve_id", "component", "t", "other"]]))
+    out = io.StringIO()
+    csv.writer(out, quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+               ).writerows([header, *rows])
+    return out.getvalue()
+
+
+def outcome(read, path, *args):
+    """The reader's result, or the type and message of its schema fault."""
+    try:
+        return read(path, *args)
+    except (csvio.SchemaError, ShapeError) as exc:
+        return type(exc), str(exc)
+
+
+def same_arrays(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def rejected(new, old) -> bool:
+    """Whether the oracle rejected the file; the reader must agree, with the
+    same exception type."""
+    if isinstance(old[0], type):
+        assert isinstance(new[0], type) and new[0] is old[0], (new, old)
+        return True
+    assert not isinstance(new[0], type), (new, old)
+    return False
+
+
+def assert_same_curves(new, old):
+    if rejected(new, old):
+        return
+    (grid, ids, curves), (old_grid, old_ids, old_curves) = new, old
+    assert ids == old_ids
+    for comp, old_comp in zip(grid.components, old_grid.components, strict=True):
+        assert same_arrays(comp.points, old_comp.points)
+        assert same_arrays(comp.weights, old_comp.weights)
+    for curve, old_curve in zip(curves, old_curves, strict=True):
+        for v, old_v in zip(curve.values, old_curve.values, strict=True):
+            assert same_arrays(v, old_v)
+
+
+def assert_same_covariate(new, old):
+    if rejected(new, old):
+        return
+    assert new[0] == old[0] and list(new[1]) == list(old[1])
+    for cid, values in new[1].items():
+        for v, old_v in zip(values, old[1][cid], strict=True):
+            assert same_arrays(v, old_v)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csvio")
+
+
+def check_curves(workdir, text):
+    path = workdir / "curves.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert_same_curves(outcome(csvio.read_curves, path),
+                       outcome(oracle.read_curves, path))
+
+
+def own_grid(path):
+    """The grid of the points a file samples, or a fixed one when its points
+    make none."""
+    try:
+        _, _, _, ts = oracle._read_long_table(path, "<name>")
+        points = oracle._component_points(ts)
+        return Grid(tuple(ComponentGrid.from_points(p) for p in points))
+    except (csvio.SchemaError, ShapeError):
+        return uniform_grid(3, p=2)
+
+
+def check_covariate(workdir, text, own):
+    path = workdir / "covariate.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    grid = own_grid(path) if own else uniform_grid(3, p=2)  # points 0, 0.5, 1
+    assert_same_covariate(outcome(csvio.read_functional_covariate, path, grid),
+                          outcome(oracle.read_functional_covariate, path, grid))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=long_tables())
+def test_read_curves_matches_rowwise_oracle(workdir, text):
+    check_curves(workdir, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=long_tables(value_name="temp"), own=st.booleans())
+def test_read_functional_covariate_matches_rowwise_oracle(workdir, text, own):
+    check_covariate(workdir, text, own)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=long_tables())
+def test_chunk_boundaries_do_not_change_the_result(workdir, text):
+    with mock.patch.object(csvio, "_CHUNK_ROWS", 3):
+        check_curves(workdir, text)
+
+
+def table(rows, header="curve_id,component,t,value") -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+def valid_rows(comps=(1, 2), points=("0", "0.5", "1")):
+    return [f"{cid},{c},{t},{v}" for cid, v in (("a", 1.0), ("b", 2.0))
+            for c in comps for t in points]
+
+
+VALID = valid_rows()
+
+# Files with one fault each; the two readers must word it the same way.
+SINGLE_FAULTS = {
+    "width": VALID[:3] + ["a,2,0"] + VALID[4:],
+    "component not an integer": VALID[:5] + ["a,x,1,1"] + VALID[6:],
+    "component below 1": VALID[:5] + ["a,0,1,1"] + VALID[6:],
+    "t not a number": VALID[:7] + ["b,1,t,2"] + VALID[8:],
+    "t not finite": VALID[:7] + ["b,1,inf,2"] + VALID[8:],
+    "value not a number": VALID[:8] + ["b,1,1,x"] + VALID[9:],
+    "value not finite": VALID[:8] + ["b,1,1,nan"] + VALID[9:],
+    "duplicate": VALID + ["b,2,-0.0,3"],
+    "duplicate early in the file": VALID[:2] + ["a,1,0.5,9"] + VALID[2:],
+    "non-contiguous components": [r.replace(",2,", ",3,", 1) for r in VALID],
+    "missing component": VALID[:9],
+    "ragged coverage": VALID[:10] + VALID[11:],
+    "single grid point": [r for r in VALID if ",0.5," not in r and ",1," not in r],
+    "value column name": None,
+    "header": None,
+    "no data rows": [],
+}
+
+
+@pytest.mark.parametrize("chunk", [csvio._CHUNK_ROWS, 3])
+@pytest.mark.parametrize("fault", sorted(SINGLE_FAULTS))
+def test_single_fault_messages_match_rowwise_oracle(workdir, fault, chunk):
+    rows = SINGLE_FAULTS[fault]
+    header = {"value column name": "curve_id,component,t,val",
+              "header": "id,component,t,value"}.get(fault, "curve_id,component,t,value")
+    path = workdir / "fault.csv"
+    path.write_text(table(VALID if rows is None else rows, header))
+    with mock.patch.object(csvio, "_CHUNK_ROWS", chunk):
+        new = outcome(csvio.read_curves, path)
+    assert isinstance(new[0], type) and new == outcome(oracle.read_curves, path)
+
+
+@pytest.mark.parametrize("later", ["a,2,0", '"' + "x" * 131073 + '",1,0,1'])
+def test_earlier_faulty_row_of_a_chunk_is_reported_first(workdir, later):
+    """A row fault found when its chunk is parsed still comes before a width
+    or reader fault read later in the same chunk."""
+    path = workdir / "two_faults.csv"
+    path.write_text(table(VALID[:2] + ["a,1,1,nan"] + VALID[3:6] + [later] + VALID[6:]))
+    new = outcome(csvio.read_curves, path)
+    assert new == (csvio.SchemaError, "line 4: value 'nan' is not finite")
+    assert new == outcome(oracle.read_curves, path)
+
+
+@pytest.mark.parametrize("first,zero", [("a", "-0.0"), ("b", "0.0")])
+def test_grid_points_keep_the_first_seen_sign_of_zero(workdir, first, zero):
+    rows = {"a": ["a,1,-0.0,1", "a,1,1,1"], "b": ["b,1,0.0,2", "b,1,1,2"]}
+    path = workdir / "zeros.csv"
+    path.write_text(table(rows[first] + rows["b" if first == "a" else "a"]))
+    grid, _, _ = csvio.read_curves(path)
+    assert repr(float(grid.components[0].points[0])) == zero
+
+
+@pytest.mark.parametrize("rows", [valid_rows(comps=(1,)), valid_rows(points=("0", "0.5", "0.75"))])
+def test_functional_covariate_fault_messages_match_rowwise_oracle(workdir, rows):
+    path = workdir / "fault_covariate.csv"
+    path.write_text(table(rows, "curve_id,component,t,temp"))
+    grid = uniform_grid(3, p=2)
+    new = outcome(csvio.read_functional_covariate, path, grid)
+    assert isinstance(new[0], type)
+    assert new == outcome(oracle.read_functional_covariate, path, grid)

@@ -133,6 +133,12 @@ BUNDLE_REPROS = [
      "coefficient component 0 contains non-finite entries"),
     ([(["mode"], "smoothed"), (["tau"], 0.5), (["closure"], "ajar")],
      "unknown closure 'ajar'"),
+    ([(["infinite"], "false")], "'infinite' must be a JSON boolean, got \"false\""),
+    ([(["regressor", "intercept"], "false")],
+     "'intercept' must be a JSON boolean, got \"false\""),
+    ([(["modulation", "unit_integral"], "false")],
+     "'unit_integral' must be a JSON boolean, got \"false\""),
+    ([(["infinite"], 0)], "'infinite' must be a JSON boolean, got 0"),
 ]
 CALIBRATE_REPROS = [
     ([(["functional_covariates"], [1])], "'functional_covariates'"),
@@ -158,6 +164,7 @@ CALIBRATE_REPROS = [
     ([(["mode"], "smoothed"), (["tau"], True)], "config key 'tau' must be a JSON"),
     ([(["regressor", "intercept"], "false")],
      "config key 'intercept' must be a JSON boolean, got \"false\""),
+    ([(["split", "l"], 4.7)], "config key 'l' must be an integer, got 4.7"),
 ]
 STUDY_REPROS = [
     ([(["configs", 0, "n"], 2), (["configs", 0, "l"], 1)], "replication 0 failed"),
@@ -172,6 +179,9 @@ STUDY_REPROS = [
      "config key 'skip_failures' must be a JSON boolean, got \"false\""),
     ([(["configs", 0, "n"], 2), (["configs", 0, "l"], 1), (["configs", 0, "n_reps"], 3),
       (["configs", 0, "skip_failures"], True)], "all 3 replications failed"),
+    ([(["configs", 0, "l"], 4.7)], "config key 'l' must be an integer, got 4.7"),
+    ([(["configs", 0, "n_reps"], 2.9)], "config key 'n_reps' must be an integer, got 2.9"),
+    ([(["workers"], 1.5)], "config key 'workers' must be an integer, got 1.5"),
 ]
 
 
@@ -323,3 +333,12 @@ def test_malformed_study_exits_3(inputs, edits, message):
     d, _ = inputs
     code, err = study(d, mutate_all(STUDY_CONFIG, edits))
     assert code == EXIT_NUMERIC and message in err
+
+
+def test_integral_floats_still_set_integer_keys(inputs):
+    d, paths = inputs
+    code, err = calibrate(d, paths, config=mutated_config(d, [(["split", "l"], 4.0)]))
+    assert code == EXIT_OK, err
+    edits = [(["configs", 0, "l"], 4.0), (["configs", 0, "n_reps"], 2.0)]
+    code, err = study(d, mutate_all(STUDY_CONFIG, edits))
+    assert code == EXIT_OK, err

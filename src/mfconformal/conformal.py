@@ -76,7 +76,7 @@ class Scores:
         vals = _readonly(self.values, "scores", error=ValueError)
         if vals.size < 1:
             raise ShapeError("scores must be a non-empty vector")
-        if np.any(vals < 0):
+        if (vals < 0).any():
             raise ValueError("scores must be nonnegative")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "sorted_values",
@@ -152,7 +152,7 @@ class Band:
         for j, (lo, hi) in enumerate(zip(low, up)):
             if lo.shape != hi.shape:
                 raise ShapeError(f"component {j} bounds have mismatched shapes")
-            if np.any(lo > hi):
+            if (lo > hi).any():
                 raise ValueError(f"component {j} has lower > upper")
         object.__setattr__(self, "lower", low)
         object.__setattr__(self, "upper", up)
@@ -294,9 +294,9 @@ def contains(band: Band, y: MFCurve) -> bool:
         if v.shape != lo.shape:
             raise ShapeError("curve and band shapes differ")
         if band.closure == "closed":
-            ok = np.all((lo <= v) & (v <= hi))
+            ok = ((lo <= v) & (v <= hi)).all()
         else:
-            ok = np.all((lo < v) & (v < hi))
+            ok = ((lo < v) & (v < hi)).all()
         if not ok:
             return False
     return True

@@ -44,16 +44,19 @@ class ShapeError(MFConformalError, ValueError):
     """Input does not conform to the expected grid layout."""
 
 
-def _readonly(values, name: str, ndim: int = 1, error=ShapeError) -> np.ndarray:
+def _readonly(values, name: str, ndim: int = 1, error=ShapeError,
+              copy: bool = True) -> np.ndarray:
     """Read-only float copy with ``ndim`` dimensions and finite entries; a
-    non-finite entry raises ``error``. The caller's array is left as it is."""
+    non-finite entry raises ``error``. The caller's array is left as it is,
+    unless ``copy`` is false: then a float array is taken over as it is and
+    made read-only."""
     try:
-        arr = np.array(values, dtype=float)
+        arr = (np.array if copy else np.asarray)(values, dtype=float)
     except (TypeError, ValueError):
         raise ShapeError(f"{name} is ragged or not numeric") from None
     if arr.ndim != ndim:
         raise ShapeError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise error(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
@@ -119,6 +122,8 @@ class ComponentGrid:
         return float(self.weights.sum())
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, ComponentGrid):
             return NotImplemented
         return np.array_equal(self.points, other.points) and np.array_equal(
@@ -166,6 +171,8 @@ class Grid:
         return count
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Grid):
             return NotImplemented
         return len(self.components) == len(other.components) and all(
@@ -247,9 +254,10 @@ def _columns(rows, p: int, what: str) -> list[list[np.ndarray]]:
     return [[row[j] for row in rows] for j in range(p)]
 
 
-def _readonly_blocks(blocks, what: str) -> tuple[np.ndarray, ...]:
+def _readonly_blocks(blocks, what: str, copy: bool = True) -> tuple[np.ndarray, ...]:
     return tuple(
-        _readonly(b, f"{what} component {j}", 2) for j, b in enumerate(blocks)
+        _readonly(b, f"{what} component {j}", 2, copy=copy)
+        for j, b in enumerate(blocks)
     )
 
 
@@ -301,14 +309,25 @@ class Dataset:
         dataset._hold(grid, responses, scalar or {}, functional or {})
         return dataset
 
-    def _hold(self, grid: Grid, responses, scalar: dict, functional: dict):
-        """The block check: read-only copies of finite values, every block
-        shaped for the grid and one row count n >= 2 for all of them."""
-        responses = _readonly_blocks(responses, "responses")
+    @classmethod
+    def _own(cls, grid: Grid, responses, scalar: dict):
+        """:meth:`from_blocks` for fresh float arrays that no one else
+        holds: the same check, but the arrays are taken over and made
+        read-only instead of copied."""
+        dataset = cls.__new__(cls)
+        dataset._hold(grid, responses, scalar, {}, copy=False)
+        return dataset
+
+    def _hold(self, grid: Grid, responses, scalar: dict, functional: dict,
+              copy: bool = True):
+        """The block check: read-only copies (taken over when ``copy`` is
+        false) of finite values, every block shaped for the grid and one row
+        count n >= 2 for all of them."""
+        responses = _readonly_blocks(responses, "responses", copy)
         n = grid.validate_blocks(responses, "responses")
-        scalar = {k: _readonly(v, f"scalar covariate {k!r}")
+        scalar = {k: _readonly(v, f"scalar covariate {k!r}", copy=copy)
                   for k, v in scalar.items()}
-        functional = {k: _readonly_blocks(v, f"functional covariate {k!r}")
+        functional = {k: _readonly_blocks(v, f"functional covariate {k!r}", copy)
                       for k, v in functional.items()}
         counts = [v.size for v in scalar.values()] + [
             grid.validate_blocks(v, f"functional covariate {k!r} blocks")
@@ -348,8 +367,8 @@ class Split:
     calib_idx: tuple[int, ...]
 
     def __post_init__(self):
-        train = tuple(int(i) for i in self.train_idx)
-        calib = tuple(int(i) for i in self.calib_idx)
+        train = tuple(map(int, self.train_idx))
+        calib = tuple(map(int, self.calib_idx))
         if len(train) < 1 or len(calib) < 1:
             raise ShapeError("both split parts must be non-empty")
         n = len(train) + len(calib)
@@ -401,8 +420,8 @@ def random_split(n: int, l: int, seed=None, strategy: str = "uniform") -> Split:
         raise ValueError(f"need 1 <= l <= n-1, got l={l}, n={n}")
     if strategy == "uniform":
         perm = np.random.default_rng(seed).permutation(n)
-        calib = sorted(int(i) for i in perm[:l])
-        train = sorted(int(i) for i in perm[l:])
+        calib = np.sort(perm[:l]).tolist()
+        train = np.sort(perm[l:]).tolist()
     elif strategy == "parity":
         center = (n + 1) / 2.0
         train_days = [d for d in range(1, n + 1) if d % 2 == 1]

@@ -15,7 +15,10 @@ What a file must hold to be accepted:
   so ``+1``, ``1_0`` and digits of other scripts are accepted as Python
   accepts them;
 - no two rows for one (curve, component, t), components contiguous from 1,
-  and every curve sampled on every point of every component.
+  every component sampled at two or more points, and every curve sampled on
+  every point of every component;
+- each covariate name defined once, across the scalar table and the
+  functional covariate files.
 
 Schema violations report a line number. It counts CSV records with the
 header as line 1, so a quoted field that spans lines counts once. Long
@@ -35,7 +38,14 @@ from itertools import compress, islice
 import numpy as np
 
 from .conformal import Band
-from .core import ComponentGrid, Covariates, Grid, MFConformalError, MFCurve
+from .core import (
+    ComponentGrid,
+    Covariates,
+    Grid,
+    MFConformalError,
+    MFCurve,
+    ShapeError,
+)
 
 __all__ = [
     "SchemaError",
@@ -258,7 +268,13 @@ def read_curves(path) -> tuple[Grid, list[str], list[MFCurve]]:
     name, ids, columns = _read_long_table(path, "value")
     if name != "value":
         raise SchemaError(f"line 1: value column must be named 'value', got {name!r}")
-    grid = Grid(tuple(ComponentGrid.from_points(points) for points, _, _ in columns))
+    components = []
+    for j, (points, _, _) in enumerate(columns, start=1):
+        try:
+            components.append(ComponentGrid.from_points(points))
+        except ShapeError as exc:
+            raise SchemaError(f"{path}: component {j}: {exc}") from None
+    grid = Grid(tuple(components))
     curves = [MFCurve(values) for values in zip(*_blocks(ids, columns))]
     return grid, ids, curves
 
@@ -311,7 +327,17 @@ def merge_covariates(
     functional: list[tuple[str, dict[str, tuple[np.ndarray, ...]]]],
 ) -> list[Covariates]:
     """Assemble one Covariates object per curve id, requiring every covariate
-    table to cover every curve."""
+    table to cover every curve and every covariate name to be defined once."""
+    scalar_names = set(next(iter(scalar.values()), {})) if scalar else set()
+    functional_names = set()
+    for name, _ in functional:
+        if name in scalar_names:
+            raise SchemaError(f"covariate {name!r} is defined twice: as a scalar "
+                              "covariate and by a functional covariate file")
+        if name in functional_names:
+            raise SchemaError(f"covariate {name!r} is defined twice: by two "
+                              "functional covariate files")
+        functional_names.add(name)
     out = []
     for cid in curve_ids:
         sc = {}

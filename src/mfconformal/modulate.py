@@ -97,7 +97,7 @@ class ModulationSet:
         fns = tuple(_readonly(f, f"modulation component {j}", error=ValueError)
                     for j, f in enumerate(self.fns))
         for j, f in enumerate(fns):
-            if not np.all(f > 0):
+            if not (f > 0).all():
                 raise ValueError(f"modulation component {j} must be strictly positive")
         if self.unit_integral:
             tot = total_integral(fns, self.grid)

@@ -118,7 +118,15 @@ def _design(columns, names: tuple[str, ...], intercept: bool, j: int, rows):
     blocks of a :class:`Dataset`, or one :class:`Covariates` read as a
     one-row block (``rows=[0]``). Returns an (n_rows, q) matrix shared by
     every grid point when all named covariates are scalar, otherwise an
-    (n_rows, G_j, q) tensor varying along the grid."""
+    (n_rows, G_j, q) tensor varying along the grid. A name found among the
+    scalar covariates is taken from there."""
+    if all(name in columns.scalar for name in names):
+        X = np.empty((len(rows), len(names) + intercept))
+        if intercept:
+            X[:, 0] = 1.0
+        for k, name in enumerate(names, start=intercept):
+            X[:, k] = np.atleast_1d(columns.scalar[name])[rows]
+        return X
     cols = [np.ones(len(rows))] if intercept else []
     for name in names:
         if name in columns.scalar:
@@ -127,8 +135,6 @@ def _design(columns, names: tuple[str, ...], intercept: bool, j: int, rows):
             cols.append(np.atleast_2d(columns.functional[name][j])[rows])
         else:
             raise ShapeError(f"covariate {name!r} missing from the observation")
-    if all(c.ndim == 1 for c in cols):
-        return np.column_stack(cols)
     shape = next(c.shape for c in cols if c.ndim == 2)
     return np.stack(
         [c if c.ndim == 2 else np.broadcast_to(c[:, None], shape) for c in cols],
@@ -169,7 +175,7 @@ def fit(dataset: Dataset, train_idx, spec: RegressorSpec) -> FittedRegressor:
         If a pointwise design matrix is rank deficient (smallest singular
         value below ``RANK_RCOND`` times the largest).
     """
-    idx = [int(i) for i in train_idx]
+    idx = np.fromiter(train_idx, np.intp)
     grid = dataset.grid
     terms = spec.component_terms(grid.p)
     m = len(idx)
@@ -233,7 +239,7 @@ def residuals(model, dataset: Dataset, idx) -> list[np.ndarray]:
     The built-in regressor predicts all rows in one batch per component;
     other estimators are called one observation at a time.
     """
-    idx = [int(i) for i in idx]
+    idx = np.fromiter(idx, np.intp)
     if isinstance(model, FittedRegressor):
         preds = _predictions(model, dataset, idx)
     else:

@@ -170,11 +170,33 @@ class ScenarioSpec:
             object.__setattr__(self, "seed", tuple(int(v) for v in self.seed))
 
 
-def _coefficient_curves(spec: ScenarioSpec, points: np.ndarray) -> np.ndarray:
+# Per-cell constants: every replication of a study cell shares them, so each
+# is built once per process and stored read-only.
+
+
+@lru_cache(maxsize=32)
+def _grid(grid_points: int) -> Grid:
+    return uniform_grid(grid_points, p=2)
+
+
+@lru_cache(maxsize=32)
+def _coefficient_curves(coeff_seed: int, n_points: int) -> np.ndarray:
     """The three fixed coefficient functions sampled on the grid, (3, G)."""
-    rng = np.random.default_rng(spec.coeff_seed)
+    rng = np.random.default_rng(coeff_seed)
     coefs = rng.standard_normal((3, 6))
-    return coefs @ _unit_grid_basis(4, 6, points.size).T
+    curves = coefs @ _unit_grid_basis(4, 6, n_points).T
+    curves.setflags(write=False)
+    return curves
+
+
+@lru_cache(maxsize=32)
+def _design_points(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed covariates w_i = i/(n+1), i = 1..n+1, and their squares."""
+    w = np.arange(1, n + 2) / (n + 1)
+    w2 = w * w
+    w.setflags(write=False)
+    w2.setflags(write=False)
+    return w, w2
 
 
 def draw_trig_coefficients(rng, count: int, scale: float = 1.0):
@@ -188,21 +210,23 @@ def draw_trig_coefficients(rng, count: int, scale: float = 1.0):
     return amps, phases
 
 
+@lru_cache(maxsize=32)
 def _contamination_weights(n: int) -> np.ndarray:
     """Indicator w_ij marking which (observation, component) pairs carry the
     anomalous bump (about 5% of the multivariate functions)."""
     w = np.zeros((n + 1, 2))
     if n == 20:
         w[0, 0] = 1.0
-        return w
-    if n % 40 == 0:
+    elif n % 40 == 0:
         for j in (1, 2):
             rows = j + 40 * np.arange(n // 40)
             w[rows - 1, j - 1] = 1.0
-        return w
-    raise ValueError(
-        "the contamination pattern is defined for n = 20 or n divisible by 40"
-    )
+    else:
+        raise ValueError(
+            "the contamination pattern is defined for n = 20 or n divisible by 40"
+        )
+    w.setflags(write=False)
+    return w
 
 
 def _errors(spec: ScenarioSpec, rng, points: np.ndarray) -> np.ndarray:
@@ -240,7 +264,8 @@ def _assemble(spec: ScenarioSpec, grid: Grid, rng, y: np.ndarray, scalar: dict):
     held-out one."""
     perm = rng.permutation(spec.n + 1)
     keep, out = perm[:-1], perm[-1]
-    dataset = Dataset.from_blocks(
+    # Fancy indexing copies, so the dataset can take the blocks over.
+    dataset = Dataset._own(
         grid, (y[keep, 0], y[keep, 1]), {k: v[keep] for k, v in scalar.items()}
     )
     held_out = Covariates(scalar={k: v[out] for k, v in scalar.items()})
@@ -257,7 +282,7 @@ def generate(spec: ScenarioSpec):
     bump on ~5% of the curves with no observable covariates.
     """
     n = spec.n
-    grid = uniform_grid(spec.grid_points, p=2)
+    grid = _grid(spec.grid_points)
     points = grid.components[0].points
     rng = np.random.default_rng(spec.seed)
     y = _errors(spec, rng, points)
@@ -267,16 +292,16 @@ def generate(spec: ScenarioSpec):
         y += _contamination_weights(n)[:, :, None] * bump
         return _assemble(spec, grid, rng, y, {})
 
-    b0, b1, b2 = _coefficient_curves(spec, points)
-    w = np.arange(1, n + 2) / (n + 1)
+    b0, b1, b2 = _coefficient_curves(spec.coeff_seed, points.size)
+    w, w2 = _design_points(n)
     if spec.study == 2:
-        y += (b0 + np.outer(w, b1) + np.outer(w * w, b2))[:, None]
+        y += (b0 + np.outer(w, b1) + np.outer(w2, b2))[:, None]
     else:
         y[:, 0] += b0 + np.outer(w, b1)
-        y[:, 1] += b0 + np.outer(w * w, b2)
+        y[:, 1] += b0 + np.outer(w2, b2)
     if spec.study == 1 and spec.scenario == 2:
         np.exp(y, out=y)
-    return _assemble(spec, grid, rng, y, {"w": w, "w2": w * w})
+    return _assemble(spec, grid, rng, y, {"w": w, "w2": w2})
 
 
 def regressor_for(spec: ScenarioSpec) -> RegressorSpec:

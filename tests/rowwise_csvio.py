@@ -4,7 +4,7 @@ dict of dicts per curve and component, then reads every curve off them."""
 
 import numpy as np
 
-from mfconformal.core import ComponentGrid, Grid, MFCurve
+from mfconformal.core import ComponentGrid, Grid, MFCurve, ShapeError
 from mfconformal.csvio import (
     SchemaError,
     _csv_reader,
@@ -89,7 +89,13 @@ def read_curves(path) -> tuple[Grid, list[str], list[MFCurve]]:
     if name != "value":
         raise SchemaError(f"line 1: value column must be named 'value', got {name!r}")
     points = _component_points(ts)
-    grid = Grid(tuple(ComponentGrid.from_points(p) for p in points))
+    components = []
+    for j, p in enumerate(points, start=1):
+        try:
+            components.append(ComponentGrid.from_points(p))
+        except ShapeError as exc:
+            raise SchemaError(f"{path}: component {j}: {exc}") from None
+    grid = Grid(tuple(components))
     curves = [MFCurve(_values_on(points, cid, cells[cid])) for cid in order]
     return grid, order, curves
 

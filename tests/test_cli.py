@@ -463,6 +463,29 @@ class TestStudyCommand:
         assert len(rows) == 1
         assert rows[0]["l"] == "9"
 
+    def test_report_and_table_bytes_independent_of_workers(self, tmp_path):
+        # Each worker process builds its own per-cell constants; the files
+        # must not show how the replications were spread.
+        cells = [
+            {"study": 1, "scenario": 1, "n": 20, "l": 9, "n_reps": 12,
+             "modulation": "sigma", "method": "mpb", "master_seed": 5,
+             "coeff_seed": 7, "grid_points": 30},
+            {"study": 2, "scenario": 3, "n": 20, "l": 9, "n_reps": 12,
+             "modulation": "sigma", "method": "cub", "master_seed": 5,
+             "coeff_seed": 7, "grid_points": 30},
+        ]
+        outputs = []
+        for workers in (1, 2):
+            write_config(tmp_path / "study.json", workers=workers, configs=cells)
+            report, table = tmp_path / f"r{workers}.json", tmp_path / f"t{workers}.csv"
+            code = main(["study", str(tmp_path / "study.json"),
+                         "--report", str(report), "--table", str(table)])
+            assert code == EXIT_OK
+            outputs.append((report.read_bytes(), table.read_bytes()))
+        assert outputs[0] == outputs[1]
+        methods = [r["config"]["method"] for r in json.loads(outputs[0][0])["reports"]]
+        assert methods == ["mpb", "cub"]
+
     def test_golden_report_frozen_and_reproducible(self, tmp_path):
         write_config(
             tmp_path / "study.json",

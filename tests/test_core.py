@@ -345,6 +345,19 @@ class TestRandomSplit:
         with pytest.raises(ShapeError):
             Split((0, 1), (1, 2))
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_uniform_split_matches_sorted_permutation_oracle(self, data):
+        n = data.draw(st.integers(2, 300))
+        l = data.draw(st.integers(1, n - 1))
+        seed = tuple(data.draw(st.lists(st.integers(0, 2**64), min_size=1,
+                                        max_size=4)))
+        perm = np.random.default_rng(seed).permutation(n)
+        split = random_split(n, l, seed=seed)
+        assert split.calib_idx == tuple(sorted(int(i) for i in perm[:l]))
+        assert split.train_idx == tuple(sorted(int(i) for i in perm[l:]))
+        assert all(type(i) is int for i in split.calib_idx + split.train_idx)
+
 
 class TestOrderIndices:
     @pytest.mark.parametrize(

@@ -342,3 +342,47 @@ def test_integral_floats_still_set_integer_keys(inputs):
     edits = [(["configs", 0, "l"], 4.0), (["configs", 0, "n_reps"], 2.0)]
     code, err = study(d, mutate_all(STUDY_CONFIG, edits))
     assert code == EXIT_OK, err
+
+
+def functional_covariate(d, name, tag):
+    """A functional covariate file named ``name`` on the curves' points for
+    c0..c7 and the new observation."""
+    rows = [f"curve_id,component,t,{name}"]
+    for cid in [*(f"c{i}" for i in range(8)), "new"]:
+        for j in (1, 2):
+            rows += [f"{cid},{j},{t!r},{t + j!r}" for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    path = d / f"functional_{tag}.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("names,message", [
+    (["w"], "error: covariate 'w' is defined twice: as a scalar covariate and by "
+            "a functional covariate file"),
+    (["v", "v"], "error: covariate 'v' is defined twice: by two functional "
+                 "covariate files"),
+], ids=["scalar-and-functional", "two-functional"])
+def test_covariate_defined_twice_is_schema_error(inputs, names, message):
+    # Before, the scalar 'w' silently shadowed the functional one, and the
+    # second of two functional 'v' files silently replaced the first.
+    d, paths = inputs
+    files = [functional_covariate(d, name, k) for k, name in enumerate(names)]
+    config = d / "twice_config.json"
+    config.write_text(json.dumps({**CALIBRATE_CONFIG, "functional_covariates": files}))
+    code, err = calibrate(d, paths, config=config)
+    assert code == EXIT_SCHEMA and message in err
+    code, err = check(*run(["band", str(paths["bundle"]), str(paths["new"]),
+                            *[arg for f in files for arg in ("--functional", f)],
+                            "-o", str(d / "twice_band.csv")]))
+    assert code == EXIT_SCHEMA and message in err
+
+
+def test_component_with_one_point_names_file_and_component(inputs):
+    d, paths = inputs
+    curves = d / "one_point.csv"
+    curves.write_text("curve_id,component,t,value\n" + "".join(
+        f"c{i},{j},0.5,{i + j}\n" for i in range(8) for j in (1, 2)))
+    code, err = calibrate(d, paths, curves=curves)
+    assert code == EXIT_SCHEMA
+    assert err == (f"error: {curves}: component 1: need at least two ascending "
+                   "points\n")

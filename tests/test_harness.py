@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,24 @@ class TestRunStudy:
         assert serial.hits == parallel.hits
         assert serial.sizes == parallel.sizes
         assert serial.coverage == parallel.coverage
+
+    def test_grid_built_once_per_cell(self, monkeypatch):
+        import mfconformal.core as core
+        from mfconformal import simgen
+
+        built = []
+        real = core.ComponentGrid.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(core.ComponentGrid, "__post_init__", counting)
+        simgen._grid.cache_clear()
+        for cells, grid_points in enumerate((50, 30), start=1):
+            scenario = replace(small_config().scenario, grid_points=grid_points)
+            run_study(small_config(scenario=scenario, n_reps=20))
+            assert len(built) == cells
 
     def test_deterministic_across_runs(self):
         a = run_study(small_config(n_reps=10, keep_sizes=True))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
@@ -5,6 +7,9 @@ from scipy.interpolate import BSpline
 from mfconformal import Covariates, MFCurve, ScenarioSpec, eval_bspline, fit, generate
 from mfconformal.regress import residuals
 from mfconformal.simgen import (
+    _coefficient_curves,
+    _contamination_weights,
+    _design_points,
     _errors,
     basis_matrix,
     draw_trig_coefficients,
@@ -240,6 +245,20 @@ class TestAllScenarioCombinations:
     def test_unsupported_contamination_size(self):
         with pytest.raises(ValueError, match="contamination"):
             generate(ScenarioSpec(study=3, scenario=3, n=30, seed=1))
+
+
+class TestPerCellConstants:
+    def test_replications_share_the_grid_and_nobody_writes_the_constants(self):
+        spec = ScenarioSpec(study=1, scenario=1, n=20, coeff_seed=7, grid_points=50)
+        first, _ = generate(replace(spec, seed=(0, 0, 0)))
+        second, _ = generate(replace(spec, seed=(0, 1, 0)))
+        assert first.grid is second.grid
+        w, w2 = _design_points(20)
+        constants = [_coefficient_curves(7, 50), w, w2, _contamination_weights(20)]
+        blocks = [*first.responses, *first.scalar.values()]
+        for arr in constants + blocks:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 # Per cell at n=40, seed 1, coeff_seed 7 and 5 grid points: the first response

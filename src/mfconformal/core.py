@@ -44,14 +44,11 @@ class ShapeError(MFConformalError, ValueError):
     """Input does not conform to the expected grid layout."""
 
 
-def _readonly(values, name: str, ndim: int = 1, error=ShapeError,
-              copy: bool = True) -> np.ndarray:
+def _readonly(values, name: str, ndim: int = 1, error=ShapeError) -> np.ndarray:
     """Read-only float copy with ``ndim`` dimensions and finite entries; a
-    non-finite entry raises ``error``. The caller's array is left as it is,
-    unless ``copy`` is false: then a float array is taken over as it is and
-    made read-only."""
+    non-finite entry raises ``error``. The caller's array is left as it is."""
     try:
-        arr = (np.array if copy else np.asarray)(values, dtype=float)
+        arr = np.array(values, dtype=float)
     except (TypeError, ValueError):
         raise ShapeError(f"{name} is ragged or not numeric") from None
     if arr.ndim != ndim:
@@ -254,10 +251,9 @@ def _columns(rows, p: int, what: str) -> list[list[np.ndarray]]:
     return [[row[j] for row in rows] for j in range(p)]
 
 
-def _readonly_blocks(blocks, what: str, copy: bool = True) -> tuple[np.ndarray, ...]:
+def _readonly_blocks(blocks, what: str) -> tuple[np.ndarray, ...]:
     return tuple(
-        _readonly(b, f"{what} component {j}", 2, copy=copy)
-        for j, b in enumerate(blocks)
+        _readonly(b, f"{what} component {j}", 2) for j, b in enumerate(blocks)
     )
 
 
@@ -309,25 +305,14 @@ class Dataset:
         dataset._hold(grid, responses, scalar or {}, functional or {})
         return dataset
 
-    @classmethod
-    def _own(cls, grid: Grid, responses, scalar: dict):
-        """:meth:`from_blocks` for fresh float arrays that no one else
-        holds: the same check, but the arrays are taken over and made
-        read-only instead of copied."""
-        dataset = cls.__new__(cls)
-        dataset._hold(grid, responses, scalar, {}, copy=False)
-        return dataset
-
-    def _hold(self, grid: Grid, responses, scalar: dict, functional: dict,
-              copy: bool = True):
-        """The block check: read-only copies (taken over when ``copy`` is
-        false) of finite values, every block shaped for the grid and one row
-        count n >= 2 for all of them."""
-        responses = _readonly_blocks(responses, "responses", copy)
+    def _hold(self, grid: Grid, responses, scalar: dict, functional: dict):
+        """The block check: read-only copies of finite values, every block
+        shaped for the grid and one row count n >= 2 for all of them."""
+        responses = _readonly_blocks(responses, "responses")
         n = grid.validate_blocks(responses, "responses")
-        scalar = {k: _readonly(v, f"scalar covariate {k!r}", copy=copy)
+        scalar = {k: _readonly(v, f"scalar covariate {k!r}")
                   for k, v in scalar.items()}
-        functional = {k: _readonly_blocks(v, f"functional covariate {k!r}", copy)
+        functional = {k: _readonly_blocks(v, f"functional covariate {k!r}")
                       for k, v in functional.items()}
         counts = [v.size for v in scalar.values()] + [
             grid.validate_blocks(v, f"functional covariate {k!r} blocks")

@@ -24,6 +24,7 @@ here as the named sampling algorithm so seeds reproduce across platforms.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -149,7 +150,7 @@ class ScenarioSpec:
     scenario: int
     n: int
     covariate_set: int = 2
-    coeff_seed: int = 0
+    coeff_seed: int | tuple[int, ...] = 0
     seed: int | tuple[int, ...] = 0
     grid_points: int = 100
     error_scale: float = 1.0
@@ -168,6 +169,18 @@ class ScenarioSpec:
             raise ValueError("grid_points must be at least 2")
         if isinstance(self.seed, (list, tuple)):
             object.__setattr__(self, "seed", tuple(int(v) for v in self.seed))
+        # The coefficient curves are cached on coeff_seed, so it must be a
+        # plain, hashable seed value that names one draw.
+        try:
+            if isinstance(self.coeff_seed, (list, tuple)):
+                coeff_seed = tuple(map(operator.index, self.coeff_seed))
+            else:
+                coeff_seed = operator.index(self.coeff_seed)
+        except TypeError:
+            raise ValueError(
+                "coeff_seed must be an integer or a sequence of integers"
+            ) from None
+        object.__setattr__(self, "coeff_seed", coeff_seed)
 
 
 # Per-cell constants: every replication of a study cell shares them, so each
@@ -264,8 +277,7 @@ def _assemble(spec: ScenarioSpec, grid: Grid, rng, y: np.ndarray, scalar: dict):
     held-out one."""
     perm = rng.permutation(spec.n + 1)
     keep, out = perm[:-1], perm[-1]
-    # Fancy indexing copies, so the dataset can take the blocks over.
-    dataset = Dataset._own(
+    dataset = Dataset.from_blocks(
         grid, (y[keep, 0], y[keep, 1]), {k: v[keep] for k, v in scalar.items()}
     )
     held_out = Covariates(scalar={k: v[out] for k, v in scalar.items()})

@@ -260,6 +260,16 @@ class TestPerCellConstants:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
 
+    def test_coeff_seed_is_a_plain_seed(self):
+        spec = ScenarioSpec(study=2, scenario=1, n=20, seed=3, grid_points=5)
+        by_list, _ = generate(replace(spec, coeff_seed=[7, 1]))
+        by_tuple, _ = generate(replace(spec, coeff_seed=(7, 1)))
+        assert np.array_equal(by_list.responses[0], by_tuple.responses[0])
+        assert replace(spec, coeff_seed=np.int64(7)).coeff_seed == 7
+        for bad in (None, 7.5, np.random.default_rng(7)):
+            with pytest.raises(ValueError, match="coeff_seed"):
+                replace(spec, coeff_seed=bad)
+
 
 # Per cell at n=40, seed 1, coeff_seed 7 and 5 grid points: the first response
 # row of each component, the held-out curve and the held-out w (None without

@@ -9,8 +9,8 @@ Three subcommands:
 
 Exit codes: 0 success, 2 schema error (malformed input files), 3 numeric or
 configuration error. Every command is deterministic given the seeds in its
-config. The environment variable ``MFCONFORMAL_WORKERS`` sets the default
-worker count for studies.
+config. The environment variable ``MFCONFORMAL_WORKERS`` sets the worker
+count of a study config without a ``workers`` key.
 """
 
 from __future__ import annotations
@@ -318,20 +318,25 @@ def _cmd_study(args) -> int:
     entries = doc.get("configs")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("study config needs a non-empty 'configs' list")
-    workers = _convert(doc, "workers", int, harness.default_workers())
+    if "workers" in doc:
+        workers = _convert(doc, "workers", int)
+    else:
+        try:
+            workers = harness.default_workers()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     reports = [
         harness.run_study(_study_config_from_doc(entry, workers)) for entry in entries
     ]
+    docs = [_report_to_doc(r) for r in reports]
 
     with open(args.report, "w", encoding="utf-8") as fh:
-        json.dump({"reports": [_report_to_doc(r) for r in reports]}, fh,
-                  indent=2, sort_keys=True)
+        json.dump({"reports": docs}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(args.table, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_TABLE_COLUMNS)
-        for r in reports:
-            d = _report_to_doc(r)
+        for d in docs:
             row = {**d["config"], **{k: v for k, v in d.items() if k != "config"}}
             writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c]
                              for c in _TABLE_COLUMNS])

@@ -26,8 +26,10 @@ from .core import (
     MFCurve,
     ShapeError,
     Split,
+    _integrals,
     _mode_tau,
     _readonly,
+    _row_sups,
     order_stat_index,
 )
 from .modulate import ModulationSet
@@ -161,11 +163,9 @@ class Band:
 def score(residual: MFCurve, s: ModulationSet) -> float:
     """Nonconformity score: max over components and grid points of
     |residual| / s."""
-    s.grid.validate_blocks([np.asarray(r)[None] for r in residual.values],
-                           "residual components")
-    return max(
-        float(np.max(np.abs(r) / f)) for r, f in zip(residual.values, s.fns)
-    )
+    blocks = [np.asarray(r)[None] for r in residual.values]
+    s.grid.validate_blocks(blocks, "residual components")
+    return float(_row_sups([np.abs(b) / f for b, f in zip(blocks, s.fns)])[0])
 
 
 def _modulated_residuals(dataset, split, model, s) -> list[np.ndarray]:
@@ -179,8 +179,7 @@ def calibration_scores(
     dataset: Dataset, split: Split, model: FittedRegressor, s: ModulationSet
 ) -> Scores:
     """Scores of the calibration observations under the fitted model."""
-    mods = _modulated_residuals(dataset, split, model, s)
-    return Scores(np.max([a.max(axis=1) for a in mods], axis=0))
+    return Scores(_row_sups(_modulated_residuals(dataset, split, model, s)))
 
 
 def calibrate_split(scores: Scores, alpha: float) -> Calibration:
@@ -321,10 +320,7 @@ def p_value_smoothed(calib_scores: Scores, new_score: float, tau: float) -> floa
 def _band_area(radii, s: ModulationSet) -> float:
     """Quadrature area between the bounds of a band with one radius per
     component, 2 * sum_j radii[j] * integral of s_j."""
-    return 2.0 * sum(
-        float(k) * float(np.dot(c.weights, f))
-        for k, c, f in zip(radii, s.grid.components, s.fns)
-    )
+    return 2.0 * sum(float(k) * a for k, a in zip(radii, _integrals(s.fns, s.grid)))
 
 
 def band_size(pred: BandPredictor) -> float:

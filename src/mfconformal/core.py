@@ -356,8 +356,8 @@ class Split:
         calib = tuple(map(int, self.calib_idx))
         if len(train) < 1 or len(calib) < 1:
             raise ShapeError("both split parts must be non-empty")
-        n = len(train) + len(calib)
-        if sorted(train + calib) != list(range(n)):
+        idx = train + calib
+        if len(set(idx)) != len(idx) or min(idx) < 0 or max(idx) >= len(idx):
             raise ShapeError("split parts must partition 0..n-1 exactly")
         object.__setattr__(self, "train_idx", train)
         object.__setattr__(self, "calib_idx", calib)
@@ -371,17 +371,26 @@ class Split:
         return len(self.calib_idx)
 
 
+def _row_sups(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """The sup-metric reduction: for nonnegative (count, G_j) blocks, one per
+    component, the max of each row over all components and grid points."""
+    return np.max([b.max(axis=1) for b in blocks], axis=0)
+
+
 def sup_abs(curve: MFCurve) -> float:
     """Largest absolute value of a curve over all components and grid points."""
-    return max(float(np.abs(v).max()) for v in curve.values)
+    return float(_row_sups([np.abs(v)[None] for v in curve.values])[0])
+
+
+def _integrals(fns: Sequence[np.ndarray], grid: Grid) -> list[float]:
+    """Quadrature integral of each sampled component function."""
+    return [float(np.dot(c.weights, f)) for c, f in zip(grid.components, fns)]
 
 
 def total_integral(fns: Sequence[np.ndarray], grid: Grid) -> float:
     """Sum over components of the quadrature integral of each sampled function."""
     grid.validate_blocks([np.asarray(f)[None] for f in fns], "integrands")
-    return float(
-        sum(float(np.dot(c.weights, f)) for c, f in zip(grid.components, fns))
-    )
+    return float(sum(_integrals(fns, grid)))
 
 
 def random_split(n: int, l: int, seed=None, strategy: str = "uniform") -> Split:

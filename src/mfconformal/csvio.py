@@ -33,7 +33,7 @@ from __future__ import annotations
 import csv
 import math
 from contextlib import contextmanager
-from itertools import compress, islice
+from itertools import islice
 
 import numpy as np
 

@@ -41,10 +41,12 @@ class ReplicationError(MFConformalError, RuntimeError):
 
 
 def default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV_VAR, "1")))
-    except ValueError:
-        return 1
+    """Worker count from ``MFCONFORMAL_WORKERS``, 1 when unset; a ValueError
+    naming the variable unless it holds an integer >= 1."""
+    raw = os.environ.get(WORKERS_ENV_VAR, "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,8 @@ class StudyConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)

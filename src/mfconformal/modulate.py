@@ -24,10 +24,11 @@ import numpy as np
 from .core import (
     Grid,
     MFConformalError,
+    _integrals,
     _mode_tau,
     _readonly,
+    _row_sups,
     order_stat_index,
-    total_integral,
 )
 
 __all__ = [
@@ -100,7 +101,7 @@ class ModulationSet:
             if not (f > 0).all():
                 raise ValueError(f"modulation component {j} must be strictly positive")
         if self.unit_integral:
-            tot = total_integral(fns, self.grid)
+            tot = sum(_integrals(fns, self.grid))
             if abs(tot - 1.0) > NORMALIZATION_TOL:
                 raise ValueError(
                     f"modulation set integrates to {tot!r}, expected 1"
@@ -109,7 +110,7 @@ class ModulationSet:
 
     @property
     def total(self) -> float:
-        return total_integral(self.fns, self.grid)
+        return sum(_integrals(self.fns, self.grid))
 
     def scale(self, factor: float) -> "ModulationSet":
         """Positive rescaling; the result is no longer claimed normalized."""
@@ -123,7 +124,7 @@ class ModulationSet:
 
 
 def _normalize(fns: list[np.ndarray], grid: Grid, label: str) -> ModulationSet:
-    tot = total_integral(fns, grid)
+    tot = sum(_integrals(fns, grid))
     return ModulationSet(grid=grid, fns=tuple(f / tot for f in fns), label=label)
 
 
@@ -178,9 +179,10 @@ def trimmed_envelope(
     rank = cfg.rank(count)
     if rank < 1:
         return None
-    sups = np.max([np.abs(r).max(axis=1) for r in residuals], axis=0)
+    abs_res = [np.abs(r) for r in residuals]
+    sups = _row_sups(abs_res)
     keep = sups <= np.sort(sups)[min(rank, count) - 1]
-    return tuple(np.max(np.abs(r[keep]), axis=0) for r in residuals)
+    return tuple(a[keep].max(axis=0) for a in abs_res)
 
 
 def s_bar(

@@ -120,14 +120,7 @@ def _design(columns, names: tuple[str, ...], intercept: bool, j: int, rows):
     every grid point when all named covariates are scalar, otherwise an
     (n_rows, G_j, q) tensor varying along the grid. A name found among the
     scalar covariates is taken from there."""
-    if all(name in columns.scalar for name in names):
-        X = np.empty((len(rows), len(names) + intercept))
-        if intercept:
-            X[:, 0] = 1.0
-        for k, name in enumerate(names, start=intercept):
-            X[:, k] = np.atleast_1d(columns.scalar[name])[rows]
-        return X
-    cols = [np.ones(len(rows))] if intercept else []
+    cols = []
     for name in names:
         if name in columns.scalar:
             cols.append(np.atleast_1d(columns.scalar[name])[rows])
@@ -135,11 +128,13 @@ def _design(columns, names: tuple[str, ...], intercept: bool, j: int, rows):
             cols.append(np.atleast_2d(columns.functional[name][j])[rows])
         else:
             raise ShapeError(f"covariate {name!r} missing from the observation")
-    shape = next(c.shape for c in cols if c.ndim == 2)
-    return np.stack(
-        [c if c.ndim == 2 else np.broadcast_to(c[:, None], shape) for c in cols],
-        axis=-1,
-    )
+    shape = next((c.shape for c in cols if c.ndim == 2), (len(rows),))
+    X = np.empty(shape + (len(cols) + intercept,))
+    if intercept:
+        X[..., 0] = 1.0
+    for k, c in enumerate(cols, start=intercept):
+        X[..., k] = c[:, None] if c.ndim < len(shape) else c
+    return X
 
 
 def _predictions(model: FittedRegressor, columns, rows) -> list[np.ndarray]:
@@ -151,6 +146,19 @@ def _predictions(model: FittedRegressor, columns, rows) -> list[np.ndarray]:
         X = _design(columns, terms[j], model.spec.intercept, j, rows)
         out.append(X @ coef.T if X.ndim == 2 else np.einsum("igq,gq->ig", X, coef))
     return out
+
+
+def _solve(X, y, j: int, g: int | None = None) -> np.ndarray:
+    """Least-squares solution of the design X of component j, at grid index g
+    or, for ``g=None``, at all grid points at once; a SingularDesignError when
+    X is rank deficient."""
+    sol, _, rank, _ = np.linalg.lstsq(X, y, rcond=RANK_RCOND)
+    if rank < X.shape[-1]:
+        at = "(all grid points)" if g is None else f"at grid index {g}"
+        raise SingularDesignError(
+            f"singular design for component {j} {at}: rank {rank} < {X.shape[-1]}"
+        )
+    return sol
 
 
 def fit(dataset: Dataset, train_idx, spec: RegressorSpec) -> FittedRegressor:
@@ -190,25 +198,10 @@ def fit(dataset: Dataset, train_idx, spec: RegressorSpec) -> FittedRegressor:
         resp = dataset.responses[j][idx]  # (m, G_j)
         X = _design(dataset, terms[j], spec.intercept, j, idx)
         if X.ndim == 2:
-            sol, _, rank, _ = np.linalg.lstsq(X, resp, rcond=RANK_RCOND)
-            if rank < q:
-                raise SingularDesignError(
-                    f"singular design for component {j} (all grid points): "
-                    f"rank {rank} < {q}"
-                )
-            blocks.append(sol.T)  # (G_j, q)
+            blocks.append(_solve(X, resp, j).T)  # (G_j, q)
         else:
-            coef = np.empty((X.shape[1], q))
-            for g in range(X.shape[1]):
-                sol, _, rank, _ = np.linalg.lstsq(X[:, g, :], resp[:, g],
-                                                  rcond=RANK_RCOND)
-                if rank < q:
-                    raise SingularDesignError(
-                        f"singular design for component {j} at grid index {g}: "
-                        f"rank {rank} < {q}"
-                    )
-                coef[g] = sol
-            blocks.append(coef)
+            blocks.append(np.array([_solve(X[:, g], resp[:, g], j, g)
+                                    for g in range(X.shape[1])]))
     return FittedRegressor(grid=grid, spec=spec, coefficients=tuple(blocks))
 
 

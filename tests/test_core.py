@@ -345,6 +345,27 @@ class TestRandomSplit:
         with pytest.raises(ShapeError):
             Split((0, 1), (1, 2))
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_partition_check_agrees_with_the_sorting_rule(self, data):
+        # A permutation of 0..n-1 with up to two entries overwritten: the
+        # edits make duplicates, gaps, negatives and values >= n.
+        n = data.draw(st.integers(2, 12))
+        idx = data.draw(st.permutations(range(n)))
+        for _ in range(data.draw(st.integers(0, 2))):
+            idx[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(-3, n + 2))
+        cut = data.draw(st.integers(1, n - 1))
+        train, calib = tuple(idx[:cut]), tuple(idx[cut:])
+        partitions = sorted(train + calib) == list(range(n))
+        try:
+            split = Split(train, calib)
+        except ShapeError as exc:
+            assert not partitions
+            assert str(exc) == "split parts must partition 0..n-1 exactly"
+        else:
+            assert partitions
+            assert (split.train_idx, split.calib_idx) == (train, calib)
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_uniform_split_matches_sorted_permutation_oracle(self, data):

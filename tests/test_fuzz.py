@@ -182,6 +182,8 @@ STUDY_REPROS = [
     ([(["configs", 0, "l"], 4.7)], "config key 'l' must be an integer, got 4.7"),
     ([(["configs", 0, "n_reps"], 2.9)], "config key 'n_reps' must be an integer, got 2.9"),
     ([(["workers"], 1.5)], "config key 'workers' must be an integer, got 1.5"),
+    ([(["workers"], 0)], "workers must be >= 1, got 0"),
+    ([(["workers"], -2)], "workers must be >= 1, got -2"),
 ]
 
 
@@ -333,6 +335,19 @@ def test_malformed_study_exits_3(inputs, edits, message):
     d, _ = inputs
     code, err = study(d, mutate_all(STUDY_CONFIG, edits))
     assert code == EXIT_NUMERIC and message in err
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-2", "1.5", ""])
+def test_bad_workers_variable_is_config_error(inputs, monkeypatch, value):
+    d, _ = inputs
+    monkeypatch.setenv("MFCONFORMAL_WORKERS", value)
+    doc = mutate_all(STUDY_CONFIG, [(["workers"], DELETE)])
+    code, err = study(d, doc)
+    assert code == EXIT_NUMERIC
+    assert f"MFCONFORMAL_WORKERS must be an integer >= 1, got {value!r}" in err
+    # The variable is read only when the config has no "workers" key.
+    code, err = study(d, STUDY_CONFIG)
+    assert code == EXIT_OK, err
 
 
 def test_integral_floats_still_set_integer_keys(inputs):

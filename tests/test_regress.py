@@ -12,6 +12,7 @@ from mfconformal import (
     residuals,
     uniform_grid,
 )
+from mfconformal import regress
 from mfconformal.regress import InsufficientDataError, SingularDesignError
 
 from conftest import make_dataset
@@ -194,3 +195,52 @@ class TestFitErrors:
     def test_intercept_only_rejects_terms(self):
         with pytest.raises(ValueError):
             RegressorSpec(kind="intercept_only", terms=(("w",),))
+
+
+def stacked_design(columns, names, intercept, j, rows):
+    """Reference design built by stacking broadcast columns."""
+    cols = [np.ones(len(rows))] if intercept else []
+    for name in names:
+        if name in columns.scalar:
+            cols.append(np.atleast_1d(columns.scalar[name])[rows])
+        else:
+            cols.append(np.atleast_2d(columns.functional[name][j])[rows])
+    shape = max((c.shape for c in cols), key=len)
+    return np.stack([np.broadcast_to(c[:, None], shape) if c.ndim < len(shape) else c
+                     for c in cols], axis=-1)
+
+
+DESIGN_SPECS = {
+    "scalar-only": RegressorSpec("concurrent_fos", (("w",), ("w", "v"))),
+    "functional-only": RegressorSpec("concurrent_fof", (("temp",), ("temp",))),
+    "mixed": RegressorSpec("concurrent_fof", (("w", "temp"), ("temp", "v"))),
+    "no-intercept": RegressorSpec("concurrent_fof", (("temp",), ("w", "temp")),
+                                  intercept=False),
+}
+
+
+class TestDesignAgainstStackedReference:
+    @pytest.mark.parametrize("name", sorted(DESIGN_SPECS))
+    def test_fit_residuals_and_predict_are_bit_identical(self, rng, monkeypatch, name):
+        grid = uniform_grid(7, p=2)
+        n = 12
+        ds = Dataset.from_blocks(
+            grid,
+            [rng.normal(size=(n, 7)) for _ in range(2)],
+            scalar={"w": rng.normal(size=n), "v": rng.normal(size=n)},
+            functional={"temp": [rng.normal(size=(n, 7)) for _ in range(2)]},
+        )
+        spec, train, calib = DESIGN_SPECS[name], range(8), range(8, n)
+        x = ds.covariates(10)
+
+        def outputs():
+            model = fit(ds, train, spec)
+            return (model.coefficients, residuals(model, ds, calib),
+                    predict(model, x).values)
+
+        merged = outputs()
+        monkeypatch.setattr(regress, "_design", stacked_design)
+        reference = outputs()
+        for got, want in zip(merged, reference):
+            assert len(got) == len(want) == 2
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -67,20 +67,28 @@ def _typed(doc: dict, key: str, kind: type, what: str, item: type = object):
     return value
 
 
+def _known(doc: dict, keys, where: str) -> None:
+    """A ConfigError naming the keys of ``doc`` that nothing reads."""
+    if unknown := sorted(set(doc) - set(keys)):
+        raise ConfigError(f"{where} has unknown keys {unknown}")
+
+
 def _convert(doc: dict, key: str, convert, *default):
-    """``convert(doc[key])`` for ``convert`` one of bool, int and float. An
-    absent key gives the default, and is a ConfigError without one; so is a
-    value that does not convert, a JSON boolean for a number or the reverse
-    (``bool("false")`` is true and ``int(True)`` is 1), and a fraction for an
-    integer (``int(4.7)`` is 4)."""
+    """``convert(doc[key])`` for ``convert`` one of bool, int, float and str.
+    An absent key gives the default, and is a ConfigError without one; so is
+    a value that does not convert, a JSON boolean for a number or the reverse
+    (``bool("false")`` is true and ``int(True)`` is 1), a non-string for a
+    string, and a fraction for an integer (``int(4.7)`` is 4)."""
     if key not in doc:
         if default:
             return default[0]
         raise ConfigError(f"config needs {key!r}")
-    if isinstance(doc[key], bool) != (convert is bool):
+    if isinstance(doc[key], bool) != (convert is bool) or (
+        convert is str and not isinstance(doc[key], str)
+    ):
+        kind = {bool: "boolean", str: "string"}.get(convert, "number")
         raise ConfigError(
-            f"config key {key!r} must be a JSON "
-            f"{'boolean' if convert is bool else 'number'}, got {json.dumps(doc[key])}"
+            f"config key {key!r} must be a JSON {kind}, got {json.dumps(doc[key])}"
         )
     if convert is int and isinstance(doc[key], float) and not doc[key].is_integer():
         raise ConfigError(
@@ -105,6 +113,7 @@ def _seed(doc: dict, key: str, name: str):
 
 
 def _regressor_from_config(doc: dict) -> regress.RegressorSpec:
+    _known(doc, ("kind", "terms", "intercept"), "regressor config")
     terms = _typed(doc, "terms", list, "a list of lists of covariate names", list)
     try:
         return regress.RegressorSpec(
@@ -117,6 +126,7 @@ def _regressor_from_config(doc: dict) -> regress.RegressorSpec:
 
 
 def _split_from_config(doc: dict, n: int) -> Split:
+    _known(doc, ("strategy", "train", "calib", "l", "seed"), "split config")
     strategy = doc.get("strategy", "random")
     if strategy == "explicit":
         train, calib = (
@@ -145,6 +155,8 @@ def _split_from_config(doc: dict, n: int) -> Split:
 
 def _cmd_calibrate(args) -> int:
     config = _load_json(args.config)
+    _known(config, ("alpha", "mode", "tau", "seed", "modulation", "regressor",
+                    "split", "functional_covariates"), "calibrate config")
     grid, curve_ids, curves = csvio.read_curves(args.curves)
     scalar = None
     if args.covariates is not None:
@@ -164,6 +176,11 @@ def _cmd_calibrate(args) -> int:
 
     seed = _seed(config, "seed", "seed")
     tau = None if config.get("tau") is None else _convert(config, "tau", float)
+    if mode == "split" and tau is not None:
+        raise ConfigError(
+            f"config key 'tau' applies to smoothed mode; split mode uses tau = 1, "
+            f"got {tau!r}"
+        )
     if mode == "smoothed" and tau is None:
         try:
             tau = float(np.random.default_rng(seed).uniform())
@@ -233,60 +250,47 @@ def _cmd_band(args) -> int:
     return EXIT_OK
 
 
+# A study entry's keys are the fields of these dataclasses, less the replication
+# seed, the worker count and what a report keeps.
+_SPEC = [f for f in dataclasses.fields(simgen.ScenarioSpec) if f.name != "seed"]
+_CELL = [f for f in dataclasses.fields(harness.StudyConfig)
+         if f.name not in ("scenario", "workers", "keep_sizes", "keep_records")]
+_ENTRY_KEYS = [f.name for f in _SPEC + _CELL]
+
+
+def _read_fields(doc: dict, fields) -> dict:
+    """Each of ``fields`` that ``doc`` sets, converted by the type of its
+    default, and each without a default, which is a required integer."""
+    required = {f.name for f in fields if f.default is dataclasses.MISSING}
+    return {
+        f.name: _convert(doc, f.name, int if f.name in required else type(f.default))
+        for f in fields if f.name in doc or f.name in required
+    }
+
+
 def _study_config_from_doc(doc: dict, workers: int) -> harness.StudyConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"study config entry must be a JSON object, got {doc!r}")
+    _known(doc, _ENTRY_KEYS, "study config entry")
     try:
-        scenario = simgen.ScenarioSpec(
-            study=_convert(doc, "study", int),
-            scenario=_convert(doc, "scenario", int),
-            n=_convert(doc, "n", int),
-            covariate_set=_convert(doc, "covariate_set", int, 2),
-            coeff_seed=_convert(doc, "coeff_seed", int, 0),
-            grid_points=_convert(doc, "grid_points", int, 100),
-            error_scale=_convert(doc, "error_scale", float, 1.0),
-        )
+        scenario = simgen.ScenarioSpec(**_read_fields(doc, _SPEC))
         return harness.StudyConfig(
-            scenario=scenario,
-            l=_convert(doc, "l", int),
-            n_reps=_convert(doc, "n_reps", int),
-            alpha=_convert(doc, "alpha", float, 0.10),
-            modulation=doc.get("modulation", "sigma"),
-            mode=doc.get("mode", "split"),
-            method=doc.get("method", "mpb"),
-            master_seed=_convert(doc, "master_seed", int, 0),
-            workers=workers,
-            skip_failures=_convert(doc, "skip_failures", bool, False),
+            scenario=scenario, workers=workers, **_read_fields(doc, _CELL)
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"study config entry: {exc}") from exc
 
 
 def _report_to_doc(report: harness.StudyReport) -> dict:
-    cfg = report.config
     doc = dataclasses.asdict(report)
-    del doc["config"]
+    cfg = doc.pop("config")
+    cfg.update(cfg.pop("scenario"))
     del doc["sizes"]
     del doc["records"]
     for key in ("size_q1", "size_median", "size_q3"):
         if isinstance(doc[key], float) and doc[key] != doc[key]:
             doc[key] = None
-    doc["config"] = {
-        "study": cfg.scenario.study,
-        "scenario": cfg.scenario.scenario,
-        "n": cfg.scenario.n,
-        "covariate_set": cfg.scenario.covariate_set,
-        "coeff_seed": cfg.scenario.coeff_seed,
-        "grid_points": cfg.scenario.grid_points,
-        "error_scale": cfg.scenario.error_scale,
-        "l": cfg.l,
-        "n_reps": cfg.n_reps,
-        "alpha": cfg.alpha,
-        "modulation": cfg.modulation,
-        "mode": cfg.mode,
-        "method": cfg.method,
-        "master_seed": cfg.master_seed,
-    }
+    doc["config"] = {k: cfg[k] for k in _ENTRY_KEYS if k != "skip_failures"}
     return doc
 
 
@@ -315,6 +319,7 @@ _TABLE_COLUMNS = [
 
 def _cmd_study(args) -> int:
     doc = _load_json(args.config)
+    _known(doc, ("configs", "workers"), "study config")
     entries = doc.get("configs")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("study config needs a non-empty 'configs' list")
@@ -325,9 +330,8 @@ def _cmd_study(args) -> int:
             workers = harness.default_workers()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    reports = [
-        harness.run_study(_study_config_from_doc(entry, workers)) for entry in entries
-    ]
+    configs = [_study_config_from_doc(entry, workers) for entry in entries]
+    reports = [harness.run_study(cfg) for cfg in configs]
     docs = [_report_to_doc(r) for r in reports]
 
     with open(args.report, "w", encoding="utf-8") as fh:

@@ -11,6 +11,7 @@ threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -344,6 +345,19 @@ class Dataset:
         return MFCurve(tuple(b[i] for b in self.responses))
 
 
+def _indices(values) -> tuple[int, ...]:
+    """``values`` as a tuple of Python ints; a ShapeError for a value that is
+    not an integer, such as ``1.9`` or ``2.0``, or for a boolean, which
+    ``int`` would take silently."""
+    idx = tuple(values)
+    if set(map(type, idx)) <= {int}:
+        return idx
+    for v in idx:
+        if isinstance(v, bool) or not hasattr(v, "__index__"):
+            raise ShapeError(f"split index {v!r} is not an integer")
+    return tuple(map(operator.index, idx))
+
+
 @dataclass(frozen=True)
 class Split:
     """Disjoint training/calibration index sets partitioning 0..n-1."""
@@ -352,8 +366,7 @@ class Split:
     calib_idx: tuple[int, ...]
 
     def __post_init__(self):
-        train = tuple(map(int, self.train_idx))
-        calib = tuple(map(int, self.calib_idx))
+        train, calib = _indices(self.train_idx), _indices(self.calib_idx)
         if len(train) < 1 or len(calib) < 1:
             raise ShapeError("both split parts must be non-empty")
         idx = train + calib

@@ -175,13 +175,16 @@ def trimmed_envelope(
     curve count keeps everything. Returns ``None`` when the smoothed rank is
     below 1 (callers fall back to the constant family).
     """
-    count = grid.validate_blocks(residuals, "residuals")
-    rank = cfg.rank(count)
-    if rank < 1:
-        return None
+    rank = cfg.rank(grid.validate_blocks(residuals, "residuals"))
+    return None if rank < 1 else _kept_max(residuals, rank)
+
+
+def _kept_max(residuals: Sequence[np.ndarray], rank: int) -> tuple[np.ndarray, ...]:
+    """Pointwise max of the absolute residual curves whose sup-score is at
+    most the rank-th smallest (every curve for a rank above the count)."""
     abs_res = [np.abs(r) for r in residuals]
     sups = _row_sups(abs_res)
-    keep = sups <= np.sort(sups)[min(rank, count) - 1]
+    keep = sups <= np.sort(sups)[min(rank, sups.size) - 1]
     return tuple(a[keep].max(axis=0) for a in abs_res)
 
 
@@ -218,7 +221,7 @@ def s_bar_c(
         )
         raise QuantileIndexError(f"rank {rank} outside 1..{count}; {cfg.mode} "
                                  f"mode with tau={tau:g} needs alpha {need}")
-    env = trimmed_envelope(calib_residuals, grid, cfg)
+    env = _kept_max(calib_residuals, rank)
     return _normalize(zero_adjust(list(env)), grid, "sbar_c")
 
 

@@ -167,6 +167,10 @@ class ScenarioSpec:
             raise ValueError("n must be at least 2")
         if self.grid_points < 2:
             raise ValueError("grid_points must be at least 2")
+        if not 0.0 <= self.error_scale < float("inf"):
+            raise ValueError(
+                f"error_scale must be finite and >= 0, got {self.error_scale!r}"
+            )
         if isinstance(self.seed, (list, tuple)):
             object.__setattr__(self, "seed", tuple(int(v) for v in self.seed))
         # The coefficient curves are cached on coeff_seed, so it must be a

@@ -1,11 +1,14 @@
 import csv
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from mfconformal import Covariates, make_band
+from mfconformal import Covariates, cli, make_band
 from mfconformal.cli import EXIT_NUMERIC, EXIT_OK, EXIT_SCHEMA, main
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_curves_csv(path, points, curves, p=1):
@@ -509,6 +512,34 @@ class TestStudyCommand:
         assert entry["hits"] == 48
         assert entry["coverage"] == 0.96
         assert entry["size_median"] == 10.95265461885055
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                             ids=lambda p: p.name)
+    def test_shipped_configs_parse(self, path):
+        # Parse only: a key that nothing reads fails here, not hours into a
+        # paper-grid run.
+        doc = json.loads(path.read_text())
+        assert set(doc) <= {"configs", "workers"}
+        for entry in doc["configs"]:
+            cli._study_config_from_doc(entry, workers=1)
+
+    def test_absent_entry_keys_take_the_dataclass_defaults(self, tmp_path):
+        required = {"study": 1, "scenario": 1, "n": 8, "l": 4, "n_reps": 3}
+        defaults = {"covariate_set": 2, "coeff_seed": 0, "grid_points": 100,
+                    "error_scale": 1.0, "alpha": 0.1, "modulation": "sigma",
+                    "mode": "split", "method": "mpb", "master_seed": 0}
+        outputs = []
+        for entry in (required, {**required, **defaults, "skip_failures": False}):
+            write_config(tmp_path / "study.json", workers=1, configs=[entry])
+            code = main(["study", str(tmp_path / "study.json"),
+                         "--report", str(tmp_path / "r.json"),
+                         "--table", str(tmp_path / "t.csv")])
+            assert code == EXIT_OK
+            outputs.append(((tmp_path / "r.json").read_bytes(),
+                            (tmp_path / "t.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+        (report,) = json.loads(outputs[0][0])["reports"]
+        assert report["config"] == {**required, **defaults}
 
     def test_missing_configs_key(self, tmp_path):
         write_config(tmp_path / "study.json", workers=1)

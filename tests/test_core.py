@@ -345,6 +345,23 @@ class TestRandomSplit:
         with pytest.raises(ShapeError):
             Split((0, 1), (1, 2))
 
+    @pytest.mark.parametrize("train,calib,bad", [
+        ((0.5, 1.9, 2), (3.2,), "0.5"),
+        ((0, 1, 2), (3.0,), "3.0"),
+        ((True, 2), (0,), "True"),
+        ((0, np.True_), (2,), "np.True_"),
+        ((0, "1"), (2,), "'1'"),
+    ])
+    def test_split_refuses_non_integer_indices(self, train, calib, bad):
+        # int() would truncate 1.9 to 1 and take True as 1.
+        with pytest.raises(ShapeError, match=f"split index {bad} is not an integer"):
+            Split(train, calib)
+
+    def test_split_takes_numpy_integers_as_python_ints(self):
+        split = Split(np.array([0, 2]), (np.int64(1),))
+        assert (split.train_idx, split.calib_idx) == ((0, 2), (1,))
+        assert all(type(i) is int for i in split.train_idx + split.calib_idx)
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_partition_check_agrees_with_the_sorting_rule(self, data):

@@ -165,6 +165,17 @@ CALIBRATE_REPROS = [
     ([(["regressor", "intercept"], "false")],
      "config key 'intercept' must be a JSON boolean, got \"false\""),
     ([(["split", "l"], 4.7)], "config key 'l' must be an integer, got 4.7"),
+    ([(["split"], {"strategy": "explicit", "train": [0.5, 1.9, 2, 3],
+                   "calib": [4, 5, 6, 7.7]})],
+     "explicit split: split index 0.5 is not an integer"),
+    ([(["split"], {"strategy": "explicit", "train": [0, True, 2, 3],
+                   "calib": [4, 5, 6, 7]})],
+     "explicit split: split index True is not an integer"),
+    ([(["tau"], 0.3)], "config key 'tau' applies to smoothed mode"),
+    ([(["alpah"], 0.3)], "calibrate config has unknown keys ['alpah']"),
+    ([(["split", "sede"], 3)], "split config has unknown keys ['sede']"),
+    ([(["regressor", "intercep"], False)],
+     "regressor config has unknown keys ['intercep']"),
 ]
 STUDY_REPROS = [
     ([(["configs", 0, "n"], 2), (["configs", 0, "l"], 1)], "replication 0 failed"),
@@ -184,6 +195,17 @@ STUDY_REPROS = [
     ([(["workers"], 1.5)], "config key 'workers' must be an integer, got 1.5"),
     ([(["workers"], 0)], "workers must be >= 1, got 0"),
     ([(["workers"], -2)], "workers must be >= 1, got -2"),
+    ([(["configs", 0, "error_scale"], math.nan)],
+     "error_scale must be finite and >= 0, got nan"),
+    ([(["configs", 0, "error_scale"], math.inf)],
+     "error_scale must be finite and >= 0, got inf"),
+    ([(["configs", 0, "error_scale"], -1)], "error_scale must be finite and >= 0"),
+    ([(["configs", 0, "modulation"], 5)],
+     "config key 'modulation' must be a JSON string, got 5"),
+    ([(["configs", 0, "mode"], True)], "config key 'mode' must be a JSON string, got true"),
+    ([(["worker"], 2)], "study config has unknown keys ['worker']"),
+    ([(["configs", 0, "alpah"], 0.3), (["configs", 0, "modulaton"], "sbar")],
+     "study config entry has unknown keys ['alpah', 'modulaton']"),
 ]
 
 

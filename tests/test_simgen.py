@@ -270,6 +270,14 @@ class TestPerCellConstants:
             with pytest.raises(ValueError, match="coeff_seed"):
                 replace(spec, coeff_seed=bad)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.5])
+    def test_error_scale_must_be_finite_and_nonnegative(self, bad):
+        # Unchecked, a non-finite scale surfaces as non-finite responses in
+        # every replication, blamed on the generated data.
+        with pytest.raises(ValueError, match="error_scale must be finite and >= 0"):
+            ScenarioSpec(study=1, scenario=1, n=20, error_scale=bad)
+        assert ScenarioSpec(study=1, scenario=1, n=20, error_scale=0).error_scale == 0
+
 
 # Per cell at n=40, seed 1, coeff_seed 7 and 5 grid points: the first response
 # row of each component, the held-out curve and the held-out w (None without

@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .conformal import BandPredictor
-from .core import ComponentGrid, Grid, MFConformalError
+from .core import ComponentGrid, Grid, MFConformalError, _json_value
 from .modulate import ModulationSet
 from .regress import FittedRegressor, RegressorSpec
 
@@ -68,20 +68,9 @@ def predictor_to_doc(pred: BandPredictor, metadata: dict | None = None) -> dict:
     }
 
 
-def _flag(doc: dict, key: str, *default) -> bool:
-    """``doc[key]``, or the default when absent; a ValueError naming the key
-    unless it is a JSON boolean (``bool("false")`` is true)."""
-    value = doc[key] if key in doc or not default else default[0]
-    if not isinstance(value, bool):
-        raise ValueError(f"{key!r} must be a JSON boolean, got {json.dumps(value)}")
-    return value
-
-
 def predictor_from_doc(doc: dict) -> tuple[BandPredictor, dict]:
-    if not isinstance(doc, dict) or not isinstance(doc.get("metadata", {}), dict):
-        raise BundleFormatError(
-            "malformed bundle: the top level and its metadata must be JSON objects"
-        )
+    if not isinstance(doc, dict):
+        raise BundleFormatError("malformed bundle: the top level must be a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise BundleFormatError(
@@ -89,39 +78,40 @@ def predictor_from_doc(doc: dict) -> tuple[BandPredictor, dict]:
             f"(this build reads version {FORMAT_VERSION})"
         )
     try:
-        grid = _grid_from_doc(doc["grid"])
-        reg = doc["regressor"]
+        grid = _grid_from_doc(_json_value(doc, "grid", dict))
+        reg = _json_value(doc, "regressor", dict)
         spec = RegressorSpec(
             kind=reg["kind"],
             terms=tuple(tuple(t) for t in reg["terms"]),
-            intercept=_flag(reg, "intercept"),
+            intercept=_json_value(reg, "intercept", bool),
         )
         model = FittedRegressor(
             grid=grid,
             spec=spec,
             coefficients=tuple(np.array(c) for c in reg["coefficients"]),
         )
-        mod = doc["modulation"]
+        mod = _json_value(doc, "modulation", dict)
         s = ModulationSet(
             grid=grid,
             fns=tuple(np.array(f) for f in mod["fns"]),
             label=mod["label"],
-            unit_integral=_flag(mod, "unit_integral", False),
+            unit_integral=_json_value(mod, "unit_integral", bool, False),
         )
-        infinite = _flag(doc, "infinite")
+        infinite = _json_value(doc, "infinite", bool)
         pred = BandPredictor(
             model=model,
             modulation=s,
-            radius=float("nan") if infinite else float(doc["radius"]),
+            radius=float("nan") if infinite else _json_value(doc, "radius", float),
             closure=doc["closure"],
-            alpha=float(doc["alpha"]),
+            alpha=_json_value(doc, "alpha", float),
             mode=doc["mode"],
-            tau=None if doc.get("tau") is None else float(doc["tau"]),
+            tau=None if doc.get("tau") is None else _json_value(doc, "tau", float),
             infinite=infinite,
         )
+        metadata = _json_value(doc, "metadata", dict, {})
     except (KeyError, TypeError, ValueError) as exc:
         raise BundleFormatError(f"malformed bundle: {exc}") from exc
-    return pred, dict(doc.get("metadata", {}))
+    return pred, dict(metadata)
 
 
 def save_bundle(path, pred: BandPredictor, metadata: dict | None = None) -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 
@@ -30,6 +31,7 @@ from .core import (
     MFConformalError,
     ShapeError,
     Split,
+    _json_value,
     order_stat_index,
     random_split,
     theoretical_coverage,
@@ -58,54 +60,22 @@ def _load_json(path) -> dict:
     return doc
 
 
-def _typed(doc: dict, key: str, kind: type, what: str, item: type = object):
-    """``doc[key]``, an empty ``kind`` when absent; a ConfigError unless it is
-    a ``kind`` of ``item`` entries, described to the user as ``what``."""
-    value = doc.get(key, kind())
-    if not isinstance(value, kind) or not all(isinstance(v, item) for v in value):
-        raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
-    return value
-
-
 def _known(doc: dict, keys, where: str) -> None:
     """A ConfigError naming the keys of ``doc`` that nothing reads."""
     if unknown := sorted(set(doc) - set(keys)):
         raise ConfigError(f"{where} has unknown keys {unknown}")
 
 
-def _convert(doc: dict, key: str, convert, *default):
-    """``convert(doc[key])`` for ``convert`` one of bool, int, float and str.
-    An absent key gives the default, and is a ConfigError without one; so is
-    a value that does not convert, a JSON boolean for a number or the reverse
-    (``bool("false")`` is true and ``int(True)`` is 1), a non-string for a
-    string, and a fraction for an integer (``int(4.7)`` is 4)."""
-    if key not in doc:
-        if default:
-            return default[0]
-        raise ConfigError(f"config needs {key!r}")
-    if isinstance(doc[key], bool) != (convert is bool) or (
-        convert is str and not isinstance(doc[key], str)
-    ):
-        kind = {bool: "boolean", str: "string"}.get(convert, "number")
-        raise ConfigError(
-            f"config key {key!r} must be a JSON {kind}, got {json.dumps(doc[key])}"
-        )
-    if convert is int and isinstance(doc[key], float) and not doc[key].is_integer():
-        raise ConfigError(
-            f"config key {key!r} must be an integer, got {json.dumps(doc[key])}"
-        )
-    try:
-        return convert(doc[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config key {key!r}: {exc}") from None
+_convert = functools.partial(_json_value, error=ConfigError, label="config key ")
 
 
 def _seed(doc: dict, key: str, name: str):
-    """``doc[key]``, 0 when absent; a null, which would draw from fresh
-    entropy, or a boolean is a ConfigError naming the key as ``name``."""
+    """``doc[key]``, 0 when absent; a ConfigError naming the key as ``name``
+    unless it is an integer >= 0 or a non-empty list of them (a null would
+    draw from fresh entropy)."""
     seed = doc.get(key, 0)
     entries = seed if isinstance(seed, list) else [seed]
-    if seed is None or any(isinstance(v, bool) for v in entries):
+    if not entries or any(type(v) is not int or v < 0 for v in entries):
         raise ConfigError(
             f"config key {name!r} must be an integer seed, got {json.dumps(seed)}"
         )
@@ -114,66 +84,65 @@ def _seed(doc: dict, key: str, name: str):
 
 def _regressor_from_config(doc: dict) -> regress.RegressorSpec:
     _known(doc, ("kind", "terms", "intercept"), "regressor config")
-    terms = _typed(doc, "terms", list, "a list of lists of covariate names", list)
     try:
         return regress.RegressorSpec(
-            kind=doc.get("kind", "intercept_only"),
-            terms=tuple(tuple(t) for t in terms),
+            kind=_convert(doc, "kind", str, "intercept_only"),
+            terms=tuple(map(tuple, _convert(doc, "terms", list, [], item=list))),
             intercept=_convert(doc, "intercept", bool, True),
         )
     except ValueError as exc:
         raise ConfigError(f"regressor config: {exc}") from exc
 
 
-def _split_from_config(doc: dict, n: int) -> Split:
+def _split_from_config(doc: dict):
+    """Check a split config; returns the function that splits n curves, which
+    checks what needs n: an explicit split's coverage and ``l <= n - 1``."""
     _known(doc, ("strategy", "train", "calib", "l", "seed"), "split config")
-    strategy = doc.get("strategy", "random")
+    strategy = _convert(doc, "strategy", str, "random")
     if strategy == "explicit":
-        train, calib = (
-            _typed(doc, key, list, "a list of indices") for key in ("train", "calib")
-        )
+        train, calib = (_convert(doc, key, list, []) for key in ("train", "calib"))
         try:
             split = Split(tuple(train), tuple(calib))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"explicit split: {exc}") from None
-        if split.m + split.l != n:
-            raise ConfigError(
-                f"explicit split indexes {split.m + split.l} curves, the data has {n}"
-            )
-        return split
+
+        def explicit(n: int) -> Split:
+            if split.m + split.l != n:
+                raise ConfigError(
+                    f"explicit split indexes {split.m + split.l} curves, the data has {n}"
+                )
+            return split
+
+        return explicit
+    if strategy not in ("random", "parity"):
+        raise ConfigError(f"unknown split strategy {strategy!r}")
     l = _convert(doc, "l", int)
     seed = _seed(doc, "seed", "split.seed")
-    try:
-        if strategy == "random":
-            return random_split(n, l, seed=seed)
-        if strategy == "parity":
-            return random_split(n, l, strategy="parity")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"split config (l={l}, seed={seed!r}): {exc}") from None
-    raise ConfigError(f"unknown split strategy {strategy!r}")
+
+    def drawn(n: int) -> Split:
+        try:
+            return random_split(n, l, seed=seed, strategy="uniform"
+                                if strategy == "random" else "parity")
+        except ValueError as exc:
+            raise ConfigError(f"split config (l={l}, seed={seed!r}): {exc}") from None
+
+    return drawn
 
 
 def _cmd_calibrate(args) -> int:
     config = _load_json(args.config)
     _known(config, ("alpha", "mode", "tau", "seed", "modulation", "regressor",
                     "split", "functional_covariates"), "calibrate config")
-    grid, curve_ids, curves = csvio.read_curves(args.curves)
-    scalar = None
-    if args.covariates is not None:
-        _, scalar = csvio.read_scalar_covariates(args.covariates)
-    paths = _typed(config, "functional_covariates", list, "a list of file paths", str)
-    functional = [csvio.read_functional_covariate(path, grid) for path in paths]
-    covs = csvio.merge_covariates(curve_ids, scalar, functional)
-    dataset = Dataset(grid=grid, pairs=tuple(zip(covs, curves)))
-
+    # The whole config is checked before any CSV is read; only the checks
+    # that need the curve count wait for the data.
     alpha = _convert(config, "alpha", float)
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    mode = config.get("mode", "split")
-    split = _split_from_config(
-        _typed(config, "split", dict, "a JSON object"), dataset.n
-    )
-
+    mode = _convert(config, "mode", str, "split")
+    label = _convert(config, "modulation", str, "s0")
+    paths = _convert(config, "functional_covariates", list, [], item=str)
+    make_split = _split_from_config(_convert(config, "split", dict, {}))
+    rspec = _regressor_from_config(_convert(config, "regressor", dict, {}))
     seed = _seed(config, "seed", "seed")
     tau = None if config.get("tau") is None else _convert(config, "tau", float)
     if mode == "split" and tau is not None:
@@ -182,23 +151,25 @@ def _cmd_calibrate(args) -> int:
             f"got {tau!r}"
         )
     if mode == "smoothed" and tau is None:
-        try:
-            tau = float(np.random.default_rng(seed).uniform())
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key 'seed': {exc}") from None
+        tau = float(np.random.default_rng(seed).uniform())
+    trim = modulate.TrimConfig(alpha=alpha, mode=mode, tau=tau)
 
+    grid, curve_ids, curves = csvio.read_curves(args.curves)
+    scalar = None
+    if args.covariates is not None:
+        _, scalar = csvio.read_scalar_covariates(args.covariates)
+    functional = [csvio.read_functional_covariate(path, grid) for path in paths]
+    covs = csvio.merge_covariates(curve_ids, scalar, functional)
+    dataset = Dataset(grid=grid, pairs=tuple(zip(covs, curves)))
+
+    split = make_split(dataset.n)
     if mode == "split" and order_stat_index(split.l, alpha) > split.l:
         raise ConfigError(
             f"alpha={alpha} is below the feasibility bound 1/(l+1) = "
             f"{1.0 / (split.l + 1):.6g}; the band would be the whole space"
         )
 
-    rspec = _regressor_from_config(
-        _typed(config, "regressor", dict, "a JSON object")
-    )
     model = regress.fit(dataset, split.train_idx, rspec)
-    label = config.get("modulation", "s0")
-    trim = modulate.TrimConfig(alpha=alpha, mode=mode, tau=tau)
     train_res = regress.residuals(model, dataset, split.train_idx)
     s = modulate.make_modulation(label, train_res, grid, trim)
     pred = conformal.calibrate(dataset, split, model, s, alpha, mode=mode, tau=tau)
@@ -269,8 +240,6 @@ def _read_fields(doc: dict, fields) -> dict:
 
 
 def _study_config_from_doc(doc: dict, workers: int) -> harness.StudyConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"study config entry must be a JSON object, got {doc!r}")
     _known(doc, _ENTRY_KEYS, "study config entry")
     try:
         scenario = simgen.ScenarioSpec(**_read_fields(doc, _SPEC))
@@ -320,8 +289,8 @@ _TABLE_COLUMNS = [
 def _cmd_study(args) -> int:
     doc = _load_json(args.config)
     _known(doc, ("configs", "workers"), "study config")
-    entries = doc.get("configs")
-    if not isinstance(entries, list) or not entries:
+    entries = _convert(doc, "configs", list, [], item=dict)
+    if not entries:
         raise ConfigError("study config needs a non-empty 'configs' list")
     if "workers" in doc:
         workers = _convert(doc, "workers", int)

@@ -10,6 +10,7 @@ threads.
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -47,9 +48,14 @@ class ShapeError(MFConformalError, ValueError):
 
 def _readonly(values, name: str, ndim: int = 1, error=ShapeError) -> np.ndarray:
     """Read-only float copy with ``ndim`` dimensions and finite entries; a
-    non-finite entry raises ``error``. The caller's array is left as it is."""
+    non-finite entry raises ``error``. Entries must already be numbers: a
+    string such as ``"1"`` is refused, not parsed. The caller's array is left
+    as it is."""
     try:
-        arr = np.array(values, dtype=float)
+        arr = np.asarray(values)
+        if arr.dtype.kind not in "biuf":
+            raise TypeError
+        arr = np.array(arr, dtype=float)
     except (TypeError, ValueError):
         raise ShapeError(f"{name} is ragged or not numeric") from None
     if arr.ndim != ndim:
@@ -58,6 +64,36 @@ def _readonly(values, name: str, ndim: int = 1, error=ShapeError) -> np.ndarray:
         raise error(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+_JSON_KINDS = {bool: "boolean", int: "number", float: "number", str: "string",
+               list: "list", dict: "object"}
+
+
+def _json_value(doc: dict, key: str, kind: type, *default, item: type = object,
+                error: type = ValueError, label: str = ""):
+    """``doc[key]`` as a JSON value of ``kind`` (bool, int, float, str, list or
+    dict), the default when absent; else ``error``, naming ``label`` and the
+    key. A boolean or a string is not a number, an int may not have a
+    fraction (``4.0`` gives 4, ``Infinity`` is refused), and each entry of a
+    list must be an ``item``."""
+    if key not in doc:
+        if default:
+            return default[0]
+        raise error(f"{label}{key!r} is missing")
+    value, number = doc[key], kind in (int, float)
+    if (isinstance(value, bool) != (kind is bool)
+            or not isinstance(value, (int, float) if number else kind)
+            or (kind is list and not all(isinstance(v, item) for v in value))):
+        of = "" if item is object else f" of {_JSON_KINDS[item]}s"
+        raise error(f"{label}{key!r} must be a JSON {_JSON_KINDS[kind]}{of}, "
+                    f"got {json.dumps(value)}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise error(f"{label}{key!r} must be an integer, got {json.dumps(value)}")
+    try:
+        return kind(value) if number else value
+    except OverflowError:
+        raise error(f"{label}{key!r} is beyond the float range") from None
 
 
 def trapezoid_weights(points: np.ndarray) -> np.ndarray:

@@ -20,8 +20,9 @@ What a file must hold to be accepted:
 - each covariate name defined once, across the scalar table and the
   functional covariate files.
 
-Schema violations report a line number. It counts CSV records with the
-header as line 1, so a quoted field that spans lines counts once. Long
+Schema violations report the file line on which the faulty record starts,
+the header being line 1, so a quoted field that spans lines counts every
+line it spans. Long
 tables are parsed ``_CHUNK_ROWS`` records at a time into column arrays:
 within a chunk the earliest faulty row is reported, its fields checked in
 the order width, component, t, value; duplicate rows and coverage are
@@ -86,20 +87,30 @@ def _csv_reader(path):
 
 
 def _data_chunks(reader, width: int):
-    """(record numbers, rows) of each run of up to ``_CHUNK_ROWS`` data
-    records, blank records left out; every row has ``width`` columns. A fault
-    of the reader, the decoder or a row's width is raised once the rows before
-    it have been yielded; a file with a header but no data rows is a schema
-    error."""
-    start, empty = 2, True
+    """(file lines, rows) of each run of up to ``_CHUNK_ROWS`` data records,
+    blank records left out; every row has ``width`` columns, and its line is
+    the one it starts on. A fault of the reader, the decoder or a row's width
+    is raised once the rows before it have been yielded; a file with a header
+    but no data rows is a schema error."""
+    empty = True
     while True:
         records, fault = [], None
+        start = reader.line_num + 1
         try:
             records.extend(islice(reader, _CHUNK_ROWS))
         except (csv.Error, UnicodeDecodeError) as exc:
             fault = exc
         count = len(records)
-        lines = range(start, start + count)
+        lines, line = range(start, start + count), start + count
+        if reader.line_num + 1 != line:  # a quoted field spans lines, or a fault
+            lines, line = [], start
+            for row in records:
+                lines.append(line)
+                line += 1 + sum(
+                    f.count("\n") + f.count("\r") - f.count("\r\n") for f in row
+                )
+        if isinstance(fault, csv.Error):  # at the line its record starts on
+            fault = SchemaError(f"line {line}: {fault}")
         if set(map(len, records)) != {width}:  # blank records or a wrong width
             for k, row in enumerate(records):
                 if row and len(row) != width:
@@ -117,7 +128,6 @@ def _data_chunks(reader, width: int):
             raise fault
         if not count:
             break
-        start += count
     if empty:
         raise SchemaError("file has a header but no data rows")
 

@@ -171,20 +171,24 @@ class ScenarioSpec:
             raise ValueError(
                 f"error_scale must be finite and >= 0, got {self.error_scale!r}"
             )
-        if isinstance(self.seed, (list, tuple)):
-            object.__setattr__(self, "seed", tuple(int(v) for v in self.seed))
         # The coefficient curves are cached on coeff_seed, so it must be a
         # plain, hashable seed value that names one draw.
-        try:
-            if isinstance(self.coeff_seed, (list, tuple)):
-                coeff_seed = tuple(map(operator.index, self.coeff_seed))
-            else:
-                coeff_seed = operator.index(self.coeff_seed)
-        except TypeError:
-            raise ValueError(
-                "coeff_seed must be an integer or a sequence of integers"
-            ) from None
-        object.__setattr__(self, "coeff_seed", coeff_seed)
+        for name in ("coeff_seed", "seed"):
+            object.__setattr__(self, name, _seed(getattr(self, name), name))
+
+
+def _seed(value, name: str) -> int | tuple[int, ...]:
+    """``value`` as an int, or a list or tuple of them as a tuple, by
+    ``operator.index``; a ValueError naming the field for anything else, a
+    boolean included (``operator.index(True)`` is 1)."""
+    entries = value if isinstance(value, (list, tuple)) else (value,)
+    try:
+        if any(isinstance(v, bool) for v in entries):
+            raise TypeError
+        out = tuple(map(operator.index, entries))
+    except TypeError:
+        raise ValueError(f"{name} must be an integer or a sequence of integers") from None
+    return out if isinstance(value, (list, tuple)) else out[0]
 
 
 # Per-cell constants: every replication of a study cell shares them, so each

@@ -2,6 +2,8 @@
 reader, kept as the oracle of ``test_csvio.py``. It parses each row into a
 dict of dicts per curve and component, then reads every curve off them."""
 
+import csv
+
 import numpy as np
 
 from mfconformal.core import ComponentGrid, Grid, MFCurve, ShapeError
@@ -14,10 +16,19 @@ from mfconformal.csvio import (
 
 
 def _data_rows(reader, width: int):
-    """(line number, row) of each non-blank data row, each with ``width``
-    columns; a file with a header but no data rows is a schema error."""
+    """(line, row) of each non-blank data row, each with ``width`` columns;
+    a row's line is the file line it starts on, one past ``reader.line_num``
+    before it is read, and so is the line of a reader fault. A file with a
+    header but no data rows is a schema error."""
     empty = True
-    for line, row in enumerate(reader, start=2):
+    while True:
+        line = reader.line_num + 1
+        try:
+            row = next(reader, None)
+        except csv.Error as exc:
+            raise SchemaError(f"line {line}: {exc}") from None
+        if row is None:
+            break
         if not row:
             continue
         if len(row) != width:

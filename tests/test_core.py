@@ -161,6 +161,12 @@ class TestStoredArrays:
         assert not isinstance(info.value, ShapeError)
 
 
+    @pytest.mark.parametrize("entries", [["1", "2"], [1.0, "2"], [b"1", b"2"]])
+    def test_entries_must_be_numbers_not_parsed_text(self, entries):
+        with pytest.raises(ShapeError, match="curve component 0 is ragged or not numeric"):
+            MFCurve((entries,))
+
+
 # Checks of one observation, each read as a one-row block against the grid.
 ONE_OBSERVATION = {
     "score": lambda grid, v: score(MFCurve(v), s_const(grid)),

@@ -231,6 +231,31 @@ def test_earlier_faulty_row_of_a_chunk_is_reported_first(workdir, later):
     assert new == outcome(oracle.read_curves, path)
 
 
+# Line breaks inside a quoted field, with the file lines each one adds.
+QUOTED_BREAKS = {"\n": 1, "\r\n": 1, "\r": 1, "\r\r\n": 2, "\n\r": 2}
+
+
+@pytest.mark.parametrize("chunk", [csvio._CHUNK_ROWS, 3, 1])
+@pytest.mark.parametrize("brk", sorted(QUOTED_BREAKS))
+@pytest.mark.parametrize("fault,message", [
+    ("a,2,0", "expected 4 columns, got 3"),
+    ("a,2,0,x", "value 'x' is not a number"),
+    ('"' + "x" * 131073 + '",1,0,1', "field larger than field limit"),
+])
+def test_fault_lines_count_the_lines_a_quoted_field_spans(workdir, brk, fault,
+                                                          message, chunk):
+    """Two records whose ids span lines, then a faulty one: its line is the
+    file line it starts on, line 6 when each id holds one line break."""
+    path = workdir / "spanning.csv"
+    rows = [f'"c{brk}d",1,0,1', f'"c{brk}d",1,1,1', fault]
+    path.write_text(table(rows), encoding="utf-8", newline="")
+    with mock.patch.object(csvio, "_CHUNK_ROWS", chunk):
+        new = outcome(csvio.read_curves, path)
+    line = 2 + 2 * (1 + QUOTED_BREAKS[brk])
+    assert new[0] is csvio.SchemaError and new[1].startswith(f"line {line}: {message}")
+    assert new == outcome(oracle.read_curves, path)
+
+
 @pytest.mark.parametrize("first,zero", [("a", "-0.0"), ("b", "0.0")])
 def test_grid_points_keep_the_first_seen_sign_of_zero(workdir, first, zero):
     rows = {"a": ["a,1,-0.0,1", "a,1,1,1"], "b": ["b,1,0.0,2", "b,1,1,2"]}

@@ -139,6 +139,13 @@ BUNDLE_REPROS = [
     ([(["modulation", "unit_integral"], "false")],
      "'unit_integral' must be a JSON boolean, got \"false\""),
     ([(["infinite"], 0)], "'infinite' must be a JSON boolean, got 0"),
+    ([(["alpha"], "0.4")], "'alpha' must be a JSON number, got \"0.4\""),
+    ([(["radius"], "1.5")], "'radius' must be a JSON number, got \"1.5\""),
+    ([(["mode"], "smoothed"), (["tau"], "0.5")],
+     "'tau' must be a JSON number, got \"0.5\""),
+    ([(["grid", "components", 0, "points"], ["0", "0.25", "0.5", "0.75", "1"])],
+     "points is ragged or not numeric"),
+    ([(["alpha"], 10**400)], "'alpha' is beyond the float range"),
 ]
 CALIBRATE_REPROS = [
     ([(["functional_covariates"], [1])], "'functional_covariates'"),
@@ -147,7 +154,8 @@ CALIBRATE_REPROS = [
     ([(["alpha"], [0.4])], "config key 'alpha'"),
     ([(["tau"], [0.5])], "config key 'tau'"),
     ([(["split", "l"], [4])], "config key 'l'"),
-    ([(["split", "seed"], "x")], "seed='x'"),
+    ([(["split", "seed"], "x")],
+     "config key 'split.seed' must be an integer seed, got \"x\""),
     ([(["split"], {"strategy": "explicit", "train": 5, "calib": [1]})], "'train'"),
     ([(["regressor", "terms"], 5)], "'terms'"),
     ([(["regressor", "terms"], [[["w"]], ["w"]])], "terms must name covariates"),
@@ -176,6 +184,12 @@ CALIBRATE_REPROS = [
     ([(["split", "sede"], 3)], "split config has unknown keys ['sede']"),
     ([(["regressor", "intercep"], False)],
      "regressor config has unknown keys ['intercep']"),
+    ([(["alpha"], "0.4")], "config key 'alpha' must be a JSON number, got \"0.4\""),
+    ([(["split", "l"], "4")], "config key 'l' must be a JSON number, got \"4\""),
+    ([(["seed"], "abc")], "config key 'seed' must be an integer seed, got \"abc\""),
+    ([(["seed"], 1.5)], "config key 'seed' must be an integer seed, got 1.5"),
+    ([(["seed"], -1)], "config key 'seed' must be an integer seed, got -1"),
+    ([(["mode"], 5)], "config key 'mode' must be a JSON string, got 5"),
 ]
 STUDY_REPROS = [
     ([(["configs", 0, "n"], 2), (["configs", 0, "l"], 1)], "replication 0 failed"),
@@ -206,6 +220,7 @@ STUDY_REPROS = [
     ([(["worker"], 2)], "study config has unknown keys ['worker']"),
     ([(["configs", 0, "alpah"], 0.3), (["configs", 0, "modulaton"], "sbar")],
      "study config entry has unknown keys ['alpah', 'modulaton']"),
+    ([(["configs", 0, "n"], "12")], "config key 'n' must be a JSON number, got \"12\""),
 ]
 
 
@@ -350,6 +365,15 @@ def test_malformed_calibrate_config_is_config_error(inputs, edits, message):
     d, paths = inputs
     code, err = calibrate(d, paths, config=mutated_config(d, edits))
     assert code == EXIT_NUMERIC and message in err
+
+
+def test_calibrate_checks_its_config_before_the_csvs(inputs):
+    d, paths = inputs
+    curves = d / "short_row.csv"
+    curves.write_text("curve_id,component,t,value\nc0,1,0.0\n")
+    config = mutated_config(d, [(["split", "l"], "4")])
+    code, err = calibrate(d, paths, config=config, curves=curves)
+    assert code == EXIT_NUMERIC and "config key 'l'" in err
 
 
 @pytest.mark.parametrize("edits,message", STUDY_REPROS)

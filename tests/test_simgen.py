@@ -270,6 +270,15 @@ class TestPerCellConstants:
             with pytest.raises(ValueError, match="coeff_seed"):
                 replace(spec, coeff_seed=bad)
 
+    @pytest.mark.parametrize("field", ["seed", "coeff_seed"])
+    def test_seeds_follow_one_integer_rule(self, field):
+        spec = ScenarioSpec(study=1, scenario=1, n=20, grid_points=5)
+        assert getattr(replace(spec, **{field: [np.int64(1), 2]}), field) == (1, 2)
+        assert type(getattr(replace(spec, **{field: np.int64(3)}), field)) is int
+        for bad in ((1.9, 2), (True, 1), ("3",), True, 2.0, "3", None):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                replace(spec, **{field: bad})
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.5])
     def test_error_scale_must_be_finite_and_nonnegative(self, bad):
         # Unchecked, a non-finite scale surfaces as non-finite responses in

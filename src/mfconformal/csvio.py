@@ -22,11 +22,10 @@ What a file must hold to be accepted:
 
 Schema violations report the file line on which the faulty record starts,
 the header being line 1, so a quoted field that spans lines counts every
-line it spans. Long
-tables are parsed ``_CHUNK_ROWS`` records at a time into column arrays:
-within a chunk the earliest faulty row is reported, its fields checked in
-the order width, component, t, value; duplicate rows and coverage are
-checked once the whole file is read.
+line it spans. Long tables are parsed ``_CHUNK_ROWS`` records at a time into
+column arrays: within a chunk the earliest faulty row is reported, its
+fields checked in the order width, component, t, value; duplicate rows and
+coverage are checked once the whole file is read.
 """
 
 from __future__ import annotations

@@ -81,8 +81,8 @@ def predictor_from_doc(doc: dict) -> tuple[BandPredictor, dict]:
         grid = _grid_from_doc(_json_value(doc, "grid", dict))
         reg = _json_value(doc, "regressor", dict)
         spec = RegressorSpec(
-            kind=reg["kind"],
-            terms=tuple(tuple(t) for t in reg["terms"]),
+            kind=_json_value(reg, "kind", str),
+            terms=tuple(map(tuple, _json_value(reg, "terms", list, item=list))),
             intercept=_json_value(reg, "intercept", bool),
         )
         model = FittedRegressor(
@@ -94,7 +94,7 @@ def predictor_from_doc(doc: dict) -> tuple[BandPredictor, dict]:
         s = ModulationSet(
             grid=grid,
             fns=tuple(np.array(f) for f in mod["fns"]),
-            label=mod["label"],
+            label=_json_value(mod, "label", str),
             unit_integral=_json_value(mod, "unit_integral", bool, False),
         )
         infinite = _json_value(doc, "infinite", bool)
@@ -102,9 +102,9 @@ def predictor_from_doc(doc: dict) -> tuple[BandPredictor, dict]:
             model=model,
             modulation=s,
             radius=float("nan") if infinite else _json_value(doc, "radius", float),
-            closure=doc["closure"],
+            closure=_json_value(doc, "closure", str),
             alpha=_json_value(doc, "alpha", float),
-            mode=doc["mode"],
+            mode=_json_value(doc, "mode", str),
             tau=None if doc.get("tau") is None else _json_value(doc, "tau", float),
             infinite=infinite,
         )

@@ -31,10 +31,11 @@ from .core import (
     MFConformalError,
     ShapeError,
     Split,
+    _feasible_rank,
+    _guaranteed_coverage,
     _json_value,
-    order_stat_index,
+    _seed,
     random_split,
-    theoretical_coverage,
 )
 from .csvio import SchemaError
 
@@ -67,19 +68,6 @@ def _known(doc: dict, keys, where: str) -> None:
 
 
 _convert = functools.partial(_json_value, error=ConfigError, label="config key ")
-
-
-def _seed(doc: dict, key: str, name: str):
-    """``doc[key]``, 0 when absent; a ConfigError naming the key as ``name``
-    unless it is an integer >= 0 or a non-empty list of them (a null would
-    draw from fresh entropy)."""
-    seed = doc.get(key, 0)
-    entries = seed if isinstance(seed, list) else [seed]
-    if not entries or any(type(v) is not int or v < 0 for v in entries):
-        raise ConfigError(
-            f"config key {name!r} must be an integer seed, got {json.dumps(seed)}"
-        )
-    return seed
 
 
 def _regressor_from_config(doc: dict) -> regress.RegressorSpec:
@@ -117,7 +105,7 @@ def _split_from_config(doc: dict):
     if strategy not in ("random", "parity"):
         raise ConfigError(f"unknown split strategy {strategy!r}")
     l = _convert(doc, "l", int)
-    seed = _seed(doc, "seed", "split.seed")
+    seed = _seed(doc.get("seed", 0), "config key 'split.seed'", ConfigError)
 
     def drawn(n: int) -> Split:
         try:
@@ -136,14 +124,12 @@ def _cmd_calibrate(args) -> int:
     # The whole config is checked before any CSV is read; only the checks
     # that need the curve count wait for the data.
     alpha = _convert(config, "alpha", float)
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     mode = _convert(config, "mode", str, "split")
-    label = _convert(config, "modulation", str, "s0")
+    label = modulate._modulation_label(_convert(config, "modulation", str, "s0"))
     paths = _convert(config, "functional_covariates", list, [], item=str)
     make_split = _split_from_config(_convert(config, "split", dict, {}))
     rspec = _regressor_from_config(_convert(config, "regressor", dict, {}))
-    seed = _seed(config, "seed", "seed")
+    seed = _seed(config.get("seed", 0), "config key 'seed'", ConfigError)
     tau = None if config.get("tau") is None else _convert(config, "tau", float)
     if mode == "split" and tau is not None:
         raise ConfigError(
@@ -163,18 +149,15 @@ def _cmd_calibrate(args) -> int:
     dataset = Dataset(grid=grid, pairs=tuple(zip(covs, curves)))
 
     split = make_split(dataset.n)
-    if mode == "split" and order_stat_index(split.l, alpha) > split.l:
-        raise ConfigError(
-            f"alpha={alpha} is below the feasibility bound 1/(l+1) = "
-            f"{1.0 / (split.l + 1):.6g}; the band would be the whole space"
-        )
+    if mode == "split" and (crossed := _feasible_rank(split.l, alpha)[1]):
+        raise ConfigError(f"{crossed}; the band would be the whole space")
 
     model = regress.fit(dataset, split.train_idx, rspec)
     train_res = regress.residuals(model, dataset, split.train_idx)
     s = modulate.make_modulation(label, train_res, grid, trim)
     pred = conformal.calibrate(dataset, split, model, s, alpha, mode=mode, tau=tau)
 
-    theo = 1.0 - alpha if mode == "smoothed" else theoretical_coverage(split.l, alpha)
+    theo = _guaranteed_coverage(split.l, alpha, mode)
     metadata = {
         "tool_version": __version__,
         "seed": seed,

@@ -26,11 +26,11 @@ from .core import (
     MFCurve,
     ShapeError,
     Split,
+    _feasible_rank,
     _integrals,
-    _mode_tau,
+    _level,
     _readonly,
     _row_sups,
-    order_stat_index,
 )
 from .modulate import ModulationSet
 from .regress import FittedRegressor, predict, residuals
@@ -120,9 +120,7 @@ class BandPredictor:
     infinite: bool = False
 
     def __post_init__(self):
-        _mode_tau(self.mode, self.tau)
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        _level(self.alpha, self.mode, self.tau)
         if self.closure not in ("closed", "open"):
             raise ValueError(f"unknown closure {self.closure!r}")
         if self.mode == "split" and self.closure != "closed":
@@ -202,19 +200,13 @@ def calibrate_smoothed(scores: Scores, alpha: float, tau: float) -> Calibration:
     EmptyBandError
         If alpha is at or above the upper feasibility bound (l+tau)/(l+1).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
+    _level(alpha, "smoothed", tau)
     l = scores.l
-    rank = order_stat_index(l, alpha, tau)
+    rank, crossed = _feasible_rank(l, alpha, tau)
     if rank > l:
         return Calibration(radius=math.nan, closure="closed", infinite=True)
-    if rank < 1:
-        raise EmptyBandError(
-            f"alpha={alpha} is at or above (l+tau)/(l+1)={(l + tau) / (l + 1):.6g}; "
-            "the smoothed band is empty"
-        )
+    if crossed:
+        raise EmptyBandError(f"{crossed}; the smoothed band is empty")
     srt = scores.sorted_values
     w = float(srt[rank - 1])
     right_ties = int(np.count_nonzero(srt[rank:] == w))
@@ -239,7 +231,7 @@ def calibrate(
     """End-to-end calibration: score the calibration set and wrap the result
     into a band predictor."""
     scores = calibration_scores(dataset, split, model, s)
-    cal = calibrate_smoothed(scores, alpha, _mode_tau(mode, tau))
+    cal = calibrate_smoothed(scores, alpha, _level(alpha, mode, tau))
     return BandPredictor(
         model=model,
         modulation=s,
@@ -310,8 +302,7 @@ def p_value(calib_scores: Scores, new_score: float) -> float:
 def p_value_smoothed(calib_scores: Scores, new_score: float, tau: float) -> float:
     """Smoothed conformal p-value: ties (including the new observation
     against itself) weighted by ``tau``."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
+    _level(None, "smoothed", tau)
     strict = int(np.count_nonzero(calib_scores.values > new_score))
     ties = int(np.count_nonzero(calib_scores.values == new_score)) + 1
     return (strict + tau * ties) / (calib_scores.l + 1)
@@ -342,12 +333,17 @@ def band_size(pred: BandPredictor) -> float:
     return q
 
 
-def _split_radii(dataset, split, model, s, alpha, pointwise=False) -> list | None:
+def _split_radii(dataset, split, model, s, alpha, pointwise=False,
+                 strict=False) -> list | None:
     """Per-component split-rank order statistic of each curve's modulated
-    sup residual (or, if ``pointwise``, of the residuals at every grid point);
-    ``None`` below the feasibility bound alpha < 1/(l+1)."""
-    rank = order_stat_index(split.l, alpha)
-    if rank > split.l:
+    sup residual (or, if ``pointwise``, of the residuals at every grid point).
+    Below the feasibility bound alpha < 1/(l+1) it is ``None`` or, if
+    ``strict``, a ValueError naming the bound."""
+    _level(alpha)
+    rank, crossed = _feasible_rank(split.l, alpha)
+    if crossed:
+        if strict:
+            raise ValueError(crossed)
         return None
     return [
         np.sort(a if pointwise else a.max(axis=1), axis=0)[rank - 1]
@@ -368,10 +364,7 @@ def cub_radii(
     radius is bounded above by the simultaneous radius. Undefined below the
     feasibility bound alpha < 1/(l+1).
     """
-    radii = _split_radii(dataset, split, model, s, alpha)
-    if radii is None:
-        raise ValueError(f"alpha={alpha} below the feasibility bound 1/(l+1)")
-    return np.array(radii)
+    return np.array(_split_radii(dataset, split, model, s, alpha, strict=True))
 
 
 def cub_band(
@@ -399,10 +392,7 @@ def pointwise_radii(
 ) -> tuple[np.ndarray, ...]:
     """Per-point radii: the calibration order statistic of the modulated
     absolute residuals separately at every component and grid point."""
-    radii = _split_radii(dataset, split, model, s, alpha, pointwise=True)
-    if radii is None:
-        raise ValueError(f"alpha={alpha} below the feasibility bound 1/(l+1)")
-    return tuple(radii)
+    return tuple(_split_radii(dataset, split, model, s, alpha, True, strict=True))
 
 
 def pointwise_band(

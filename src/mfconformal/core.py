@@ -499,14 +499,19 @@ def _snap_floor(x: float) -> int:
     return math.floor(x)
 
 
-def _mode_tau(mode: str, tau: float | None) -> float:
-    """Tie-breaker of a conformal mode: split mode is smoothed at tau = 1."""
+def _level(alpha: float | None, mode: str = "split", tau: float | None = None) -> float:
+    """Check a conformal level: alpha in (0, 1), a known mode and, in smoothed
+    mode, tau in [0, 1]; returns the effective tie-breaker, 1 in split mode
+    (split mode is smoothed at tau = 1). ``alpha=None`` checks the mode and
+    tie-breaker alone, for a p-value, which has no level."""
+    if alpha is not None and not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if mode == "split":
         return 1.0
     if mode != "smoothed":
         raise ValueError(f"unknown mode {mode!r}")
     if tau is None or not 0.0 <= tau <= 1.0:
-        raise ValueError("smoothed mode needs tau in [0, 1]")
+        raise ValueError(f"smoothed mode needs tau in [0, 1], got {tau}")
     return tau
 
 
@@ -524,6 +529,21 @@ def order_stat_index(count: int, alpha: float, tau: float = 1.0) -> int:
     return count + 1 - floor - (tau <= max(x - floor, 0.0))
 
 
+def _feasible_rank(count: int, alpha: float, tau: float = 1.0) -> tuple[int, str | None]:
+    """:func:`order_stat_index` and, when the rank falls outside 1..count, a
+    message naming the bound of tau/(l+1) <= alpha < (l+tau)/(l+1) that
+    alpha crossed (below the lower one the band is the whole space, at the
+    upper one it is empty); ``None`` inside the interval."""
+    rank = order_stat_index(count, alpha, tau)
+    if rank > count:
+        return rank, (f"alpha={alpha} is below the lower feasibility bound: it "
+                      f"needs alpha >= {tau:g}/(l+1) = {tau / (count + 1):.6g}")
+    if rank < 1:
+        return rank, (f"alpha={alpha} reaches the upper feasibility bound: it needs "
+                      f"alpha < (l+{tau:g})/(l+1) = {(count + tau) / (count + 1):.6g}")
+    return rank, None
+
+
 def smoothed_order_stat_index(count: int, alpha: float, tau: float) -> int:
     """:func:`order_stat_index` with the tie-breaker ``tau`` required."""
     return order_stat_index(count, alpha, tau)
@@ -533,3 +553,27 @@ def theoretical_coverage(l: int, alpha: float) -> float:
     """Exact unconditional coverage 1 - floor((l+1)*alpha)/(l+1) of the
     non-smoothed calibrated band."""
     return 1.0 - _snap_floor((l + 1) * alpha) / (l + 1)
+
+
+def _guaranteed_coverage(l: int, alpha: float, mode: str) -> float:
+    """Exact coverage: 1 - alpha smoothed, :func:`theoretical_coverage` split."""
+    return 1.0 - alpha if mode == "smoothed" else theoretical_coverage(l, alpha)
+
+
+def _seed(value, name: str, error: type = ValueError):
+    """``value`` as a seed: an integer >= 0 by ``operator.index`` (a boolean,
+    which it takes as 0 or 1, is refused) or a non-empty list or tuple of
+    them, returned as a tuple; else ``error`` naming ``name``. ``None``, which
+    would draw fresh entropy, is refused too."""
+    entries = value if isinstance(value, (list, tuple)) else (value,)
+    try:
+        if not entries or any(isinstance(v, bool) for v in entries):
+            raise TypeError
+        out = tuple(map(operator.index, entries))
+        if min(out) < 0:
+            raise TypeError
+    except TypeError:
+        raise error(f"{name} must be an integer seed, got "
+                    f"{json.dumps(value, default=repr)} (an integer >= 0 or a "
+                    f"non-empty list of them)") from None
+    return out if entries is value else out[0]

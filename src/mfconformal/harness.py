@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import conformal, modulate, regress, simgen
-from .core import MFConformalError, random_split, theoretical_coverage
+from .core import MFConformalError, _guaranteed_coverage, _level, random_split
 
 __all__ = [
     "StudyConfig",
@@ -30,7 +30,6 @@ __all__ = [
     "default_workers",
 ]
 
-MODULATIONS = ("s0", "sigma", "sbar")
 METHODS = ("mpb", "cub")
 
 WORKERS_ENV_VAR = "MFCONFORMAL_WORKERS"
@@ -72,16 +71,13 @@ class StudyConfig:
             raise ValueError("need 1 <= l <= n-1")
         if self.n_reps < 1:
             raise ValueError("need at least one replication")
-        if self.modulation not in MODULATIONS:
-            raise ValueError(f"unknown modulation {self.modulation!r}")
-        if self.mode not in ("split", "smoothed"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        modulate._modulation_label(self.modulation)
+        # Each replication draws its own tie-breaker in [0, 1).
+        _level(self.alpha, self.mode, 0.0)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "cub" and self.mode != "split":
             raise ValueError("the concatenated method is defined in split mode")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers < 1:
@@ -224,11 +220,6 @@ def run_study(cfg: StudyConfig) -> StudyReport:
         q1, med, q3 = size_quartiles(sizes)
     else:
         q1 = med = q3 = math.nan
-    theo = (
-        1.0 - cfg.alpha
-        if cfg.mode == "smoothed"
-        else theoretical_coverage(cfg.l, cfg.alpha)
-    )
     return StudyReport(
         config=cfg,
         n_reps=n_effective,
@@ -236,7 +227,7 @@ def run_study(cfg: StudyConfig) -> StudyReport:
         coverage=coverage,
         ci_lower=lo,
         ci_upper=hi,
-        theoretical_coverage=theo,
+        theoretical_coverage=_guaranteed_coverage(cfg.l, cfg.alpha, cfg.mode),
         size_q1=q1,
         size_median=med,
         size_q3=q3,

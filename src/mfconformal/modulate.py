@@ -24,8 +24,9 @@ import numpy as np
 from .core import (
     Grid,
     MFConformalError,
+    _feasible_rank,
     _integrals,
-    _mode_tau,
+    _level,
     _readonly,
     _row_sups,
     order_stat_index,
@@ -50,6 +51,8 @@ ZERO_ADJUST_REL = 1e-6
 
 NORMALIZATION_TOL = 1e-10
 
+MODULATIONS = ("s0", "sigma", "sbar")
+
 
 class PathologicalDataError(MFConformalError, ValueError):
     """All residuals vanish identically; no modulation can be built."""
@@ -68,14 +71,13 @@ class TrimConfig:
     tau: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        _mode_tau(self.mode, self.tau)
+        _level(self.alpha, self.mode, self.tau)
 
     def rank(self, count: int) -> int:
         """1-based trimming rank for ``count`` residual curves. May exceed
         ``count`` (keep everything) or, in smoothed mode, be < 1."""
-        return order_stat_index(count, self.alpha, _mode_tau(self.mode, self.tau))
+        tau = _level(self.alpha, self.mode, self.tau)
+        return order_stat_index(count, self.alpha, tau)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,15 +214,11 @@ def s_bar_c(
     tau = 1 in split mode; anything else raises :class:`QuantileIndexError`.
     """
     count = grid.validate_blocks(calib_residuals, "residuals")
-    rank = cfg.rank(count)
-    if not 1 <= rank <= count:
-        tau = _mode_tau(cfg.mode, cfg.tau)
-        need = (
-            f">= {tau:g}/(l+1) = {tau / (count + 1):.6g}" if rank > count
-            else f"< (l+{tau:g})/(l+1) = {(count + tau) / (count + 1):.6g}"
-        )
-        raise QuantileIndexError(f"rank {rank} outside 1..{count}; {cfg.mode} "
-                                 f"mode with tau={tau:g} needs alpha {need}")
+    tau = _level(cfg.alpha, cfg.mode, cfg.tau)
+    rank, crossed = _feasible_rank(count, cfg.alpha, tau)
+    if crossed:
+        raise QuantileIndexError(f"rank {rank} outside 1..{count} in {cfg.mode} "
+                                 f"mode since {crossed}")
     env = _kept_max(calib_residuals, rank)
     return _normalize(zero_adjust(list(env)), grid, "sbar_c")
 
@@ -231,13 +229,18 @@ def make_modulation(
     grid: Grid,
     cfg: TrimConfig | None = None,
 ) -> ModulationSet:
-    """Build a modulation set by label ("s0", "sigma" or "sbar")."""
-    if label == "s0":
+    """Build a modulation set by label, one of :data:`MODULATIONS`."""
+    if _modulation_label(label) == "s0":
         return s_const(grid)
     if label == "sigma":
         return s_sigma(residuals, grid)
-    if label == "sbar":
-        if cfg is None:
-            raise ValueError("sbar needs a TrimConfig")
-        return s_bar(residuals, grid, cfg)
-    raise ValueError(f"unknown modulation label {label!r}")
+    if cfg is None:
+        raise ValueError("sbar needs a TrimConfig")
+    return s_bar(residuals, grid, cfg)
+
+
+def _modulation_label(label: str) -> str:
+    """``label`` if it is one of :data:`MODULATIONS`; else a ValueError."""
+    if label not in MODULATIONS:
+        raise ValueError(f"unknown modulation label {label!r}, expected {MODULATIONS}")
+    return label

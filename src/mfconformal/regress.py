@@ -113,26 +113,30 @@ class FittedRegressor:
         return predict(self, x, truncate_at_zero)
 
 
-def _design(columns, names: tuple[str, ...], intercept: bool, j: int, rows):
+def _design(columns, spec: RegressorSpec, names: tuple[str, ...], j: int, rows):
     """Design of component j at the given rows of ``columns``: the column
     blocks of a :class:`Dataset`, or one :class:`Covariates` read as a
     one-row block (``rows=[0]``). Returns an (n_rows, q) matrix shared by
     every grid point when all named covariates are scalar, otherwise an
     (n_rows, G_j, q) tensor varying along the grid. A name found among the
-    scalar covariates is taken from there."""
+    scalar covariates is taken from there; a functional one is refused for
+    ``concurrent_fos``."""
     cols = []
     for name in names:
         if name in columns.scalar:
             cols.append(np.atleast_1d(columns.scalar[name])[rows])
+        elif name in columns.functional and spec.kind == "concurrent_fos":
+            raise ShapeError(f"covariate {name!r} is functional; concurrent_fos "
+                             "takes scalar covariates only")
         elif name in columns.functional:
             cols.append(np.atleast_2d(columns.functional[name][j])[rows])
         else:
             raise ShapeError(f"covariate {name!r} missing from the observation")
     shape = next((c.shape for c in cols if c.ndim == 2), (len(rows),))
-    X = np.empty(shape + (len(cols) + intercept,))
-    if intercept:
+    X = np.empty(shape + (len(cols) + spec.intercept,))
+    if spec.intercept:
         X[..., 0] = 1.0
-    for k, c in enumerate(cols, start=intercept):
+    for k, c in enumerate(cols, start=spec.intercept):
         X[..., k] = c[:, None] if c.ndim < len(shape) else c
     return X
 
@@ -143,7 +147,7 @@ def _predictions(model: FittedRegressor, columns, rows) -> list[np.ndarray]:
     terms = model.spec.component_terms(model.grid.p)
     out = []
     for j, coef in enumerate(model.coefficients):
-        X = _design(columns, terms[j], model.spec.intercept, j, rows)
+        X = _design(columns, model.spec, terms[j], j, rows)
         out.append(X @ coef.T if X.ndim == 2 else np.einsum("igq,gq->ig", X, coef))
     return out
 
@@ -196,7 +200,7 @@ def fit(dataset: Dataset, train_idx, spec: RegressorSpec) -> FittedRegressor:
                 f"component {j}: {m} training curves for {q} design columns"
             )
         resp = dataset.responses[j][idx]  # (m, G_j)
-        X = _design(dataset, terms[j], spec.intercept, j, idx)
+        X = _design(dataset, spec, terms[j], j, idx)
         if X.ndim == 2:
             blocks.append(_solve(X, resp, j).T)  # (G_j, q)
         else:

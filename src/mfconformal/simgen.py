@@ -24,13 +24,12 @@ here as the named sampling algorithm so seeds reproduce across platforms.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import Covariates, Dataset, Grid, MFCurve, _readonly, uniform_grid
+from .core import Covariates, Dataset, Grid, MFCurve, _readonly, _seed, uniform_grid
 from .regress import RegressorSpec
 
 __all__ = [
@@ -175,20 +174,6 @@ class ScenarioSpec:
         # plain, hashable seed value that names one draw.
         for name in ("coeff_seed", "seed"):
             object.__setattr__(self, name, _seed(getattr(self, name), name))
-
-
-def _seed(value, name: str) -> int | tuple[int, ...]:
-    """``value`` as an int, or a list or tuple of them as a tuple, by
-    ``operator.index``; a ValueError naming the field for anything else, a
-    boolean included (``operator.index(True)`` is 1)."""
-    entries = value if isinstance(value, (list, tuple)) else (value,)
-    try:
-        if any(isinstance(v, bool) for v in entries):
-            raise TypeError
-        out = tuple(map(operator.index, entries))
-    except TypeError:
-        raise ValueError(f"{name} must be an integer or a sequence of integers") from None
-    return out if isinstance(value, (list, tuple)) else out[0]
 
 
 # Per-cell constants: every replication of a study cell shares them, so each

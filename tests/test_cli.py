@@ -289,7 +289,8 @@ class TestBandCommand:
 
         pred, _ = load_bundle(bundle)
         expected = make_band(pred, Covariates(scalar={"w": 0.37}))
-        rows = list(csv.DictReader(open(out)))
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 8
         for g, row in enumerate(rows):
             assert int(row["component"]) == 1
@@ -323,7 +324,9 @@ class TestBandCommand:
         out = tmp_path / "band.csv"
         assert main(["band", str(bundle), str(tmp_path / "new.csv"),
                      "-o", str(out)]) == EXIT_OK
-        for row in csv.DictReader(open(out)):
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
             assert float(row["lower"]) == pytest.approx(float(row["upper"]), abs=1e-9)
             assert float(row["lower"]) == pytest.approx(1.0 + 2.0 * 0.5, abs=1e-9)
 
@@ -333,7 +336,8 @@ class TestBandCommand:
         out = tmp_path / "band.csv"
         assert main(["band", str(bundle), str(tmp_path / "new.csv"),
                      "--truncate-at-zero", "-o", str(out)]) == EXIT_OK
-        rows = list(csv.DictReader(open(out)))
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
         lowers = [float(r["lower"]) for r in rows]
         assert min(lowers) == 0.0  # something got clipped
         assert all(lo >= 0.0 for lo in lowers)
@@ -436,7 +440,8 @@ class TestFunctionalCovariates:
             ["band", str(bundle), str(tmp_path / "new.csv"),
              "--functional", str(tmp_path / "temp_new.csv"), "-o", str(out)]
         ) == EXIT_OK
-        rows = list(csv.DictReader(open(out)))
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
         mid = [(float(r["lower"]) + float(r["upper"])) / 2 for r in rows]
         # the fitted response should roughly track 0.5 + 2 cos(t)
         assert np.allclose(mid, 0.5 + 2.0 * np.cos(points), atol=0.2)
@@ -462,7 +467,8 @@ class TestStudyCommand:
         assert entry["theoretical_coverage"] == 0.9
         assert 0.0 <= entry["coverage"] <= 1.0
         assert entry["config"]["n"] == 20
-        rows = list(csv.DictReader(open(table)))
+        with open(table) as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert rows[0]["l"] == "9"
 

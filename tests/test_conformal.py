@@ -463,6 +463,19 @@ class TestEstimatorExtensionPoint:
             assert band.infinite
             assert contains(band, ds.curve(0))
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
+    def test_cub_and_pointwise_refuse_alpha_outside_the_unit_interval(self, instance, alpha):
+        # Before, alpha >= 1 gave a rank below 1 that indexed the sorted
+        # scores from the end: radii smaller than at alpha = 0.5.
+        ds, split, model, s = instance
+        x = ds.covariates(0)
+        for call in (lambda: cub_radii(ds, split, model, s, alpha),
+                     lambda: pointwise_radii(ds, split, model, s, alpha),
+                     lambda: cub_band(ds, split, model, s, alpha, x),
+                     lambda: pointwise_band(ds, split, model, s, alpha, x)):
+            with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+                call()
+
 
 class TestRaggedGrids:
     def test_components_with_different_grids(self, rng):

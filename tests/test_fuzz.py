@@ -146,6 +146,11 @@ BUNDLE_REPROS = [
     ([(["grid", "components", 0, "points"], ["0", "0.25", "0.5", "0.75", "1"])],
      "points is ragged or not numeric"),
     ([(["alpha"], 10**400)], "'alpha' is beyond the float range"),
+    ([(["regressor", "terms"], "ww")], "'terms' must be a JSON list of lists, got \"ww\""),
+    ([(["modulation", "label"], 5)], "'label' must be a JSON string, got 5"),
+    ([(["regressor", "kind"], 5)], "'kind' must be a JSON string, got 5"),
+    ([(["closure"], 5)], "'closure' must be a JSON string, got 5"),
+    ([(["mode"], 5)], "'mode' must be a JSON string, got 5"),
 ]
 CALIBRATE_REPROS = [
     ([(["functional_covariates"], [1])], "'functional_covariates'"),
@@ -221,6 +226,8 @@ STUDY_REPROS = [
     ([(["configs", 0, "alpah"], 0.3), (["configs", 0, "modulaton"], "sbar")],
      "study config entry has unknown keys ['alpah', 'modulaton']"),
     ([(["configs", 0, "n"], "12")], "config key 'n' must be a JSON number, got \"12\""),
+    ([(["configs", 0, "coeff_seed"], -1)],
+     "study config entry: coeff_seed must be an integer seed, got -1"),
 ]
 
 
@@ -374,6 +381,9 @@ def test_calibrate_checks_its_config_before_the_csvs(inputs):
     config = mutated_config(d, [(["split", "l"], "4")])
     code, err = calibrate(d, paths, config=config, curves=curves)
     assert code == EXIT_NUMERIC and "config key 'l'" in err
+    config = mutated_config(d, [(["modulation"], "sigm")])
+    code, err = calibrate(d, paths, config=config, curves=curves)
+    assert code == EXIT_NUMERIC and "unknown modulation label 'sigm'" in err
 
 
 @pytest.mark.parametrize("edits,message", STUDY_REPROS)
@@ -447,3 +457,21 @@ def test_component_with_one_point_names_file_and_component(inputs):
     assert code == EXIT_SCHEMA
     assert err == (f"error: {curves}: component 1: need at least two ascending "
                    "points\n")
+
+
+def test_concurrent_fos_refuses_a_functional_covariate(inputs):
+    # Before, calibrate fitted the functional 'v' pointwise, and band
+    # predicted from such a bundle.
+    d, paths = inputs
+    message = "covariate 'v' is functional; concurrent_fos takes scalar covariates only"
+    files = [functional_covariate(d, "v", "fos")]
+    config = d / "fos_config.json"
+    config.write_text(json.dumps({**CALIBRATE_CONFIG, "functional_covariates": files,
+                                  "regressor": {"kind": "concurrent_fos",
+                                                "terms": [["v"], ["v"]]}}))
+    code, err = calibrate(d, paths, config=config)
+    assert code == EXIT_SCHEMA and message in err
+    bundle = mutated_bundle(d, paths, [(["regressor", "terms"], [["v"], ["v"]])])
+    code, err = check(*run(["band", str(bundle), str(paths["new"]), "--functional",
+                            files[0], "-o", str(d / "fos_band.csv")]))
+    assert code == EXIT_SCHEMA and message in err

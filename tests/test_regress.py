@@ -154,6 +154,26 @@ class TestConcurrentFof:
                 assert np.allclose(model.coefficients[j][g], beta, atol=1e-9)
 
 
+class TestConcurrentFosScalarOnly:
+    MESSAGE = "covariate 'temp' is functional; concurrent_fos takes scalar covariates only"
+
+    def test_fit_refuses_a_functional_covariate(self, rng):
+        ds = Dataset.from_blocks(uniform_grid(5), [rng.normal(size=(6, 5))],
+                                 functional={"temp": [rng.normal(size=(6, 5))]})
+        with pytest.raises(ShapeError, match=self.MESSAGE):
+            fit(ds, range(6), RegressorSpec("concurrent_fos", (("temp",),)))
+
+    def test_predict_refuses_a_functional_covariate(self, rng, grid2):
+        ds = Dataset.from_blocks(
+            grid2, [rng.normal(size=(6, c.size)) for c in grid2.components],
+            scalar={"temp": rng.normal(size=6)},
+        )
+        model = fit(ds, range(6), RegressorSpec("concurrent_fos", (("temp",),) * 2))
+        x = Covariates(functional={"temp": tuple(np.zeros(c.size) for c in grid2.components)})
+        with pytest.raises(ShapeError, match=self.MESSAGE):
+            predict(model, x)
+
+
 class TestPredictOptions:
     def test_truncation_clamps_negative_predictions(self, grid2):
         ds = constant_curve_dataset(grid2, [-0.3, -0.1])
@@ -197,9 +217,9 @@ class TestFitErrors:
             RegressorSpec(kind="intercept_only", terms=(("w",),))
 
 
-def stacked_design(columns, names, intercept, j, rows):
+def stacked_design(columns, spec, names, j, rows):
     """Reference design built by stacking broadcast columns."""
-    cols = [np.ones(len(rows))] if intercept else []
+    cols = [np.ones(len(rows))] if spec.intercept else []
     for name in names:
         if name in columns.scalar:
             cols.append(np.atleast_1d(columns.scalar[name])[rows])

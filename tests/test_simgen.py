@@ -275,7 +275,8 @@ class TestPerCellConstants:
         spec = ScenarioSpec(study=1, scenario=1, n=20, grid_points=5)
         assert getattr(replace(spec, **{field: [np.int64(1), 2]}), field) == (1, 2)
         assert type(getattr(replace(spec, **{field: np.int64(3)}), field)) is int
-        for bad in ((1.9, 2), (True, 1), ("3",), True, 2.0, "3", None):
+        for bad in ((1.9, 2), (True, 1), ("3",), True, 2.0, "3", None,
+                    -3, [], (), [1, -2], np.int64(-1)):
             with pytest.raises(ValueError, match=f"^{field} must be an integer"):
                 replace(spec, **{field: bad})
 

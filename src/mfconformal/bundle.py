@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .conformal import BandPredictor
-from .core import ComponentGrid, Grid, MFConformalError, _json_value
+from .core import ComponentGrid, Grid, MFConformalError, _json_object, _json_value
 from .modulate import ModulationSet
 from .regress import FittedRegressor, RegressorSpec
 
@@ -69,8 +69,6 @@ def predictor_to_doc(pred: BandPredictor, metadata: dict | None = None) -> dict:
 
 
 def predictor_from_doc(doc: dict) -> tuple[BandPredictor, dict]:
-    if not isinstance(doc, dict):
-        raise BundleFormatError("malformed bundle: the top level must be a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise BundleFormatError(
@@ -122,9 +120,4 @@ def save_bundle(path, pred: BandPredictor, metadata: dict | None = None) -> None
 
 
 def load_bundle(path) -> tuple[BandPredictor, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BundleFormatError(f"bundle is not valid JSON: {exc}") from exc
-    return predictor_from_doc(doc)
+    return predictor_from_doc(_json_object(path, BundleFormatError, "bundle"))

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__, conformal, csvio, harness, modulate, regress, simgen
-from .bundle import BundleFormatError, load_bundle, save_bundle
+from .bundle import load_bundle, save_bundle
 from .core import (
     Dataset,
     MFConformalError,
@@ -33,7 +33,9 @@ from .core import (
     Split,
     _feasible_rank,
     _guaranteed_coverage,
+    _json_object,
     _json_value,
+    _level,
     _seed,
     random_split,
 )
@@ -46,19 +48,6 @@ EXIT_NUMERIC = 3
 
 class ConfigError(MFConformalError, ValueError):
     """A JSON config file is malformed or inconsistent."""
-
-
-def _load_json(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must contain a JSON object")
-    return doc
 
 
 def _known(doc: dict, keys, where: str) -> None:
@@ -118,7 +107,7 @@ def _split_from_config(doc: dict):
 
 
 def _cmd_calibrate(args) -> int:
-    config = _load_json(args.config)
+    config = _json_object(args.config, ConfigError, args.config)
     _known(config, ("alpha", "mode", "tau", "seed", "modulation", "regressor",
                     "split", "functional_covariates"), "calibrate config")
     # The whole config is checked before any CSV is read; only the checks
@@ -179,6 +168,10 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_band(args) -> int:
     pred, _ = load_bundle(args.bundle)
+    if pred.infinite:
+        tau = _level(pred.alpha, pred.mode, pred.tau)
+        raise ConfigError(f"the bundle encodes an infinite band (alpha below "
+                          f"{tau:g}/(l+1)); there is nothing to write")
     grid = pred.model.grid
     order, scalar = csvio.read_scalar_covariates(args.covariates)
     functional = [
@@ -193,11 +186,6 @@ def _cmd_band(args) -> int:
             f"{args.covariates} lists {len(order)} rows; pick one with --curve-id"
         )
     covs = csvio.merge_covariates(order, scalar, functional)
-    if pred.infinite:
-        raise ConfigError(
-            "the bundle encodes an infinite band (alpha below 1/(l+1)); "
-            "there is nothing to write"
-        )
     band = conformal.make_band(pred, covs[0], truncate_at_zero=args.truncate_at_zero)
     csvio.write_band_csv(args.output, grid, band)
     print(f"band written to {args.output}")
@@ -270,7 +258,7 @@ _TABLE_COLUMNS = [
 
 
 def _cmd_study(args) -> int:
-    doc = _load_json(args.config)
+    doc = _json_object(args.config, ConfigError, args.config)
     _known(doc, ("configs", "workers"), "study config")
     entries = _convert(doc, "configs", list, [], item=dict)
     if not entries:
@@ -367,10 +355,7 @@ def main(argv=None) -> int:
     except (SchemaError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (ConfigError, BundleFormatError, MFConformalError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
+    except (MFConformalError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -89,6 +89,15 @@ class Scores:
         return self.values.size
 
 
+def _outcome(closure: str, radius: float = 0.0, infinite: bool = False) -> None:
+    """Check a band outcome: a known closure and, unless the band is the
+    whole space, a finite radius >= 0."""
+    if closure not in ("closed", "open"):
+        raise ValueError(f"unknown closure {closure!r}")
+    if not infinite and not 0 <= radius < math.inf:
+        raise ValueError(f"radius must be finite and >= 0, got {radius!r}")
+
+
 @dataclass(frozen=True)
 class Calibration:
     """Outcome of a calibration: the band half-width multiplier and whether
@@ -99,10 +108,7 @@ class Calibration:
     infinite: bool = False
 
     def __post_init__(self):
-        if self.closure not in ("closed", "open"):
-            raise ValueError(f"unknown closure {self.closure!r}")
-        if not self.infinite and not self.radius >= 0:
-            raise ValueError("radius must be nonnegative")
+        _outcome(self.closure, self.radius, self.infinite)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,12 +127,9 @@ class BandPredictor:
 
     def __post_init__(self):
         _level(self.alpha, self.mode, self.tau)
-        if self.closure not in ("closed", "open"):
-            raise ValueError(f"unknown closure {self.closure!r}")
+        _outcome(self.closure, self.radius, self.infinite)
         if self.mode == "split" and self.closure != "closed":
             raise ValueError("split-mode bands are closed")
-        if not self.infinite and not 0 <= self.radius < math.inf:
-            raise ValueError(f"radius must be finite and >= 0, got {self.radius!r}")
         if self.model.grid != self.modulation.grid:
             raise ShapeError("model and modulation grids differ")
 
@@ -141,12 +144,14 @@ class Band:
     infinite: bool = False
 
     def __post_init__(self):
+        _outcome(self.closure)
         if self.infinite:
             if self.lower is not None or self.upper is not None:
                 raise ValueError("an infinite band carries no bounds")
             return
-        low = tuple(np.asarray(a, dtype=float) for a in self.lower)
-        up = tuple(np.asarray(a, dtype=float) for a in self.upper)
+        low, up = (tuple(_readonly(a, f"{side} bound component {j}", error=ValueError)
+                         for j, a in enumerate(getattr(self, side)))
+                   for side in ("lower", "upper"))
         if len(low) != len(up):
             raise ShapeError("lower and upper need the same component count")
         for j, (lo, hi) in enumerate(zip(low, up)):

@@ -96,6 +96,20 @@ def _json_value(doc: dict, key: str, kind: type, *default, item: type = object,
         raise error(f"{label}{key!r} is beyond the float range") from None
 
 
+def _json_object(path, error: type, what: str) -> dict:
+    """The JSON object in the file at ``path``; ``error`` naming ``what`` when
+    the text is not JSON or its top level is not an object. An OSError from
+    opening or reading the file passes through."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"malformed {what}: the top level must be a JSON object")
+    return doc
+
+
 def trapezoid_weights(points: np.ndarray) -> np.ndarray:
     """Trapezoid quadrature weights for an ascending vector of points.
 
@@ -165,9 +179,10 @@ class ComponentGrid:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Grid:
-    """Per-component discretization of the p domains."""
+    """Per-component discretization of the p domains; grids are equal when
+    their component grids are."""
 
     components: tuple[ComponentGrid, ...]
 
@@ -203,15 +218,6 @@ class Grid:
                 f"per component with count >= 1 and G_j = {self.sizes}"
             )
         return count
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Grid):
-            return NotImplemented
-        return len(self.components) == len(other.components) and all(
-            a == b for a, b in zip(self.components, other.components)
-        )
 
 
 def uniform_grid(
@@ -466,19 +472,14 @@ def random_split(n: int, l: int, seed=None, strategy: str = "uniform") -> Split:
         calib = np.sort(perm[:l]).tolist()
         train = np.sort(perm[l:]).tolist()
     elif strategy == "parity":
-        center = (n + 1) / 2.0
-        train_days = [d for d in range(1, n + 1) if d % 2 == 1]
-        calib_days = [d for d in range(1, n + 1) if d % 2 == 0]
-        while len(calib_days) > l:
-            day = min(calib_days, key=lambda d: (abs(d - center), d))
-            calib_days.remove(day)
-            train_days.append(day)
-        while len(calib_days) < l:
-            day = min(train_days, key=lambda d: (abs(d - center), d))
-            train_days.remove(day)
-            calib_days.append(day)
-        train = sorted(d - 1 for d in train_days)
-        calib = sorted(d - 1 for d in calib_days)
+        # Day d is index d - 1, so even days are the odd indices. The side
+        # with the surplus gives up the days nearest the center day first.
+        surplus = n // 2 - l
+        center = (n - 1) / 2.0
+        nearest = sorted(range(n), key=lambda i: (abs(i - center), i))
+        moved = [i for i in nearest if i % 2 == (surplus > 0)][:abs(surplus)]
+        calib = sorted(set(range(1, n, 2)).symmetric_difference(moved))
+        train = sorted(set(range(n)).difference(calib))
     else:
         raise ValueError(f"unknown split strategy {strategy!r}")
     return Split(tuple(train), tuple(calib))
@@ -501,12 +502,16 @@ def _snap_floor(x: float) -> int:
 
 def _level(alpha: float | None, mode: str = "split", tau: float | None = None) -> float:
     """Check a conformal level: alpha in (0, 1), a known mode and, in smoothed
-    mode, tau in [0, 1]; returns the effective tie-breaker, 1 in split mode
-    (split mode is smoothed at tau = 1). ``alpha=None`` checks the mode and
-    tie-breaker alone, for a p-value, which has no level."""
+    mode, tau in [0, 1], in split mode no tau; returns the effective
+    tie-breaker, 1 in split mode (split mode is smoothed at tau = 1).
+    ``alpha=None`` checks the mode and tie-breaker alone, for a p-value,
+    which has no level."""
     if alpha is not None and not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if mode == "split":
+        if tau is not None:
+            raise ValueError(f"tau applies to smoothed mode; split mode uses "
+                             f"tau = 1, got {tau!r}")
         return 1.0
     if mode != "smoothed":
         raise ValueError(f"unknown mode {mode!r}")

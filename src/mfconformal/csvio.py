@@ -366,9 +366,11 @@ def merge_covariates(
 
 
 def write_band_csv(path, grid: Grid, band: Band) -> None:
-    """Emit ``component,t,lower,upper,closure`` rows (components 1-based)."""
+    """Emit ``component,t,lower,upper,closure`` rows (components 1-based) of a
+    band shaped for ``grid``."""
     if band.infinite:
         raise ValueError("an infinite band has no finite bounds to write")
+    grid.validate_blocks([b[None] for b in band.lower], "band bounds")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["component", "t", "lower", "upper", "closure"])

@@ -72,14 +72,17 @@ class StudyConfig:
         if self.n_reps < 1:
             raise ValueError("need at least one replication")
         modulate._modulation_label(self.modulation)
-        # Each replication draws its own tie-breaker in [0, 1).
-        _level(self.alpha, self.mode, 0.0)
+        # Each smoothed replication draws its own tie-breaker in [0, 1).
+        _level(self.alpha, self.mode, 0.0 if self.mode == "smoothed" else None)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "cub" and self.mode != "split":
             raise ValueError("the concatenated method is defined in split mode")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        seed = self.master_seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise ValueError(f"master_seed must be an integer, got {seed!r}")
+        if seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {seed}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 

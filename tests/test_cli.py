@@ -5,8 +5,20 @@ import pathlib
 import numpy as np
 import pytest
 
-from mfconformal import Covariates, cli, make_band
+from mfconformal import (
+    Covariates,
+    ScenarioSpec,
+    calibrate,
+    cli,
+    fit,
+    generate,
+    make_band,
+    random_split,
+    s_const,
+)
+from mfconformal.bundle import save_bundle
 from mfconformal.cli import EXIT_NUMERIC, EXIT_OK, EXIT_SCHEMA, main
+from mfconformal.simgen import regressor_for
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -254,6 +266,25 @@ class TestCalibrateCommand:
 
 
 class TestBandCommand:
+    def test_infinite_bundle_exits_3_before_any_csv_is_read(self, tmp_path, capsys):
+        # Smoothed at l=4 and tau=0.9, alpha=0.1 lies below tau/(l+1) = 0.18,
+        # so the band is the whole space.
+        spec = ScenarioSpec(study=1, scenario=1, n=10, grid_points=20)
+        dataset, _ = generate(spec)
+        split = random_split(10, 4, seed=0)
+        model = fit(dataset, split.train_idx, regressor_for(spec))
+        pred = calibrate(dataset, split, model, s_const(dataset.grid), 0.1,
+                         mode="smoothed", tau=0.9)
+        assert pred.infinite
+        save_bundle(tmp_path / "bundle.json", pred)
+        (tmp_path / "new.csv").write_text("curve_id,w,w2\nnew,0.5\n")
+        code = main(["band", str(tmp_path / "bundle.json"), str(tmp_path / "new.csv"),
+                     "-o", str(tmp_path / "band.csv")])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+        assert "infinite band (alpha below 0.9/(l+1))" in err
+        assert not (tmp_path / "band.csv").exists()
+
     def _calibrated_bundle(self, tmp_path, n=10, l=4, alpha=0.25):
         rng = np.random.default_rng(17)
         points = np.linspace(0, 1, 8)
@@ -553,3 +584,16 @@ class TestStudyCommand:
                      "--report", str(tmp_path / "r.json"),
                      "--table", str(tmp_path / "t.csv")])
         assert code == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("text,message", [
+        (None, "No such file or directory"),
+        ("{", "study.json is not valid JSON"),
+        ("[]", "study.json: the top level must be a JSON object"),
+    ])
+    def test_config_document_faults_exit_3(self, tmp_path, capsys, text, message):
+        if text is not None:
+            (tmp_path / "study.json").write_text(text)
+        code = main(["study", str(tmp_path / "study.json"),
+                     "--report", str(tmp_path / "r.json"),
+                     "--table", str(tmp_path / "t.csv")])
+        assert code == EXIT_NUMERIC and message in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -28,8 +29,14 @@ from mfconformal import (
     score,
     uniform_grid,
 )
-from mfconformal.conformal import EmptyBandError, InfiniteBandError, cub_radii, pointwise_radii
-from mfconformal.core import MFConformalError
+from mfconformal.conformal import (
+    Calibration,
+    EmptyBandError,
+    InfiniteBandError,
+    cub_radii,
+    pointwise_radii,
+)
+from mfconformal.core import MFConformalError, ShapeError
 from mfconformal.regress import residuals
 
 from conftest import make_dataset, random_curve
@@ -223,6 +230,38 @@ class TestBands:
     def test_infinite_band_contains_everything(self, rng, grid2):
         band = Band(lower=None, upper=None, infinite=True)
         assert contains(band, random_curve(rng, grid2))
+
+
+class TestOutcomeChecks:
+    def test_band_refuses_an_unknown_closure(self, grid2):
+        bounds = tuple(np.zeros(c.size) for c in grid2.components)
+        with pytest.raises(ValueError, match="unknown closure 'ajar'"):
+            Band(lower=bounds, upper=bounds, closure="ajar")
+        with pytest.raises(ValueError, match="unknown closure 'ajar'"):
+            Band(lower=None, upper=None, closure="ajar", infinite=True)
+
+    def test_calibration_refuses_an_infinite_radius(self):
+        with pytest.raises(ValueError, match="radius must be finite and >= 0, got inf"):
+            Calibration(radius=math.inf, closure="closed")
+        assert Calibration(radius=math.nan, closure="closed", infinite=True).infinite
+
+    def test_split_mode_refuses_a_tau(self, instance):
+        ds, split, model, s = instance
+        with pytest.raises(ValueError, match="tau applies to smoothed mode"):
+            calibrate(ds, split, model, s, 0.2, mode="split", tau=0.3)
+        pred = calibrate(ds, split, model, s, 0.2)
+        with pytest.raises(ValueError, match="tau applies to smoothed mode"):
+            dataclasses.replace(pred, tau=0.3)
+
+    def test_predictor_needs_model_and_modulation_on_equal_grids(self, instance):
+        ds, split, model, s = instance
+        pred = calibrate(ds, split, model, s, 0.2)
+        rebuilt = dataclasses.replace(pred, modulation=s_const(uniform_grid(40, p=2)))
+        assert rebuilt.modulation.grid is not model.grid
+        for grid in (uniform_grid(41, p=2), uniform_grid(40, p=1),
+                     uniform_grid(40, domain=(0.0, 2.0), p=2)):
+            with pytest.raises(ShapeError, match="model and modulation grids differ"):
+                dataclasses.replace(pred, modulation=s_const(grid))
 
 
 class TestPValues:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfconformal import (
+    Band,
     ComponentGrid,
     Covariates,
     Dataset,
@@ -120,6 +121,21 @@ class TestGridTypes:
     def test_grid_equality(self):
         assert uniform_grid(10, p=2) == uniform_grid(10, p=2)
         assert uniform_grid(10, p=2) != uniform_grid(11, p=2)
+        # Separately built grids compare by their points and weights.
+        pts = np.array([0.0, 0.2, 0.7, 1.0])
+        grid = Grid((ComponentGrid.from_points(pts), ComponentGrid.from_points(pts)))
+        again = Grid((ComponentGrid(pts.copy(), grid.components[0].weights.copy()),
+                      ComponentGrid.from_points(list(pts))))
+        assert grid == again and not grid != again
+        moved = pts.copy()
+        moved[1] = 0.3
+        weighted = ComponentGrid(pts, np.array([0.1, 0.4, 0.35, 0.15]))
+        for other in (Grid((grid.components[0], ComponentGrid.from_points(moved))),
+                      Grid((grid.components[0], weighted)),
+                      Grid(grid.components[:1]),
+                      Grid(grid.components * 2)):
+            assert grid != other and not grid == other
+        assert grid != "grid"
 
     def test_curve_must_be_finite(self):
         with pytest.raises(ShapeError):
@@ -134,6 +150,9 @@ class TestGridTypes:
 def stored_arrays(kind, arr):
     """The arrays a type stores when built from the caller's vector ``arr``
     (4 positive ascending entries)."""
+    if kind == "Band":
+        band = Band((arr,), (arr,))
+        return band.lower + band.upper
     if kind == "Scores":
         scores = Scores(arr)
         return scores.values, scores.sorted_values
@@ -143,7 +162,7 @@ def stored_arrays(kind, arr):
 
 
 class TestStoredArrays:
-    @pytest.mark.parametrize("kind", ["Scores", "ModulationSet", "BSplineBasis"])
+    @pytest.mark.parametrize("kind", ["Band", "Scores", "ModulationSet", "BSplineBasis"])
     def test_caller_array_stays_writeable_and_unaliased(self, kind):
         arr = np.array([0.25, 0.5, 0.75, 1.0])
         stored = stored_arrays(kind, arr)
@@ -153,7 +172,7 @@ class TestStoredArrays:
         arr[0] = 2.0
         assert all(held[0] == 0.25 for held in stored)
 
-    @pytest.mark.parametrize("kind", ["Scores", "ModulationSet", "BSplineBasis"])
+    @pytest.mark.parametrize("kind", ["Band", "Scores", "ModulationSet", "BSplineBasis"])
     def test_non_finite_entry_is_a_value_error_not_a_shape_error(self, kind):
         # The CLI maps ShapeError to exit 2 and other ValueErrors to exit 3.
         with pytest.raises(ValueError, match="non-finite") as info:
@@ -342,6 +361,29 @@ class TestRandomSplit:
         assert 19 in split.train_idx  # day 20 is index 19
         expected_calib = [d - 1 for d in range(2, 41, 2) if d != 20]
         assert list(split.calib_idx) == expected_calib
+
+    def test_parity_matches_the_one_day_at_a_time_rule(self):
+        # The documented rule, moving one day per step from the side with
+        # the surplus, is the reference for the one-sort implementation.
+        def reference(n, l):
+            center = (n + 1) / 2.0
+            train = [d for d in range(1, n + 1) if d % 2 == 1]
+            calib = [d for d in range(1, n + 1) if d % 2 == 0]
+            while len(calib) > l:
+                day = min(calib, key=lambda d: (abs(d - center), d))
+                calib.remove(day)
+                train.append(day)
+            while len(calib) < l:
+                day = min(train, key=lambda d: (abs(d - center), d))
+                train.remove(day)
+                calib.append(day)
+            return (tuple(sorted(d - 1 for d in train)),
+                    tuple(sorted(d - 1 for d in calib)))
+
+        for n in range(2, 121):
+            for l in range(1, n):
+                split = random_split(n, l, strategy="parity")
+                assert (split.train_idx, split.calib_idx) == reference(n, l), (n, l)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

@@ -5,19 +5,20 @@ On every generated file both readers must agree: a file one accepts the
 other accepts with byte-equal ids, grid points, weights and values (so a
 ``-0.0`` read as ``0.0`` shows), and a file one rejects the other rejects
 with the same exception type. Files with a single fault get the same
-message from both.
+message from both. The band writer's grid check closes the file.
 """
 
 import csv
 import io
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rowwise_csvio as oracle
-from mfconformal import csvio
+from mfconformal import Band, csvio
 from mfconformal.core import ComponentGrid, Grid, ShapeError, uniform_grid
 
 # Spellings Python's int and float accept, several per value, so equal
@@ -273,3 +274,10 @@ def test_functional_covariate_fault_messages_match_rowwise_oracle(workdir, rows)
     new = outcome(csvio.read_functional_covariate, path, grid)
     assert isinstance(new[0], type)
     assert new == outcome(oracle.read_functional_covariate, path, grid)
+
+
+def test_band_csv_refuses_a_band_that_does_not_fit_the_grid(tmp_path):
+    band = Band((np.zeros(3),), (np.ones(3),))
+    with pytest.raises(ShapeError, match=r"band bounds have shapes \[\(1, 3\)\]"):
+        csvio.write_band_csv(tmp_path / "band.csv", uniform_grid(5), band)
+    assert not (tmp_path / "band.csv").exists()

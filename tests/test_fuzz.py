@@ -151,6 +151,7 @@ BUNDLE_REPROS = [
     ([(["regressor", "kind"], 5)], "'kind' must be a JSON string, got 5"),
     ([(["closure"], 5)], "'closure' must be a JSON string, got 5"),
     ([(["mode"], 5)], "'mode' must be a JSON string, got 5"),
+    ([(["tau"], 0.3)], "tau applies to smoothed mode; split mode uses tau = 1, got 0.3"),
 ]
 CALIBRATE_REPROS = [
     ([(["functional_covariates"], [1])], "'functional_covariates'"),

@@ -179,6 +179,19 @@ class TestRunStudy:
         with pytest.raises(ValueError):
             small_config(method="cub", mode="smoothed")
 
+    @pytest.mark.parametrize("seed", [True, 1.5, [1], "1", None])
+    def test_master_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="master_seed must be an integer, got"):
+            small_config(master_seed=seed)
+
+    def test_master_seed_may_be_a_numpy_integer(self):
+        with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+            small_config(master_seed=-1)
+        rep = run_study(small_config(n_reps=3, master_seed=np.int64(3)))
+        ref = run_study(small_config(n_reps=3))
+        assert (rep.hits, rep.size_q1, rep.size_median) == (
+            ref.hits, ref.size_q1, ref.size_median)
+
     def test_infeasible_alpha_counts_infinite(self):
         rep = run_study(small_config(n_reps=3, alpha=0.05))  # < 1/10
         assert rep.n_infinite == 3

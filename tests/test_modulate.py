@@ -242,6 +242,10 @@ class TestInvariants:
         with pytest.raises(ValueError):
             TrimConfig(alpha=0.1, mode="smoothed", tau=1.5)
 
+    def test_trim_config_refuses_a_split_mode_tau(self):
+        with pytest.raises(ValueError, match="tau applies to smoothed mode"):
+            TrimConfig(alpha=0.1, mode="split", tau=0.3)
+
     def test_scaled_set_not_normalized(self, grid2):
         s = s_const(grid2).scale(3.0)
         assert not s.unit_integral

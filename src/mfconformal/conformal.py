@@ -143,13 +143,14 @@ class Band:
     closure: str = "closed"
     infinite: bool = False
 
-    def __post_init__(self):
+    def __post_init__(self, adopt: bool = False):
         _outcome(self.closure)
         if self.infinite:
             if self.lower is not None or self.upper is not None:
                 raise ValueError("an infinite band carries no bounds")
             return
-        low, up = (tuple(_readonly(a, f"{side} bound component {j}", error=ValueError)
+        low, up = (tuple(_readonly(a, f"{side} bound component {j}",
+                                   error=ValueError, adopt=adopt)
                          for j, a in enumerate(getattr(self, side)))
                    for side in ("lower", "upper"))
         if len(low) != len(up):
@@ -161,6 +162,18 @@ class Band:
                 raise ValueError(f"component {j} has lower > upper")
         object.__setattr__(self, "lower", low)
         object.__setattr__(self, "upper", up)
+
+    @classmethod
+    def _adopt(cls, lower, upper, closure: str) -> "Band":
+        """A finite band on bounds the package has just made and hands over:
+        the same checks, but float64 arrays that own their data are marked
+        read-only in place instead of copied."""
+        band = cls.__new__(cls)
+        for name, value in (("lower", lower), ("upper", upper),
+                            ("closure", closure), ("infinite", False)):
+            object.__setattr__(band, name, value)
+        band.__post_init__(adopt=True)
+        return band
 
 
 def score(residual: MFCurve, s: ModulationSet) -> float:
@@ -175,7 +188,10 @@ def _modulated_residuals(dataset, split, model, s) -> list[np.ndarray]:
     """|residual| / s of the calibration observations: one (l, G_j) array per
     component, the common input of every calibration reduction."""
     res = residuals(model, dataset, split.calib_idx)
-    return [np.abs(r) / f for r, f in zip(res, s.fns)]
+    for r, f in zip(res, s.fns):  # the residual arrays are ours to overwrite
+        np.abs(r, out=r)
+        r /= f
+    return res
 
 
 def calibration_scores(
@@ -258,7 +274,7 @@ def _concatenated_band(model, s, radii, x, closure: str = "closed") -> Band:
     yhat = predict(model, x)
     lower = tuple(v - k * f for v, k, f in zip(yhat.values, radii, s.fns))
     upper = tuple(v + k * f for v, k, f in zip(yhat.values, radii, s.fns))
-    return Band(lower=lower, upper=upper, closure=closure)
+    return Band._adopt(lower, upper, closure)
 
 
 def make_band(
@@ -271,10 +287,10 @@ def make_band(
     radii = None if pred.infinite else [pred.radius] * pred.modulation.grid.p
     band = _concatenated_band(pred.model, pred.modulation, radii, x, pred.closure)
     if truncate_at_zero and not band.infinite:
-        band = Band(
-            lower=tuple(np.maximum(a, 0.0) for a in band.lower),
-            upper=tuple(np.maximum(a, 0.0) for a in band.upper),
-            closure=band.closure,
+        band = Band._adopt(
+            tuple(np.maximum(a, 0.0) for a in band.lower),
+            tuple(np.maximum(a, 0.0) for a in band.upper),
+            band.closure,
         )
     return band
 

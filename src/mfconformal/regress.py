@@ -242,4 +242,7 @@ def residuals(model, dataset: Dataset, idx) -> list[np.ndarray]:
     else:
         rows = [model.predict(dataset.covariates(i)).values for i in idx]
         preds = [np.array([r[j] for r in rows]) for j in range(dataset.grid.p)]
-    return [y[idx] - yhat for y, yhat in zip(dataset.responses, preds)]
+    res = [y[idx] for y in dataset.responses]  # fresh copies, written in place
+    for r, yhat in zip(res, preds):
+        r -= yhat
+    return res

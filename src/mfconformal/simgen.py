@@ -135,6 +135,11 @@ def _unit_grid_basis(order: int, n_basis: int, n_points: int) -> np.ndarray:
     return mat
 
 
+_CONTAMINATION_SIZES = (
+    "the contamination pattern is defined for n = 20 or n divisible by 40"
+)
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One fully pinned generation setting.
@@ -164,6 +169,10 @@ class ScenarioSpec:
             raise ValueError("covariate_set must be 1, 2 or 3")
         if self.n < 2:
             raise ValueError("n must be at least 2")
+        if (self.study, self.scenario) == (3, 3) and self.n != 20 and self.n % 40:
+            raise ValueError(
+                f"study 3, scenario 3: {_CONTAMINATION_SIZES}, got n={self.n}"
+            )
         if self.grid_points < 2:
             raise ValueError("grid_points must be at least 2")
         if not 0.0 <= self.error_scale < float("inf"):
@@ -205,6 +214,27 @@ def _design_points(n: int) -> tuple[np.ndarray, np.ndarray]:
     return w, w2
 
 
+@lru_cache(maxsize=2)
+def _systematic_means(coeff_seed: int, n: int, grid_points: int, shared: bool):
+    """The systematic part of the n+1 generated rows, one (n+1, G) array per
+    component: b0 + w b1 and b0 + w^2 b2, or, when ``shared`` (study 2), the
+    one array b0 + w b1 + w^2 b2 for both components.
+
+    Two entries cover the cells that alternate within one study call, so the
+    cache holds at most four arrays of 8 (n+1) G bytes; mc-n2000 (n = 2000,
+    G = 100) holds three 1.6 MB arrays.
+    """
+    b0, b1, b2 = _coefficient_curves(coeff_seed, grid_points)
+    w, w2 = _design_points(n)
+    if shared:
+        means = (b0 + np.outer(w, b1) + np.outer(w2, b2),) * 2
+    else:
+        means = (b0 + np.outer(w, b1), b0 + np.outer(w2, b2))
+    for mean in means:
+        mean.setflags(write=False)
+    return means
+
+
 def draw_trig_coefficients(rng, count: int, scale: float = 1.0):
     """Amplitude vectors (count, 3) with unit variances and 0.7 cross
     correlation, plus uniform phases on [-0.5, 0.5]."""
@@ -219,18 +249,15 @@ def draw_trig_coefficients(rng, count: int, scale: float = 1.0):
 @lru_cache(maxsize=32)
 def _contamination_weights(n: int) -> np.ndarray:
     """Indicator w_ij marking which (observation, component) pairs carry the
-    anomalous bump (about 5% of the multivariate functions)."""
+    anomalous bump (about 5% of the multivariate functions), for an n that
+    :class:`ScenarioSpec` admits."""
     w = np.zeros((n + 1, 2))
     if n == 20:
         w[0, 0] = 1.0
-    elif n % 40 == 0:
+    else:
         for j in (1, 2):
             rows = j + 40 * np.arange(n // 40)
             w[rows - 1, j - 1] = 1.0
-    else:
-        raise ValueError(
-            "the contamination pattern is defined for n = 20 or n divisible by 40"
-        )
     w.setflags(write=False)
     return w
 
@@ -270,7 +297,7 @@ def _assemble(spec: ScenarioSpec, grid: Grid, rng, y: np.ndarray, scalar: dict):
     held-out one."""
     perm = rng.permutation(spec.n + 1)
     keep, out = perm[:-1], perm[-1]
-    dataset = Dataset.from_blocks(
+    dataset = Dataset._adopt(
         grid, (y[keep, 0], y[keep, 1]), {k: v[keep] for k, v in scalar.items()}
     )
     held_out = Covariates(scalar={k: v[out] for k, v in scalar.items()})
@@ -297,15 +324,12 @@ def generate(spec: ScenarioSpec):
         y += _contamination_weights(n)[:, :, None] * bump
         return _assemble(spec, grid, rng, y, {})
 
-    b0, b1, b2 = _coefficient_curves(spec.coeff_seed, points.size)
-    w, w2 = _design_points(n)
-    if spec.study == 2:
-        y += (b0 + np.outer(w, b1) + np.outer(w2, b2))[:, None]
-    else:
-        y[:, 0] += b0 + np.outer(w, b1)
-        y[:, 1] += b0 + np.outer(w2, b2)
+    means = _systematic_means(spec.coeff_seed, n, points.size, spec.study == 2)
+    for j, mean in enumerate(means):
+        y[:, j] += mean
     if spec.study == 1 and spec.scenario == 2:
         np.exp(y, out=y)
+    w, w2 = _design_points(n)
     return _assemble(spec, grid, rng, y, {"w": w, "w2": w2})
 
 

@@ -229,6 +229,10 @@ STUDY_REPROS = [
     ([(["configs", 0, "n"], "12")], "config key 'n' must be a JSON number, got \"12\""),
     ([(["configs", 0, "coeff_seed"], -1)],
      "study config entry: coeff_seed must be an integer seed, got -1"),
+    ([(["configs", 0, "study"], 3), (["configs", 0, "scenario"], 3),
+      (["configs", 0, "n"], 30)],
+     "study config entry: study 3, scenario 3: the contamination pattern is "
+     "defined for n = 20 or n divisible by 40, got n=30"),
 ]
 
 

@@ -4,13 +4,24 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
-from mfconformal import Covariates, MFCurve, ScenarioSpec, eval_bspline, fit, generate
+from mfconformal import (
+    Covariates,
+    Dataset,
+    MFCurve,
+    ScenarioSpec,
+    eval_bspline,
+    fit,
+    generate,
+    uniform_grid,
+)
 from mfconformal.regress import residuals
 from mfconformal.simgen import (
     _coefficient_curves,
     _contamination_weights,
     _design_points,
     _errors,
+    _systematic_means,
+    _unit_grid_basis,
     basis_matrix,
     draw_trig_coefficients,
     regressor_for,
@@ -246,6 +257,71 @@ class TestAllScenarioCombinations:
         with pytest.raises(ValueError, match="contamination"):
             generate(ScenarioSpec(study=3, scenario=3, n=30, seed=1))
 
+    @pytest.mark.parametrize("n", [2, 30, 60, 100, 2001])
+    def test_spec_refuses_a_size_the_contamination_pattern_lacks(self, n):
+        with pytest.raises(ValueError, match=(
+            r"^study 3, scenario 3: the contamination pattern is defined for "
+            rf"n = 20 or n divisible by 40, got n={n}$"
+        )):
+            ScenarioSpec(study=3, scenario=3, n=n)
+        for study, scenario in ((1, 1), (2, 3), (3, 2)):
+            assert ScenarioSpec(study=study, scenario=scenario, n=n).n == n
+
+    @pytest.mark.parametrize("n", [20, 40, 80, 2000])
+    def test_spec_takes_a_contamination_size(self, n):
+        assert ScenarioSpec(study=3, scenario=3, n=n).n == n
+
+
+def reference_generate(spec):
+    """The generator's arithmetic rebuilt for one replication: each
+    component's systematic part from ``b0 + np.outer(...)``, then a copying
+    ``Dataset.from_blocks``."""
+    n, grid = spec.n, uniform_grid(spec.grid_points, p=2)
+    points = grid.components[0].points
+    rng = np.random.default_rng(spec.seed)
+    y = _errors(spec, rng, points)
+    scalar = {}
+    if (spec.study, spec.scenario) == (3, 3):
+        bump = 0.5 * _unit_grid_basis(4, 13, points.size)[:, 6]
+        y += _contamination_weights(n)[:, :, None] * bump
+    else:
+        b0, b1, b2 = _coefficient_curves(spec.coeff_seed, points.size)
+        w = np.arange(1, n + 2) / (n + 1)
+        scalar = {"w": w, "w2": w * w}
+        if spec.study == 2:
+            y += (b0 + np.outer(w, b1) + np.outer(w * w, b2))[:, None]
+        else:
+            y[:, 0] += b0 + np.outer(w, b1)
+            y[:, 1] += b0 + np.outer(w * w, b2)
+        if (spec.study, spec.scenario) == (1, 2):
+            np.exp(y, out=y)
+    perm = rng.permutation(n + 1)
+    keep, out = perm[:-1], perm[-1]
+    dataset = Dataset.from_blocks(
+        grid, (y[keep, 0], y[keep, 1]), {k: v[keep] for k, v in scalar.items()}
+    )
+    return dataset, {k: v[out] for k, v in scalar.items()}, (y[out, 0], y[out, 1])
+
+
+ALL_CELLS = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_generate_is_bit_identical_to_per_replication_arithmetic(n):
+    # Cells interleave within each seed, so the per-cell caches are filled,
+    # hit and evicted along the way.
+    for seed in range(6):
+        for study, scenario in ALL_CELLS:
+            spec = ScenarioSpec(study=study, scenario=scenario, n=n, seed=(seed, 4),
+                                coeff_seed=seed % 3)
+            ds, (x_new, y_new) = generate(spec)
+            want, x_want, y_want = reference_generate(spec)
+            assert all(map(np.array_equal, ds.responses, want.responses))
+            assert ds.scalar.keys() == want.scalar.keys()
+            assert all(np.array_equal(ds.scalar[k], want.scalar[k]) for k in ds.scalar)
+            assert x_new.scalar == x_want
+            assert all(map(np.array_equal, y_new.values, y_want))
+
 
 class TestPerCellConstants:
     def test_replications_share_the_grid_and_nobody_writes_the_constants(self):
@@ -259,6 +335,24 @@ class TestPerCellConstants:
         for arr in constants + blocks:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
+
+    @pytest.mark.parametrize("study,scenario", [(1, 1), (1, 2), (2, 2), (3, 1)])
+    def test_systematic_means_are_read_only_and_shared_by_replications(
+        self, study, scenario
+    ):
+        spec = ScenarioSpec(study=study, scenario=scenario, n=20, coeff_seed=7,
+                            grid_points=50)
+        key = (7, 20, 50, study == 2)
+        generate(replace(spec, seed=(0, 0, 0)))
+        means = _systematic_means(*key)
+        generate(replace(spec, seed=(0, 1, 0)))
+        again = _systematic_means(*key)
+        assert len(means) == 2 and all(a is b for a, b in zip(means, again))
+        assert (means[0] is means[1]) == (study == 2)
+        for mean in means:
+            assert mean.shape == (21, 50)
+            with pytest.raises(ValueError, match="read-only"):
+                mean[0, 0] = 0.0
 
     def test_coeff_seed_is_a_plain_seed(self):
         spec = ScenarioSpec(study=2, scenario=1, n=20, seed=3, grid_points=5)

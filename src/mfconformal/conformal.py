@@ -143,14 +143,13 @@ class Band:
     closure: str = "closed"
     infinite: bool = False
 
-    def __post_init__(self, adopt: bool = False):
+    def __post_init__(self):
         _outcome(self.closure)
         if self.infinite:
             if self.lower is not None or self.upper is not None:
                 raise ValueError("an infinite band carries no bounds")
             return
-        low, up = (tuple(_readonly(a, f"{side} bound component {j}",
-                                   error=ValueError, adopt=adopt)
+        low, up = (tuple(_readonly(a, f"{side} bound component {j}", error=ValueError)
                          for j, a in enumerate(getattr(self, side)))
                    for side in ("lower", "upper"))
         if len(low) != len(up):
@@ -162,18 +161,6 @@ class Band:
                 raise ValueError(f"component {j} has lower > upper")
         object.__setattr__(self, "lower", low)
         object.__setattr__(self, "upper", up)
-
-    @classmethod
-    def _adopt(cls, lower, upper, closure: str) -> "Band":
-        """A finite band on bounds the package has just made and hands over:
-        the same checks, but float64 arrays that own their data are marked
-        read-only in place instead of copied."""
-        band = cls.__new__(cls)
-        for name, value in (("lower", lower), ("upper", upper),
-                            ("closure", closure), ("infinite", False)):
-            object.__setattr__(band, name, value)
-        band.__post_init__(adopt=True)
-        return band
 
 
 def score(residual: MFCurve, s: ModulationSet) -> float:
@@ -274,7 +261,7 @@ def _concatenated_band(model, s, radii, x, closure: str = "closed") -> Band:
     yhat = predict(model, x)
     lower = tuple(v - k * f for v, k, f in zip(yhat.values, radii, s.fns))
     upper = tuple(v + k * f for v, k, f in zip(yhat.values, radii, s.fns))
-    return Band._adopt(lower, upper, closure)
+    return Band(lower=lower, upper=upper, closure=closure)
 
 
 def make_band(
@@ -287,10 +274,10 @@ def make_band(
     radii = None if pred.infinite else [pred.radius] * pred.modulation.grid.p
     band = _concatenated_band(pred.model, pred.modulation, radii, x, pred.closure)
     if truncate_at_zero and not band.infinite:
-        band = Band._adopt(
-            tuple(np.maximum(a, 0.0) for a in band.lower),
-            tuple(np.maximum(a, 0.0) for a in band.upper),
-            band.closure,
+        band = Band(
+            lower=tuple(np.maximum(a, 0.0) for a in band.lower),
+            upper=tuple(np.maximum(a, 0.0) for a in band.upper),
+            closure=band.closure,
         )
     return band
 

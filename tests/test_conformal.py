@@ -231,28 +231,6 @@ class TestBands:
         band = Band(lower=None, upper=None, infinite=True)
         assert contains(band, random_curve(rng, grid2))
 
-    @pytest.mark.parametrize("truncate", [False, True])
-    def test_make_band_keeps_its_fresh_bounds_read_only(self, instance, truncate):
-        ds, split, model, s = instance
-        pred = calibrate(ds, split, model, s, 0.25)
-        band = make_band(pred, ds.covariates(0), truncate_at_zero=truncate)
-        for bound in band.lower + band.upper:
-            assert bound.base is None
-            with pytest.raises(ValueError, match="read-only"):
-                bound[0] = 0.0
-
-    def test_adopted_bounds_are_kept_and_refuse_writes(self, grid2):
-        lower = tuple(np.zeros(c.size) for c in grid2.components)
-        upper = tuple(np.ones(c.size) for c in grid2.components)
-        band = Band._adopt(lower, upper, "open")
-        assert (band.closure, band.infinite) == ("open", False)
-        for held, given in zip(band.lower + band.upper, lower + upper):
-            assert np.shares_memory(held, given)
-            with pytest.raises(ValueError, match="read-only"):
-                held[0] = 0.5
-        with pytest.raises(ValueError, match="component 0 has lower > upper"):
-            Band._adopt(upper, lower, "closed")
-
 
 class TestOutcomeChecks:
     def test_band_refuses_an_unknown_closure(self, grid2):

@@ -323,6 +323,25 @@ def test_generate_is_bit_identical_to_per_replication_arithmetic(n):
             assert all(map(np.array_equal, y_new.values, y_want))
 
 
+@pytest.mark.parametrize("study,scenario", ALL_CELLS)
+def test_generate_hands_over_blocks_it_owns(monkeypatch, study, scenario):
+    # The fancy-indexed rows must own their data, or Dataset._adopt falls
+    # back to copying them and the saving is gone without a failing output.
+    handed, adopt = [], Dataset._adopt
+
+    def spy(grid, responses, scalar):
+        handed.extend((*responses, *scalar.values()))
+        return adopt(grid, responses, scalar)
+
+    monkeypatch.setattr(Dataset, "_adopt", spy)
+    ds, _ = generate(ScenarioSpec(study=study, scenario=scenario, n=20, seed=1))
+    assert len(handed) == 2 + len(ds.scalar)
+    for given in handed:
+        assert given.dtype == np.float64 and given.base is None
+    for held, given in zip((*ds.responses, *ds.scalar.values()), handed):
+        assert held is given
+
+
 class TestPerCellConstants:
     def test_replications_share_the_grid_and_nobody_writes_the_constants(self):
         spec = ScenarioSpec(study=1, scenario=1, n=20, coeff_seed=7, grid_points=50)

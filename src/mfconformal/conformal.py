@@ -174,10 +174,16 @@ def score(residual: MFCurve, s: ModulationSet) -> float:
 def _modulated_residuals(dataset, split, model, s) -> list[np.ndarray]:
     """|residual| / s of the calibration observations: one (l, G_j) array per
     component, the common input of every calibration reduction."""
-    res = residuals(model, dataset, split.calib_idx)
-    for r, f in zip(res, s.fns):  # the residual arrays are ours to overwrite
+    return _modulated(residuals(model, dataset, split.calib_idx), s.fns)
+
+
+def _modulated(res, fns) -> list[np.ndarray]:
+    """|res| / s in place: residual blocks (..., l, G_j), which are the
+    caller's to overwrite, and modulation functions (..., G_j), where the
+    leading axes stack replications."""
+    for r, f in zip(res, fns):
         np.abs(r, out=r)
-        r /= f
+        r /= f[..., None, :]
     return res
 
 
@@ -215,16 +221,25 @@ def calibrate_smoothed(scores: Scores, alpha: float, tau: float) -> Calibration:
         return Calibration(radius=math.nan, closure="closed", infinite=True)
     if crossed:
         raise EmptyBandError(f"{crossed}; the smoothed band is empty")
-    srt = scores.sorted_values
-    w = float(srt[rank - 1])
-    right_ties = int(np.count_nonzero(srt[rank:] == w))
-    left_ties = int(np.count_nonzero(srt[: rank - 1] == w))
+    radius, closed = _selected(scores.sorted_values, rank, alpha, tau)
+    return Calibration(radius=float(radius), closure="closed" if closed else "open")
+
+
+def _selected(srt: np.ndarray, rank, alpha: float, tau):
+    """The rank-th smallest of the ascending scores ``srt`` (l,) and whether
+    the band is closed there: tau above a threshold built from the tie counts
+    around it. An (R, l) stack takes one rank in 1..l and one tau per row."""
+    l = srt.shape[-1]
+    at = np.expand_dims(rank, -1)
+    w = np.take_along_axis(srt, at - 1, -1)
+    pos, ties = np.arange(1, l + 1), srt == w
+    right_ties = (ties & (pos > at)).sum(-1)
+    left_ties = (ties & (pos < at)).sum(-1)
     # floor((l+1)alpha - tau) is l - rank by the rank rule.
     threshold = ((l + 1) * alpha - (l - rank) + right_ties) / (
         right_ties + left_ties + 2
     )
-    closure = "closed" if tau > threshold else "open"
-    return Calibration(radius=w, closure=closure)
+    return w[..., 0], tau > threshold
 
 
 def calibrate(
@@ -292,13 +307,17 @@ def contains(band: Band, y: MFCurve) -> bool:
     for v, lo, hi in zip(y.values, band.lower, band.upper):
         if v.shape != lo.shape:
             raise ShapeError("curve and band shapes differ")
-        if band.closure == "closed":
-            ok = ((lo <= v) & (v <= hi)).all()
-        else:
-            ok = ((lo < v) & (v < hi)).all()
-        if not ok:
+        if not _inside(lo, v, hi, band.closure == "closed"):
             return False
     return True
+
+
+def _inside(lo, v, hi, closed):
+    """Whether ``v`` lies between ``lo`` and ``hi`` at every point of the last
+    axis, strictly unless ``closed``; leading axes stack replications, with
+    one ``closed`` flag each."""
+    closed = np.expand_dims(closed, -1)
+    return np.where(closed, (lo <= v) & (v <= hi), (lo < v) & (v < hi)).all(-1)
 
 
 def p_value(calib_scores: Scores, new_score: float) -> float:
@@ -316,10 +335,11 @@ def p_value_smoothed(calib_scores: Scores, new_score: float, tau: float) -> floa
     return (strict + tau * ties) / (calib_scores.l + 1)
 
 
-def _band_area(radii, s: ModulationSet) -> float:
+def _band_area(radii, fns, grid):
     """Quadrature area between the bounds of a band with one radius per
-    component, 2 * sum_j radii[j] * integral of s_j."""
-    return 2.0 * sum(float(k) * a for k, a in zip(radii, _integrals(s.fns, s.grid)))
+    component, 2 * sum_j radii[j] * integral of s_j. A leading replication
+    axis stacks radii (R,) and modulation functions (R, G_j)."""
+    return 2.0 * sum(k * a for k, a in zip(radii, _integrals(fns, grid)))
 
 
 def band_size(pred: BandPredictor) -> float:
@@ -331,8 +351,8 @@ def band_size(pred: BandPredictor) -> float:
     if pred.infinite:
         raise InfiniteBandError("an infinite band has no finite size")
     q = 2.0 * pred.radius
-    by_quadrature = _band_area([pred.radius] * pred.modulation.grid.p,
-                               pred.modulation)
+    s = pred.modulation
+    by_quadrature = _band_area([pred.radius] * s.grid.p, s.fns, s.grid)
     if abs(by_quadrature - q) > 1e-10 * max(1.0, abs(q)):
         raise MFConformalError(
             f"band size self-check failed: 2*radius={q!r} but quadrature "
@@ -353,10 +373,16 @@ def _split_radii(dataset, split, model, s, alpha, pointwise=False,
         if strict:
             raise ValueError(crossed)
         return None
-    return [
-        np.sort(a if pointwise else a.max(axis=1), axis=0)[rank - 1]
-        for a in _modulated_residuals(dataset, split, model, s)
-    ]
+    return _rank_radii(_modulated_residuals(dataset, split, model, s), rank, pointwise)
+
+
+def _rank_radii(blocks, rank: int, pointwise: bool = False) -> list:
+    """The rank-th smallest over the calibration rows of each modulated
+    residual block (..., l, G_j): of the row maxima or, if ``pointwise``, at
+    every grid point."""
+    if pointwise:
+        return [np.sort(a, axis=-2)[..., rank - 1, :] for a in blocks]
+    return [np.sort(a.max(axis=-1), axis=-1)[..., rank - 1] for a in blocks]
 
 
 def cub_radii(

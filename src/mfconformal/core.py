@@ -448,8 +448,9 @@ class Split:
 
 def _row_sups(blocks: Sequence[np.ndarray]) -> np.ndarray:
     """The sup-metric reduction: for nonnegative (count, G_j) blocks, one per
-    component, the max of each row over all components and grid points."""
-    return np.max([b.max(axis=1) for b in blocks], axis=0)
+    component, the max of each row over all components and grid points.
+    Blocks may carry leading replication axes, (R, count, G_j)."""
+    return np.max([b.max(axis=-1) for b in blocks], axis=0)
 
 
 def sup_abs(curve: MFCurve) -> float:
@@ -457,9 +458,14 @@ def sup_abs(curve: MFCurve) -> float:
     return float(_row_sups([np.abs(v)[None] for v in curve.values])[0])
 
 
-def _integrals(fns: Sequence[np.ndarray], grid: Grid) -> list[float]:
-    """Quadrature integral of each sampled component function."""
-    return [float(np.dot(c.weights, f)) for c, f in zip(grid.components, fns)]
+def _integrals(fns: Sequence[np.ndarray], grid: Grid) -> list:
+    """Quadrature integral of each sampled component function: one float per
+    component or, for an (R, G_j) stack of R functions, one (R,) array whose
+    entries are each their own ``np.dot``, so equal to the integral of that
+    function alone."""
+    return [float(np.dot(c.weights, f)) if np.ndim(f) == 1
+            else np.array([np.dot(c.weights, r) for r in f])
+            for c, f in zip(grid.components, fns)]
 
 
 def total_integral(fns: Sequence[np.ndarray], grid: Grid) -> float:
@@ -488,9 +494,8 @@ def random_split(n: int, l: int, seed=None, strategy: str = "uniform") -> Split:
     if not (1 <= l <= n - 1):
         raise ValueError(f"need 1 <= l <= n-1, got l={l}, n={n}")
     if strategy == "uniform":
-        perm = np.random.default_rng(seed).permutation(n)
-        calib = np.sort(perm[:l]).tolist()
-        train = np.sort(perm[l:]).tolist()
+        train, calib = (part.tolist() for part in _uniform_parts(
+            np.random.default_rng(seed).permutation(n), l))
     elif strategy == "parity":
         # Day d is index d - 1, so even days are the odd indices. The side
         # with the surplus gives up the days nearest the center day first.
@@ -503,6 +508,13 @@ def random_split(n: int, l: int, seed=None, strategy: str = "uniform") -> Split:
     else:
         raise ValueError(f"unknown split strategy {strategy!r}")
     return Split(tuple(train), tuple(calib))
+
+
+def _uniform_parts(perm: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uniform split of a permutation of 0..n-1: training indices (all but
+    the first l entries) and calibration indices (the first l), each sorted.
+    Permutations may be stacked along leading axes, (R, n)."""
+    return np.sort(perm[..., l:], axis=-1), np.sort(perm[..., :l], axis=-1)
 
 
 # Order-statistic rank arithmetic. Split calibration is smoothed calibration
@@ -592,9 +604,9 @@ def _seed(value, name: str, error: type = ValueError):
     would draw fresh entropy, is refused too."""
     entries = value if isinstance(value, (list, tuple)) else (value,)
     try:
-        if not entries or any(isinstance(v, bool) for v in entries):
+        if not entries:
             raise TypeError
-        out = tuple(map(operator.index, entries))
+        out = tuple(_integer(v, name, TypeError) for v in entries)
         if min(out) < 0:
             raise TypeError
     except TypeError:
@@ -602,3 +614,15 @@ def _seed(value, name: str, error: type = ValueError):
                     f"{json.dumps(value, default=repr)} (an integer >= 0 or a "
                     f"non-empty list of them)") from None
     return out if entries is value else out[0]
+
+
+def _integer(value, name: str, error: type = ValueError) -> int:
+    """``value`` as a Python int by ``operator.index``; else ``error`` naming
+    ``name``. A boolean, which ``operator.index`` takes as 0 or 1, is
+    refused, and so is a float even when it is whole, such as ``9.0``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")

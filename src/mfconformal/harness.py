@@ -3,8 +3,42 @@
 Each replication generates a fresh sample plus one held-out pair, splits,
 fits, calibrates and records whether the held-out curve falls inside the
 band together with the band size. Per-replication randomness is derived from
-``(master_seed, replication_index)`` so reports are bit-identical regardless
-of how many workers execute the replications.
+``(master_seed, replication_index, stream)`` with one stream each for the
+sample, the split and the smoothed tie-breaker.
+
+Small-n cells run their replications in stacks. :func:`_replication` runs
+one replication through the public objects (``Dataset``, ``Split``,
+``FittedRegressor``, ``ModulationSet``, ``BandPredictor``, ``Band``); at
+n = 20 their fixed Python cost is most of a replication. :func:`_stacked`
+runs R replications of a cell as stacked arrays instead: each still draws
+from its own generators in the same order, and the stages work on arrays
+with a leading replication axis through the same private helpers as the
+per-replication path. ``np.linalg.lstsq`` and the quadrature ``np.dot`` stay
+one call per replication and component. Every check of the per-replication
+path runs over the whole stack; a stack with any fault is run again one
+replication at a time, so failure messages and ``skip_failures`` counts are
+those of :func:`_replication`.
+
+R is :data:`STACK_BYTES` divided by the size of one replication's response
+block, (n+1) * sum_j G_j * 8 bytes; a cell where that is 1 runs every
+replication through :func:`_replication`, which also stays the reference
+the stacked path is tested against. At G = 100 on two components the 1 MiB
+budget stacks 31 replications at n = 20, 15 at n = 40 and 3 at n = 200.
+On one core of a shared 2-vCPU x86-64 VM (``OPENBLAS_CORETYPE=Haswell``)
+a replication of the three benchmark cells took 0.28, 0.44 and 1.46 ms
+stacked against 0.98, 1.03 and 1.57 ms through :func:`_replication`. The
+budget sits where it does for two reasons. It is below one n = 2000 block
+(3.2 MB), so the large cells, where array work dominates and stacking
+gains little, keep the per-replication path. And it bounds the extra
+memory: a stack's temporaries are a few copies of its response block, and
+the mc-n20 benchmark's peak RSS is about 1.7 MiB above the
+per-replication path's.
+
+Determinism contract: a record depends only on the cell and its
+replication index, not on the stack size, the worker count or how the
+replications are chunked between workers, so reports are bit-identical for
+any worker count. The stacked stages are those whose results equal their
+per-replication form bit for bit.
 """
 
 from __future__ import annotations
@@ -13,11 +47,22 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import conformal, modulate, regress, simgen
-from .core import MFConformalError, _guaranteed_coverage, _level, random_split
+from .core import (
+    MFConformalError,
+    _feasible_rank,
+    _guaranteed_coverage,
+    _integer,
+    _integrals,
+    _level,
+    _row_sups,
+    _uniform_parts,
+    random_split,
+)
 
 __all__ = [
     "StudyConfig",
@@ -33,6 +78,9 @@ __all__ = [
 METHODS = ("mpb", "cub")
 
 WORKERS_ENV_VAR = "MFCONFORMAL_WORKERS"
+
+# Byte budget of the response curves of one stack of replications.
+STACK_BYTES = 1 << 20
 
 
 class ReplicationError(MFConformalError, RuntimeError):
@@ -67,6 +115,8 @@ class StudyConfig:
     skip_failures: bool = False
 
     def __post_init__(self):
+        for name in ("l", "n_reps", "workers"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not 1 <= self.l <= self.scenario.n - 1:
             raise ValueError("need 1 <= l <= n-1")
         if self.n_reps < 1:
@@ -78,11 +128,10 @@ class StudyConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "cub" and self.mode != "split":
             raise ValueError("the concatenated method is defined in split mode")
-        seed = self.master_seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise ValueError(f"master_seed must be an integer, got {seed!r}")
+        seed = _integer(self.master_seed, "master_seed")
         if seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {seed}")
+        object.__setattr__(self, "master_seed", seed)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
@@ -149,10 +198,7 @@ def _replication(cfg: StudyConfig, rep: int):
     spec = replace(cfg.scenario, seed=(base, rep, 0))
     dataset, (x_new, y_new) = simgen.generate(spec)
     split = random_split(spec.n, cfg.l, seed=(base, rep, 1))
-
-    tau = None
-    if cfg.mode == "smoothed":
-        tau = float(np.random.default_rng((base, rep, 2)).uniform())
+    tau = _tau(cfg, rep)
 
     model = regress.fit(dataset, split.train_idx, simgen.regressor_for(spec))
     train_res = regress.residuals(model, dataset, split.train_idx)
@@ -164,7 +210,8 @@ def _replication(cfg: StudyConfig, rep: int):
         if radii is None:
             return True, None, True
         band = conformal._concatenated_band(model, s, radii, x_new)
-        return conformal.contains(band, y_new), conformal._band_area(radii, s), False
+        area = conformal._band_area(radii, s.fns, s.grid)
+        return conformal.contains(band, y_new), float(area), False
 
     pred = conformal.calibrate(
         dataset, split, model, s, cfg.alpha, mode=cfg.mode, tau=tau
@@ -175,16 +222,143 @@ def _replication(cfg: StudyConfig, rep: int):
     return conformal.contains(band, y_new), conformal.band_size(pred), False
 
 
+def _tau(cfg: StudyConfig, rep: int) -> float | None:
+    """The replication's tie-breaker in smoothed mode, None in split mode."""
+    if cfg.mode != "smoothed":
+        return None
+    return float(np.random.default_rng((cfg.master_seed, rep, 2)).uniform())
+
+
+def _stack_size(cfg: StudyConfig) -> int:
+    """Replications per stack: :data:`STACK_BYTES` over the bytes of one
+    replication's (n+1, 2, G) response block, at least 1."""
+    spec = cfg.scenario
+    return max(1, STACK_BYTES // ((spec.n + 1) * 2 * spec.grid_points * 8))
+
+
+class _StackFault(Exception):
+    """A check failed for some replication of a stack."""
+
+
+def _require(ok) -> None:
+    if not np.all(ok):
+        raise _StackFault
+
+
+def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
+    """The records of :func:`_replication` for ``reps``, computed as stacked
+    arrays with a leading replication axis. Raises on the first fault of any
+    replication in the stack."""
+    spec, alpha, l = cfg.scenario, cfg.alpha, cfg.l
+    n, m, size = spec.n, spec.n - cfg.l, len(reps)
+    grid = simgen._grid(spec.grid_points)
+    rngs = [np.random.default_rng((cfg.master_seed, rep, 0)) for rep in reps]
+    y = simgen._responses(spec, rngs)  # (R, n+1, 2, G), generated rows
+    _require(np.isfinite(y))
+    perm = np.array([rng.permutation(n + 1) for rng in rngs])
+    train, calib = _uniform_parts(np.array([
+        np.random.default_rng((cfg.master_seed, rep, 1)).permutation(n)
+        for rep in reps]), l)
+    # Dataset row i is generated row perm[:, i]; the held-out one is the last.
+    train, calib = (np.take_along_axis(perm, part, 1) for part in (train, calib))
+    out, stack = perm[:, -1], np.arange(size)[:, None]
+    taus = [_tau(cfg, rep) for rep in reps]
+
+    regressor = simgen.regressor_for(spec)
+    columns = SimpleNamespace(scalar=simgen._covariates(spec), functional={})
+    designs = [regress._design(columns, regressor, names, j, np.arange(n + 1))
+               for j, names in enumerate(regressor.component_terms(grid.p))]
+    _require([m >= d.shape[1] for d in designs])
+    coefs, res = [], []
+    for j, d in enumerate(designs):
+        x, resp = d[train], y[stack, train, j]  # (R, m, q), (R, m, G)
+        coef = np.stack([regress._solve(x[r], resp[r], j) for r in range(size)])
+        _require(np.isfinite(coef))
+        coefs.append(coef)  # (R, q, G): the transposed coefficient blocks
+        res.append(resp - np.matmul(x, coef))
+
+    if cfg.modulation == "s0":
+        fns = [np.broadcast_to(f, (size, f.size)) for f in modulate.s_const(grid).fns]
+    elif cfg.modulation == "sigma":
+        _require(m >= 2)
+        fns = modulate._unit(
+            modulate.zero_adjust([np.std(r, axis=1, ddof=1) for r in res]), grid)
+    else:
+        ranks = np.array([modulate.TrimConfig(alpha, cfg.mode, tau).rank(m)
+                          for tau in taus])
+        env = modulate._kept_max(res, np.maximum(ranks, 1))
+        constant = (ranks < 1)[:, None]  # below rank 1, s_bar is s_const
+        fns = [np.where(constant, c, f) for c, f in zip(
+            modulate.s_const(grid).fns,
+            modulate._unit(modulate.zero_adjust(list(env)), grid))]
+    _require([np.isfinite(f) & (f > 0) for f in fns])
+    total = sum(_integrals(fns, grid))
+    _require(np.abs(total - 1.0) <= modulate.NORMALIZATION_TOL)
+
+    infinite = np.zeros(size, bool)
+    if cfg.method == "cub":
+        rank, crossed = _feasible_rank(l, alpha)
+        if crossed:
+            return [ReplicationRecord(rep, True, None, True) for rep in reps]
+    scaled = conformal._modulated(
+        [y[stack, calib, j] - np.matmul(d[calib], coef)
+         for j, (d, coef) in enumerate(zip(designs, coefs))], fns)
+    if cfg.method == "cub":
+        radii, closed = conformal._rank_radii(scaled, rank), True
+        sizes = conformal._band_area(radii, fns, grid)
+    else:
+        scores = _row_sups(scaled)
+        _require(np.isfinite(scores) & (scores >= 0))
+        tau = np.array([_level(alpha, cfg.mode, t) for t in taus])
+        ranks = np.array([_feasible_rank(l, alpha, t)[0] for t in tau])
+        _require(ranks >= 1)  # else the smoothed band is empty
+        infinite = ranks > l
+        radius, closed = conformal._selected(
+            np.sort(scores, axis=-1), np.minimum(ranks, l), alpha, tau)
+        _require(closed | infinite | (cfg.mode != "split"))
+        radius = np.where(infinite, 0.0, radius)
+        radii, sizes = [radius] * grid.p, 2.0 * radius
+        area = conformal._band_area(radii, fns, grid)
+        _require(infinite | (np.abs(area - sizes)
+                             <= 1e-10 * np.maximum(1.0, np.abs(sizes))))
+
+    hits = np.ones(size, bool)
+    for j, (d, coef) in enumerate(zip(designs, coefs)):
+        fit = np.matmul(d[out][:, None, :], coef)[:, 0]  # (R, G)
+        lower = fit - radii[j][:, None] * fns[j]
+        upper = fit + radii[j][:, None] * fns[j]
+        _require((np.isfinite(lower) & np.isfinite(upper) & (lower <= upper))
+                 | infinite[:, None])
+        hits &= conformal._inside(lower, y[stack[:, 0], out, j], upper, closed)
+    return [ReplicationRecord(rep, True, None, True) if inf
+            else ReplicationRecord(rep, bool(hit), float(q), False)
+            for rep, inf, hit, q in zip(reps, infinite, hits, sizes)]
+
+
 def _replication_batch(cfg: StudyConfig, reps: list[int]):
-    out = []
-    for rep in reps:
-        try:
-            out.append(ReplicationRecord(rep, *_replication(cfg, rep)))
-        except Exception as exc:
-            if cfg.skip_failures:
-                out.append(ReplicationRecord(rep, None, None, False))
-            else:
-                raise ReplicationError(f"replication {rep} failed: {exc}") from exc
+    """The records of ``reps``, in stacks of :func:`_stack_size`
+    replications, or one at a time when that is 1 or a stack has a fault."""
+    size, out = _stack_size(cfg), []
+    for i in range(0, len(reps), size):
+        stack = reps[i : i + size]
+        if size > 1:
+            # A failed check or a floating-point fault of any replication
+            # sends the stack through _replication, one replication at a time,
+            # which gives the exact message or failure count.
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    out += _stacked(cfg, stack)
+                continue
+            except (_StackFault, ArithmeticError, ValueError):
+                pass
+        for rep in stack:
+            try:
+                out.append(ReplicationRecord(rep, *_replication(cfg, rep)))
+            except Exception as exc:
+                if cfg.skip_failures:
+                    out.append(ReplicationRecord(rep, None, None, False))
+                else:
+                    raise ReplicationError(f"replication {rep} failed: {exc}") from exc
     return out
 
 

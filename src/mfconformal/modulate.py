@@ -125,9 +125,15 @@ class ModulationSet:
         )
 
 
+def _unit(fns: Sequence[np.ndarray], grid: Grid) -> tuple[np.ndarray, ...]:
+    """The functions divided by their total quadrature integral; for (R, G_j)
+    stacks, each of the R sets by its own total."""
+    tot = np.asarray(sum(_integrals(fns, grid)))[..., None]
+    return tuple(f / tot for f in fns)
+
+
 def _normalize(fns: list[np.ndarray], grid: Grid, label: str) -> ModulationSet:
-    tot = sum(_integrals(fns, grid))
-    return ModulationSet(grid=grid, fns=tuple(f / tot for f in fns), label=label)
+    return ModulationSet(grid=grid, fns=_unit(fns, grid), label=label)
 
 
 def zero_adjust(fns: list[np.ndarray]) -> list[np.ndarray]:
@@ -136,14 +142,15 @@ def zero_adjust(fns: list[np.ndarray]) -> list[np.ndarray]:
     The value is ``ZERO_ADJUST_REL`` times the global maximum over all
     components, keeping the adjustment scale-free. Functions that are already
     strictly positive are returned unchanged. Raises
-    :class:`PathologicalDataError` when everything is zero.
+    :class:`PathologicalDataError` when everything is zero. For (R, G_j)
+    stacks of R sets of functions, each set is adjusted by its own maximum.
     """
-    gmax = max(float(f.max()) for f in fns)
-    if gmax <= 0.0:
+    gmax = np.max([f.max(axis=-1) for f in fns], axis=0)
+    if (gmax <= 0.0).any():
         raise PathologicalDataError(
             "residual envelope vanishes identically; cannot modulate"
         )
-    eps = ZERO_ADJUST_REL * gmax
+    eps = (ZERO_ADJUST_REL * gmax)[..., None]
     return [np.where(f == 0.0, eps, f) for f in fns]
 
 
@@ -181,13 +188,17 @@ def trimmed_envelope(
     return None if rank < 1 else _kept_max(residuals, rank)
 
 
-def _kept_max(residuals: Sequence[np.ndarray], rank: int) -> tuple[np.ndarray, ...]:
+def _kept_max(residuals: Sequence[np.ndarray], rank) -> tuple[np.ndarray, ...]:
     """Pointwise max of the absolute residual curves whose sup-score is at
-    most the rank-th smallest (every curve for a rank above the count)."""
+    most the rank-th smallest (every curve for a rank above the count).
+    Residual blocks may be (R, count, G_j) stacks, with one rank >= 1 per
+    replication."""
     abs_res = [np.abs(r) for r in residuals]
     sups = _row_sups(abs_res)
-    keep = sups <= np.sort(sups)[min(rank, sups.size) - 1]
-    return tuple(a[keep].max(axis=0) for a in abs_res)
+    at = np.expand_dims(np.minimum(rank, sups.shape[-1]) - 1, -1)
+    keep = sups <= np.take_along_axis(np.sort(sups, axis=-1), at, -1)
+    # The kept maximum of nonnegative values, with the others counted as 0.
+    return tuple(np.where(keep[..., None], a, 0.0).max(axis=-2) for a in abs_res)
 
 
 def s_bar(

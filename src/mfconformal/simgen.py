@@ -29,7 +29,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Covariates, Dataset, Grid, MFCurve, _readonly, _seed, uniform_grid
+from .core import (
+    Covariates,
+    Dataset,
+    Grid,
+    MFCurve,
+    _integer,
+    _readonly,
+    _seed,
+    uniform_grid,
+)
 from .regress import RegressorSpec
 
 __all__ = [
@@ -160,6 +169,8 @@ class ScenarioSpec:
     error_scale: float = 1.0
 
     def __post_init__(self):
+        for name in ("study", "scenario", "n", "covariate_set", "grid_points"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.study not in (1, 2, 3):
             raise ValueError("study must be 1, 2 or 3")
         top = 2 if self.study == 1 else 3
@@ -247,33 +258,38 @@ def draw_trig_coefficients(rng, count: int, scale: float = 1.0):
 
 
 @lru_cache(maxsize=32)
-def _contamination_weights(n: int) -> np.ndarray:
-    """Indicator w_ij marking which (observation, component) pairs carry the
-    anomalous bump (about 5% of the multivariate functions), for an n that
-    :class:`ScenarioSpec` admits."""
-    w = np.zeros((n + 1, 2))
+def _contamination_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and component indices of the (observation, component) pairs that
+    carry the anomalous bump (about 5% of the multivariate functions), for an
+    n that :class:`ScenarioSpec` admits."""
     if n == 20:
-        w[0, 0] = 1.0
+        rows, comps = np.array([0]), np.array([0])
     else:
-        for j in (1, 2):
-            rows = j + 40 * np.arange(n // 40)
-            w[rows - 1, j - 1] = 1.0
-    w.setflags(write=False)
-    return w
+        blocks = 40 * np.arange(n // 40)
+        rows = np.concatenate([blocks, blocks + 1])
+        comps = np.repeat([0, 1], n // 40)
+    rows.setflags(write=False)
+    comps.setflags(write=False)
+    return rows, comps
 
 
-def _errors(spec: ScenarioSpec, rng, points: np.ndarray) -> np.ndarray:
-    """The (n+1, 2, G) error curves, drawn in the study's order.
+def _errors(spec: ScenarioSpec, rngs, points: np.ndarray) -> np.ndarray:
+    """The (R, n+1, 2, G) error curves of R replications, each drawn from its
+    own generator of ``rngs`` in the study's order.
 
     Studies 1 and 2 use 6-basis spline errors; study 2 splices component 2
     onto component 1 for t <= 0.5 (scenario 2, the boundary point belongs to
     the first branch) or duplicates it (scenario 3). Study 3 uses
     trigonometric errors with correlated amplitudes (scenario 1) or 13-basis
     spline errors with one low-variance coefficient (scenarios 2 and 3).
+    The draws of all generators are stacked before the curves are computed,
+    which gives each replication the same curves as it would get alone.
     """
     count = 2 * (spec.n + 1)
     if spec.study == 3 and spec.scenario == 1:
-        amps, phases = draw_trig_coefficients(rng, count, spec.error_scale)
+        draws = [draw_trig_coefficients(rng, count, spec.error_scale) for rng in rngs]
+        amps = np.concatenate([a for a, _ in draws])
+        phases = np.concatenate([ph for _, ph in draws])
         arg = 10.0 * np.pi * (points[None, :] + phases[:, None])
         eps = amps[:, [0]] + amps[:, [1]] * np.cos(arg) + amps[:, [2]] * np.sin(arg)
     else:
@@ -282,14 +298,45 @@ def _errors(spec: ScenarioSpec, rng, points: np.ndarray) -> np.ndarray:
             sd = np.full(13, np.sqrt(0.001))
             sd[6] = np.sqrt(9e-6)
             n_basis, scale = 13, sd * spec.error_scale
-        coefs = rng.standard_normal((count, n_basis)) * scale
+        coefs = np.concatenate(
+            [rng.standard_normal((count, n_basis)) * scale for rng in rngs])
         eps = coefs @ _unit_grid_basis(4, n_basis, points.size).T
-    eps = eps.reshape(spec.n + 1, 2, points.size)
+    eps = eps.reshape(len(rngs), spec.n + 1, 2, points.size)
     if spec.study == 2 and spec.scenario == 2:
-        eps[:, 1] = np.where(points <= 0.5, eps[:, 0], eps[:, 1])
+        eps[:, :, 1] = np.where(points <= 0.5, eps[:, :, 0], eps[:, :, 1])
     elif spec.study == 2 and spec.scenario == 3:
-        eps[:, 1] = eps[:, 0]
+        eps[:, :, 1] = eps[:, :, 0]
     return eps
+
+
+def _covariates(spec: ScenarioSpec) -> dict:
+    """The scalar covariates of the n+1 generated rows: w and w^2, or none in
+    study 3, scenario 3."""
+    if spec.study == 3 and spec.scenario == 3:
+        return {}
+    w, w2 = _design_points(spec.n)
+    return {"w": w, "w2": w2}
+
+
+def _responses(spec: ScenarioSpec, rngs) -> np.ndarray:
+    """The (R, n+1, 2, G) responses of R replications, in generated row
+    order: the errors of :func:`_errors` plus the systematic part, the
+    linear part b0 + w b1 (component 1) and b0 + w^2 b2 (component 2),
+    exponentiated in study 1, scenario 2; the full quadratic part shared by
+    both components in study 2; and in study 3, scenario 3, a deterministic
+    bump on ~5% of the curves with no observable covariates."""
+    points = _grid(spec.grid_points).components[0].points
+    y = _errors(spec, rngs, points)
+    if spec.study == 3 and spec.scenario == 3:
+        rows, comps = _contamination_cells(spec.n)
+        y[:, rows, comps] += 0.5 * _unit_grid_basis(4, 13, points.size)[:, 6]
+        return y
+    means = _systematic_means(spec.coeff_seed, spec.n, points.size, spec.study == 2)
+    for j, mean in enumerate(means):
+        y[:, :, j] += mean
+    if spec.study == 1 and spec.scenario == 2:
+        np.exp(y, out=y)
+    return y
 
 
 def _assemble(spec: ScenarioSpec, grid: Grid, rng, y: np.ndarray, scalar: dict):
@@ -305,32 +352,11 @@ def _assemble(spec: ScenarioSpec, grid: Grid, rng, y: np.ndarray, scalar: dict):
 
 
 def generate(spec: ScenarioSpec):
-    """One sample of the spec's study cell: (dataset, held-out pair).
-
-    Responses are the errors of :func:`_errors` plus one systematic part:
-    the linear part b0 + w b1 (component 1) and b0 + w^2 b2 (component 2),
-    exponentiated in study 1, scenario 2; the full quadratic part shared by
-    both components in study 2; and in study 3, scenario 3, a deterministic
-    bump on ~5% of the curves with no observable covariates.
-    """
-    n = spec.n
-    grid = _grid(spec.grid_points)
-    points = grid.components[0].points
+    """One sample of the spec's study cell: (dataset, held-out pair), the
+    rows of :func:`_responses` with their covariates in a random order."""
     rng = np.random.default_rng(spec.seed)
-    y = _errors(spec, rng, points)
-
-    if spec.study == 3 and spec.scenario == 3:
-        bump = 0.5 * _unit_grid_basis(4, 13, points.size)[:, 6]
-        y += _contamination_weights(n)[:, :, None] * bump
-        return _assemble(spec, grid, rng, y, {})
-
-    means = _systematic_means(spec.coeff_seed, n, points.size, spec.study == 2)
-    for j, mean in enumerate(means):
-        y[:, j] += mean
-    if spec.study == 1 and spec.scenario == 2:
-        np.exp(y, out=y)
-    w, w2 = _design_points(n)
-    return _assemble(spec, grid, rng, y, {"w": w, "w2": w2})
+    y = _responses(spec, [rng])[0]
+    return _assemble(spec, _grid(spec.grid_points), rng, y, _covariates(spec))
 
 
 def regressor_for(spec: ScenarioSpec) -> RegressorSpec:

@@ -1,3 +1,6 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,8 @@ from mfconformal import (
     Covariates,
     Dataset,
     MFCurve,
+    harness,
+    simgen,
     uniform_grid,
 )
 
@@ -40,3 +45,40 @@ def make_dataset(rng, grid, n, slope=1.5):
         )
         pairs.append((Covariates(scalar={"w": w}), MFCurve(values)))
     return Dataset(grid=grid, pairs=tuple(pairs))
+
+
+@contextlib.contextmanager
+def failing_replications(failing, path: str):
+    """Make the study replications whose indices are in ``failing`` fail on
+    the given path of ``harness._replication_batch``.
+
+    ``"stacked"``: their error curves turn NaN in ``simgen._errors``, which
+    the stacked path and ``harness._replication`` both call, so a stack
+    holding one of them is run again one replication at a time and fails
+    there at the dataset's finiteness check. ``"per-replication"``: a stack
+    budget of 0 sends every replication through ``harness._replication``,
+    which raises for them.
+    """
+    if path == "stacked":
+        real = simgen._errors
+
+        def errors(spec, rngs, points):
+            eps = real(spec, rngs, points)
+            for k, rng in enumerate(rngs):  # seeded (master_seed, rep, 0)
+                if rng.bit_generator.seed_seq.entropy[1] in failing:
+                    eps[k] = np.nan
+            return eps
+
+        with mock.patch.object(simgen, "_errors", errors):
+            yield
+        return
+    real = harness._replication
+
+    def replication(cfg, rep):
+        if rep in failing:
+            raise RuntimeError("boom")
+        return real(cfg, rep)
+
+    with mock.patch.object(harness, "STACK_BYTES", 0), \
+            mock.patch.object(harness, "_replication", replication):
+        yield

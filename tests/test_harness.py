@@ -1,8 +1,10 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import failing_replications
 from mfconformal import ScenarioSpec, StudyConfig, coverage_ci, run_study, size_quartiles
 from mfconformal.harness import ReplicationError, _replication
 
@@ -130,32 +132,16 @@ class TestRunStudy:
             assert not infinite
             assert size in rep.sizes
 
-    def test_failures_abort_with_index(self, monkeypatch):
-        import mfconformal.harness as hm
+    @pytest.mark.parametrize("path", ["stacked", "per-replication"])
+    def test_failures_abort_with_index(self, path):
+        with failing_replications({3}, path):
+            with pytest.raises(ReplicationError, match="replication 3"):
+                run_study(small_config(n_reps=5))
 
-        real = hm._replication
-
-        def flaky(cfg, rep):
-            if rep == 3:
-                raise RuntimeError("boom")
-            return real(cfg, rep)
-
-        monkeypatch.setattr(hm, "_replication", flaky)
-        with pytest.raises(ReplicationError, match="replication 3"):
-            run_study(small_config(n_reps=5))
-
-    def test_skip_failures_counts_them(self, monkeypatch):
-        import mfconformal.harness as hm
-
-        real = hm._replication
-
-        def flaky(cfg, rep):
-            if rep in (1, 4):
-                raise RuntimeError("boom")
-            return real(cfg, rep)
-
-        monkeypatch.setattr(hm, "_replication", flaky)
-        rep = run_study(small_config(n_reps=6, skip_failures=True))
+    @pytest.mark.parametrize("path", ["stacked", "per-replication"])
+    def test_skip_failures_counts_them(self, path):
+        with failing_replications({1, 4}, path):
+            rep = run_study(small_config(n_reps=6, skip_failures=True))
         assert rep.n_failed == 2
         assert rep.n_reps == 4
 
@@ -191,6 +177,19 @@ class TestRunStudy:
         ref = run_study(small_config(n_reps=3))
         assert (rep.hits, rep.size_q1, rep.size_median) == (
             ref.hits, ref.size_q1, ref.size_median)
+
+    @pytest.mark.parametrize("field,value", [
+        ("l", 9.0), ("l", True), ("n_reps", 2.5), ("n_reps", True),
+        ("workers", 2.5), ("workers", "2"), ("study", 1.0), ("scenario", True),
+        ("n", 20.0), ("covariate_set", True), ("grid_points", 100.0),
+    ])
+    def test_integer_fields_refuse_booleans_and_fractions(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "
+                                             f"{re.escape(repr(value))}$"):
+            if field in ("l", "n_reps", "workers"):
+                small_config(**{field: value})
+            else:
+                replace(small_config().scenario, **{field: value})
 
     def test_infeasible_alpha_counts_infinite(self):
         rep = run_study(small_config(n_reps=3, alpha=0.05))  # < 1/10

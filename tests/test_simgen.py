@@ -17,7 +17,7 @@ from mfconformal import (
 from mfconformal.regress import residuals
 from mfconformal.simgen import (
     _coefficient_curves,
-    _contamination_weights,
+    _contamination_cells,
     _design_points,
     _errors,
     _systematic_means,
@@ -109,7 +109,7 @@ class TestStudy1:
         # (The 2 * 5000 error curves of one study 1 sample.)
         points = np.linspace(0, 1, 100)
         spec = ScenarioSpec(study=1, scenario=1, n=4999)
-        eps = _errors(spec, np.random.default_rng(11), points).reshape(10_000, 100)
+        eps = _errors(spec, [np.random.default_rng(11)], points).reshape(10_000, 100)
         bmat = basis_matrix(uniform_bspline_basis(4, 6), points)
         pointwise_var = (bmat**2).sum(axis=1)
         se = np.sqrt(pointwise_var / 10_000)
@@ -279,11 +279,18 @@ def reference_generate(spec):
     n, grid = spec.n, uniform_grid(spec.grid_points, p=2)
     points = grid.components[0].points
     rng = np.random.default_rng(spec.seed)
-    y = _errors(spec, rng, points)
+    y = _errors(spec, [rng], points)[0]
     scalar = {}
     if (spec.study, spec.scenario) == (3, 3):
         bump = 0.5 * _unit_grid_basis(4, 13, points.size)[:, 6]
-        y += _contamination_weights(n)[:, :, None] * bump
+        # w_ij = 1 for observation i = j + 40k (i = j = 1 at n = 20), added
+        # as the full product with every row.
+        weights = np.zeros((n + 1, 2))
+        if n == 20:
+            weights[0, 0] = 1.0
+        for j in (1, 2):
+            weights[j + 40 * np.arange(n // 40) - 1, j - 1] = 1.0
+        y += weights[:, :, None] * bump
     else:
         b0, b1, b2 = _coefficient_curves(spec.coeff_seed, points.size)
         w = np.arange(1, n + 2) / (n + 1)
@@ -349,7 +356,7 @@ class TestPerCellConstants:
         second, _ = generate(replace(spec, seed=(0, 1, 0)))
         assert first.grid is second.grid
         w, w2 = _design_points(20)
-        constants = [_coefficient_curves(7, 50), w, w2, _contamination_weights(20)]
+        constants = [_coefficient_curves(7, 50), w, w2, *_contamination_cells(20)]
         blocks = [*first.responses, *first.scalar.values()]
         for arr in constants + blocks:
             with pytest.raises(ValueError, match="read-only"):

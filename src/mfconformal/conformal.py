@@ -230,11 +230,10 @@ def _selected(srt: np.ndarray, rank, alpha: float, tau):
     the band is closed there: tau above a threshold built from the tie counts
     around it. An (R, l) stack takes one rank in 1..l and one tau per row."""
     l = srt.shape[-1]
-    at = np.expand_dims(rank, -1)
-    w = np.take_along_axis(srt, at - 1, -1)
-    pos, ties = np.arange(1, l + 1), srt == w
-    right_ties = (ties & (pos > at)).sum(-1)
-    left_ties = (ties & (pos < at)).sum(-1)
+    w = np.take_along_axis(srt, np.asarray(rank)[..., None] - 1, -1)
+    # Scores equal to w sit next to rank in the sorted order.
+    right_ties = (srt <= w).sum(-1) - rank
+    left_ties = rank - 1 - (srt < w).sum(-1)
     # floor((l+1)alpha - tau) is l - rank by the rank rule.
     threshold = ((l + 1) * alpha - (l - rank) + right_ties) / (
         right_ties + left_ties + 2
@@ -316,7 +315,7 @@ def _inside(lo, v, hi, closed):
     """Whether ``v`` lies between ``lo`` and ``hi`` at every point of the last
     axis, strictly unless ``closed``; leading axes stack replications, with
     one ``closed`` flag each."""
-    closed = np.expand_dims(closed, -1)
+    closed = np.asarray(closed)[..., None]
     return np.where(closed, (lo <= v) & (v <= hi), (lo < v) & (v < hi)).all(-1)
 
 

@@ -31,7 +31,7 @@ budget sits where it does for two reasons. It is below one n = 2000 block
 (3.2 MB), so the large cells, where array work dominates and stacking
 gains little, keep the per-replication path. And it bounds the extra
 memory: a stack's temporaries are a few copies of its response block, and
-the mc-n20 benchmark's peak RSS is about 1.7 MiB above the
+the mc-n20 benchmark's peak RSS is about 3 MiB (7%) above the
 per-replication path's.
 
 Determinism contract: a record depends only on the cell and its

@@ -16,6 +16,7 @@ component, one row per curve, so every family is a reduction over rows.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -145,7 +146,7 @@ def zero_adjust(fns: list[np.ndarray]) -> list[np.ndarray]:
     :class:`PathologicalDataError` when everything is zero. For (R, G_j)
     stacks of R sets of functions, each set is adjusted by its own maximum.
     """
-    gmax = np.max([f.max(axis=-1) for f in fns], axis=0)
+    gmax = functools.reduce(np.maximum, [f.max(axis=-1) for f in fns])
     if (gmax <= 0.0).any():
         raise PathologicalDataError(
             "residual envelope vanishes identically; cannot modulate"
@@ -195,7 +196,7 @@ def _kept_max(residuals: Sequence[np.ndarray], rank) -> tuple[np.ndarray, ...]:
     replication."""
     abs_res = [np.abs(r) for r in residuals]
     sups = _row_sups(abs_res)
-    at = np.expand_dims(np.minimum(rank, sups.shape[-1]) - 1, -1)
+    at = np.minimum(rank, sups.shape[-1])[..., None] - 1
     keep = sups <= np.take_along_axis(np.sort(sups, axis=-1), at, -1)
     # The kept maximum of nonnegative values, with the others counted as 0.
     return tuple(np.where(keep[..., None], a, 0.0).max(axis=-2) for a in abs_res)

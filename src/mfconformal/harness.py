@@ -24,10 +24,11 @@ block, (n+1) * sum_j G_j * 8 bytes; a cell where that is 1 runs every
 replication through :func:`_replication`, which also stays the reference
 the stacked path is tested against. At G = 100 on two components the 1 MiB
 budget stacks 31 replications at n = 20, 15 at n = 40 and 3 at n = 200.
-On one core of a shared 2-vCPU x86-64 VM (``OPENBLAS_CORETYPE=Haswell``)
-a replication of the three benchmark cells took 0.28, 0.44 and 1.46 ms
-stacked against 0.98, 1.03 and 1.57 ms through :func:`_replication`. The
-budget sits where it does for two reasons. It is below one n = 2000 block
+On the three benchmark cells (one core of a shared 2-vCPU x86-64 VM), the
+mc-n20 benchmark runs about 2.5 times the replications per second of the
+per-replication path; in direct timings a stacked replication took about
+half the time at n = 40 and about the same at n = 200. The budget sits
+where it does for two reasons. It is below one n = 2000 block
 (3.2 MB), so the large cells, where array work dominates and stacking
 gains little, keep the per-replication path. And it bounds the extra
 memory: a stack's temporaries are a few copies of its response block, and

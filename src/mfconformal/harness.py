@@ -251,7 +251,7 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
     arrays with a leading replication axis. Raises on the first fault of any
     replication in the stack."""
     spec, alpha, l = cfg.scenario, cfg.alpha, cfg.l
-    n, m, size = spec.n, spec.n - cfg.l, len(reps)
+    n, m, count = spec.n, spec.n - cfg.l, len(reps)
     grid = simgen._grid(spec.grid_points)
     rngs = [np.random.default_rng((cfg.master_seed, rep, 0)) for rep in reps]
     y = simgen._responses(spec, rngs)  # (R, n+1, 2, G), generated rows
@@ -262,7 +262,7 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
         for rep in reps]), l)
     # Dataset row i is generated row perm[:, i]; the held-out one is the last.
     train, calib = (np.take_along_axis(perm, part, 1) for part in (train, calib))
-    out, stack = perm[:, -1], np.arange(size)[:, None]
+    out, stack = perm[:, -1], np.arange(count)[:, None]
     taus = [_tau(cfg, rep) for rep in reps]
 
     regressor = simgen.regressor_for(spec)
@@ -273,13 +273,13 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
     coefs, res = [], []
     for j, d in enumerate(designs):
         x, resp = d[train], y[stack, train, j]  # (R, m, q), (R, m, G)
-        coef = np.stack([regress._solve(x[r], resp[r], j) for r in range(size)])
+        coef = np.stack([regress._solve(x[r], resp[r], j) for r in range(count)])
         _require(np.isfinite(coef))
         coefs.append(coef)  # (R, q, G): the transposed coefficient blocks
         res.append(resp - np.matmul(x, coef))
 
     if cfg.modulation == "s0":
-        fns = [np.broadcast_to(f, (size, f.size)) for f in modulate.s_const(grid).fns]
+        fns = [np.broadcast_to(f, (count, f.size)) for f in modulate.s_const(grid).fns]
     elif cfg.modulation == "sigma":
         _require(m >= 2)
         fns = modulate._unit(
@@ -296,7 +296,7 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
     total = sum(_integrals(fns, grid))
     _require(np.abs(total - 1.0) <= modulate.NORMALIZATION_TOL)
 
-    infinite = np.zeros(size, bool)
+    infinite = np.zeros(count, bool)
     if cfg.method == "cub":
         rank, crossed = _feasible_rank(l, alpha)
         if crossed:
@@ -323,7 +323,7 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
         _require(infinite | (np.abs(area - sizes)
                              <= 1e-10 * np.maximum(1.0, np.abs(sizes))))
 
-    hits = np.ones(size, bool)
+    hits = np.ones(count, bool)
     for j, (d, coef) in enumerate(zip(designs, coefs)):
         fit = np.matmul(d[out][:, None, :], coef)[:, 0]  # (R, G)
         lower = fit - radii[j][:, None] * fns[j]

@@ -6,34 +6,24 @@ band together with the band size. Per-replication randomness is derived from
 ``(master_seed, replication_index, stream)`` with one stream each for the
 sample, the split and the smoothed tie-breaker.
 
-Small-n cells run their replications in stacks. :func:`_replication` runs
-one replication through the public objects (``Dataset``, ``Split``,
-``FittedRegressor``, ``ModulationSet``, ``BandPredictor``, ``Band``); at
-n = 20 their fixed Python cost is most of a replication. :func:`_stacked`
-runs R replications of a cell as stacked arrays instead: each still draws
-from its own generators in the same order, and the stages work on arrays
-with a leading replication axis through the same private helpers as the
-per-replication path. ``np.linalg.lstsq`` and the quadrature ``np.dot`` stay
-one call per replication and component. Every check of the per-replication
-path runs over the whole stack; a stack with any fault is run again one
-replication at a time, so failure messages and ``skip_failures`` counts are
-those of :func:`_replication`.
+Every cell runs its replications in stacks through :func:`_stacked`,
+which computes R replications of a cell as arrays with a leading
+replication axis. Each replication still draws from its own generators in
+the same order, and the stages call the private helpers behind the public
+objects (``Dataset``, ``Split``, ``FittedRegressor``, ``ModulationSet``,
+``BandPredictor``, ``Band``) without building those objects.
+``np.linalg.lstsq`` and the quadrature ``np.dot`` stay one call per
+replication and component. R is :data:`STACK_BYTES` over the size of one
+replication's response block, (n+1) * sum_j G_j * 8 bytes, and at least 1:
+at G = 100 on two components that is 31 at n = 20, 3 at n = 200 and 1 at
+n = 2000. The budget bounds a stack's temporaries, a few copies of its
+response block.
 
-R is :data:`STACK_BYTES` divided by the size of one replication's response
-block, (n+1) * sum_j G_j * 8 bytes; a cell where that is 1 runs every
-replication through :func:`_replication`, which also stays the reference
-the stacked path is tested against. At G = 100 on two components the 1 MiB
-budget stacks 31 replications at n = 20, 15 at n = 40 and 3 at n = 200.
-On the three benchmark cells (one core of a shared 2-vCPU x86-64 VM), the
-mc-n20 benchmark runs about 2.5 times the replications per second of the
-per-replication path; in direct timings a stacked replication took about
-half the time at n = 40 and about the same at n = 200. The budget sits
-where it does for two reasons. It is below one n = 2000 block
-(3.2 MB), so the large cells, where array work dominates and stacking
-gains little, keep the per-replication path. And it bounds the extra
-memory: a stack's temporaries are a few copies of its response block, and
-the mc-n20 benchmark's peak RSS is about 3 MiB (7%) above the
-per-replication path's.
+Every check of the public objects runs over the whole stack. A stack with
+any fault is run again one replication at a time through
+:func:`_replication`, which goes through the public objects, so failure
+messages and ``skip_failures`` counts are theirs. :func:`_replication` is
+also the reference the stacked path is tested against.
 
 Determinism contract: a record depends only on the cell and its
 replication index, not on the stack size, the worker count or how the
@@ -46,7 +36,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -190,7 +179,9 @@ def size_quartiles(sizes) -> tuple[float, float, float]:
 
 
 def _replication(cfg: StudyConfig, rep: int):
-    """Run one replication; returns (hit, size, infinite_flag).
+    """Run one replication through the public objects; returns (hit, size,
+    infinite_flag). It reruns a faulted stack and is the stacked path's
+    reference.
 
     The three independent random streams (generation, split, tau) are keyed
     on (master_seed, rep, stream).
@@ -338,20 +329,19 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
 
 def _replication_batch(cfg: StudyConfig, reps: list[int]):
     """The records of ``reps``, in stacks of :func:`_stack_size`
-    replications, or one at a time when that is 1 or a stack has a fault."""
+    replications; a stack with a fault is run one replication at a time."""
     size, out = _stack_size(cfg), []
     for i in range(0, len(reps), size):
         stack = reps[i : i + size]
-        if size > 1:
-            # A failed check or a floating-point fault of any replication
-            # sends the stack through _replication, one replication at a time,
-            # which gives the exact message or failure count.
-            try:
-                with np.errstate(over="raise", divide="raise", invalid="raise"):
-                    out += _stacked(cfg, stack)
-                continue
-            except (_StackFault, ArithmeticError, ValueError):
-                pass
+        # A failed check or a floating-point fault of any replication sends
+        # the stack through _replication, one replication at a time, which
+        # gives the exact message or failure count.
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                out += _stacked(cfg, stack)
+            continue
+        except (_StackFault, ArithmeticError, ValueError):
+            pass
         for rep in stack:
             try:
                 out.append(ReplicationRecord(rep, *_replication(cfg, rep)))
@@ -373,6 +363,8 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     """
     reps = list(range(cfg.n_reps))
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, math.ceil(cfg.n_reps / (cfg.workers * 4)))
         batches = [reps[i : i + chunk] for i in range(0, len(reps), chunk)]
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:

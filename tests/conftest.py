@@ -48,6 +48,20 @@ def make_dataset(rng, grid, n, slope=1.5):
 
 
 @contextlib.contextmanager
+def per_replication():
+    """Send every replication of ``harness._replication_batch`` through
+    ``harness._replication``, the reference of the stacked path: every call
+    of ``harness._stacked`` raises ``harness._StackFault``, as a stack with
+    a fault does."""
+
+    def stacked(cfg, reps):
+        raise harness._StackFault
+
+    with mock.patch.object(harness, "_stacked", stacked):
+        yield
+
+
+@contextlib.contextmanager
 def failing_replications(failing, path: str):
     """Make the study replications whose indices are in ``failing`` fail on
     the given path of ``harness._replication_batch``.
@@ -55,9 +69,9 @@ def failing_replications(failing, path: str):
     ``"stacked"``: their error curves turn NaN in ``simgen._errors``, which
     the stacked path and ``harness._replication`` both call, so a stack
     holding one of them is run again one replication at a time and fails
-    there at the dataset's finiteness check. ``"per-replication"``: a stack
-    budget of 0 sends every replication through ``harness._replication``,
-    which raises for them.
+    there at the dataset's finiteness check. ``"per-replication"``: every
+    replication runs through ``harness._replication`` (see
+    :func:`per_replication`), which raises for them.
     """
     if path == "stacked":
         real = simgen._errors
@@ -79,6 +93,6 @@ def failing_replications(failing, path: str):
             raise RuntimeError("boom")
         return real(cfg, rep)
 
-    with mock.patch.object(harness, "STACK_BYTES", 0), \
+    with per_replication(), \
             mock.patch.object(harness, "_replication", replication):
         yield

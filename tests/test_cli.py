@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -525,6 +528,17 @@ class TestStudyCommand:
         assert outputs[0] == outputs[1]
         methods = [r["config"]["method"] for r in json.loads(outputs[0][0])["reports"]]
         assert methods == ["mpb", "cub"]
+
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        # Only a study with workers > 1 imports the process pool, so every
+        # command run in one process starts without its import.
+        probe = ("import sys, mfconformal.cli; "
+                 "print('concurrent.futures.process' in sys.modules)")
+        env = dict(os.environ,
+                   PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "False\n"
 
     def test_golden_report_frozen_and_reproducible(self, tmp_path):
         write_config(

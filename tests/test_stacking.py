@@ -1,6 +1,6 @@
 """The stacked replication path against the per-replication one.
 
-``harness._replication_batch`` runs the replications of a small-n cell as
+``harness._replication_batch`` runs the replications of every cell as
 stacked arrays. Its records must equal those of ``harness._replication``,
 compared by ``repr``, whatever the stack size, the worker count or where
 failures fall. Whether a stacked stage equals its per-replication form bit
@@ -15,13 +15,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import failing_replications
+from conftest import failing_replications, per_replication
 from mfconformal import ScenarioSpec, StudyConfig, harness, run_study
 from mfconformal.conformal import _selected
 from mfconformal.core import _feasible_rank
 from mfconformal.modulate import _kept_max
 
 CELLS = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]
+VARIANTS = [("sigma", "split", "mpb"), ("sbar", "smoothed", "mpb"),
+            ("s0", "split", "cub")]
 
 
 def outcome(cfg: StudyConfig) -> str:
@@ -68,16 +70,39 @@ def cells(draw):
 def test_stacked_records_equal_per_replication_records(cfg, data):
     spec = cfg.scenario
     per_rep = (spec.n + 1) * 2 * spec.grid_points * 8
-    stack = data.draw(st.integers(2, cfg.n_reps + 1), label="stack size")
+    stack = data.draw(st.integers(1, cfg.n_reps + 1), label="stack size")
     failing = data.draw(st.sets(st.integers(0, cfg.n_reps - 1), max_size=3),
                         label="failing replications")
-    outcomes = []
-    for budget in (stack * per_rep, 0):
-        with failing_replications(failing, "stacked"), \
-                mock.patch.object(harness, "STACK_BYTES", budget):
-            assert harness._stack_size(cfg) == max(1, budget // per_rep)
-            outcomes.append(outcome(cfg))
-    assert outcomes[0] == outcomes[1]
+    with failing_replications(failing, "stacked"):
+        with mock.patch.object(harness, "STACK_BYTES", stack * per_rep):
+            assert harness._stack_size(cfg) == stack
+            got = outcome(cfg)
+        with per_replication():
+            want = outcome(cfg)
+    assert got == want
+
+
+def rerun(cfg, rep):
+    raise AssertionError(f"replication {rep} was run again on its own")
+
+
+@pytest.mark.parametrize("modulation,mode,method", VARIANTS)
+@pytest.mark.parametrize("study,scenario", CELLS)
+@pytest.mark.parametrize("n", [200, 2000])
+def test_large_cells_stack_to_the_per_replication_records(
+        n, study, scenario, modulation, mode, method):
+    spec = ScenarioSpec(study=study, scenario=scenario, n=n, coeff_seed=3)
+    cfg = StudyConfig(scenario=spec, l=n // 2 - 1, n_reps=2,
+                      modulation=modulation, mode=mode, method=method,
+                      master_seed=n + 10 * study + scenario, keep_records=True)
+    with per_replication():
+        want = repr(run_study(cfg))
+    per_rep = (n + 1) * 2 * spec.grid_points * 8
+    for stack in (1, 2):
+        with mock.patch.object(harness, "STACK_BYTES", stack * per_rep), \
+                mock.patch.object(harness, "_replication", rerun):
+            assert harness._stack_size(cfg) == stack
+            assert repr(run_study(cfg)) == want
 
 
 @pytest.mark.parametrize("study,scenario,l,alpha,modulation,mode,method", [
@@ -95,18 +120,15 @@ def test_stacks_without_a_fault_need_no_rerun(study, scenario, l, alpha,
                       modulation=modulation, mode=mode, method=method,
                       master_seed=9, keep_records=True)
 
-    def rerun(cfg, rep):
-        raise AssertionError(f"replication {rep} was run again on its own")
-
     with mock.patch.object(harness, "_replication", rerun):
         got = run_study(cfg)
-    with mock.patch.object(harness, "STACK_BYTES", 0):
+    with per_replication():
         want = run_study(cfg)
     assert repr(got) == repr(want)
     assert got.n_infinite in ((0, 30) if alpha != 0.06 else range(1, 30))
 
 
-def test_a_small_cell_is_stacked_and_a_large_one_is_not():
+def test_small_and_large_cells_are_stacked():
     calls = {"stacked": 0, "replication": 0}
     real_stacked, real_replication = harness._stacked, harness._replication
 
@@ -120,7 +142,7 @@ def test_a_small_cell_is_stacked_and_a_large_one_is_not():
 
     def cell(n):
         spec = ScenarioSpec(study=1, scenario=1, n=n, coeff_seed=7)
-        return StudyConfig(scenario=spec, l=n // 2 - 1, n_reps=20 if n == 20 else 1)
+        return StudyConfig(scenario=spec, l=n // 2 - 1, n_reps=20 if n == 20 else 2)
 
     small, large = cell(20), cell(2000)
     stacks = -(-small.n_reps // harness._stack_size(small))
@@ -130,7 +152,7 @@ def test_a_small_cell_is_stacked_and_a_large_one_is_not():
         run_study(small)
         assert calls == {"stacked": stacks, "replication": 0}
         run_study(large)
-        assert calls == {"stacked": stacks, "replication": 1}
+        assert calls == {"stacked": stacks + large.n_reps, "replication": 0}
 
 
 @pytest.mark.parametrize("mode", ["split", "smoothed"])

@@ -327,8 +327,11 @@ def p_value(calib_scores: Scores, new_score: float) -> float:
 
 def p_value_smoothed(calib_scores: Scores, new_score: float, tau: float) -> float:
     """Smoothed conformal p-value: ties (including the new observation
-    against itself) weighted by ``tau``."""
+    against itself) weighted by ``tau``. A NaN new score, which no ordering
+    places among the calibration scores, raises ValueError."""
     _level(None, "smoothed", tau)
+    if math.isnan(new_score):
+        raise ValueError("the new score is NaN")
     strict = int(np.count_nonzero(calib_scores.values > new_score))
     ties = int(np.count_nonzero(calib_scores.values == new_score)) + 1
     return (strict + tau * ties) / (calib_scores.l + 1)
@@ -339,6 +342,12 @@ def _band_area(radii, fns, grid):
     component, 2 * sum_j radii[j] * integral of s_j. A leading replication
     axis stacks radii (R,) and modulation functions (R, G_j)."""
     return 2.0 * sum(k * a for k, a in zip(radii, _integrals(fns, grid)))
+
+
+def _size_agrees(area, size):
+    """Whether a band's quadrature area equals its size 2 * radius within
+    1e-10 * max(1, |size|); elementwise over stacked replications."""
+    return np.abs(area - size) <= 1e-10 * np.maximum(1.0, np.abs(size))
 
 
 def band_size(pred: BandPredictor) -> float:
@@ -352,7 +361,7 @@ def band_size(pred: BandPredictor) -> float:
     q = 2.0 * pred.radius
     s = pred.modulation
     by_quadrature = _band_area([pred.radius] * s.grid.p, s.fns, s.grid)
-    if abs(by_quadrature - q) > 1e-10 * max(1.0, abs(q)):
+    if not _size_agrees(by_quadrature, q):
         raise MFConformalError(
             f"band size self-check failed: 2*radius={q!r} but quadrature "
             f"gives {by_quadrature!r}; is the modulation set normalized?"

@@ -46,26 +46,18 @@ class ShapeError(MFConformalError, ValueError):
     """Input does not conform to the expected grid layout."""
 
 
-def _readonly(values, name: str, ndim: int = 1, error=ShapeError,
-              adopt: bool = False) -> np.ndarray:
+def _readonly(values, name: str, ndim: int = 1, error=ShapeError) -> np.ndarray:
     """Read-only float copy with ``ndim`` dimensions and finite entries; a
     non-finite entry raises ``error``. Entries must already be numbers: a
-    string such as ``"1"`` is refused, not parsed. The caller's array is left
-    as it is, unless ``adopt`` is set and it is a float64 ndarray that owns
-    its data: that array is marked read-only in place and kept. Only arrays
-    the package has just made and hands over are adopted; a view is still
-    copied, so it cannot pin or expose the array it views."""
-    if (adopt and type(values) is np.ndarray and values.dtype == np.float64
-            and values.base is None):
-        arr = values
-    else:
-        try:
-            arr = np.asarray(values)
-            if arr.dtype.kind not in "biuf":
-                raise TypeError
-            arr = np.array(arr, dtype=float)
-        except (TypeError, ValueError):
-            raise ShapeError(f"{name} is ragged or not numeric") from None
+    string such as ``"1"`` is refused, not parsed. The caller's array is
+    always copied and left as it is, so the copy never pins or exposes it."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind not in "biuf":
+            raise TypeError
+        arr = np.array(arr, dtype=float)
+    except (TypeError, ValueError):
+        raise ShapeError(f"{name} is ragged or not numeric") from None
     if arr.ndim != ndim:
         raise ShapeError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -302,11 +294,8 @@ def _columns(rows, p: int, what: str) -> list[list[np.ndarray]]:
     return [[row[j] for row in rows] for j in range(p)]
 
 
-def _readonly_blocks(blocks, what: str, adopt: bool = False) -> tuple[np.ndarray, ...]:
-    return tuple(
-        _readonly(b, f"{what} component {j}", 2, adopt=adopt)
-        for j, b in enumerate(blocks)
-    )
+def _readonly_blocks(blocks, what: str) -> tuple[np.ndarray, ...]:
+    return tuple(_readonly(b, f"{what} component {j}", 2) for j, b in enumerate(blocks))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -319,7 +308,8 @@ class Dataset:
     ``Dataset(grid, pairs)`` stacks (:class:`Covariates`, :class:`MFCurve`)
     pairs, which must all carry the same covariate names;
     :meth:`from_blocks` takes the arrays directly. Both go through one block
-    check.
+    check, which copies every array it is given, so a Dataset never shares
+    memory with its caller's arrays.
     """
 
     grid: Grid
@@ -357,24 +347,12 @@ class Dataset:
         dataset._hold(grid, responses, scalar or {}, functional or {})
         return dataset
 
-    @classmethod
-    def _adopt(cls, grid: Grid, responses, scalar: dict) -> "Dataset":
-        """:meth:`from_blocks` for blocks the package has just made and hands
-        over: the same block check, but float64 arrays that own their data
-        are marked read-only in place instead of copied."""
-        dataset = cls.__new__(cls)
-        dataset._hold(grid, responses, scalar, {}, adopt=True)
-        return dataset
-
-    def _hold(self, grid: Grid, responses, scalar: dict, functional: dict,
-              adopt: bool = False):
-        """The block check: read-only copies of finite values (adopted arrays
-        with ``adopt``), every block shaped for the grid and one row count
-        n >= 2 for all of them."""
-        responses = _readonly_blocks(responses, "responses", adopt)
+    def _hold(self, grid: Grid, responses, scalar: dict, functional: dict):
+        """The block check: read-only copies of finite values, every block
+        shaped for the grid and one row count n >= 2 for all of them."""
+        responses = _readonly_blocks(responses, "responses")
         n = grid.validate_blocks(responses, "responses")
-        scalar = {k: _readonly(v, f"scalar covariate {k!r}", adopt=adopt)
-                  for k, v in scalar.items()}
+        scalar = {k: _readonly(v, f"scalar covariate {k!r}") for k, v in scalar.items()}
         functional = {k: _readonly_blocks(v, f"functional covariate {k!r}")
                       for k, v in functional.items()}
         counts = [v.size for v in scalar.values()] + [
@@ -412,8 +390,6 @@ def _indices(values) -> tuple[int, ...]:
     not an integer, such as ``1.9`` or ``2.0``, or for a boolean, which
     ``int`` would take silently."""
     idx = tuple(values)
-    if set(map(type, idx)) <= {int}:
-        return idx
     for v in idx:
         if isinstance(v, bool) or not hasattr(v, "__index__"):
             raise ShapeError(f"split index {v!r} is not an integer")

@@ -273,8 +273,7 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
         fns = [np.broadcast_to(f, (count, f.size)) for f in modulate.s_const(grid).fns]
     elif cfg.modulation == "sigma":
         _require(m >= 2)
-        fns = modulate._unit(
-            modulate.zero_adjust([np.std(r, axis=1, ddof=1) for r in res]), grid)
+        fns = modulate._sigma_fns(res, grid)
     else:
         ranks = np.array([modulate.TrimConfig(alpha, cfg.mode, tau).rank(m)
                           for tau in taus])
@@ -311,8 +310,7 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
         radius = np.where(infinite, 0.0, radius)
         radii, sizes = [radius] * grid.p, 2.0 * radius
         area = conformal._band_area(radii, fns, grid)
-        _require(infinite | (np.abs(area - sizes)
-                             <= 1e-10 * np.maximum(1.0, np.abs(sizes))))
+        _require(infinite | conformal._size_agrees(area, sizes))
 
     hits = np.ones(count, bool)
     for j, (d, coef) in enumerate(zip(designs, coefs)):

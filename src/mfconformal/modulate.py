@@ -170,8 +170,14 @@ def s_sigma(train_residuals: Sequence[np.ndarray], grid: Grid) -> ModulationSet:
     """
     if grid.validate_blocks(train_residuals, "residuals") < 2:
         raise ValueError("s_sigma needs at least 2 residual curves")
-    stds = [np.std(r, axis=0, ddof=1) for r in train_residuals]
-    return _normalize(zero_adjust(stds), grid, "sigma")
+    return ModulationSet(grid=grid, fns=_sigma_fns(train_residuals, grid), label="sigma")
+
+
+def _sigma_fns(residuals: Sequence[np.ndarray], grid: Grid) -> tuple[np.ndarray, ...]:
+    """The sigma family's functions of (..., m, G_j) residual blocks: the
+    pointwise std over the m curves with divisor m-1, zero-adjusted and
+    normalized. Leading axes stack replications, each normalized alone."""
+    return _unit(zero_adjust([np.std(r, axis=-2, ddof=1) for r in residuals]), grid)
 
 
 def trimmed_envelope(

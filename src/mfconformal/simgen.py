@@ -339,24 +339,19 @@ def _responses(spec: ScenarioSpec, rngs) -> np.ndarray:
     return y
 
 
-def _assemble(spec: ScenarioSpec, grid: Grid, rng, y: np.ndarray, scalar: dict):
-    """Permute the n+1 generated rows of ``y`` (n+1, 2, G) and split off the
-    held-out one."""
-    perm = rng.permutation(spec.n + 1)
-    keep, out = perm[:-1], perm[-1]
-    dataset = Dataset._adopt(
-        grid, (y[keep, 0], y[keep, 1]), {k: v[keep] for k, v in scalar.items()}
-    )
-    held_out = Covariates(scalar={k: v[out] for k, v in scalar.items()})
-    return dataset, (held_out, MFCurve((y[out, 0], y[out, 1])))
-
-
 def generate(spec: ScenarioSpec):
     """One sample of the spec's study cell: (dataset, held-out pair), the
-    rows of :func:`_responses` with their covariates in a random order."""
+    rows of :func:`_responses` with their covariates in a random order. The
+    last permuted row is held out; :meth:`Dataset.from_blocks` copies the
+    others."""
     rng = np.random.default_rng(spec.seed)
-    y = _responses(spec, [rng])[0]
-    return _assemble(spec, _grid(spec.grid_points), rng, y, _covariates(spec))
+    y, scalar = _responses(spec, [rng])[0], _covariates(spec)
+    perm = rng.permutation(spec.n + 1)
+    keep, out = perm[:-1], perm[-1]
+    dataset = Dataset.from_blocks(_grid(spec.grid_points), (y[keep, 0], y[keep, 1]),
+                                  {k: v[keep] for k, v in scalar.items()})
+    held_out = Covariates(scalar={k: v[out] for k, v in scalar.items()})
+    return dataset, (held_out, MFCurve((y[out, 0], y[out, 1])))
 
 
 def regressor_for(spec: ScenarioSpec) -> RegressorSpec:

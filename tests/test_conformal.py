@@ -309,6 +309,17 @@ class TestPValues:
             pv = p_value(scores, float(new))
             assert 1 / 16 <= pv <= 1.0
 
+    @pytest.mark.parametrize("tau", [None, 0.5])
+    def test_nan_score_is_refused(self, tau):
+        # NaN compares false with every score, which would count it as the
+        # largest possible score and return the smallest p-value, tau/(l+1).
+        scores = Scores(np.array([0.5, 1.0, 2.0]))
+        with pytest.raises(ValueError, match="NaN"):
+            if tau is None:
+                p_value(scores, math.nan)
+            else:
+                p_value_smoothed(scores, math.nan, tau)
+
 
 class TestMembershipDuality:
     def test_split_membership_iff_pvalue(self, instance, rng):

@@ -338,70 +338,6 @@ class TestDatasetFromBlocks:
             Dataset(grid=grid2, pairs=pairs)
 
 
-class TestDatasetAdopt:
-    """The private path for blocks the package has just made: the block check
-    of ``from_blocks`` without its copy."""
-
-    def test_keeps_fresh_blocks_and_marks_them_read_only(self, rng, grid2):
-        responses = tuple(rng.normal(size=(4, 50)) for _ in range(2))
-        w = rng.normal(size=4)
-        ds = Dataset._adopt(grid2, responses, {"w": w})
-        for held, given in zip((*ds.responses, ds.scalar["w"]), (*responses, w)):
-            assert np.shares_memory(held, given)
-            assert not given.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                held[0] = 0.0
-        assert ds.n == 4 and ds.functional == {}
-
-    @pytest.mark.parametrize("source", ["column view", "row view", "float32", "list"])
-    def test_copies_what_it_does_not_own(self, rng, grid2, source):
-        # A view would pin (and expose) the array it views, like a held-out
-        # row of the generated (n+1, 2, G) array.
-        big = rng.normal(size=(5, 2, 100))
-        block = {"column view": big[:4, 0, :50], "row view": big[1:, 1, :50],
-                 "float32": big[:4, 0, :50].astype(np.float32),
-                 "list": big[:4, 0, :50].tolist()}[source]
-        ds = Dataset._adopt(grid2, (block, big[:4, 1, :50].copy()), {})
-        assert np.array_equal(ds.responses[0], np.asarray(block, dtype=float))
-        assert not np.shares_memory(ds.responses[0], big)
-        assert not ds.responses[0].flags.writeable
-        assert big.flags.writeable
-
-    @pytest.mark.parametrize(
-        "fault",
-        ["nan response", "inf scalar", "wrong G_j", "component count",
-         "row mismatch", "scalar rows", "scalar shape", "one row"],
-    )
-    def test_refuses_what_from_blocks_refuses(self, grid2, fault):
-        def blocks():
-            rng = np.random.default_rng(3)
-            r0, r1 = (rng.normal(size=(4, 50)) for _ in range(2))
-            w = rng.normal(size=4)
-            if fault == "nan response":
-                r0[1, 2] = np.nan
-            elif fault == "inf scalar":
-                w[3] = np.inf
-            elif fault == "wrong G_j":
-                r1 = r1[:, :49].copy()
-            elif fault == "row mismatch":
-                r1 = r1[:3].copy()
-            elif fault == "scalar rows":
-                w = w[:3].copy()
-            elif fault == "scalar shape":
-                w = w[:, None].copy()
-            elif fault == "one row":
-                r0, r1, w = r0[:1].copy(), r1[:1].copy(), w[:1].copy()
-            responses = (r0,) if fault == "component count" else (r0, r1)
-            return responses, {"w": w}
-
-        messages = []
-        for make in (Dataset.from_blocks, Dataset._adopt):
-            with pytest.raises(ShapeError) as info:
-                make(grid2, *blocks())
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
-
-
 class TestRandomSplit:
     def test_minimal(self):
         split = random_split(2, 1, seed=0)

@@ -280,12 +280,40 @@ class TestDatasetFromBlocks:
         assert ds.functional == {}
 
     @pytest.mark.parametrize(
-        "fault",
-        ["nan response", "inf scalar", "nan functional", "ragged", "wrong G_j",
-         "component count", "row mismatch", "scalar rows", "functional rows",
-         "scalar shape", "one row"],
-    )
-    def test_rejects_malformed_blocks(self, rng, grid2, fault):
+        "source", ["fresh", "column view", "row view", "float32", "list"])
+    def test_holds_read_only_copies_of_any_source(self, rng, grid2, source):
+        # A view would pin (and expose) the array it views, like a held-out
+        # row of the generated (n+1, 2, G) array.
+        big = rng.normal(size=(5, 2, 100))
+        block = {"fresh": big[:4, 0, :50].copy(), "column view": big[:4, 0, :50],
+                 "row view": big[1:, 1, :50],
+                 "float32": big[:4, 0, :50].astype(np.float32),
+                 "list": big[:4, 0, :50].tolist()}[source]
+        given = (block, big[:4, 1, :50].copy(), rng.normal(size=4))
+        ds = Dataset.from_blocks(grid2, given[:2], {"w": given[2]})
+        assert np.array_equal(ds.responses[0], np.asarray(block, dtype=float))
+        for held in (*ds.responses, ds.scalar["w"]):
+            assert held.dtype == np.float64 and held.base is None
+            assert not held.flags.writeable
+            assert not any(np.shares_memory(held, a) for a in (big, *given[1:]))
+        assert all(a.flags.writeable for a in (big, *given[1:]))
+
+    FAULTS = {
+        "nan response": "responses component 0 contains non-finite entries",
+        "inf scalar": "scalar covariate 'w' contains non-finite entries",
+        "nan functional":
+            "functional covariate 'temp' component 1 contains non-finite entries",
+        "ragged": "responses component 0 is ragged or not numeric",
+        "wrong G_j": r"responses have shapes \[\(4, 50\), \(4, 49\)\]",
+        "component count": r"responses have shapes \[\(4, 50\)\]",
+        "row mismatch": r"responses have shapes \[\(4, 50\), \(3, 50\)\]",
+        "scalar rows": r"the responses have 4 rows, the covariates \[3, 4\]",
+        "functional rows": r"the responses have 4 rows, the covariates \[4, 3\]",
+        "scalar shape": r"scalar covariate 'w' must be 1-dimensional, got shape \(4, 1\)",
+        "one row": r"the responses have 1 rows, the covariates \[\]",
+    }
+
+    def faulty_blocks(self, rng, fault):
         responses, scalar, functional = self.blocks(rng)
         r0, r1 = responses
         temp = functional["temp"]
@@ -313,8 +341,17 @@ class TestDatasetFromBlocks:
             r0, r1, scalar, functional = r0[:1], r1[:1], None, None
         if fault != "component count":
             responses = (r0, r1)
+        return responses, scalar, functional
+
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_rejects_malformed_blocks(self, rng, grid2, fault):
         with pytest.raises(ShapeError):
-            Dataset.from_blocks(grid2, responses, scalar, functional)
+            Dataset.from_blocks(grid2, *self.faulty_blocks(rng, fault))
+
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_error_names_the_faulty_block(self, rng, grid2, fault):
+        with pytest.raises(ShapeError, match=self.FAULTS[fault]):
+            Dataset.from_blocks(grid2, *self.faulty_blocks(rng, fault))
 
     def test_pairs_path_rejects_a_ragged_curve(self, rng, grid2):
         pairs = [(Covariates(), random_curve(rng, grid2)) for _ in range(3)]

@@ -332,6 +332,21 @@ def test_generate_is_bit_identical_to_per_replication_arithmetic(n):
             assert all(map(np.array_equal, y_new.values, y_want))
 
 
+@pytest.mark.parametrize("study,scenario", ALL_CELLS)
+def test_generate_holds_blocks_that_own_their_data(study, scenario):
+    # Each block and the held-out curve is its own read-only copy, so keeping
+    # any of them pins no generated (n+1, 2, G) array.
+    spec = ScenarioSpec(study=study, scenario=scenario, n=20, seed=1)
+    ds, (x, y) = generate(spec)
+    held = (*ds.responses, *ds.scalar.values(), *y.values)
+    assert ds.n == 20 and len(ds.responses) == 2
+    assert ds.scalar.keys() == x.scalar.keys()
+    for i, block in enumerate(held):
+        assert block.dtype == np.float64 and block.base is None
+        assert not block.flags.writeable
+        assert not any(np.shares_memory(block, other) for other in held[:i])
+
+
 class TestPerCellConstants:
     def test_replications_share_the_grid_and_nobody_writes_the_constants(self):
         spec = ScenarioSpec(study=1, scenario=1, n=20, coeff_seed=7, grid_points=50)

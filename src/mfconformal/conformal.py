@@ -27,6 +27,7 @@ from .core import (
     ShapeError,
     Split,
     _feasible_rank,
+    _finite,
     _integrals,
     _level,
     _readonly,
@@ -128,10 +129,15 @@ class BandPredictor:
     def __post_init__(self):
         _level(self.alpha, self.mode, self.tau)
         _outcome(self.closure, self.radius, self.infinite)
-        if self.mode == "split" and self.closure != "closed":
-            raise ValueError("split-mode bands are closed")
+        _split_closed(self.closure == "closed", self.mode)
         if self.model.grid != self.modulation.grid:
             raise ShapeError("model and modulation grids differ")
+
+
+def _split_closed(closed, mode: str) -> None:
+    """A ValueError if split mode meets an open band (a false ``closed``)."""
+    if mode == "split" and not np.all(closed):
+        raise ValueError("split-mode bands are closed")
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,13 +160,18 @@ class Band:
                    for side in ("lower", "upper"))
         if len(low) != len(up):
             raise ShapeError("lower and upper need the same component count")
-        for j, (lo, hi) in enumerate(zip(low, up)):
-            if lo.shape != hi.shape:
-                raise ShapeError(f"component {j} bounds have mismatched shapes")
-            if (lo > hi).any():
-                raise ValueError(f"component {j} has lower > upper")
+        _ordered(low, up)
         object.__setattr__(self, "lower", low)
         object.__setattr__(self, "upper", up)
+
+
+def _ordered(lower, upper) -> None:
+    """A ShapeError or ValueError unless each lower bound fits its upper one."""
+    for j, (lo, hi) in enumerate(zip(lower, upper)):
+        if lo.shape != hi.shape:
+            raise ShapeError(f"component {j} bounds have mismatched shapes")
+        if (lo > hi).any():
+            raise ValueError(f"component {j} has lower > upper")
 
 
 def score(residual: MFCurve, s: ModulationSet) -> float:
@@ -215,22 +226,24 @@ def calibrate_smoothed(scores: Scores, alpha: float, tau: float) -> Calibration:
         If alpha is at or above the upper feasibility bound (l+tau)/(l+1).
     """
     _level(alpha, "smoothed", tau)
-    l = scores.l
-    rank, crossed = _feasible_rank(l, alpha, tau)
-    if rank > l:
+    radius, closed, infinite = _calibrated(scores.sorted_values, alpha, tau)
+    if infinite:
         return Calibration(radius=math.nan, closure="closed", infinite=True)
-    if crossed:
-        raise EmptyBandError(f"{crossed}; the smoothed band is empty")
-    radius, closed = _selected(scores.sorted_values, rank, alpha, tau)
     return Calibration(radius=float(radius), closure="closed" if closed else "open")
 
 
-def _selected(srt: np.ndarray, rank, alpha: float, tau):
-    """The rank-th smallest of the ascending scores ``srt`` (l,) and whether
-    the band is closed there: tau above a threshold built from the tie counts
-    around it. An (R, l) stack takes one rank in 1..l and one tau per row."""
-    l = srt.shape[-1]
-    w = np.take_along_axis(srt, np.asarray(rank)[..., None] - 1, -1)
+def _calibrated(srt: np.ndarray, alpha: float, tau):
+    """Radius, closedness and whole-space flag of the smoothed rule on the
+    ascending scores ``srt`` (l,), or per row of an (R, l) stack with one tau
+    each: the rank-th smallest score, closed for tau above a threshold built
+    from the tie counts around it; a whole space is closed with radius 0."""
+    l, tau = srt.shape[-1], np.asarray(tau)
+    found = [_feasible_rank(l, alpha, t) for t in tau.ravel().tolist()]
+    if crossed := next((c for rank, c in found if rank < 1), None):
+        raise EmptyBandError(f"{crossed}; the smoothed band is empty")
+    rank = np.reshape([rank for rank, _ in found], tau.shape)
+    infinite, rank = rank > l, np.minimum(rank, l)
+    w = np.take_along_axis(srt, rank[..., None] - 1, -1)
     # Scores equal to w sit next to rank in the sorted order.
     right_ties = (srt <= w).sum(-1) - rank
     left_ties = rank - 1 - (srt < w).sum(-1)
@@ -238,7 +251,7 @@ def _selected(srt: np.ndarray, rank, alpha: float, tau):
     threshold = ((l + 1) * alpha - (l - rank) + right_ties) / (
         right_ties + left_ties + 2
     )
-    return w[..., 0], tau > threshold
+    return np.where(infinite, 0.0, w[..., 0]), (tau > threshold) | infinite, infinite
 
 
 def calibrate(
@@ -272,10 +285,19 @@ def _concatenated_band(model, s, radii, x, closure: str = "closed") -> Band:
     ``radii`` is ``None``."""
     if radii is None:
         return Band(lower=None, upper=None, closure=closure, infinite=True)
-    yhat = predict(model, x)
-    lower = tuple(v - k * f for v, k, f in zip(yhat.values, radii, s.fns))
-    upper = tuple(v + k * f for v, k, f in zip(yhat.values, radii, s.fns))
+    lower, upper = _bounds(predict(model, x).values, radii, s.fns)
     return Band(lower=lower, upper=upper, closure=closure)
+
+
+def _bounds(fit, radii, fns):
+    """Bounds fit -+ radius * s per component, checked as :class:`Band`
+    checks them; ``fit`` (R, G_j) and radii (R, 1) stack replications."""
+    lower, upper = zip(*[(v - k * f, v + k * f) for v, k, f in zip(fit, radii, fns)])
+    for side, bounds in (("lower", lower), ("upper", upper)):
+        for j, a in enumerate(bounds):
+            _finite(a, f"{side} bound component {j}", ValueError)
+    _ordered(lower, upper)
+    return lower, upper
 
 
 def make_band(
@@ -344,10 +366,15 @@ def _band_area(radii, fns, grid):
     return 2.0 * sum(k * a for k, a in zip(radii, _integrals(fns, grid)))
 
 
-def _size_agrees(area, size):
-    """Whether a band's quadrature area equals its size 2 * radius within
-    1e-10 * max(1, |size|); elementwise over stacked replications."""
-    return np.abs(area - size) <= 1e-10 * np.maximum(1.0, np.abs(size))
+def _checked_size(area, size):
+    """``size`` = 2 * radius if the quadrature ``area`` agrees within
+    1e-10 * max(1, |size|), elementwise over stacks; else MFConformalError."""
+    if not np.all(np.abs(area - size) <= 1e-10 * np.maximum(1.0, np.abs(size))):
+        raise MFConformalError(
+            f"band size self-check failed: 2*radius={size!r} but quadrature "
+            f"gives {area!r}; is the modulation set normalized?"
+        )
+    return size
 
 
 def band_size(pred: BandPredictor) -> float:
@@ -358,15 +385,9 @@ def band_size(pred: BandPredictor) -> float:
     """
     if pred.infinite:
         raise InfiniteBandError("an infinite band has no finite size")
-    q = 2.0 * pred.radius
     s = pred.modulation
-    by_quadrature = _band_area([pred.radius] * s.grid.p, s.fns, s.grid)
-    if not _size_agrees(by_quadrature, q):
-        raise MFConformalError(
-            f"band size self-check failed: 2*radius={q!r} but quadrature "
-            f"gives {by_quadrature!r}; is the modulation set normalized?"
-        )
-    return q
+    area = _band_area([pred.radius] * s.grid.p, s.fns, s.grid)
+    return _checked_size(area, 2.0 * pred.radius)
 
 
 def _split_radii(dataset, split, model, s, alpha, pointwise=False,

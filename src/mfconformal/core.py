@@ -60,10 +60,15 @@ def _readonly(values, name: str, ndim: int = 1, error=ShapeError) -> np.ndarray:
         raise ShapeError(f"{name} is ragged or not numeric") from None
     if arr.ndim != ndim:
         raise ShapeError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise error(f"{name} contains non-finite entries")
+    _finite(arr, name, error)
     arr.setflags(write=False)
     return arr
+
+
+def _finite(arr: np.ndarray, name: str, error=ShapeError) -> None:
+    """Raise ``error`` naming ``name`` unless every entry of ``arr`` is finite."""
+    if not np.isfinite(arr).all():
+        raise error(f"{name} contains non-finite entries")
 
 
 _JSON_KINDS = {bool: "boolean", int: "number", float: "number", str: "string",
@@ -564,7 +569,10 @@ def smoothed_order_stat_index(count: int, alpha: float, tau: float) -> int:
 
 def theoretical_coverage(l: int, alpha: float) -> float:
     """Exact unconditional coverage 1 - floor((l+1)*alpha)/(l+1) of the
-    non-smoothed calibrated band."""
+    non-smoothed calibrated band, for l >= 1 and alpha in (0, 1)."""
+    if not l >= 1:
+        raise ValueError(f"need l >= 1, got {l}")
+    _level(alpha)
     return 1.0 - _snap_floor((l + 1) * alpha) / (l + 1)
 
 

@@ -19,11 +19,12 @@ at G = 100 on two components that is 31 at n = 20, 3 at n = 200 and 1 at
 n = 2000. The budget bounds a stack's temporaries, a few copies of its
 response block.
 
-Every check of the public objects runs over the whole stack. A stack with
-any fault is run again one replication at a time through
-:func:`_replication`, which goes through the public objects, so failure
-messages and ``skip_failures`` counts are theirs. :func:`_replication` is
-also the reference the stacked path is tested against.
+Each stage checks the whole stack with the rule its module applies on the
+public path: finite values, design rank, modulation, calibration, split
+closure, band size and bounds. A stack that a rule or a floating-point fault
+refuses is run again one replication at a time through :func:`_replication`,
+which goes through the public objects, so failure messages and
+``skip_failures`` counts are theirs; it is also the stacked path's reference.
 
 Determinism contract: a record depends only on the cell and its
 replication index, not on the stack size, the worker count or how the
@@ -45,9 +46,9 @@ from . import conformal, modulate, regress, simgen
 from .core import (
     MFConformalError,
     _feasible_rank,
+    _finite,
     _guaranteed_coverage,
     _integer,
-    _integrals,
     _level,
     _row_sups,
     _uniform_parts,
@@ -228,25 +229,16 @@ def _stack_size(cfg: StudyConfig) -> int:
     return max(1, STACK_BYTES // ((spec.n + 1) * 2 * spec.grid_points * 8))
 
 
-class _StackFault(Exception):
-    """A check failed for some replication of a stack."""
-
-
-def _require(ok) -> None:
-    if not np.all(ok):
-        raise _StackFault
-
-
 def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
     """The records of :func:`_replication` for ``reps``, computed as stacked
     arrays with a leading replication axis. Raises on the first fault of any
     replication in the stack."""
     spec, alpha, l = cfg.scenario, cfg.alpha, cfg.l
-    n, m, count = spec.n, spec.n - cfg.l, len(reps)
+    n, count = spec.n, len(reps)
     grid = simgen._grid(spec.grid_points)
     rngs = [np.random.default_rng((cfg.master_seed, rep, 0)) for rep in reps]
     y = simgen._responses(spec, rngs)  # (R, n+1, 2, G), generated rows
-    _require(np.isfinite(y))
+    _finite(y, "responses")
     perm = np.array([rng.permutation(n + 1) for rng in rngs])
     train, calib = _uniform_parts(np.array([
         np.random.default_rng((cfg.master_seed, rep, 1)).permutation(n)
@@ -260,66 +252,47 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
     columns = SimpleNamespace(scalar=simgen._covariates(spec), functional={})
     designs = [regress._design(columns, regressor, names, j, np.arange(n + 1))
                for j, names in enumerate(regressor.component_terms(grid.p))]
-    _require([m >= d.shape[1] for d in designs])
-    coefs, res = [], []
+    res, calib_res, fit = [], [], []  # training, calibration, held-out row
     for j, d in enumerate(designs):
         x, resp = d[train], y[stack, train, j]  # (R, m, q), (R, m, G)
+        # (R, q, G): the transposed coefficient blocks
         coef = np.stack([regress._solve(x[r], resp[r], j) for r in range(count)])
-        _require(np.isfinite(coef))
-        coefs.append(coef)  # (R, q, G): the transposed coefficient blocks
+        _finite(coef, "coefficient")
         res.append(resp - np.matmul(x, coef))
+        calib_res.append(y[stack, calib, j] - np.matmul(d[calib], coef))
+        fit.append(np.matmul(d[out][:, None, :], coef)[:, 0])  # (R, G)
 
     if cfg.modulation == "s0":
-        fns = [np.broadcast_to(f, (count, f.size)) for f in modulate.s_const(grid).fns]
+        fns = modulate.s_const(grid).fns
     elif cfg.modulation == "sigma":
-        _require(m >= 2)
-        fns = modulate._sigma_fns(res, grid)
+        fns = modulate._checked(modulate._sigma_fns(res, grid), grid)
     else:
-        ranks = np.array([modulate.TrimConfig(alpha, cfg.mode, tau).rank(m)
-                          for tau in taus])
-        env = modulate._kept_max(res, np.maximum(ranks, 1))
-        constant = (ranks < 1)[:, None]  # below rank 1, s_bar is s_const
-        fns = [np.where(constant, c, f) for c, f in zip(
-            modulate.s_const(grid).fns,
-            modulate._unit(modulate.zero_adjust(list(env)), grid))]
-    _require([np.isfinite(f) & (f > 0) for f in fns])
-    total = sum(_integrals(fns, grid))
-    _require(np.abs(total - 1.0) <= modulate.NORMALIZATION_TOL)
+        ranks = [modulate.TrimConfig(alpha, cfg.mode, tau).rank(n - l) for tau in taus]
+        fns = modulate._checked(modulate._sbar_fns(res, ranks, grid), grid)
 
     infinite = np.zeros(count, bool)
     if cfg.method == "cub":
         rank, crossed = _feasible_rank(l, alpha)
         if crossed:
             return [ReplicationRecord(rep, True, None, True) for rep in reps]
-    scaled = conformal._modulated(
-        [y[stack, calib, j] - np.matmul(d[calib], coef)
-         for j, (d, coef) in enumerate(zip(designs, coefs))], fns)
+    scaled = conformal._modulated(calib_res, fns)
     if cfg.method == "cub":
         radii, closed = conformal._rank_radii(scaled, rank), True
         sizes = conformal._band_area(radii, fns, grid)
     else:
         scores = _row_sups(scaled)
-        _require(np.isfinite(scores) & (scores >= 0))
+        _finite(scores, "scores", ValueError)
         tau = np.array([_level(alpha, cfg.mode, t) for t in taus])
-        ranks = np.array([_feasible_rank(l, alpha, t)[0] for t in tau])
-        _require(ranks >= 1)  # else the smoothed band is empty
-        infinite = ranks > l
-        radius, closed = conformal._selected(
-            np.sort(scores, axis=-1), np.minimum(ranks, l), alpha, tau)
-        _require(closed | infinite | (cfg.mode != "split"))
-        radius = np.where(infinite, 0.0, radius)
-        radii, sizes = [radius] * grid.p, 2.0 * radius
-        area = conformal._band_area(radii, fns, grid)
-        _require(infinite | conformal._size_agrees(area, sizes))
+        radius, closed, infinite = conformal._calibrated(
+            np.sort(scores, axis=-1), alpha, tau)
+        conformal._split_closed(closed, cfg.mode)
+        radii = [radius] * grid.p
+        sizes = conformal._checked_size(
+            conformal._band_area(radii, fns, grid), 2.0 * radius)
 
-    hits = np.ones(count, bool)
-    for j, (d, coef) in enumerate(zip(designs, coefs)):
-        fit = np.matmul(d[out][:, None, :], coef)[:, 0]  # (R, G)
-        lower = fit - radii[j][:, None] * fns[j]
-        upper = fit + radii[j][:, None] * fns[j]
-        _require((np.isfinite(lower) & np.isfinite(upper) & (lower <= upper))
-                 | infinite[:, None])
-        hits &= conformal._inside(lower, y[stack[:, 0], out, j], upper, closed)
+    lower, upper = conformal._bounds(fit, [k[:, None] for k in radii], fns)
+    hits = np.all([conformal._inside(lo, y[stack[:, 0], out, j], hi, closed)
+                   for j, (lo, hi) in enumerate(zip(lower, upper))], axis=0)
     return [ReplicationRecord(rep, True, None, True) if inf
             else ReplicationRecord(rep, bool(hit), float(q), False)
             for rep, inf, hit, q in zip(reps, infinite, hits, sizes)]
@@ -338,7 +311,7 @@ def _replication_batch(cfg: StudyConfig, reps: list[int]):
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 out += _stacked(cfg, stack)
             continue
-        except (_StackFault, ArithmeticError, ValueError):
+        except (ArithmeticError, ValueError, MFConformalError):
             pass
         for rep in stack:
             try:

@@ -100,16 +100,7 @@ class ModulationSet:
                                   "modulation functions")
         fns = tuple(_readonly(f, f"modulation component {j}", error=ValueError)
                     for j, f in enumerate(self.fns))
-        for j, f in enumerate(fns):
-            if not (f > 0).all():
-                raise ValueError(f"modulation component {j} must be strictly positive")
-        if self.unit_integral:
-            tot = sum(_integrals(fns, self.grid))
-            if abs(tot - 1.0) > NORMALIZATION_TOL:
-                raise ValueError(
-                    f"modulation set integrates to {tot!r}, expected 1"
-                )
-        object.__setattr__(self, "fns", fns)
+        object.__setattr__(self, "fns", _checked(fns, self.grid, self.unit_integral))
 
     @property
     def total(self) -> float:
@@ -126,15 +117,24 @@ class ModulationSet:
         )
 
 
+def _checked(fns, grid: Grid, unit: bool = True):
+    """``fns`` if strictly positive and, if ``unit``, of total integral 1
+    (per set of an (R, G_j) stack); else a ValueError."""
+    for j, f in enumerate(fns):
+        if not (f > 0).all():
+            raise ValueError(f"modulation component {j} must be strictly positive")
+    if unit:
+        tot = sum(_integrals(fns, grid))
+        if np.any(np.abs(tot - 1.0) > NORMALIZATION_TOL):
+            raise ValueError(f"modulation set integrates to {tot!r}, expected 1")
+    return fns
+
+
 def _unit(fns: Sequence[np.ndarray], grid: Grid) -> tuple[np.ndarray, ...]:
     """The functions divided by their total quadrature integral; for (R, G_j)
     stacks, each of the R sets by its own total."""
     tot = np.asarray(sum(_integrals(fns, grid)))[..., None]
     return tuple(f / tot for f in fns)
-
-
-def _normalize(fns: list[np.ndarray], grid: Grid, label: str) -> ModulationSet:
-    return ModulationSet(grid=grid, fns=_unit(fns, grid), label=label)
 
 
 def zero_adjust(fns: list[np.ndarray]) -> list[np.ndarray]:
@@ -168,15 +168,16 @@ def s_sigma(train_residuals: Sequence[np.ndarray], grid: Grid) -> ModulationSet:
     Uses divisor m-1; the choice is immaterial after normalization. Grid
     points where the std vanishes receive the standard zero adjustment.
     """
-    if grid.validate_blocks(train_residuals, "residuals") < 2:
-        raise ValueError("s_sigma needs at least 2 residual curves")
+    grid.validate_blocks(train_residuals, "residuals")
     return ModulationSet(grid=grid, fns=_sigma_fns(train_residuals, grid), label="sigma")
 
 
 def _sigma_fns(residuals: Sequence[np.ndarray], grid: Grid) -> tuple[np.ndarray, ...]:
     """The sigma family's functions of (..., m, G_j) residual blocks: the
-    pointwise std over the m curves with divisor m-1, zero-adjusted and
+    pointwise std over the m >= 2 curves with divisor m-1, zero-adjusted and
     normalized. Leading axes stack replications, each normalized alone."""
+    if np.shape(residuals[0])[-2] < 2:
+        raise ValueError("s_sigma needs at least 2 residual curves")
     return _unit(zero_adjust([np.std(r, axis=-2, ddof=1) for r in residuals]), grid)
 
 
@@ -216,10 +217,19 @@ def s_bar(
     In smoothed mode a rank below 1 degenerates to the constant family by
     convention.
     """
-    env = trimmed_envelope(train_residuals, grid, cfg)
-    if env is None:
-        return replace(s_const(grid), label="sbar")
-    return _normalize(zero_adjust(list(env)), grid, "sbar")
+    rank = cfg.rank(grid.validate_blocks(train_residuals, "residuals"))
+    return ModulationSet(grid, _sbar_fns(train_residuals, rank, grid), "sbar")
+
+
+def _sbar_fns(residuals: Sequence[np.ndarray], rank, grid: Grid):
+    """The sbar family of (..., m, G_j) residual blocks: the kept envelope,
+    zero-adjusted and normalized, or s_const where the trimming rank (one
+    per replication of a stack) is below 1."""
+    const, below = s_const(grid).fns, np.asarray(rank) < 1
+    if below.all():
+        return const
+    env = zero_adjust(list(_kept_max(residuals, np.maximum(rank, 1))))
+    return tuple(np.where(below[..., None], c, f) for c, f in zip(const, _unit(env, grid)))
 
 
 def s_bar_c(
@@ -237,8 +247,7 @@ def s_bar_c(
     if crossed:
         raise QuantileIndexError(f"rank {rank} outside 1..{count} in {cfg.mode} "
                                  f"mode since {crossed}")
-    env = _kept_max(calib_residuals, rank)
-    return _normalize(zero_adjust(list(env)), grid, "sbar_c")
+    return ModulationSet(grid, _sbar_fns(calib_residuals, rank, grid), "sbar_c")
 
 
 def make_modulation(

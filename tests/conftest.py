@@ -51,11 +51,11 @@ def make_dataset(rng, grid, n, slope=1.5):
 def per_replication():
     """Send every replication of ``harness._replication_batch`` through
     ``harness._replication``, the reference of the stacked path: every call
-    of ``harness._stacked`` raises ``harness._StackFault``, as a stack with
-    a fault does."""
+    of ``harness._stacked`` raises a ValueError, as a stack with a fault
+    does."""
 
     def stacked(cfg, reps):
-        raise harness._StackFault
+        raise ValueError("every stack faults")
 
     with mock.patch.object(harness, "_stacked", stacked):
         yield

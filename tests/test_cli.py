@@ -257,6 +257,63 @@ class TestCalibrateCommand:
         assert ("line 3: field larger than field limit" if fault == "long-field"
                 else "is not UTF-8 text") in err
 
+    @pytest.mark.parametrize("table", ["scalar", "functional"])
+    def test_covariate_table_missing_a_curve_is_schema_error(self, tmp_path, capsys,
+                                                            table):
+        points = np.linspace(0, 1, 5)
+        ids = [f"c{i}" for i in range(12)]
+        write_curves_csv(tmp_path / "curves.csv", points,
+                         {cid: [np.full(5, float(i))] for i, cid in enumerate(ids)})
+        args = ["calibrate", str(tmp_path / "curves.csv")]
+        if table == "scalar":
+            write_scalar_csv(tmp_path / "cov.csv", {cid: {"w": 0.5} for cid in ids[:-1]},
+                             ["w"])
+            args.append(str(tmp_path / "cov.csv"))
+        else:
+            write_functional_csv(tmp_path / "x.csv", "x", points,
+                                 {cid: [np.ones(5)] for cid in ids[:-1]})
+        write_config(tmp_path / "config.json", alpha=0.5,
+                     functional_covariates=[str(tmp_path / "x.csv")]
+                     if table == "functional" else [],
+                     split={"strategy": "random", "l": 5, "seed": 0})
+        code = main(args + [str(tmp_path / "config.json"), "-o", str(tmp_path / "b.json")])
+        assert code == EXIT_SCHEMA
+        assert capsys.readouterr().err == (
+            "error: covariates file has no row for curve 'c11'\n" if table == "scalar"
+            else "error: functional covariate 'x' has no rows for curve 'c11'\n")
+
+    def test_duplicate_scalar_covariate_names_are_schema_error(self, tmp_path, capsys):
+        write_curves_csv(tmp_path / "curves.csv", np.linspace(0, 1, 5),
+                         {f"c{i}": [np.zeros(5)] for i in range(4)})
+        (tmp_path / "cov.csv").write_text(
+            "curve_id,w,w\n" + "".join(f"c{i},0.5,0.5\n" for i in range(4)))
+        write_config(tmp_path / "config.json", alpha=0.5,
+                     split={"strategy": "random", "l": 2, "seed": 0})
+        code = main(["calibrate", str(tmp_path / "curves.csv"), str(tmp_path / "cov.csv"),
+                     str(tmp_path / "config.json"), "-o", str(tmp_path / "b.json")])
+        assert code == EXIT_SCHEMA
+        assert capsys.readouterr().err == "error: line 1: duplicate covariate names\n"
+
+    @pytest.mark.parametrize("seed,infinite", [(4, True), (3, False)])
+    def test_smoothed_mode_draws_tau_from_the_seed(self, tmp_path, capsys, seed,
+                                                   infinite):
+        # l = 4 and alpha = 0.1: the band is the whole space for tau > 0.5,
+        # which seed 4 draws (0.943) and seed 3 does not (0.086).
+        points = np.linspace(0, 1, 5)
+        write_curves_csv(tmp_path / "curves.csv", points,
+                         {f"c{i}": [np.full(5, float(i))] for i in range(10)})
+        write_config(tmp_path / "config.json", alpha=0.1, mode="smoothed", seed=seed,
+                     split={"strategy": "random", "l": 4, "seed": 0})
+        out = tmp_path / "b.json"
+        assert main(["calibrate", str(tmp_path / "curves.csv"),
+                     str(tmp_path / "config.json"), "-o", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["tau"] == float(np.random.default_rng(seed).uniform())
+        assert doc["infinite"] is infinite
+        note = ("note: the calibrated band is infinite (alpha below the smoothed "
+                "feasibility bound)\n")
+        assert capsys.readouterr().out.startswith(note) is infinite
+
     def test_schema_error_is_exit_2(self, tmp_path):
         (tmp_path / "bad.csv").write_text("id,comp,t,value\nx,1,0.0,1.0\n")
         write_config(tmp_path / "config.json", alpha=0.5,
@@ -386,6 +443,17 @@ class TestBandCommand:
         assert code == EXIT_NUMERIC
         assert main(["band", str(bundle), str(tmp_path / "new.csv"),
                      "--curve-id", "q", "-o", str(tmp_path / "band.csv")]) == EXIT_OK
+
+    def test_absent_curve_id_exits_3(self, tmp_path, capsys):
+        bundle, *_ = self._calibrated_bundle(tmp_path)
+        capsys.readouterr()
+        new = tmp_path / "new.csv"
+        write_scalar_csv(new, {"p": {"w": 0.1}, "q": {"w": 0.9}}, ["w"])
+        code = main(["band", str(bundle), str(new), "--curve-id", "r",
+                     "-o", str(tmp_path / "band.csv")])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err == f"error: curve id 'r' not in {new}\n"
+        assert not (tmp_path / "band.csv").exists()
 
     def test_nan_covariate_at_band_time_is_schema_error(self, tmp_path, capfd):
         bundle, *_ = self._calibrated_bundle(tmp_path)

@@ -8,6 +8,7 @@ from mfconformal import (
     Band,
     Covariates,
     MFCurve,
+    ModulationSet,
     RegressorSpec,
     Scores,
     band_size,
@@ -67,9 +68,7 @@ class TestScore:
     def test_matches_full_scan(self, rng, grid2):
         res = random_curve(rng, grid2)
         base = [np.abs(rng.normal(size=c.size)) + 0.2 for c in grid2.components]
-        from mfconformal.modulate import _normalize
-
-        s = _normalize(base, grid2, "sigma")
+        s = ModulationSet(grid2, tuple(base), "sigma", unit_integral=False)
         best = -np.inf
         for rv, sv in zip(res.values, s.fns):
             for a, b in zip(rv, sv):
@@ -252,6 +251,46 @@ class TestOutcomeChecks:
         pred = calibrate(ds, split, model, s, 0.2)
         with pytest.raises(ValueError, match="tau applies to smoothed mode"):
             dataclasses.replace(pred, tau=0.3)
+
+    def test_scores_must_be_a_nonempty_nonnegative_vector(self):
+        with pytest.raises(ShapeError, match="^scores must be a non-empty vector$"):
+            Scores(np.array([]))
+        with pytest.raises(ValueError, match="^scores must be nonnegative$"):
+            Scores(np.array([0.5, -0.25]))
+
+    def test_split_mode_refuses_an_open_band(self, instance):
+        ds, split, model, s = instance
+        pred = calibrate(ds, split, model, s, 0.2)
+        with pytest.raises(ValueError, match="^split-mode bands are closed$"):
+            dataclasses.replace(pred, closure="open")
+        opened = dataclasses.replace(pred, closure="open", mode="smoothed", tau=0.5)
+        assert opened.closure == "open"
+
+    def test_band_refuses_inconsistent_bounds(self, grid2):
+        lo = tuple(np.zeros(c.size) for c in grid2.components)
+        hi = tuple(np.ones(c.size) for c in grid2.components)
+        for kwargs, error, message in [
+            (dict(lower=lo, upper=hi, infinite=True), ValueError,
+             "an infinite band carries no bounds"),
+            (dict(lower=lo, upper=hi[:1]), ShapeError,
+             "lower and upper need the same component count"),
+            (dict(lower=lo, upper=(hi[0], hi[1][:-1])), ShapeError,
+             "component 1 bounds have mismatched shapes"),
+            (dict(lower=hi, upper=(hi[0], lo[1])), ValueError,
+             "component 1 has lower > upper"),
+            (dict(lower=lo, upper=(hi[0], np.full(50, np.inf))), ValueError,
+             "upper bound component 1 contains non-finite entries"),
+        ]:
+            with pytest.raises(error, match=f"^{message}$"):
+                Band(**kwargs)
+
+    def test_contains_refuses_a_curve_of_another_shape(self, instance):
+        band = make_band(calibrate(*instance, 0.2), Covariates(scalar={"w": 0.5}))
+        with pytest.raises(ShapeError,
+                           match="^curve and band have different component counts$"):
+            contains(band, MFCurve((np.zeros(40),)))
+        with pytest.raises(ShapeError, match="^curve and band shapes differ$"):
+            contains(band, MFCurve((np.zeros(39), np.zeros(40))))
 
     def test_predictor_needs_model_and_modulation_on_equal_grids(self, instance):
         ds, split, model, s = instance
@@ -512,6 +551,15 @@ class TestEstimatorExtensionPoint:
             band = builder(ds, split, model, s, 0.05, x)  # alpha < 1/12
             assert band.infinite
             assert contains(band, ds.curve(0))
+
+    def test_cub_and_pointwise_radii_refuse_alpha_below_the_feasibility_bound(
+            self, instance):
+        ds, split, model, s = instance  # l = 11
+        for radii in (cub_radii, pointwise_radii):
+            with pytest.raises(ValueError, match=r"^alpha=0\.05 is below the lower "
+                               r"feasibility bound: it needs alpha >= 1/\(l\+1\) = "
+                               r"0\.0833333$"):
+                radii(ds, split, model, s, 0.05)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
     def test_cub_and_pointwise_refuse_alpha_outside_the_unit_interval(self, instance, alpha):

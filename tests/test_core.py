@@ -528,3 +528,16 @@ class TestOrderIndices:
         assert theoretical_coverage(9, 0.10) == 0.9
         assert theoretical_coverage(10, 0.10) == pytest.approx(10 / 11, abs=1e-15)
         assert theoretical_coverage(19, 0.25) == 0.75
+
+    @pytest.mark.parametrize("l,alpha,message", [
+        (9, 1.5, r"alpha must lie in \(0, 1\), got 1\.5"),
+        (9, -0.5, r"alpha must lie in \(0, 1\), got -0\.5"),
+        (9, 0.0, r"alpha must lie in \(0, 1\), got 0\.0"),
+        (9, math.nan, r"alpha must lie in \(0, 1\), got nan"),
+        (0, 0.1, "need l >= 1, got 0"),
+        (-3, 0.1, "need l >= 1, got -3"),
+    ])
+    def test_theoretical_coverage_refuses_impossible_inputs(self, l, alpha, message):
+        # Before, (9, 1.5) gave -0.5, (9, -0.5) gave 1.5 and (-3, 0.1) 0.5.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            theoretical_coverage(l, alpha)

@@ -3,6 +3,7 @@ import pytest
 
 from mfconformal import (
     MFCurve,
+    ModulationSet,
     ShapeError,
     TrimConfig,
     s_bar,
@@ -245,6 +246,18 @@ class TestInvariants:
     def test_trim_config_refuses_a_split_mode_tau(self):
         with pytest.raises(ValueError, match="tau applies to smoothed mode"):
             TrimConfig(alpha=0.1, mode="split", tau=0.3)
+
+    def test_modulation_set_refuses_nonpositive_or_unnormalized_functions(self, grid2):
+        half = tuple(np.full(c.size, 0.5) for c in grid2.components)
+        dented = (half[0], np.where(np.arange(50) == 7, 0.0, 0.5))
+        with pytest.raises(ValueError,
+                           match="^modulation component 1 must be strictly positive$"):
+            ModulationSet(grid2, dented, "s0")
+        with pytest.raises(ValueError, match=r"^modulation set integrates to "
+                                             r"2\.0\d*, expected 1$"):
+            ModulationSet(grid2, tuple(2.0 * f for f in half), "s0")
+        assert ModulationSet(grid2, tuple(2.0 * f for f in half), "s0",
+                             unit_integral=False).total == pytest.approx(2.0)
 
     def test_scaled_set_not_normalized(self, grid2):
         s = s_const(grid2).scale(3.0)

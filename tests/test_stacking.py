@@ -8,6 +8,7 @@ for bit depends on the BLAS kernels, so CI runs this module under the
 default kernels as well as under ``OPENBLAS_CORETYPE=Haswell``.
 """
 
+import sys
 from unittest import mock
 
 import numpy as np
@@ -16,10 +17,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import failing_replications, per_replication
-from mfconformal import ScenarioSpec, StudyConfig, harness, run_study
-from mfconformal.conformal import _selected
-from mfconformal.core import _feasible_rank
+from mfconformal import (
+    ScenarioSpec,
+    StudyConfig,
+    conformal,
+    harness,
+    modulate,
+    regress,
+    run_study,
+)
+from mfconformal.conformal import EmptyBandError, _calibrated
+from mfconformal.core import MFConformalError
 from mfconformal.modulate import _kept_max
+from mfconformal.regress import SingularDesignError
 
 CELLS = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]
 VARIANTS = [("sigma", "split", "mpb"), ("sbar", "smoothed", "mpb"),
@@ -80,6 +90,117 @@ def test_stacked_records_equal_per_replication_records(cfg, data):
         with per_replication():
             want = outcome(cfg)
     assert got == want
+
+
+def from_harness() -> bool:
+    """Whether the caller of the calling function is harness code, which
+    only the stacked path is: the public path reaches the rules from the
+    modules that own them."""
+    return sys._getframe(2).f_globals["__name__"] == harness.__name__
+
+
+def refusing(module, name, error):
+    """Patch ``module.name`` to raise ``error`` when the harness calls it."""
+    real = getattr(module, name)
+
+    def rule(*args):
+        if from_harness():
+            raise error(f"{name} refused the stack")
+        return real(*args)
+
+    return mock.patch.object(module, name, rule)
+
+
+def poisoning(module, name):
+    """Patch ``module.name`` so that its result has a NaN in its first
+    block when the harness calls it."""
+    real = getattr(module, name)
+
+    def stage(*args):
+        out = real(*args)
+        if from_harness():
+            first = out[0] if isinstance(out, list) else out
+            first[(0,) * first.ndim] = np.nan
+        return out
+
+    return mock.patch.object(module, name, stage)
+
+
+# Each rule that _stacked shares with the public path: how to make it refuse
+# a stack, the cell variant that reaches it, and the message the stack faults
+# with. The three finiteness checks see real NaNs; a rule called once is
+# patched to raise the error type it raises itself.
+RULES = {
+    "responses finite": (lambda: failing_replications({2}, "stacked"),
+                         ("sigma", "split", "mpb"),
+                         "responses contains non-finite entries"),
+    "coefficients finite": (lambda: poisoning(regress, "_solve"),
+                            ("s0", "split", "mpb"),
+                            "coefficient contains non-finite entries"),
+    "scores finite": (lambda: poisoning(conformal, "_modulated"),
+                      ("s0", "split", "mpb"),
+                      "scores contains non-finite entries"),
+    "design rank": (lambda: refusing(regress, "_solve", SingularDesignError),
+                    ("s0", "split", "cub"), "_solve refused the stack"),
+    "sigma": (lambda: refusing(modulate, "_sigma_fns", ValueError),
+              ("sigma", "split", "mpb"), "_sigma_fns refused the stack"),
+    "sbar": (lambda: refusing(modulate, "_sbar_fns", ValueError),
+             ("sbar", "smoothed", "mpb"), "_sbar_fns refused the stack"),
+    "modulation rule, sigma": (lambda: refusing(modulate, "_checked", ValueError),
+                               ("sigma", "split", "mpb"), "_checked refused the stack"),
+    "modulation rule, sbar": (lambda: refusing(modulate, "_checked", ValueError),
+                              ("sbar", "split", "mpb"), "_checked refused the stack"),
+    "calibration": (lambda: refusing(conformal, "_calibrated", EmptyBandError),
+                    ("sigma", "smoothed", "mpb"), "_calibrated refused the stack"),
+    "split closure": (lambda: refusing(conformal, "_split_closed", ValueError),
+                      ("sigma", "split", "mpb"), "_split_closed refused the stack"),
+    "band size": (lambda: refusing(conformal, "_checked_size", MFConformalError),
+                  ("s0", "split", "mpb"), "_checked_size refused the stack"),
+    "bounds": (lambda: refusing(conformal, "_bounds", ValueError),
+               ("s0", "split", "cub"), "_bounds refused the stack"),
+}
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_each_shared_rule_refuses_a_stack(rule):
+    patch, (modulation, mode, method), message = RULES[rule]
+    spec = ScenarioSpec(study=1, scenario=1, n=20, coeff_seed=1)
+    cfg = StudyConfig(scenario=spec, l=9, n_reps=5, modulation=modulation,
+                      mode=mode, method=method, master_seed=4,
+                      keep_records=True, skip_failures=True)
+    faults, real_stacked = [], harness._stacked
+
+    def stacked(cfg, reps):
+        try:
+            return real_stacked(cfg, reps)
+        except Exception as exc:
+            faults.append(f"{exc}")
+            raise
+
+    with patch():
+        with mock.patch.object(harness, "_stacked", stacked):
+            got = outcome(cfg)
+        with per_replication():
+            want = outcome(cfg)
+    assert faults == [message]  # one stack, rerun one replication at a time
+    assert got == want
+
+
+@pytest.mark.parametrize("skip_failures", [False, True])
+@pytest.mark.parametrize("modulation", ["s0", "sigma", "sbar"])
+@pytest.mark.parametrize("covariate_set,l", [(1, 19), (3, 19), (3, 18)])
+def test_stacks_with_too_few_training_rows(covariate_set, l, modulation,
+                                           skip_failures):
+    # m = n - l training rows: sigma needs m >= 2, and covariate set 3 fits
+    # q = 3 columns (intercept, w, w2).
+    spec = ScenarioSpec(study=1, scenario=1, n=20, covariate_set=covariate_set,
+                        coeff_seed=5)
+    cfg = StudyConfig(scenario=spec, l=l, n_reps=6, modulation=modulation,
+                      master_seed=12, keep_records=True,
+                      skip_failures=skip_failures)
+    got = outcome(cfg)
+    with per_replication():
+        assert got == outcome(cfg)
 
 
 def rerun(cfg, rep):
@@ -163,10 +284,11 @@ def test_rank_selection_of_a_stack_is_that_of_each_row(mode):
     l, alpha = 19, 0.2
     srt = np.sort(rng.integers(0, 4, (200, l)).astype(float), axis=-1)
     tau = np.ones(200) if mode == "split" else rng.uniform(size=200)
-    rank = np.array([_feasible_rank(l, alpha, t)[0] for t in tau])
-    radius, closed = _selected(srt, rank, alpha, tau)
-    for row, k, t, r, c in zip(srt, rank, tau, radius, closed):
-        assert (r, c) == _selected(row, int(k), alpha, float(t))
+    radius, closed, infinite = _calibrated(srt, alpha, tau)
+    assert not infinite.any()
+    for row, t, r, c in zip(srt, tau, radius, closed):
+        alone = _calibrated(row, alpha, float(t))
+        assert r == alone[0] and c == alone[1]
     if mode == "split":
         assert closed.all()  # split mode (tau = 1) is always closed
     else:

@@ -569,8 +569,9 @@ def smoothed_order_stat_index(count: int, alpha: float, tau: float) -> int:
 
 def theoretical_coverage(l: int, alpha: float) -> float:
     """Exact unconditional coverage 1 - floor((l+1)*alpha)/(l+1) of the
-    non-smoothed calibrated band, for l >= 1 and alpha in (0, 1)."""
-    if not l >= 1:
+    non-smoothed calibrated band, for an integer l >= 1 and alpha in (0, 1)."""
+    l = _integer(l, "l")
+    if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
     _level(alpha)
     return 1.0 - _snap_floor((l + 1) * alpha) / (l + 1)

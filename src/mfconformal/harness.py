@@ -17,7 +17,10 @@ replication and component. R is :data:`STACK_BYTES` over the size of one
 replication's response block, (n+1) * sum_j G_j * 8 bytes, and at least 1:
 at G = 100 on two components that is 31 at n = 20, 3 at n = 200 and 1 at
 n = 2000. The budget bounds a stack's temporaries, a few copies of its
-response block.
+response block. At n = 2000 a replication is bound by memory traffic, so
+the responses come component-major, (R, 2, n+1, G), and each component's
+training and calibration rows are gathered once into copies that the
+residuals then overwrite.
 
 Each stage checks the whole stack with the rule its module applies on the
 public path: finite values, design rank, modulation, calibration, split
@@ -35,6 +38,7 @@ per-replication form bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -224,7 +228,7 @@ def _tau(cfg: StudyConfig, rep: int) -> float | None:
 
 def _stack_size(cfg: StudyConfig) -> int:
     """Replications per stack: :data:`STACK_BYTES` over the bytes of one
-    replication's (n+1, 2, G) response block, at least 1."""
+    replication's (2, n+1, G) response block, at least 1."""
     spec = cfg.scenario
     return max(1, STACK_BYTES // ((spec.n + 1) * 2 * spec.grid_points * 8))
 
@@ -237,7 +241,7 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
     n, count = spec.n, len(reps)
     grid = simgen._grid(spec.grid_points)
     rngs = [np.random.default_rng((cfg.master_seed, rep, 0)) for rep in reps]
-    y = simgen._responses(spec, rngs)  # (R, n+1, 2, G), generated rows
+    y = simgen._responses(spec, rngs)  # (R, 2, n+1, G), generated rows
     _finite(y, "responses")
     perm = np.array([rng.permutation(n + 1) for rng in rngs])
     train, calib = _uniform_parts(np.array([
@@ -254,13 +258,16 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
                for j, names in enumerate(regressor.component_terms(grid.p))]
     res, calib_res, fit = [], [], []  # training, calibration, held-out row
     for j, d in enumerate(designs):
-        x, resp = d[train], y[stack, train, j]  # (R, m, q), (R, m, G)
+        # The gathers copy the rows, so the residuals overwrite them.
+        x, res_j, cal_j = d[train], y[:, j][stack, train], y[:, j][stack, calib]
         # (R, q, G): the transposed coefficient blocks
-        coef = np.stack([regress._solve(x[r], resp[r], j) for r in range(count)])
+        coef = np.stack([regress._solve(x[r], res_j[r], j) for r in range(count)])
         _finite(coef, "coefficient")
-        res.append(resp - np.matmul(x, coef))
-        calib_res.append(y[stack, calib, j] - np.matmul(d[calib], coef))
-        fit.append(np.matmul(d[out][:, None, :], coef)[:, 0])  # (R, G)
+        res_j -= regress._fitted(x, coef)
+        cal_j -= regress._fitted(d[calib], coef)
+        res.append(res_j)
+        calib_res.append(cal_j)
+        fit.append(regress._fitted(d[out][:, None, :], coef)[:, 0])  # (R, G)
 
     if cfg.modulation == "s0":
         fns = modulate.s_const(grid).fns
@@ -291,16 +298,34 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
             conformal._band_area(radii, fns, grid), 2.0 * radius)
 
     lower, upper = conformal._bounds(fit, [k[:, None] for k in radii], fns)
-    hits = np.all([conformal._inside(lo, y[stack[:, 0], out, j], hi, closed)
+    hits = np.all([conformal._inside(lo, y[stack[:, 0], j, out], hi, closed)
                    for j, (lo, hi) in enumerate(zip(lower, upper))], axis=0)
     return [ReplicationRecord(rep, True, None, True) if inf
             else ReplicationRecord(rep, bool(hit), float(q), False)
             for rep, inf, hit, q in zip(reps, infinite, hits, sizes)]
 
 
+@functools.cache
+def _raise_malloc_thresholds() -> None:
+    """Free one untouched 16 MiB block, once per process.
+
+    glibc's malloc serves a request at or above its mmap threshold with a
+    fresh mapping. Freeing a mapped block raises that threshold to the
+    block's size, and the heap's trim threshold to twice it, but only up to
+    DEFAULT_MMAP_THRESHOLD_MAX, 32 MiB on 64-bit systems (mallopt(3)). A cell
+    run back to back frees and requests blocks of one size, so at n = 2000
+    each replication mapped its few-MB arrays afresh and faulted in every
+    page again. After this block is freed, such arrays come from the heap,
+    which keeps its pages. No page of the block is written, so it adds
+    nothing to the resident set; other allocators ignore it.
+    """
+    np.empty(1 << 21)
+
+
 def _replication_batch(cfg: StudyConfig, reps: list[int]):
     """The records of ``reps``, in stacks of :func:`_stack_size`
     replications; a stack with a fault is run one replication at a time."""
+    _raise_malloc_thresholds()
     size, out = _stack_size(cfg), []
     for i in range(0, len(reps), size):
         stack = reps[i : i + size]

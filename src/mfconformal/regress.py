@@ -141,6 +141,19 @@ def _design(columns, spec: RegressorSpec, names: tuple[str, ...], j: int, rows):
     return X
 
 
+def _fitted(X, coef) -> np.ndarray:
+    """``np.matmul(X, coef)`` of designs (..., n_rows, q) and coefficient
+    blocks (..., q, G), bit for bit. A one-column design takes one multiply:
+    a matrix product with K = 1 costs several times as much. The ``+= 0.0``
+    gives a zero product the sign the matrix product gives it, +0.0, where
+    the plain multiply can give -0.0."""
+    if X.shape[-1] != 1:
+        return np.matmul(X, coef)
+    out = X * coef
+    out += 0.0
+    return out
+
+
 def _predictions(model: FittedRegressor, columns, rows) -> list[np.ndarray]:
     """Fitted values at the given rows of ``columns``: one (n_rows, G_j) array
     per component."""
@@ -148,7 +161,8 @@ def _predictions(model: FittedRegressor, columns, rows) -> list[np.ndarray]:
     out = []
     for j, coef in enumerate(model.coefficients):
         X = _design(columns, model.spec, terms[j], j, rows)
-        out.append(X @ coef.T if X.ndim == 2 else np.einsum("igq,gq->ig", X, coef))
+        out.append(_fitted(X, coef.T) if X.ndim == 2
+                   else np.einsum("igq,gq->ig", X, coef))
     return out
 
 

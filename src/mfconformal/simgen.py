@@ -274,22 +274,32 @@ def _contamination_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _errors(spec: ScenarioSpec, rngs, points: np.ndarray) -> np.ndarray:
-    """The (R, n+1, 2, G) error curves of R replications, each drawn from its
-    own generator of ``rngs`` in the study's order.
+    """The (R, 2, n+1, G) error curves of R replications, component-major,
+    each drawn from its own generator of ``rngs`` in the study's order.
 
     Studies 1 and 2 use 6-basis spline errors; study 2 splices component 2
     onto component 1 for t <= 0.5 (scenario 2, the boundary point belongs to
     the first branch) or duplicates it (scenario 3). Study 3 uses
     trigonometric errors with correlated amplitudes (scenario 1) or 13-basis
     spline errors with one low-variance coefficient (scenarios 2 and 3).
-    The draws of all generators are stacked before the curves are computed,
-    which gives each replication the same curves as it would get alone.
+    Each generator draws its coefficient rows in (row, component) order; the
+    rows are put in (component, row) order before the curves are computed,
+    so that each component's curves are one contiguous block. The draws of
+    all generators are stacked first, which gives each replication the same
+    curves as it would get alone.
     """
-    count = 2 * (spec.n + 1)
+    count, shape = 2 * (spec.n + 1), (len(rngs), spec.n + 1, 2)
+
+    def component_major(draws):
+        # (R * (n+1) * 2, ...) in generated order -> (R * 2 * (n+1), ...)
+        draws = np.concatenate(draws)
+        tail = draws.shape[1:]
+        return draws.reshape(shape + tail).swapaxes(1, 2).reshape((-1,) + tail)
+
     if spec.study == 3 and spec.scenario == 1:
         draws = [draw_trig_coefficients(rng, count, spec.error_scale) for rng in rngs]
-        amps = np.concatenate([a for a, _ in draws])
-        phases = np.concatenate([ph for _, ph in draws])
+        amps = component_major([a for a, _ in draws])
+        phases = component_major([ph for _, ph in draws])
         arg = 10.0 * np.pi * (points[None, :] + phases[:, None])
         eps = amps[:, [0]] + amps[:, [1]] * np.cos(arg) + amps[:, [2]] * np.sin(arg)
     else:
@@ -298,14 +308,14 @@ def _errors(spec: ScenarioSpec, rngs, points: np.ndarray) -> np.ndarray:
             sd = np.full(13, np.sqrt(0.001))
             sd[6] = np.sqrt(9e-6)
             n_basis, scale = 13, sd * spec.error_scale
-        coefs = np.concatenate(
+        coefs = component_major(
             [rng.standard_normal((count, n_basis)) * scale for rng in rngs])
         eps = coefs @ _unit_grid_basis(4, n_basis, points.size).T
-    eps = eps.reshape(len(rngs), spec.n + 1, 2, points.size)
+    eps = eps.reshape(len(rngs), 2, spec.n + 1, points.size)
     if spec.study == 2 and spec.scenario == 2:
-        eps[:, :, 1] = np.where(points <= 0.5, eps[:, :, 0], eps[:, :, 1])
+        eps[:, 1] = np.where(points <= 0.5, eps[:, 0], eps[:, 1])
     elif spec.study == 2 and spec.scenario == 3:
-        eps[:, :, 1] = eps[:, :, 0]
+        eps[:, 1] = eps[:, 0]
     return eps
 
 
@@ -319,21 +329,23 @@ def _covariates(spec: ScenarioSpec) -> dict:
 
 
 def _responses(spec: ScenarioSpec, rngs) -> np.ndarray:
-    """The (R, n+1, 2, G) responses of R replications, in generated row
-    order: the errors of :func:`_errors` plus the systematic part, the
-    linear part b0 + w b1 (component 1) and b0 + w^2 b2 (component 2),
-    exponentiated in study 1, scenario 2; the full quadratic part shared by
-    both components in study 2; and in study 3, scenario 3, a deterministic
-    bump on ~5% of the curves with no observable covariates."""
+    """The (R, 2, n+1, G) responses of R replications, component-major and
+    in generated row order: the errors of :func:`_errors` plus the
+    systematic part, the linear part b0 + w b1 (component 1) and
+    b0 + w^2 b2 (component 2), exponentiated in study 1, scenario 2; the
+    full quadratic part shared by both components in study 2; and in study
+    3, scenario 3, a deterministic bump on ~5% of the curves with no
+    observable covariates. Each systematic part and bump is added to one
+    contiguous block per component."""
     points = _grid(spec.grid_points).components[0].points
     y = _errors(spec, rngs, points)
     if spec.study == 3 and spec.scenario == 3:
         rows, comps = _contamination_cells(spec.n)
-        y[:, rows, comps] += 0.5 * _unit_grid_basis(4, 13, points.size)[:, 6]
+        y[:, comps, rows] += 0.5 * _unit_grid_basis(4, 13, points.size)[:, 6]
         return y
     means = _systematic_means(spec.coeff_seed, spec.n, points.size, spec.study == 2)
     for j, mean in enumerate(means):
-        y[:, :, j] += mean
+        y[:, j] += mean
     if spec.study == 1 and spec.scenario == 2:
         np.exp(y, out=y)
     return y
@@ -348,10 +360,10 @@ def generate(spec: ScenarioSpec):
     y, scalar = _responses(spec, [rng])[0], _covariates(spec)
     perm = rng.permutation(spec.n + 1)
     keep, out = perm[:-1], perm[-1]
-    dataset = Dataset.from_blocks(_grid(spec.grid_points), (y[keep, 0], y[keep, 1]),
+    dataset = Dataset.from_blocks(_grid(spec.grid_points), (y[0, keep], y[1, keep]),
                                   {k: v[keep] for k, v in scalar.items()})
     held_out = Covariates(scalar={k: v[out] for k, v in scalar.items()})
-    return dataset, (held_out, MFCurve((y[out, 0], y[out, 1])))
+    return dataset, (held_out, MFCurve((y[0, out], y[1, out])))
 
 
 def regressor_for(spec: ScenarioSpec) -> RegressorSpec:

@@ -283,7 +283,7 @@ class TestDatasetFromBlocks:
         "source", ["fresh", "column view", "row view", "float32", "list"])
     def test_holds_read_only_copies_of_any_source(self, rng, grid2, source):
         # A view would pin (and expose) the array it views, like a held-out
-        # row of the generated (n+1, 2, G) array.
+        # row of the generated response array.
         big = rng.normal(size=(5, 2, 100))
         block = {"fresh": big[:4, 0, :50].copy(), "column view": big[:4, 0, :50],
                  "row view": big[1:, 1, :50],
@@ -536,8 +536,11 @@ class TestOrderIndices:
         (9, math.nan, r"alpha must lie in \(0, 1\), got nan"),
         (0, 0.1, "need l >= 1, got 0"),
         (-3, 0.1, "need l >= 1, got -3"),
+        (9.5, 0.1, r"l must be an integer, got 9\.5"),
+        (True, 0.5, "l must be an integer, got True"),
     ])
     def test_theoretical_coverage_refuses_impossible_inputs(self, l, alpha, message):
-        # Before, (9, 1.5) gave -0.5, (9, -0.5) gave 1.5 and (-3, 0.1) 0.5.
+        # Before, (9, 1.5) gave -0.5, (9, -0.5) gave 1.5, (-3, 0.1) 0.5,
+        # (9.5, 0.1) 0.9048 and (True, 0.5) 0.5.
         with pytest.raises(ValueError, match=f"^{message}$"):
             theoretical_coverage(l, alpha)

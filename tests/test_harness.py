@@ -1,4 +1,10 @@
+import os
+import pathlib
+import platform
 import re
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -220,3 +226,26 @@ class TestRecordsAndInvariants:
         p = rep.theoretical_coverage
         tol = 3 * np.sqrt(p * (1 - p) / 2000)
         assert abs(rep.coverage - p) <= tol
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the fault count follows glibc's malloc thresholds")
+def test_a_large_cell_run_back_to_back_keeps_its_pages():
+    # A fresh process runs one n = 2000 cell, as every paper-grid cell runs.
+    # With glibc's dynamic mmap threshold, each replication's few-MB blocks
+    # were mapped afresh: about 1530 minor page faults per replication.
+    probe = textwrap.dedent("""
+        import resource
+        from mfconformal import ScenarioSpec, StudyConfig, harness
+        spec = ScenarioSpec(study=1, scenario=1, n=2000, coeff_seed=7)
+        cfg = StudyConfig(scenario=spec, l=999, n_reps=23)
+        harness._replication_batch(cfg, [0, 1, 2])
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        harness._replication_batch(cfg, list(range(3, 23)))
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = str(pathlib.Path(__file__).parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, timeout=120,
+                          capture_output=True, text=True, check=True)
+    assert int(done.stdout) < 50 * 20

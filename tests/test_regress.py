@@ -264,3 +264,21 @@ class TestDesignAgainstStackedReference:
         for got, want in zip(merged, reference):
             assert len(got) == len(want) == 2
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class TestOneColumnFit:
+    def test_fitted_values_are_the_matrix_product_bit_for_bit(self, rng):
+        # Products that are zeros of either sign, subnormal or exact.
+        design = np.array([0.0, -0.0, 1.0, -1.0, 3.5, -2.25, 1e-300, -7e-200])
+        coef = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         1e-310, -1.5, 4.0, 1e300])
+        # One design, as the public path fits it, and a stack of shuffled
+        # ones with their own coefficient rows, as the stacked path does.
+        cases = [(design[:, None], coef[None, :]),
+                 (np.array([rng.permutation(design) for _ in range(3)])[..., None],
+                  np.array([rng.permutation(coef) for _ in range(3)])[:, None])]
+        for X, b in cases:
+            got, want = regress._fitted(X, b), np.matmul(X, b)
+            assert got.shape == want.shape == X.shape[:-1] + coef.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -279,7 +279,7 @@ def reference_generate(spec):
     n, grid = spec.n, uniform_grid(spec.grid_points, p=2)
     points = grid.components[0].points
     rng = np.random.default_rng(spec.seed)
-    y = _errors(spec, [rng], points)[0]
+    y = _errors(spec, [rng], points)[0].swapaxes(0, 1)  # (n+1, 2, G)
     scalar = {}
     if (spec.study, spec.scenario) == (3, 3):
         bump = 0.5 * _unit_grid_basis(4, 13, points.size)[:, 6]
@@ -332,10 +332,55 @@ def test_generate_is_bit_identical_to_per_replication_arithmetic(n):
             assert all(map(np.array_equal, y_new.values, y_want))
 
 
+def reference_errors(spec, rng, points):
+    """One replication's errors in generated order, (n+1, 2, G): the curve
+    of drawn row k belongs to observation k // 2, component k % 2."""
+    count, size = 2 * (spec.n + 1), points.size
+    if (spec.study, spec.scenario) == (3, 1):
+        amps, phases = draw_trig_coefficients(rng, count, spec.error_scale)
+        arg = 10.0 * np.pi * (points[None, :] + phases[:, None])
+        eps = amps[:, [0]] + amps[:, [1]] * np.cos(arg) + amps[:, [2]] * np.sin(arg)
+    else:
+        n_basis, scale = 6, spec.error_scale
+        if spec.study == 3:
+            scale = np.full(13, np.sqrt(0.001)) * spec.error_scale
+            scale[6] = np.sqrt(9e-6) * spec.error_scale
+            n_basis = 13
+        coefs = rng.standard_normal((count, n_basis)) * scale
+        eps = coefs @ _unit_grid_basis(4, n_basis, size).T
+    eps = eps.reshape(spec.n + 1, 2, size)
+    if (spec.study, spec.scenario) == (2, 2):
+        eps[:, 1] = np.where(points <= 0.5, eps[:, 0], eps[:, 1])
+    elif (spec.study, spec.scenario) == (2, 3):
+        eps[:, 1] = eps[:, 0]
+    return eps
+
+
+@pytest.mark.parametrize("error_scale", [1.0, 0.0])
+@pytest.mark.parametrize("n", [20, 40])
+@pytest.mark.parametrize("study,scenario", ALL_CELLS)
+def test_errors_are_the_generated_curves_in_component_major_order(
+        study, scenario, n, error_scale):
+    # _errors puts the drawn rows in (component, row) order before the
+    # curves are computed; swapped back, a stack of three replications must
+    # hold each one's curves as drawn, signs of zeros included.
+    spec = ScenarioSpec(study=study, scenario=scenario, n=n, coeff_seed=1,
+                        grid_points=50, error_scale=error_scale)
+    points = uniform_grid(50, p=2).components[0].points
+    seeds = [(n, study, scenario, r) for r in range(3)]
+    got = _errors(spec, [np.random.default_rng(s) for s in seeds], points)
+    assert got.shape == (3, 2, n + 1, 50) and got.flags.c_contiguous
+    want = np.array([reference_errors(spec, np.random.default_rng(s), points)
+                     for s in seeds])
+    got = got.swapaxes(1, 2)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("study,scenario", ALL_CELLS)
 def test_generate_holds_blocks_that_own_their_data(study, scenario):
     # Each block and the held-out curve is its own read-only copy, so keeping
-    # any of them pins no generated (n+1, 2, G) array.
+    # any of them pins no generated (2, n+1, G) array.
     spec = ScenarioSpec(study=study, scenario=scenario, n=20, seed=1)
     ds, (x, y) = generate(spec)
     held = (*ds.responses, *ds.scalar.values(), *y.values)

@@ -207,12 +207,17 @@ def rerun(cfg, rep):
     raise AssertionError(f"replication {rep} was run again on its own")
 
 
+# Study 3 fits its own regressor whatever the covariate set; in studies 1
+# and 2, set 1 fits one column (intercept) and set 3 three.
 @pytest.mark.parametrize("modulation,mode,method", VARIANTS)
-@pytest.mark.parametrize("study,scenario", CELLS)
+@pytest.mark.parametrize("study,scenario,covariate_set", [
+    (study, scenario, covariate_set) for study, scenario in CELLS
+    for covariate_set in ((1, 2, 3) if study < 3 else (2,))])
 @pytest.mark.parametrize("n", [200, 2000])
 def test_large_cells_stack_to_the_per_replication_records(
-        n, study, scenario, modulation, mode, method):
-    spec = ScenarioSpec(study=study, scenario=scenario, n=n, coeff_seed=3)
+        n, study, scenario, covariate_set, modulation, mode, method):
+    spec = ScenarioSpec(study=study, scenario=scenario, n=n,
+                        covariate_set=covariate_set, coeff_seed=3)
     cfg = StudyConfig(scenario=spec, l=n // 2 - 1, n_reps=2,
                       modulation=modulation, mode=mode, method=method,
                       master_seed=n + 10 * study + scenario, keep_records=True)

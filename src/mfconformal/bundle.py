@@ -69,7 +69,8 @@ def predictor_to_doc(pred: BandPredictor, metadata: dict | None = None) -> dict:
 
 
 def predictor_from_doc(doc: dict) -> tuple[BandPredictor, dict]:
-    version = doc.get("format_version")
+    version = _json_value(doc, "format_version", int, None,
+                          error=BundleFormatError, label="malformed bundle: ")
     if version != FORMAT_VERSION:
         raise BundleFormatError(
             f"bundle format version {version!r} not supported "

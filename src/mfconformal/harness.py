@@ -11,16 +11,17 @@ which computes R replications of a cell as arrays with a leading
 replication axis. Each replication still draws from its own generators in
 the same order, and the stages call the private helpers behind the public
 objects (``Dataset``, ``Split``, ``FittedRegressor``, ``ModulationSet``,
-``BandPredictor``, ``Band``) without building those objects.
-``np.linalg.lstsq`` and the quadrature ``np.dot`` stay one call per
-replication and component. R is :data:`STACK_BYTES` over the size of one
-replication's response block, (n+1) * sum_j G_j * 8 bytes, and at least 1:
-at G = 100 on two components that is 31 at n = 20, 3 at n = 200 and 1 at
-n = 2000. The budget bounds a stack's temporaries, a few copies of its
-response block. At n = 2000 a replication is bound by memory traffic, so
-the responses come component-major, (R, 2, n+1, G), and each component's
-training and calibration rows are gathered once into copies that the
-residuals then overwrite.
+``BandPredictor``, ``Band``) without building those objects. The
+least-squares fit is one ``regress._solve`` call per stack and component,
+which runs LAPACK once per replication; the quadrature ``np.dot`` stays one
+call per replication and component. R is :data:`STACK_BYTES` over the size
+of one replication's response block, (n+1) * sum_j G_j * 8 bytes, and at
+least 1: at G = 100 on two components that is 31 at n = 20, 3 at n = 200
+and 1 at n = 2000. The budget bounds a stack's temporaries, a few copies
+of its response block. At n = 2000 a replication is bound by memory
+traffic, so the responses come component-major, (R, 2, n+1, G), and each
+component's training and calibration rows are gathered once into copies
+that the residuals then overwrite.
 
 Each stage checks the whole stack with the rule its module applies on the
 public path: finite values, design rank, modulation, calibration, split
@@ -261,7 +262,7 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
         # The gathers copy the rows, so the residuals overwrite them.
         x, res_j, cal_j = d[train], y[:, j][stack, train], y[:, j][stack, calib]
         # (R, q, G): the transposed coefficient blocks
-        coef = np.stack([regress._solve(x[r], res_j[r], j) for r in range(count)])
+        coef = regress._solve(x, res_j, j, "stacked replication")
         _finite(coef, "coefficient")
         res_j -= regress._fitted(x, coef)
         cal_j -= regress._fitted(d[calib], coef)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import (
     Covariates,
@@ -166,21 +167,43 @@ def _predictions(model: FittedRegressor, columns, rows) -> list[np.ndarray]:
     return out
 
 
-def _solve(X, y, j: int, g: int | None = None) -> np.ndarray:
-    """Least-squares solution of the design X of component j, at grid index g
-    or, for ``g=None``, at all grid points at once; a SingularDesignError when
-    X is rank deficient."""
-    sol, _, rank, _ = np.linalg.lstsq(X, y, rcond=RANK_RCOND)
-    if rank < X.shape[-1]:
-        at = "(all grid points)" if g is None else f"at grid index {g}"
-        raise SingularDesignError(
-            f"singular design for component {j} {at}: rank {rank} < {X.shape[-1]}"
-        )
+def _svd_failed(err, flag):
+    """The error ``numpy.linalg.lstsq`` raises when dgelsd flags a failure."""
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _solve(X, y, j: int, axis: str = "grid index") -> np.ndarray:
+    """Least-squares solutions (..., q, k) of component j's designs X
+    (..., m, q) for responses y (..., m, k), in one call for the whole stack.
+
+    ``numpy.linalg.lstsq`` takes one matrix per call; this calls the gufunc it
+    wraps (numpy >= 2) on the whole stack. Each matrix gets its own LAPACK
+    dgelsd on the same Fortran copy, so every solution is
+    ``numpy.linalg.lstsq``'s bit for bit, and so is the error contract: an SVD
+    that does not converge raises ``LinAlgError``, never a floating-point
+    error. A rank-deficient matrix raises SingularDesignError, naming a 2-D
+    design as shared by all grid points and a stacked one by the leading
+    ``axis`` index of the first rank-deficient matrix.
+    """
+    with np.errstate(call=_svd_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        sol, _, rank, _ = _umath_linalg.lstsq(X, y, RANK_RCOND,
+                                              signature="ddd->ddid")
+    q = X.shape[-1]
+    bad = np.flatnonzero(rank < q)
+    if bad.size:
+        at = f"at {axis} {bad[0]}" if X.ndim > 2 else "(all grid points)"
+        raise SingularDesignError(f"singular design for component {j} {at}: "
+                                  f"rank {rank.flat[bad[0]]} < {q}")
     return sol
 
 
 def fit(dataset: Dataset, train_idx, spec: RegressorSpec) -> FittedRegressor:
     """Fit the concurrent model by ordinary least squares at every grid point.
+
+    Each component takes one solve: a design shared by the grid points has
+    their responses as right-hand sides, and a ``concurrent_fof`` design is
+    one matrix per grid point, stacked along the grid.
 
     Parameters
     ----------
@@ -199,7 +222,10 @@ def fit(dataset: Dataset, train_idx, spec: RegressorSpec) -> FittedRegressor:
         If the training set is smaller than a component's design dimension.
     SingularDesignError
         If a pointwise design matrix is rank deficient (smallest singular
-        value below ``RANK_RCOND`` times the largest).
+        value below ``RANK_RCOND`` times the largest); for ``concurrent_fof``
+        the message names the first such grid index.
+    numpy.linalg.LinAlgError
+        If the SVD of a design does not converge.
     """
     idx = np.fromiter(train_idx, np.intp)
     grid = dataset.grid
@@ -217,9 +243,8 @@ def fit(dataset: Dataset, train_idx, spec: RegressorSpec) -> FittedRegressor:
         X = _design(dataset, spec, terms[j], j, idx)
         if X.ndim == 2:
             blocks.append(_solve(X, resp, j).T)  # (G_j, q)
-        else:
-            blocks.append(np.array([_solve(X[:, g], resp[:, g], j, g)
-                                    for g in range(X.shape[1])]))
+        else:  # one (m, q) design and one response column per grid point
+            blocks.append(_solve(X.transpose(1, 0, 2), resp.T[..., None], j)[..., 0])
     return FittedRegressor(grid=grid, spec=spec, coefficients=tuple(blocks))
 
 

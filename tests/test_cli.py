@@ -506,6 +506,24 @@ class TestBandCommand:
                      "-o", str(tmp_path / "band.csv")])
         assert code == EXIT_NUMERIC
 
+    @pytest.mark.parametrize("version,message", [
+        (True, "malformed bundle: 'format_version' must be a JSON number, got true"),
+        (2, "bundle format version 2 not supported (this build reads version 1)"),
+    ], ids=["boolean", "other-integer"])
+    def test_version_must_be_the_integer_one(self, tmp_path, capsys, version,
+                                             message):
+        bundle, *_ = self._calibrated_bundle(tmp_path)
+        doc = json.loads(bundle.read_text())
+        doc["format_version"] = version
+        bundle.write_text(json.dumps(doc))
+        write_scalar_csv(tmp_path / "new.csv", {"new": {"w": 0.3}}, ["w"])
+        capsys.readouterr()
+        code = main(["band", str(bundle), str(tmp_path / "new.csv"),
+                     "-o", str(tmp_path / "band.csv")])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "band.csv").exists()
+
 
 class TestFunctionalCovariates:
     def test_calibrate_and_band_with_functional_covariate(self, tmp_path):

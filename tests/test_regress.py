@@ -154,6 +154,38 @@ class TestConcurrentFof:
                 assert np.allclose(model.coefficients[j][g], beta, atol=1e-9)
 
 
+    def test_coefficients_are_pointwise_lstsq_bit_for_bit(self, rng):
+        grid, n = uniform_grid(9, p=2), 11
+        temp = [rng.normal(size=(n, 9)) for _ in range(2)]
+        ys = [rng.normal(size=(n, 9)) for _ in range(2)]
+        ds = Dataset.from_blocks(grid, ys, scalar={"w": rng.normal(size=n)},
+                                 functional={"temp": temp})
+        spec = RegressorSpec("concurrent_fof", (("temp",), ("w", "temp")))
+        train = [0, 2, 3, 5, 6, 7, 9, 10]
+        model = fit(ds, train, spec)
+        for j, names in enumerate(spec.terms):
+            want = []
+            for g in range(9):
+                cols = [np.ones(len(train))] + [
+                    ds.scalar["w"][train] if name == "w" else temp[j][train, g]
+                    for name in names]
+                want.append(np.linalg.lstsq(np.column_stack(cols), ys[j][train, g],
+                                            rcond=regress.RANK_RCOND)[0])
+            got = model.coefficients[j]
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_singular_design_names_the_first_singular_grid_index(self, rng):
+        temp = rng.normal(size=(6, 8))
+        temp[:, 3] = 0.7  # collinear with the intercept at grid index 3 only
+        temp[:, 5] = -1.0
+        ds = Dataset.from_blocks(uniform_grid(8), [rng.normal(size=(6, 8))],
+                                 functional={"temp": [temp]})
+        with pytest.raises(SingularDesignError, match=r"^singular design for "
+                           r"component 0 at grid index 3: rank 1 < 2$"):
+            fit(ds, range(6), RegressorSpec("concurrent_fof", (("temp",),)))
+
+
 class TestConcurrentFosScalarOnly:
     MESSAGE = "covariate 'temp' is functional; concurrent_fos takes scalar covariates only"
 
@@ -282,3 +314,51 @@ class TestOneColumnFit:
             assert got.shape == want.shape == X.shape[:-1] + coef.shape
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestStackedSolve:
+    """``_solve`` solves a stack of designs in one call, each matrix as
+    ``np.linalg.lstsq`` solves it alone."""
+
+    @pytest.mark.parametrize("k", [1, 100])
+    @pytest.mark.parametrize("m", ["q", 10, 1000])
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_each_matrix_is_lstsq_bit_for_bit(self, rng, q, m, k):
+        m = q if m == "q" else m
+        for size in (1, 3, 20):
+            X = rng.normal(size=(size, m, q))
+            y = rng.normal(size=(size, m, k))
+            y[::2, :, 0] = 0.0  # zero solutions, whose sign is pinned too
+            got = regress._solve(X, y, 0)
+            want = np.array([np.linalg.lstsq(X[r], y[r], rcond=regress.RANK_RCOND)[0]
+                             for r in range(size)])
+            assert got.shape == want.shape == (size, q, k)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            # A 2-D design is one matrix of the same stack.
+            assert np.array_equal(regress._solve(X[-1], y[-1], 0), want[-1])
+
+    @pytest.mark.parametrize("bad", [0, 1, 4])
+    def test_any_rank_deficient_member_refuses_the_stack(self, rng, bad):
+        X = rng.normal(size=(5, 10, 2))
+        X[bad, :, 1] = 2.0 * X[bad, :, 0]
+        y = rng.normal(size=(5, 10, 3))
+        with pytest.raises(SingularDesignError, match=rf"^singular design for "
+                           rf"component 4 at grid index {bad}: rank 1 < 2$"):
+            regress._solve(X, y, 4)
+        with pytest.raises(SingularDesignError, match=r"^singular design for "
+                           r"component 4 \(all grid points\): rank 1 < 2$"):
+            regress._solve(X[bad], y[bad], 4)
+
+    @pytest.mark.parametrize("errors", ["warn", "raise"])
+    def test_a_nan_design_raises_numpys_error(self, rng, errors, capfd):
+        X, y = rng.normal(size=(3, 10, 2)), rng.normal(size=(3, 10, 4))
+        X[1, 0, 0] = np.nan
+        message = "^SVD did not converge in Linear Least Squares$"
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            np.linalg.lstsq(X[1], y[1], rcond=regress.RANK_RCOND)
+        # The harness runs its stacks with floating-point errors raised.
+        with np.errstate(all=errors):
+            with pytest.raises(np.linalg.LinAlgError, match=message):
+                regress._solve(X, y, 0)
+        capfd.readouterr()  # LAPACK reports the NaN on stdout

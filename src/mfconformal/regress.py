@@ -172,7 +172,7 @@ def _svd_failed(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
-def _solve(X, y, j: int, axis: str = "grid index") -> np.ndarray:
+def _solve(X, y, j: int, index: str = "grid index") -> np.ndarray:
     """Least-squares solutions (..., q, k) of component j's designs X
     (..., m, q) for responses y (..., m, k), in one call for the whole stack.
 
@@ -181,9 +181,10 @@ def _solve(X, y, j: int, axis: str = "grid index") -> np.ndarray:
     dgelsd on the same Fortran copy, so every solution is
     ``numpy.linalg.lstsq``'s bit for bit, and so is the error contract: an SVD
     that does not converge raises ``LinAlgError``, never a floating-point
-    error. A rank-deficient matrix raises SingularDesignError, naming a 2-D
-    design as shared by all grid points and a stacked one by the leading
-    ``axis`` index of the first rank-deficient matrix.
+    error. A rank-deficient matrix raises SingularDesignError; the message
+    calls a 2-D design shared by all grid points and names the first
+    rank-deficient matrix of a stack by ``index`` and its position on the
+    leading axis, as in "at grid index 3".
     """
     with np.errstate(call=_svd_failed, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
@@ -192,7 +193,7 @@ def _solve(X, y, j: int, axis: str = "grid index") -> np.ndarray:
     q = X.shape[-1]
     bad = np.flatnonzero(rank < q)
     if bad.size:
-        at = f"at {axis} {bad[0]}" if X.ndim > 2 else "(all grid points)"
+        at = f"at {index} {bad[0]}" if X.ndim > 2 else "(all grid points)"
         raise SingularDesignError(f"singular design for component {j} {at}: "
                                   f"rank {rank.flat[bad[0]]} < {q}")
     return sol

@@ -153,7 +153,6 @@ class TestConcurrentFof:
                 beta = np.linalg.solve(X.T @ X, X.T @ y)
                 assert np.allclose(model.coefficients[j][g], beta, atol=1e-9)
 
-
     def test_coefficients_are_pointwise_lstsq_bit_for_bit(self, rng):
         grid, n = uniform_grid(9, p=2), 11
         temp = [rng.normal(size=(n, 9)) for _ in range(2)]

@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -57,6 +58,22 @@ def _known(doc: dict, keys, where: str) -> None:
 
 
 _convert = functools.partial(_json_value, error=ConfigError, label="config key ")
+
+
+def _check_output(path: str, option: str) -> None:
+    """A ConfigError naming ``path`` unless a file can be written there, so a
+    command fails before its work and not after. Nothing is created or
+    truncated."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        problem = f"{folder} is not an existing directory"
+    elif os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        problem = "it is not writable"
+    else:
+        return
+    raise ConfigError(f"cannot write {option} {path}: {problem}")
 
 
 def _regressor_from_config(doc: dict) -> regress.RegressorSpec:
@@ -128,6 +145,7 @@ def _cmd_calibrate(args) -> int:
     if mode == "smoothed" and tau is None:
         tau = float(np.random.default_rng(seed).uniform())
     trim = modulate.TrimConfig(alpha=alpha, mode=mode, tau=tau)
+    _check_output(args.output, "-o")
 
     grid, curve_ids, curves = csvio.read_curves(args.curves)
     scalar = None
@@ -271,6 +289,8 @@ def _cmd_study(args) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     configs = [_study_config_from_doc(entry, workers) for entry in entries]
+    _check_output(args.report, "--report")
+    _check_output(args.table, "--table")
     reports = [harness.run_study(cfg) for cfg in configs]
     docs = [_report_to_doc(r) for r in reports]
 
@@ -348,8 +368,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process: ``parse_args``
+    only reads it, and an ``append`` action copies its default list."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SchemaError, ShapeError) as exc:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import csv
 import math
 from contextlib import contextmanager
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -374,8 +374,8 @@ def write_band_csv(path, grid: Grid, band: Band) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["component", "t", "lower", "upper", "closure"])
+        # csv writes a Python float as its repr, the shortest exact form.
         for j, comp in enumerate(grid.components):
-            for t, lo, hi in zip(comp.points, band.lower[j], band.upper[j]):
-                writer.writerow(
-                    [j + 1, repr(float(t)), repr(float(lo)), repr(float(hi)), band.closure]
-                )
+            writer.writerows(zip(repeat(j + 1), comp.points.tolist(),
+                                 band.lower[j].tolist(), band.upper[j].tolist(),
+                                 repeat(band.closure)))

@@ -92,7 +92,7 @@ class RegressorSpec:
 @dataclass(frozen=True, eq=False)
 class FittedRegressor:
     """Pointwise least-squares coefficients, one (G_j, q_j) block per
-    component."""
+    component, where q_j counts component j's terms and the intercept."""
 
     grid: Grid
     spec: RegressorSpec
@@ -101,12 +101,13 @@ class FittedRegressor:
     def __post_init__(self):
         if len(self.coefficients) != self.grid.p:
             raise ShapeError("one coefficient block per component is required")
+        terms = self.spec.component_terms(self.grid.p)
         coefs = _readonly_blocks(self.coefficients, "coefficient")
         for j, arr in enumerate(coefs):
-            if arr.shape[0] != self.grid.components[j].size:
+            shape = (self.grid.components[j].size, len(terms[j]) + self.spec.intercept)
+            if arr.shape != shape:
                 raise ShapeError(
-                    f"coefficient block {j} has shape {arr.shape}, expected "
-                    f"({self.grid.components[j].size}, q)"
+                    f"coefficient block {j} has shape {arr.shape}, expected {shape}"
                 )
         object.__setattr__(self, "coefficients", coefs)
 

@@ -9,10 +9,14 @@ import numpy as np
 import pytest
 
 from mfconformal import (
+    Band,
+    ComponentGrid,
     Covariates,
+    Grid,
     ScenarioSpec,
     calibrate,
     cli,
+    csvio,
     fit,
     generate,
     make_band,
@@ -323,6 +327,16 @@ class TestCalibrateCommand:
              "-o", str(tmp_path / "b.json")]
         )
         assert code == EXIT_SCHEMA
+
+    def test_unwritable_output_exits_3_before_any_csv_is_read(self, tmp_path, capsys):
+        (tmp_path / "bad.csv").write_text("id,comp,t,value\nx,1,0.0,1.0\n")
+        write_config(tmp_path / "config.json", alpha=0.5,
+                     split={"strategy": "random", "l": 1, "seed": 0})
+        code = main(["calibrate", str(tmp_path / "bad.csv"),
+                     str(tmp_path / "config.json"), "-o", str(tmp_path)])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            f"error: cannot write -o {tmp_path}: it is a directory\n")
 
 
 class TestBandCommand:
@@ -697,3 +711,62 @@ class TestStudyCommand:
                      "--report", str(tmp_path / "r.json"),
                      "--table", str(tmp_path / "t.csv")])
         assert code == EXIT_NUMERIC and message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--report", "--table"])
+    def test_unwritable_output_exits_3_before_any_cell_runs(self, tmp_path, capsys,
+                                                           monkeypatch, option):
+        write_config(tmp_path / "study.json", workers=1, configs=[
+            {"study": 1, "scenario": 1, "n": 8, "l": 4, "n_reps": 3}])
+        ran = []
+        monkeypatch.setattr(cli.harness, "run_study", ran.append)
+        paths = {"--report": str(tmp_path / "r.json"), "--table": str(tmp_path / "t.csv"),
+                 option: str(tmp_path / "missing" / "out")}
+        code = main(["study", str(tmp_path / "study.json"),
+                     "--report", paths["--report"], "--table", paths["--table"]])
+        assert code == EXIT_NUMERIC and ran == []
+        assert capsys.readouterr().err == (
+            f"error: cannot write {option} {tmp_path / 'missing' / 'out'}: "
+            f"{tmp_path / 'missing'} is not an existing directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["study.json"]
+
+
+class TestCachedParser:
+    def test_main_builds_the_parser_once(self, tmp_path, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert main(["study", str(tmp_path / "absent.json")]) == EXIT_NUMERIC
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
+    def test_the_cached_parser_carries_nothing_between_calls(self, capsys):
+        parse = cli._parser().parse_args
+        first = parse(["band", "b.json", "new.csv", "--functional", "f.csv",
+                       "--truncate-at-zero"])
+        assert first.functional == ["f.csv"] and first.truncate_at_zero
+        with pytest.raises(SystemExit) as usage:
+            parse(["band", "b.json", "--no-such-flag"])
+        assert usage.value.code == 2
+        for argv in (["band", "b.json", "new.csv"], ["study", "s.json"]):
+            assert vars(parse(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+def test_band_csv_writes_each_float_as_its_repr(tmp_path):
+    values = np.array([-1.5e-7, -0.0, 5e-324, 0.1 + 0.2, 1e16])
+    grid = Grid((ComponentGrid.from_points(values),
+                 ComponentGrid.from_points(np.arange(5.0))))
+    lower = (values, -np.abs(values))
+    upper = (np.abs(values), np.abs(values))
+    csvio.write_band_csv(tmp_path / "band.csv", grid,
+                         Band(lower, upper, closure="open"))
+    rows = [f"{j + 1},{t!r},{lo!r},{hi!r},open\r\n"
+            for j, comp in enumerate(grid.components)
+            for t, lo, hi in zip(comp.points.tolist(), lower[j].tolist(),
+                                 upper[j].tolist())]
+    assert rows[1] == "1,-0.0,-0.0,0.0,open\r\n"
+    assert (tmp_path / "band.csv").read_bytes().decode() == (
+        "component,t,lower,upper,closure\r\n" + "".join(rows))

@@ -152,6 +152,12 @@ BUNDLE_REPROS = [
     ([(["closure"], 5)], "'closure' must be a JSON string, got 5"),
     ([(["mode"], 5)], "'mode' must be a JSON string, got 5"),
     ([(["tau"], 0.3)], "tau applies to smoothed mode; split mode uses tau = 1, got 0.3"),
+    # Coefficient blocks that do not fit the regressor's design.
+    ([(["regressor", "coefficients", 0, g], [0.5, 1.0, 2.0]) for g in range(5)],
+     "coefficient block 0 has shape (5, 3), expected (5, 2)"),
+    ([(["regressor", "terms"], [[], []])],
+     "coefficient block 0 has shape (5, 2), expected (5, 1)"),
+    ([(["regressor", "terms"], [["w"]])], "spec lists terms for 1 components, data has 2"),
 ]
 CALIBRATE_REPROS = [
     ([(["functional_covariates"], [1])], "'functional_covariates'"),

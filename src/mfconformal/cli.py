@@ -11,6 +11,12 @@ Exit codes: 0 success, 2 schema error (malformed input files), 3 numeric or
 configuration error. Every command is deterministic given the seeds in its
 config. The environment variable ``MFCONFORMAL_WORKERS`` sets the worker
 count of a study config without a ``workers`` key.
+
+:func:`main` runs one command in-process. It builds its parser once per
+process, so repeated in-process calls do not pay for it again;
+:func:`build_parser` returns a fresh parser on every call. ``calibrate`` and
+``study`` check that their output paths can be written before any CSV is
+read or any study cell runs.
 """
 
 from __future__ import annotations

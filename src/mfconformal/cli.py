@@ -14,9 +14,9 @@ count of a study config without a ``workers`` key.
 
 :func:`main` runs one command in-process. It builds its parser once per
 process, so repeated in-process calls do not pay for it again;
-:func:`build_parser` returns a fresh parser on every call. ``calibrate`` and
-``study`` check that their output paths can be written before any CSV is
-read or any study cell runs.
+:func:`build_parser` returns a fresh parser on every call. Every command
+checks that its output paths can be written before it reads a CSV or a
+bundle or runs a study cell.
 """
 
 from __future__ import annotations
@@ -191,6 +191,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_band(args) -> int:
+    _check_output(args.output, "-o")
     pred, _ = load_bundle(args.bundle)
     if pred.infinite:
         tau = _level(pred.alpha, pred.mode, pred.tau)

@@ -368,11 +368,15 @@ def _band_area(radii, fns, grid):
 
 def _checked_size(area, size):
     """``size`` = 2 * radius if the quadrature ``area`` agrees within
-    1e-10 * max(1, |size|), elementwise over stacks; else MFConformalError."""
-    if not np.all(np.abs(area - size) <= 1e-10 * np.maximum(1.0, np.abs(size))):
+    1e-10 * max(1, |size|), elementwise over stacks; else MFConformalError,
+    which names the first replication of a stack that disagrees."""
+    bad = np.ravel(~(np.abs(area - size) <= 1e-10 * np.maximum(1.0, np.abs(size))))
+    if bad.any():
+        at = bad.argmax()
         raise MFConformalError(
-            f"band size self-check failed: 2*radius={size!r} but quadrature "
-            f"gives {area!r}; is the modulation set normalized?"
+            f"band size self-check failed: 2*radius={float(np.ravel(size)[at])!r} "
+            f"but quadrature gives {float(np.ravel(area)[at])!r}; is the "
+            f"modulation set normalized?"
         )
     return size
 

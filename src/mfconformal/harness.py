@@ -6,29 +6,25 @@ band together with the band size. Per-replication randomness is derived from
 ``(master_seed, replication_index, stream)`` with one stream each for the
 sample, the split and the smoothed tie-breaker.
 
-Every cell runs its replications in stacks through :func:`_stacked`,
-which computes R replications of a cell as arrays with a leading
-replication axis. Each replication still draws from its own generators in
-the same order, and the stages call the private helpers behind the public
-objects (``Dataset``, ``Split``, ``FittedRegressor``, ``ModulationSet``,
-``BandPredictor``, ``Band``) without building those objects. The
-least-squares fit is one ``regress._solve`` call per stack and component,
-which runs LAPACK once per replication; the quadrature ``np.dot`` stays one
-call per replication and component. R is :data:`STACK_BYTES` over the size
-of one replication's response block, (n+1) * sum_j G_j * 8 bytes, and at
-least 1: at G = 100 on two components that is 31 at n = 20, 3 at n = 200
-and 1 at n = 2000. The budget bounds a stack's temporaries, a few copies
-of its response block. At n = 2000 a replication is bound by memory
-traffic, so the responses come component-major, (R, 2, n+1, G), and each
-component's training and calibration rows are gathered once into copies
-that the residuals then overwrite.
+:func:`_stacked` is the one engine: it computes a stack of R replications
+of a cell as arrays with a leading replication axis. Each replication still
+draws from its own generators in the same order, and the stages call the
+private helpers behind the public objects (``Dataset``, ``Split``,
+``FittedRegressor``, ``ModulationSet``, ``BandPredictor``, ``Band``) without
+building those objects. The least-squares fit is one ``regress._solve``
+call per stack and component, which runs LAPACK once per replication. R is
+:data:`STACK_BYTES` over the size of one replication's response block, and
+at least 1: at G = 100 on two components that is 31 at n = 20, 3 at n = 200
+and 1 at n = 2000. The budget bounds a stack's temporaries, a few copies of
+its response block.
 
-Each stage checks the whole stack with the rule its module applies on the
-public path: finite values, design rank, modulation, calibration, split
-closure, band size and bounds. A stack that a rule or a floating-point fault
-refuses is run again one replication at a time through :func:`_replication`,
-which goes through the public objects, so failure messages and
-``skip_failures`` counts are theirs; it is also the stacked path's reference.
+Each stage checks the whole stack with the rule its module applies to the
+public objects, under their labels and in their order: finite values,
+training rows, design rank, modulation, calibration, split closure, bounds
+and band size. A stack that a rule or a floating-point fault refuses runs
+again as stacks of one, with floating-point faults left to the rules, so a
+failure's message and the ``skip_failures`` count are those the public
+objects give for that replication.
 
 Determinism contract: a record depends only on the cell and its
 replication index, not on the stack size, the worker count or how the
@@ -42,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,7 +53,6 @@ from .core import (
     _level,
     _row_sups,
     _uniform_parts,
-    random_split,
 )
 
 __all__ = [
@@ -184,49 +179,6 @@ def size_quartiles(sizes) -> tuple[float, float, float]:
     return float(q1), float(med), float(q3)
 
 
-def _replication(cfg: StudyConfig, rep: int):
-    """Run one replication through the public objects; returns (hit, size,
-    infinite_flag). It reruns a faulted stack and is the stacked path's
-    reference.
-
-    The three independent random streams (generation, split, tau) are keyed
-    on (master_seed, rep, stream).
-    """
-    base = cfg.master_seed
-    spec = replace(cfg.scenario, seed=(base, rep, 0))
-    dataset, (x_new, y_new) = simgen.generate(spec)
-    split = random_split(spec.n, cfg.l, seed=(base, rep, 1))
-    tau = _tau(cfg, rep)
-
-    model = regress.fit(dataset, split.train_idx, simgen.regressor_for(spec))
-    train_res = regress.residuals(model, dataset, split.train_idx)
-    trim = modulate.TrimConfig(alpha=cfg.alpha, mode=cfg.mode, tau=tau)
-    s = modulate.make_modulation(cfg.modulation, train_res, dataset.grid, trim)
-
-    if cfg.method == "cub":
-        radii = conformal._split_radii(dataset, split, model, s, cfg.alpha)
-        if radii is None:
-            return True, None, True
-        band = conformal._concatenated_band(model, s, radii, x_new)
-        area = conformal._band_area(radii, s.fns, s.grid)
-        return conformal.contains(band, y_new), float(area), False
-
-    pred = conformal.calibrate(
-        dataset, split, model, s, cfg.alpha, mode=cfg.mode, tau=tau
-    )
-    if pred.infinite:
-        return True, None, True
-    band = conformal.make_band(pred, x_new)
-    return conformal.contains(band, y_new), conformal.band_size(pred), False
-
-
-def _tau(cfg: StudyConfig, rep: int) -> float | None:
-    """The replication's tie-breaker in smoothed mode, None in split mode."""
-    if cfg.mode != "smoothed":
-        return None
-    return float(np.random.default_rng((cfg.master_seed, rep, 2)).uniform())
-
-
 def _stack_size(cfg: StudyConfig) -> int:
     """Replications per stack: :data:`STACK_BYTES` over the bytes of one
     replication's (2, n+1, G) response block, at least 1."""
@@ -235,15 +187,15 @@ def _stack_size(cfg: StudyConfig) -> int:
 
 
 def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
-    """The records of :func:`_replication` for ``reps``, computed as stacked
-    arrays with a leading replication axis. Raises on the first fault of any
-    replication in the stack."""
+    """The records of ``reps``, computed as stacked arrays with a leading
+    replication axis. Raises on the first fault of any replication in the
+    stack; for a stack of one, the fault and its message are those of the
+    public objects on the same replication, checked in their order."""
     spec, alpha, l = cfg.scenario, cfg.alpha, cfg.l
     n, count = spec.n, len(reps)
     grid = simgen._grid(spec.grid_points)
     rngs = [np.random.default_rng((cfg.master_seed, rep, 0)) for rep in reps]
     y = simgen._responses(spec, rngs)  # (R, 2, n+1, G), generated rows
-    _finite(y, "responses")
     perm = np.array([rng.permutation(n + 1) for rng in rngs])
     train, calib = _uniform_parts(np.array([
         np.random.default_rng((cfg.master_seed, rep, 1)).permutation(n)
@@ -251,23 +203,32 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
     # Dataset row i is generated row perm[:, i]; the held-out one is the last.
     train, calib = (np.take_along_axis(perm, part, 1) for part in (train, calib))
     out, stack = perm[:, -1], np.arange(count)[:, None]
-    taus = [_tau(cfg, rep) for rep in reps]
+    taus = [float(np.random.default_rng((cfg.master_seed, rep, 2)).uniform())
+            if cfg.mode == "smoothed" else None for rep in reps]  # tie-breakers
 
     regressor = simgen.regressor_for(spec)
     columns = SimpleNamespace(scalar=simgen._covariates(spec), functional={})
     designs = [regress._design(columns, regressor, names, j, np.arange(n + 1))
                for j, names in enumerate(regressor.component_terms(grid.p))]
-    res, calib_res, fit = [], [], []  # training, calibration, held-out row
-    for j, d in enumerate(designs):
-        # The gathers copy the rows, so the residuals overwrite them.
-        x, res_j, cal_j = d[train], y[:, j][stack, train], y[:, j][stack, calib]
+    # Training, calibration and held-out rows. The gathers copy the rows,
+    # so the residuals overwrite them.
+    res = [y[:, j][stack, train] for j in range(grid.p)]
+    calib_res = [y[:, j][stack, calib] for j in range(grid.p)]
+    y_out = [y[stack[:, 0], j, out] for j in range(grid.p)]  # (R, G)
+    for j in range(grid.p):  # the dataset's rows, then the held-out curve
+        _finite(res[j], f"responses component {j}")
+        _finite(calib_res[j], f"responses component {j}")
+    for j, v in enumerate(y_out):
+        _finite(v, f"curve component {j}")
+    fit = []
+    for j, (d, res_j, cal_j) in enumerate(zip(designs, res, calib_res)):
+        x = d[train]
+        regress._enough_rows(n - l, x.shape[-1], j)
         # (R, q, G): the transposed coefficient blocks
-        coef = regress._solve(x, res_j, j, "stacked replication")
-        _finite(coef, "coefficient")
+        coef = regress._solve(x, res_j, j, shared=True)
+        _finite(coef, f"coefficient component {j}")
         res_j -= regress._fitted(x, coef)
         cal_j -= regress._fitted(d[calib], coef)
-        res.append(res_j)
-        calib_res.append(cal_j)
         fit.append(regress._fitted(d[out][:, None, :], coef)[:, 0])  # (R, G)
 
     if cfg.modulation == "s0":
@@ -286,7 +247,6 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
     scaled = conformal._modulated(calib_res, fns)
     if cfg.method == "cub":
         radii, closed = conformal._rank_radii(scaled, rank), True
-        sizes = conformal._band_area(radii, fns, grid)
     else:
         scores = _row_sups(scaled)
         _finite(scores, "scores", ValueError)
@@ -295,12 +255,13 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
             np.sort(scores, axis=-1), alpha, tau)
         conformal._split_closed(closed, cfg.mode)
         radii = [radius] * grid.p
-        sizes = conformal._checked_size(
-            conformal._band_area(radii, fns, grid), 2.0 * radius)
 
     lower, upper = conformal._bounds(fit, [k[:, None] for k in radii], fns)
-    hits = np.all([conformal._inside(lo, y[stack[:, 0], j, out], hi, closed)
-                   for j, (lo, hi) in enumerate(zip(lower, upper))], axis=0)
+    sizes = conformal._band_area(radii, fns, grid)
+    if cfg.method == "mpb":  # checked after the band, as band_size is
+        sizes = conformal._checked_size(sizes, 2.0 * radius)
+    hits = np.all([conformal._inside(lo, v, hi, closed)
+                   for lo, v, hi in zip(lower, y_out, upper)], axis=0)
     return [ReplicationRecord(rep, True, None, True) if inf
             else ReplicationRecord(rep, bool(hit), float(q), False)
             for rep, inf, hit, q in zip(reps, infinite, hits, sizes)]
@@ -325,14 +286,15 @@ def _raise_malloc_thresholds() -> None:
 
 def _replication_batch(cfg: StudyConfig, reps: list[int]):
     """The records of ``reps``, in stacks of :func:`_stack_size`
-    replications; a stack with a fault is run one replication at a time."""
+    replications; a stack with a fault is run again as stacks of one."""
     _raise_malloc_thresholds()
     size, out = _stack_size(cfg), []
     for i in range(0, len(reps), size):
         stack = reps[i : i + size]
         # A failed check or a floating-point fault of any replication sends
-        # the stack through _replication, one replication at a time, which
-        # gives the exact message or failure count.
+        # the stack through _stacked again, one replication at a time and
+        # with floating-point faults left to the checks, which gives the
+        # exact message or failure count.
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 out += _stacked(cfg, stack)
@@ -341,7 +303,7 @@ def _replication_batch(cfg: StudyConfig, reps: list[int]):
             pass
         for rep in stack:
             try:
-                out.append(ReplicationRecord(rep, *_replication(cfg, rep)))
+                out += _stacked(cfg, [rep])
             except Exception as exc:
                 if cfg.skip_failures:
                     out.append(ReplicationRecord(rep, None, None, False))

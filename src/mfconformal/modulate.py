@@ -26,6 +26,7 @@ from .core import (
     Grid,
     MFConformalError,
     _feasible_rank,
+    _finite,
     _integrals,
     _level,
     _readonly,
@@ -118,15 +119,20 @@ class ModulationSet:
 
 
 def _checked(fns, grid: Grid, unit: bool = True):
-    """``fns`` if strictly positive and, if ``unit``, of total integral 1
-    (per set of an (R, G_j) stack); else a ValueError."""
+    """``fns`` if finite, strictly positive and, if ``unit``, of total
+    integral 1 (per set of an (R, G_j) stack); else a ValueError, which
+    names the total of the first set of a stack that is off."""
+    for j, f in enumerate(fns):
+        _finite(f, f"modulation component {j}", ValueError)
     for j, f in enumerate(fns):
         if not (f > 0).all():
             raise ValueError(f"modulation component {j} must be strictly positive")
     if unit:
-        tot = sum(_integrals(fns, grid))
-        if np.any(np.abs(tot - 1.0) > NORMALIZATION_TOL):
-            raise ValueError(f"modulation set integrates to {tot!r}, expected 1")
+        tot = np.ravel(sum(_integrals(fns, grid)))
+        off = np.abs(tot - 1.0) > NORMALIZATION_TOL
+        if off.any():
+            raise ValueError(f"modulation set integrates to "
+                             f"{float(tot[off.argmax()])!r}, expected 1")
     return fns
 
 

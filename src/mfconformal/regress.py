@@ -173,7 +173,15 @@ def _svd_failed(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
-def _solve(X, y, j: int, index: str = "grid index") -> np.ndarray:
+def _enough_rows(m: int, q: int, j: int) -> None:
+    """The rule that component j's fit needs a training curve per design
+    column: InsufficientDataError unless ``m >= q``."""
+    if m < q:
+        raise InsufficientDataError(f"component {j}: {m} training curves for "
+                                    f"{q} design columns")
+
+
+def _solve(X, y, j: int, shared: bool = False) -> np.ndarray:
     """Least-squares solutions (..., q, k) of component j's designs X
     (..., m, q) for responses y (..., m, k), in one call for the whole stack.
 
@@ -182,10 +190,10 @@ def _solve(X, y, j: int, index: str = "grid index") -> np.ndarray:
     dgelsd on the same Fortran copy, so every solution is
     ``numpy.linalg.lstsq``'s bit for bit, and so is the error contract: an SVD
     that does not converge raises ``LinAlgError``, never a floating-point
-    error. A rank-deficient matrix raises SingularDesignError; the message
-    calls a 2-D design shared by all grid points and names the first
-    rank-deficient matrix of a stack by ``index`` and its position on the
-    leading axis, as in "at grid index 3".
+    error. A rank-deficient matrix raises SingularDesignError. Its message
+    calls a 2-D design, or with ``shared`` each design of a stack of
+    replications, shared by all grid points; otherwise it names the first
+    rank-deficient grid index, as in "at grid index 3".
     """
     with np.errstate(call=_svd_failed, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
@@ -194,7 +202,7 @@ def _solve(X, y, j: int, index: str = "grid index") -> np.ndarray:
     q = X.shape[-1]
     bad = np.flatnonzero(rank < q)
     if bad.size:
-        at = f"at {index} {bad[0]}" if X.ndim > 2 else "(all grid points)"
+        at = "(all grid points)" if shared or X.ndim == 2 else f"at grid index {bad[0]}"
         raise SingularDesignError(f"singular design for component {j} {at}: "
                                   f"rank {rank.flat[bad[0]]} < {q}")
     return sol
@@ -236,11 +244,7 @@ def fit(dataset: Dataset, train_idx, spec: RegressorSpec) -> FittedRegressor:
 
     blocks = []
     for j in range(grid.p):
-        q = len(terms[j]) + (1 if spec.intercept else 0)
-        if m < q:
-            raise InsufficientDataError(
-                f"component {j}: {m} training curves for {q} design columns"
-            )
+        _enough_rows(m, len(terms[j]) + spec.intercept, j)
         resp = dataset.responses[j][idx]  # (m, G_j)
         X = _design(dataset, spec, terms[j], j, idx)
         if X.ndim == 2:

@@ -1,4 +1,5 @@
 import contextlib
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,11 @@ from mfconformal import (
     Covariates,
     Dataset,
     MFCurve,
+    conformal,
     harness,
+    modulate,
+    random_split,
+    regress,
     simgen,
     uniform_grid,
 )
@@ -47,52 +52,115 @@ def make_dataset(rng, grid, n, slope=1.5):
     return Dataset(grid=grid, pairs=tuple(pairs))
 
 
+def replication(cfg, rep: int):
+    """Run one replication through the public objects; returns (hit, size,
+    infinite_flag). It is the reference of the harness's stacked path.
+
+    The three independent random streams (generation, split, tau) are keyed
+    on (master_seed, rep, stream).
+    """
+    base = cfg.master_seed
+    spec = replace(cfg.scenario, seed=(base, rep, 0))
+    dataset, (x_new, y_new) = simgen.generate(spec)
+    split = random_split(spec.n, cfg.l, seed=(base, rep, 1))
+    tau = None
+    if cfg.mode == "smoothed":
+        tau = float(np.random.default_rng((base, rep, 2)).uniform())
+
+    model = regress.fit(dataset, split.train_idx, simgen.regressor_for(spec))
+    train_res = regress.residuals(model, dataset, split.train_idx)
+    trim = modulate.TrimConfig(alpha=cfg.alpha, mode=cfg.mode, tau=tau)
+    s = modulate.make_modulation(cfg.modulation, train_res, dataset.grid, trim)
+
+    if cfg.method == "cub":
+        radii = conformal._split_radii(dataset, split, model, s, cfg.alpha)
+        if radii is None:
+            return True, None, True
+        band = conformal._concatenated_band(model, s, radii, x_new)
+        area = conformal._band_area(radii, s.fns, s.grid)
+        return conformal.contains(band, y_new), float(area), False
+
+    pred = conformal.calibrate(
+        dataset, split, model, s, cfg.alpha, mode=cfg.mode, tau=tau
+    )
+    if pred.infinite:
+        return True, None, True
+    band = conformal.make_band(pred, x_new)
+    return conformal.contains(band, y_new), conformal.band_size(pred), False
+
+
+def oracle_stacked(cfg, reps):
+    """``harness._stacked`` through :func:`replication`: one record per
+    replication, or the first replication's fault."""
+    return [harness.ReplicationRecord(rep, *replication(cfg, rep)) for rep in reps]
+
+
 @contextlib.contextmanager
 def per_replication():
-    """Send every replication of ``harness._replication_batch`` through
-    ``harness._replication``, the reference of the stacked path: every call
-    of ``harness._stacked`` raises a ValueError, as a stack with a fault
-    does."""
-
-    def stacked(cfg, reps):
-        raise ValueError("every stack faults")
-
-    with mock.patch.object(harness, "_stacked", stacked):
+    """Run every stack of ``harness._replication_batch`` through
+    :func:`replication`, the reference of the stacked path, in place of
+    ``harness._stacked``. A stack with a fault is run again as stacks of
+    one, so a fault's message and ``skip_failures`` count are the public
+    objects'."""
+    with mock.patch.object(harness, "_stacked", oracle_stacked):
         yield
 
 
 @contextlib.contextmanager
-def failing_replications(failing, path: str):
+def stacked_calls():
+    """Spy on ``harness._stacked``: yields the list of the replication lists
+    it is called with, in call order."""
+    calls, real = [], harness._stacked
+
+    def stacked(cfg, reps):
+        calls.append(list(reps))
+        return real(cfg, reps)
+
+    with mock.patch.object(harness, "_stacked", stacked):
+        yield calls
+
+
+def held_out_row(rng, n: int) -> int:
+    """The generated row that the next ``rng.permutation(n + 1)`` holds out,
+    drawn from a copy of ``rng``."""
+    twin = np.random.Generator(type(rng.bit_generator)())
+    twin.bit_generator.state = rng.bit_generator.state
+    return int(twin.permutation(n + 1)[-1])
+
+
+@contextlib.contextmanager
+def failing_replications(failing, path: str, held_out: bool = False):
     """Make the study replications whose indices are in ``failing`` fail on
     the given path of ``harness._replication_batch``.
 
     ``"stacked"``: their error curves turn NaN in ``simgen._errors``, which
-    the stacked path and ``harness._replication`` both call, so a stack
-    holding one of them is run again one replication at a time and fails
-    there at the dataset's finiteness check. ``"per-replication"``: every
-    replication runs through ``harness._replication`` (see
-    :func:`per_replication`), which raises for them.
+    ``harness._stacked`` and :func:`replication` both call, so a stack
+    holding one of them is run again as stacks of one, and each of them
+    fails at the dataset's finiteness check or, with ``held_out``, which
+    turns only the held-out curve NaN, at the held-out curve's.
+    ``"per-replication"``: every stack runs through :func:`replication`
+    (see :func:`per_replication`), which raises a ValueError for them.
     """
     if path == "stacked":
         real = simgen._errors
 
         def errors(spec, rngs, points):
-            eps = real(spec, rngs, points)
+            eps = real(spec, rngs, points)  # (R, 2, n+1, G)
             for k, rng in enumerate(rngs):  # seeded (master_seed, rep, 0)
                 if rng.bit_generator.seed_seq.entropy[1] in failing:
-                    eps[k] = np.nan
+                    # The sample's row permutation is the next draw.
+                    rows = held_out_row(rng, spec.n) if held_out else slice(None)
+                    eps[k, :, rows] = np.nan
             return eps
 
         with mock.patch.object(simgen, "_errors", errors):
             yield
         return
-    real = harness._replication
 
-    def replication(cfg, rep):
-        if rep in failing:
-            raise RuntimeError("boom")
-        return real(cfg, rep)
+    def stacked(cfg, reps):
+        if failing.intersection(reps):
+            raise ValueError("boom")
+        return oracle_stacked(cfg, reps)
 
-    with per_replication(), \
-            mock.patch.object(harness, "_replication", replication):
+    with mock.patch.object(harness, "_stacked", stacked):
         yield

@@ -404,6 +404,24 @@ class TestBandCommand:
             assert float(row["upper"]) == expected.upper[0][g]
             assert row["closure"] == "closed"
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_output_exits_3_before_the_band_is_computed(
+            self, tmp_path, capsys, monkeypatch, where):
+        bundle = self._calibrated_bundle(tmp_path)[0]
+        write_scalar_csv(tmp_path / "new.csv", {"new": {"w": 0.37}}, ["w"])
+        before = sorted(tmp_path.iterdir())
+        out, problem = {
+            "missing directory": (tmp_path / "missing" / "band.csv",
+                                  f"{tmp_path / 'missing'} is not an existing directory"),
+            "directory": (tmp_path, "it is a directory"),
+        }[where]
+        made = []
+        monkeypatch.setattr(cli.conformal, "make_band", made.append)
+        code = main(["band", str(bundle), str(tmp_path / "new.csv"), "-o", str(out)])
+        assert code == EXIT_NUMERIC and made == []
+        assert capsys.readouterr().err == f"error: cannot write -o {out}: {problem}\n"
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_zero_radius_bundle_degenerates(self, tmp_path):
         # Noiseless linear data, correctly specified model: all calibration
         # scores are ~0, so lower == upper == prediction.
@@ -711,6 +729,20 @@ class TestStudyCommand:
                      "--report", str(tmp_path / "r.json"),
                      "--table", str(tmp_path / "t.csv")])
         assert code == EXIT_NUMERIC and message in capsys.readouterr().err
+
+    def test_a_floating_point_fault_exits_3_with_the_check_that_refuses_it(
+            self, tmp_path, capsys):
+        write_config(tmp_path / "study.json", workers=1, configs=[
+            {"study": 1, "scenario": 1, "n": 20, "l": 9, "n_reps": 3,
+             "error_scale": 1e308}])
+        with pytest.warns(RuntimeWarning):
+            code = main(["study", str(tmp_path / "study.json"),
+                         "--report", str(tmp_path / "r.json"),
+                         "--table", str(tmp_path / "t.csv")])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "error: replication 0 failed: responses component 0 contains "
+            "non-finite entries\n")
 
     @pytest.mark.parametrize("option", ["--report", "--table"])
     def test_unwritable_output_exits_3_before_any_cell_runs(self, tmp_path, capsys,

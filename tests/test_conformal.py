@@ -16,6 +16,7 @@ from mfconformal import (
     calibrate_smoothed,
     calibrate_split,
     calibration_scores,
+    conformal,
     contains,
     cub_band,
     fit,
@@ -412,6 +413,13 @@ class TestBandSize:
         pred = calibrate(ds, split, model, s.scale(2.0), 0.25)
         with pytest.raises(MFConformalError, match="self-check"):
             band_size(pred)
+
+    def test_size_check_of_a_stack_names_its_first_failing_replication(self):
+        size, area = np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.5, 3.5])
+        with pytest.raises(MFConformalError, match=r"^band size self-check failed: "
+                           r"2\*radius=2\.0 but quadrature gives 2\.5; "):
+            conformal._checked_size(area, size)
+        assert conformal._checked_size(size, size) is size
 
 
 class TestComparativeBands:

@@ -10,9 +10,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import failing_replications
+from conftest import failing_replications, replication
 from mfconformal import ScenarioSpec, StudyConfig, coverage_ci, run_study, size_quartiles
-from mfconformal.harness import ReplicationError, _replication
+from mfconformal.harness import ReplicationError
 
 
 def small_config(**overrides):
@@ -134,7 +134,7 @@ class TestRunStudy:
         cfg = small_config(n_reps=3, keep_sizes=True)
         rep = run_study(cfg)
         for rep_idx in range(3):
-            _, size, infinite = _replication(cfg, rep_idx)
+            _, size, infinite = replication(cfg, rep_idx)
             assert not infinite
             assert size in rep.sizes
 
@@ -151,6 +151,21 @@ class TestRunStudy:
         assert rep.n_failed == 2
         assert rep.n_reps == 4
 
+    @pytest.mark.parametrize("skip_failures", [False, True])
+    def test_a_floating_point_fault_ends_in_the_check_that_refuses_it(
+            self, skip_failures):
+        # The responses overflow while a stack runs with floating-point
+        # faults raised; the stack runs again, and each replication fails at
+        # the dataset's finiteness check, never with a FloatingPointError.
+        scenario = replace(small_config().scenario, error_scale=1e308)
+        cfg = small_config(scenario=scenario, n_reps=3, skip_failures=skip_failures)
+        message = ("all 3 replications failed" if skip_failures else
+                   "replication 0 failed: responses component 0 contains "
+                   "non-finite entries")
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(ReplicationError, match=f"^{message}$"):
+                run_study(cfg)
+
     def test_cub_replication_computes_residuals_once_per_part(self, monkeypatch):
         from mfconformal import conformal, regress
 
@@ -163,7 +178,7 @@ class TestRunStudy:
 
         monkeypatch.setattr(regress, "residuals", counting)
         monkeypatch.setattr(conformal, "residuals", counting)
-        _, size, infinite = _replication(small_config(method="cub"), 0)
+        _, size, infinite = replication(small_config(method="cub"), 0)
         assert not infinite and size > 0
         assert len(calls) == 2 and len(set(calls)) == 2  # train, then calib
 

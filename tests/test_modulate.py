@@ -6,6 +6,7 @@ from mfconformal import (
     ModulationSet,
     ShapeError,
     TrimConfig,
+    modulate,
     s_bar,
     s_bar_c,
     s_const,
@@ -258,6 +259,21 @@ class TestInvariants:
             ModulationSet(grid2, tuple(2.0 * f for f in half), "s0")
         assert ModulationSet(grid2, tuple(2.0 * f for f in half), "s0",
                              unit_integral=False).total == pytest.approx(2.0)
+
+    def test_stack_rule_names_what_a_set_alone_would(self, grid2):
+        # The rule that ModulationSet applies, over an (R, G_j) stack: each
+        # set is checked as it is alone, and the message is the one of the
+        # first set that fails.
+        half = np.full((3, 50), 0.5)
+        off = half.copy()
+        off[1] = 1.0  # set 1 integrates to 0.5 + 1.0
+        with pytest.raises(ValueError, match=r"^modulation set integrates to "
+                                             r"1\.5, expected 1$"):
+            modulate._checked((half, off), grid2)
+        off[2, 3] = -np.inf
+        with pytest.raises(ValueError, match="^modulation component 1 contains "
+                                             "non-finite entries$"):
+            modulate._checked((np.where(off > 0, half, 0.0), off), grid2)
 
     def test_scaled_set_not_normalized(self, grid2):
         s = s_const(grid2).scale(3.0)

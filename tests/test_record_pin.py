@@ -90,8 +90,8 @@ for name, covariate_set, l, modulation, error_scale in [
 print(json.dumps({"digests": digests, "faults": faults}))
 '''
 
-# Produced before the fault rerun moved onto the stacked path, with the
-# kernels above.
+# Under the kernels above. A changed digest is a changed output: re-pin it
+# only with a documented reason.
 DIGESTS = {
     "20": "61a009c7b4bab93b421fa14695c32343169aae40763d2be0fecdfd1621805db3",
     "40": "07f0b5c34798084055fe9e716f499b100accc43339d4373839cfe90dc7c57588",

@@ -348,6 +348,11 @@ class TestStackedSolve:
         with pytest.raises(SingularDesignError, match=r"^singular design for "
                            r"component 4 \(all grid points\): rank 1 < 2$"):
             regress._solve(X[bad], y[bad], 4)
+        # A stack of replications, each with a design shared by its grid
+        # points, as the study harness solves them.
+        with pytest.raises(SingularDesignError, match=r"^singular design for "
+                           r"component 4 \(all grid points\): rank 1 < 2$"):
+            regress._solve(X, y, 4, shared=True)
 
     @pytest.mark.parametrize("errors", ["warn", "raise"])
     def test_a_nan_design_raises_numpys_error(self, rng, errors, capfd):

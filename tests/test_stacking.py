@@ -1,14 +1,18 @@
 """The stacked replication path against the per-replication one.
 
 ``harness._replication_batch`` runs the replications of every cell as
-stacked arrays. Its records must equal those of ``harness._replication``,
-compared by ``repr``, whatever the stack size, the worker count or where
-failures fall. Whether a stacked stage equals its per-replication form bit
-for bit depends on the BLAS kernels, so CI runs this module under the
-default kernels as well as under ``OPENBLAS_CORETYPE=Haswell``.
+stacked arrays through ``harness._stacked``, and a stack with a fault again
+as stacks of one. Its records must equal those of the reference
+``conftest.replication``, which runs each replication through the public
+objects, compared by ``repr``, whatever the stack size, the worker count or
+where failures fall; so must the message of every fault. Whether a stacked
+stage equals its per-replication form bit for bit depends on the BLAS
+kernels, so CI runs this module under the default kernels as well as under
+``OPENBLAS_CORETYPE=Haswell``.
 """
 
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -16,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import failing_replications, per_replication
+from conftest import failing_replications, per_replication, stacked_calls
 from mfconformal import (
     ScenarioSpec,
     StudyConfig,
@@ -99,91 +103,102 @@ def from_harness() -> bool:
     return sys._getframe(2).f_globals["__name__"] == harness.__name__
 
 
-def refusing(module, name, error):
-    """Patch ``module.name`` to raise ``error`` when the harness calls it."""
+def refusing(module, name, error, at):
+    """Patch ``module.name`` to raise ``error`` when the harness calls it on
+    a stack for which ``at()`` is not None."""
     real = getattr(module, name)
 
-    def rule(*args):
-        if from_harness():
+    def rule(*args, **kwargs):
+        if from_harness() and at() is not None:
             raise error(f"{name} refused the stack")
-        return real(*args)
+        return real(*args, **kwargs)
 
     return mock.patch.object(module, name, rule)
 
 
-def poisoning(module, name):
-    """Patch ``module.name`` so that its result has a NaN in its first
-    block when the harness calls it."""
+def poisoning(module, name, at):
+    """Patch ``module.name`` so that, when the harness calls it on a stack
+    for which ``at()`` is not None, its result has a NaN in the first block
+    at that position of the stack."""
     real = getattr(module, name)
 
-    def stage(*args):
-        out = real(*args)
-        if from_harness():
+    def stage(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if from_harness() and at() is not None:
             first = out[0] if isinstance(out, list) else out
-            first[(0,) * first.ndim] = np.nan
+            first[(at(),) + (0,) * (first.ndim - 1)] = np.nan
         return out
 
     return mock.patch.object(module, name, stage)
 
 
+# The one replication of the cell that the rule refuses.
+CHOSEN = 2
+
 # Each rule that _stacked shares with the public path: how to make it refuse
-# a stack, the cell variant that reaches it, and the message the stack faults
-# with. The three finiteness checks see real NaNs; a rule called once is
-# patched to raise the error type it raises itself.
+# the stacks that hold replication CHOSEN, the cell variant that reaches it,
+# and the message it refuses with. The four finiteness checks see real
+# NaNs; a rule called once is patched to raise the error type it raises
+# itself.
 RULES = {
-    "responses finite": (lambda: failing_replications({2}, "stacked"),
+    "responses finite": (lambda at: failing_replications({CHOSEN}, "stacked"),
                          ("sigma", "split", "mpb"),
-                         "responses contains non-finite entries"),
-    "coefficients finite": (lambda: poisoning(regress, "_solve"),
+                         "responses component 0 contains non-finite entries"),
+    "held-out curve finite": (
+        lambda at: failing_replications({CHOSEN}, "stacked", held_out=True),
+        ("sigma", "split", "mpb"), "curve component 0 contains non-finite entries"),
+    "coefficients finite": (lambda at: poisoning(regress, "_solve", at),
                             ("s0", "split", "mpb"),
-                            "coefficient contains non-finite entries"),
-    "scores finite": (lambda: poisoning(conformal, "_modulated"),
+                            "coefficient component 0 contains non-finite entries"),
+    "scores finite": (lambda at: poisoning(conformal, "_modulated", at),
                       ("s0", "split", "mpb"),
                       "scores contains non-finite entries"),
-    "design rank": (lambda: refusing(regress, "_solve", SingularDesignError),
+    "design rank": (lambda at: refusing(regress, "_solve", SingularDesignError, at),
                     ("s0", "split", "cub"), "_solve refused the stack"),
-    "sigma": (lambda: refusing(modulate, "_sigma_fns", ValueError),
+    "sigma": (lambda at: refusing(modulate, "_sigma_fns", ValueError, at),
               ("sigma", "split", "mpb"), "_sigma_fns refused the stack"),
-    "sbar": (lambda: refusing(modulate, "_sbar_fns", ValueError),
+    "sbar": (lambda at: refusing(modulate, "_sbar_fns", ValueError, at),
              ("sbar", "smoothed", "mpb"), "_sbar_fns refused the stack"),
-    "modulation rule, sigma": (lambda: refusing(modulate, "_checked", ValueError),
+    "modulation rule, sigma": (lambda at: refusing(modulate, "_checked", ValueError, at),
                                ("sigma", "split", "mpb"), "_checked refused the stack"),
-    "modulation rule, sbar": (lambda: refusing(modulate, "_checked", ValueError),
+    "modulation rule, sbar": (lambda at: refusing(modulate, "_checked", ValueError, at),
                               ("sbar", "split", "mpb"), "_checked refused the stack"),
-    "calibration": (lambda: refusing(conformal, "_calibrated", EmptyBandError),
+    "calibration": (lambda at: refusing(conformal, "_calibrated", EmptyBandError, at),
                     ("sigma", "smoothed", "mpb"), "_calibrated refused the stack"),
-    "split closure": (lambda: refusing(conformal, "_split_closed", ValueError),
+    "split closure": (lambda at: refusing(conformal, "_split_closed", ValueError, at),
                       ("sigma", "split", "mpb"), "_split_closed refused the stack"),
-    "band size": (lambda: refusing(conformal, "_checked_size", MFConformalError),
+    "band size": (lambda at: refusing(conformal, "_checked_size", MFConformalError, at),
                   ("s0", "split", "mpb"), "_checked_size refused the stack"),
-    "bounds": (lambda: refusing(conformal, "_bounds", ValueError),
+    "bounds": (lambda at: refusing(conformal, "_bounds", ValueError, at),
                ("s0", "split", "cub"), "_bounds refused the stack"),
 }
 
 
+@pytest.mark.parametrize("skip_failures", [False, True])
 @pytest.mark.parametrize("rule", RULES)
-def test_each_shared_rule_refuses_a_stack(rule):
+def test_each_shared_rule_refuses_a_stack(rule, skip_failures):
     patch, (modulation, mode, method), message = RULES[rule]
     spec = ScenarioSpec(study=1, scenario=1, n=20, coeff_seed=1)
     cfg = StudyConfig(scenario=spec, l=9, n_reps=5, modulation=modulation,
                       mode=mode, method=method, master_seed=4,
-                      keep_records=True, skip_failures=True)
-    faults, real_stacked = [], harness._stacked
+                      keep_records=True, skip_failures=skip_failures)
+    with per_replication():
+        want = list(run_study(cfg).records)
+    with stacked_calls() as calls:
+        def at():
+            return calls[-1].index(CHOSEN) if CHOSEN in calls[-1] else None
 
-    def stacked(cfg, reps):
-        try:
-            return real_stacked(cfg, reps)
-        except Exception as exc:
-            faults.append(f"{exc}")
-            raise
-
-    with patch():
-        with mock.patch.object(harness, "_stacked", stacked):
+        with patch(at):
             got = outcome(cfg)
-        with per_replication():
-            want = outcome(cfg)
-    assert faults == [message]  # one stack, rerun one replication at a time
-    assert got == want
+    # The one stack faults and runs again as stacks of one, up to the fault
+    # unless failures are skipped.
+    reps = list(range(cfg.n_reps))
+    assert calls == [reps] + [[r] for r in reps[:None if skip_failures else CHOSEN + 1]]
+    if skip_failures:
+        want[CHOSEN] = harness.ReplicationRecord(CHOSEN, None, None, False)
+        assert "n_failed=1," in got and got.endswith(f"records={tuple(want)!r})")
+    else:
+        assert got == f"ReplicationError: replication {CHOSEN} failed: {message}"
 
 
 @pytest.mark.parametrize("skip_failures", [False, True])
@@ -203,8 +218,32 @@ def test_stacks_with_too_few_training_rows(covariate_set, l, modulation,
         assert got == outcome(cfg)
 
 
-def rerun(cfg, rep):
-    raise AssertionError(f"replication {rep} was run again on its own")
+# Error scales at which the responses, the residuals, the modulation or
+# the band overflow in some replications or all of them: exp(y) overflows
+# above about 709 in study 1, scenario 2.
+@pytest.mark.parametrize("skip_failures", [False, True])
+@pytest.mark.parametrize("modulation,mode,method", VARIANTS)
+@pytest.mark.parametrize("scenario,error_scale", [
+    (1, 3e153), (1, 1e307), (1, 2e307), (1, 1.5e308), (2, 300.0), (2, 710.0)])
+def test_overflowing_stacks_fail_as_the_reference_does(
+        scenario, error_scale, modulation, mode, method, skip_failures):
+    spec = ScenarioSpec(study=1, scenario=scenario, n=20, coeff_seed=1,
+                        grid_points=30, error_scale=error_scale)
+    cfg = StudyConfig(scenario=spec, l=9, n_reps=8, modulation=modulation,
+                      mode=mode, method=method, master_seed=3,
+                      keep_records=True, skip_failures=skip_failures)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = outcome(cfg)
+        with per_replication():
+            assert got == outcome(cfg)
+
+
+def stacks(cfg: StudyConfig) -> list[list[int]]:
+    """The stacks ``harness._replication_batch`` runs ``cfg`` in when no
+    stack faults: each once, none split again."""
+    size, reps = harness._stack_size(cfg), list(range(cfg.n_reps))
+    return [reps[i : i + size] for i in range(0, cfg.n_reps, size)]
 
 
 # Study 3 fits its own regressor whatever the covariate set; in studies 1
@@ -226,9 +265,10 @@ def test_large_cells_stack_to_the_per_replication_records(
     per_rep = (n + 1) * 2 * spec.grid_points * 8
     for stack in (1, 2):
         with mock.patch.object(harness, "STACK_BYTES", stack * per_rep), \
-                mock.patch.object(harness, "_replication", rerun):
+                stacked_calls() as calls:
             assert harness._stack_size(cfg) == stack
             assert repr(run_study(cfg)) == want
+            assert calls == stacks(cfg)
 
 
 @pytest.mark.parametrize("study,scenario,l,alpha,modulation,mode,method", [
@@ -246,39 +286,27 @@ def test_stacks_without_a_fault_need_no_rerun(study, scenario, l, alpha,
                       modulation=modulation, mode=mode, method=method,
                       master_seed=9, keep_records=True)
 
-    with mock.patch.object(harness, "_replication", rerun):
+    with stacked_calls() as calls:
         got = run_study(cfg)
     with per_replication():
         want = run_study(cfg)
+    assert calls == stacks(cfg)
     assert repr(got) == repr(want)
     assert got.n_infinite in ((0, 30) if alpha != 0.06 else range(1, 30))
 
 
 def test_small_and_large_cells_are_stacked():
-    calls = {"stacked": 0, "replication": 0}
-    real_stacked, real_replication = harness._stacked, harness._replication
-
-    def stacked(cfg, reps):
-        calls["stacked"] += 1
-        return real_stacked(cfg, reps)
-
-    def replication(cfg, rep):
-        calls["replication"] += 1
-        return real_replication(cfg, rep)
-
     def cell(n):
         spec = ScenarioSpec(study=1, scenario=1, n=n, coeff_seed=7)
         return StudyConfig(scenario=spec, l=n // 2 - 1, n_reps=20 if n == 20 else 2)
 
     small, large = cell(20), cell(2000)
-    stacks = -(-small.n_reps // harness._stack_size(small))
-    assert stacks < small.n_reps and harness._stack_size(large) == 1
-    with mock.patch.object(harness, "_stacked", stacked), \
-            mock.patch.object(harness, "_replication", replication):
+    assert len(stacks(small)) < small.n_reps and harness._stack_size(large) == 1
+    with stacked_calls() as calls:
         run_study(small)
-        assert calls == {"stacked": stacks, "replication": 0}
+        assert calls == stacks(small)
         run_study(large)
-        assert calls == {"stacked": stacks + large.n_reps, "replication": 0}
+        assert calls == stacks(small) + [[0], [1]]
 
 
 @pytest.mark.parametrize("mode", ["split", "smoothed"])

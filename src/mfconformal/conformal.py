@@ -279,13 +279,17 @@ def calibrate(
     )
 
 
-def _concatenated_band(model, s, radii, x, closure: str = "closed") -> Band:
+def _concatenated_band(model, s, radii, x, closure: str = "closed",
+                       truncate_at_zero: bool = False) -> Band:
     """Band prediction -+ radii * s with one radius per component (or per grid
     point; the simultaneous band repeats one radius); the whole space when
-    ``radii`` is ``None``."""
+    ``radii`` is ``None``. ``truncate_at_zero`` clamps both bounds at 0 once
+    :func:`_bounds` has checked them unclamped."""
     if radii is None:
         return Band(lower=None, upper=None, closure=closure, infinite=True)
     lower, upper = _bounds(predict(model, x).values, radii, s.fns)
+    if truncate_at_zero:
+        lower, upper = ([np.maximum(a, 0.0) for a in side] for side in (lower, upper))
     return Band(lower=lower, upper=upper, closure=closure)
 
 
@@ -305,17 +309,11 @@ def make_band(
 ) -> Band:
     """Band around the prediction at ``x``: prediction -+ radius * s.
 
-    ``truncate_at_zero`` clamps both bounds at 0 after construction (for
-    nonnegative responses)."""
+    ``truncate_at_zero`` clamps both bounds at 0 (for nonnegative
+    responses) after the unclamped bounds are checked."""
     radii = None if pred.infinite else [pred.radius] * pred.modulation.grid.p
-    band = _concatenated_band(pred.model, pred.modulation, radii, x, pred.closure)
-    if truncate_at_zero and not band.infinite:
-        band = Band(
-            lower=tuple(np.maximum(a, 0.0) for a in band.lower),
-            upper=tuple(np.maximum(a, 0.0) for a in band.upper),
-            closure=band.closure,
-        )
-    return band
+    return _concatenated_band(pred.model, pred.modulation, radii, x, pred.closure,
+                              truncate_at_zero)
 
 
 def contains(band: Band, y: MFCurve) -> bool:
@@ -359,39 +357,40 @@ def p_value_smoothed(calib_scores: Scores, new_score: float, tau: float) -> floa
     return (strict + tau * ties) / (calib_scores.l + 1)
 
 
-def _band_area(radii, fns, grid):
-    """Quadrature area between the bounds of a band with one radius per
-    component, 2 * sum_j radii[j] * integral of s_j. A leading replication
-    axis stacks radii (R,) and modulation functions (R, G_j)."""
-    return 2.0 * sum(k * a for k, a in zip(radii, _integrals(fns, grid)))
-
-
-def _checked_size(area, size):
-    """``size`` = 2 * radius if the quadrature ``area`` agrees within
-    1e-10 * max(1, |size|), elementwise over stacks; else MFConformalError,
-    which names the first replication of a stack that disagrees."""
-    bad = np.ravel(~(np.abs(area - size) <= 1e-10 * np.maximum(1.0, np.abs(size))))
+def _band_size(radii, fns, grid, radius=None):
+    """Band size from the quadrature area 2 * sum_j radii[j] * integral of
+    s_j, where a leading axis stacks radii (R,) and functions (R, G_j):
+    2 * radius if the area agrees within 1e-10 * max(1, |2 * radius|)
+    (mpb), the area if finite (cub, no ``radius``); else MFConformalError,
+    naming the first replication of a stack that fails."""
+    area = 2.0 * sum(k * a for k, a in zip(radii, _integrals(fns, grid)))
+    if radius is None:
+        size, bad = area, ~np.isfinite(area)
+    else:
+        size = 2.0 * radius
+        bad = ~(np.abs(area - size) <= 1e-10 * np.maximum(1.0, np.abs(size)))
+    bad = np.ravel(bad)
     if bad.any():
         at = bad.argmax()
+        got = float(np.ravel(area)[at])
+        if radius is None:
+            raise MFConformalError(f"band size overflows: quadrature gives {got!r}")
         raise MFConformalError(
             f"band size self-check failed: 2*radius={float(np.ravel(size)[at])!r} "
-            f"but quadrature gives {float(np.ravel(area)[at])!r}; is the "
-            f"modulation set normalized?"
-        )
+            f"but quadrature gives {got!r}; is the modulation set normalized?")
     return size
 
 
 def band_size(pred: BandPredictor) -> float:
     """Band size 2 * radius: the summed area between upper and lower bounds.
 
-    Recomputes the area by quadrature as a self-check of the modulation's
-    unit-integral convention.
+    :func:`_band_size` recomputes the area by quadrature as a self-check of
+    the modulation's unit-integral convention.
     """
     if pred.infinite:
         raise InfiniteBandError("an infinite band has no finite size")
     s = pred.modulation
-    area = _band_area([pred.radius] * s.grid.p, s.fns, s.grid)
-    return _checked_size(area, 2.0 * pred.radius)
+    return _band_size([pred.radius] * s.grid.p, s.fns, s.grid, pred.radius)
 
 
 def _split_radii(dataset, split, model, s, alpha, pointwise=False,

@@ -297,7 +297,6 @@ def read_scalar_covariates(path) -> tuple[list[str], dict[str, dict[str, float]]
         if len(set(names)) != len(names):
             raise SchemaError("line 1: duplicate covariate names")
         rows: dict[str, dict[str, float]] = {}
-        order = []
         for lines, chunk in _data_chunks(reader, len(header)):
             for line, row in zip(lines, chunk):
                 cid = row[0].strip()
@@ -306,8 +305,7 @@ def read_scalar_covariates(path) -> tuple[list[str], dict[str, dict[str, float]]
                 rows[cid] = {
                     name: _parse_float(v, line, name) for name, v in zip(names, row[1:])
                 }
-                order.append(cid)
-    return order, rows
+    return list(rows), rows
 
 
 def read_functional_covariate(

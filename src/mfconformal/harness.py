@@ -21,10 +21,11 @@ its response block.
 Each stage checks the whole stack with the rule its module applies to the
 public objects, under their labels and in their order: finite values,
 training rows, design rank, modulation, calibration, split closure, bounds
-and band size. A stack that a rule or a floating-point fault refuses runs
-again as stacks of one, with floating-point faults left to the rules, so a
-failure's message and the ``skip_failures`` count are those the public
-objects give for that replication.
+and band size (2 * radius for ``mpb``, a finite area for ``cub``). A stack
+that a rule or a floating-point fault refuses runs again as stacks of one,
+with floating-point faults left to the rules, so a failure's message and
+the ``skip_failures`` count are those the public objects give for that
+replication.
 
 Determinism contract: a record depends only on the cell and its
 replication index, not on the stack size, the worker count or how the
@@ -190,7 +191,10 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
     """The records of ``reps``, computed as stacked arrays with a leading
     replication axis. Raises on the first fault of any replication in the
     stack; for a stack of one, the fault and its message are those of the
-    public objects on the same replication, checked in their order."""
+    public objects on the same replication, checked in their order. One
+    branch on the band method gives the radii: ``cub`` ranks each component
+    (the whole space below the feasibility bound), ``mpb`` calibrates one
+    radius; the bounds, the band size and the hits are shared."""
     spec, alpha, l = cfg.scenario, cfg.alpha, cfg.l
     n, count = spec.n, len(reps)
     grid = simgen._grid(spec.grid_points)
@@ -239,16 +243,14 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
         ranks = [modulate.TrimConfig(alpha, cfg.mode, tau).rank(n - l) for tau in taus]
         fns = modulate._checked(modulate._sbar_fns(res, ranks, grid), grid)
 
-    infinite = np.zeros(count, bool)
     if cfg.method == "cub":
         rank, crossed = _feasible_rank(l, alpha)
         if crossed:
             return [ReplicationRecord(rep, True, None, True) for rep in reps]
-    scaled = conformal._modulated(calib_res, fns)
-    if cfg.method == "cub":
-        radii, closed = conformal._rank_radii(scaled, rank), True
+        radii = conformal._rank_radii(conformal._modulated(calib_res, fns), rank)
+        radius, closed, infinite = None, True, np.zeros(count, bool)
     else:
-        scores = _row_sups(scaled)
+        scores = _row_sups(conformal._modulated(calib_res, fns))
         _finite(scores, "scores", ValueError)
         tau = np.array([_level(alpha, cfg.mode, t) for t in taus])
         radius, closed, infinite = conformal._calibrated(
@@ -257,9 +259,8 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
         radii = [radius] * grid.p
 
     lower, upper = conformal._bounds(fit, [k[:, None] for k in radii], fns)
-    sizes = conformal._band_area(radii, fns, grid)
-    if cfg.method == "mpb":  # checked after the band, as band_size is
-        sizes = conformal._checked_size(sizes, 2.0 * radius)
+    # checked after the bounds, as the public path checks it
+    sizes = conformal._band_size(radii, fns, grid, radius)
     hits = np.all([conformal._inside(lo, v, hi, closed)
                    for lo, v, hi in zip(lower, y_out, upper)], axis=0)
     return [ReplicationRecord(rep, True, None, True) if inf
@@ -335,7 +336,6 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     else:
         results = _replication_batch(cfg, reps)
 
-    results.sort(key=lambda r: r.rep)
     hits = sum(1 for r in results if r.hit)
     n_failed = sum(1 for r in results if r.hit is None)
     n_infinite = sum(1 for r in results if r.infinite)

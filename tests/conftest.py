@@ -77,7 +77,7 @@ def replication(cfg, rep: int):
         if radii is None:
             return True, None, True
         band = conformal._concatenated_band(model, s, radii, x_new)
-        area = conformal._band_area(radii, s.fns, s.grid)
+        area = conformal._band_size(radii, s.fns, s.grid)
         return conformal.contains(band, y_new), float(area), False
 
     pred = conformal.calibrate(

@@ -339,6 +339,27 @@ class TestCalibrateCommand:
             f"error: cannot write -o {tmp_path}: it is a directory\n")
 
 
+    @pytest.mark.parametrize("split,unwritable,message", [
+        ({"strategy": "blocks", "l": 10}, False, "unknown split strategy 'blocks'"),
+        ({"strategy": "random", "l": 40}, False,
+         "split config (l=40, seed=0): need 1 <= l <= n-1, got l=40, n=40"),
+        ({"strategy": "random", "l": 10}, True, "cannot write -o {out}: it is not writable"),
+    ])
+    def test_config_refusals_exit_3(self, tmp_path, capsys, monkeypatch, split,
+                                    unwritable, message):
+        points = np.linspace(0, 1, 5)
+        write_curves_csv(tmp_path / "curves.csv", points,
+                         {f"c{i}": [np.full(5, float(i))] for i in range(40)})
+        write_config(tmp_path / "config.json", alpha=0.5, split=split)
+        out = tmp_path / "bundle.json"
+        if unwritable:  # the tests may run as root, who can write anywhere
+            monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        code = main(["calibrate", str(tmp_path / "curves.csv"),
+                     str(tmp_path / "config.json"), "-o", str(out)])
+        assert code == EXIT_NUMERIC and not out.exists()
+        assert capsys.readouterr().err == f"error: {message.format(out=out)}\n"
+
+
 class TestBandCommand:
     def test_infinite_bundle_exits_3_before_any_csv_is_read(self, tmp_path, capsys):
         # Smoothed at l=4 and tau=0.9, alpha=0.1 lies below tau/(l+1) = 0.18,

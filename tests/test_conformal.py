@@ -205,6 +205,18 @@ class TestBands:
         for lo in band.lower:
             assert np.all(lo >= 0.0)
 
+    def test_truncation_follows_the_bound_checks(self, rng):
+        # 1e308 * s = 1e308 * 100 overflows both bounds; clamping the lower
+        # one at 0 first would leave only the upper one to refuse.
+        grid = uniform_grid(5, (0.0, 0.01))
+        ds = make_dataset(rng, grid, 6)
+        model = fit(ds, np.arange(6), RegressorSpec(kind="intercept_only"))
+        pred = conformal.BandPredictor(model, s_const(grid), 1e308, "closed",
+                                       0.1, "split")
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="^lower bound component 0 contains non-finite entries$"):
+            make_band(pred, Covariates(), truncate_at_zero=True)
+
     def test_contains_prediction_and_excursions(self, instance):
         ds, split, model, s = instance
         pred = calibrate(ds, split, model, s, 0.25)
@@ -415,11 +427,27 @@ class TestBandSize:
             band_size(pred)
 
     def test_size_check_of_a_stack_names_its_first_failing_replication(self):
-        size, area = np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.5, 3.5])
+        # s_const integrates to 1 on [0, 1]: the area is 2 * radii.
+        grid = uniform_grid(11)
+        fns = s_const(grid).fns
+        radius = np.array([0.5, 1.0, 1.5])
         with pytest.raises(MFConformalError, match=r"^band size self-check failed: "
                            r"2\*radius=2\.0 but quadrature gives 2\.5; "):
-            conformal._checked_size(area, size)
-        assert conformal._checked_size(size, size) is size
+            conformal._band_size([np.array([0.5, 1.25, 1.75])], fns, grid, radius)
+        assert np.array_equal(conformal._band_size([radius], fns, grid, radius),
+                              2.0 * radius)
+
+    def test_cub_size_of_a_stack_names_its_first_overflowing_replication(self):
+        # Each of the two s_const components integrates to 1/2.
+        grid = uniform_grid(11, p=2)
+        fns = s_const(grid).fns
+        radii = [np.array([1.0, 1e308, 1e308]), np.array([2.0, 1e308, 1.0])]
+        with np.errstate(over="ignore"):
+            with pytest.raises(MFConformalError, match=r"^band size overflows: "
+                               r"quadrature gives inf$"):
+                conformal._band_size(radii, fns, grid)
+            sizes = conformal._band_size([k[:1] for k in radii], fns, grid)
+        assert np.array_equal(sizes, [3.0])
 
 
 class TestComparativeBands:

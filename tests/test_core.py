@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mfconformal import (
     Scores,
     ShapeError,
     Split,
+    TrimConfig,
     predict,
     random_split,
     s_const,
@@ -544,3 +546,41 @@ class TestOrderIndices:
         # (9.5, 0.1) 0.9048 and (True, 0.5) 0.5.
         with pytest.raises(ValueError, match=f"^{message}$"):
             theoretical_coverage(l, alpha)
+
+
+# Each refusal of the core objects with its error type and exact message.
+REFUSALS = {
+    "component grid of one point": (
+        lambda: ComponentGrid(np.array([0.0]), np.array([1.0])),
+        ShapeError, "a component grid needs at least 2 points"),
+    "mismatched weights": (
+        lambda: ComponentGrid(np.array([0.0, 1.0]), np.array([1.0])),
+        ShapeError, "weights must have the same length as points"),
+    "zero weight": (
+        lambda: ComponentGrid(np.array([0.0, 1.0]), np.array([0.0, 1.0])),
+        ShapeError, "quadrature weights must be strictly positive"),
+    "grid of no components": (lambda: Grid(()), ShapeError,
+                              "a grid needs at least one component"),
+    "grid of a number": (lambda: Grid((1,)), ShapeError,
+                         "grid components must be ComponentGrid instances"),
+    "uniform grid of one point": (lambda: uniform_grid(1), ShapeError,
+                                  "need n_points >= 2 and a non-empty domain"),
+    "empty domain": (lambda: uniform_grid(5, (1.0, 1.0)), ShapeError,
+                     "need n_points >= 2 and a non-empty domain"),
+    "curve of no components": (lambda: MFCurve(()), ShapeError,
+                               "a curve needs at least one component"),
+    "empty training part": (lambda: Split((), (0,)), ShapeError,
+                            "both split parts must be non-empty"),
+    "unknown split strategy": (
+        lambda: random_split(10, 3, seed=0, strategy="blocks"),
+        ValueError, "unknown split strategy 'blocks'"),
+    "unknown trim mode": (lambda: TrimConfig(alpha=0.1, mode="fancy"),
+                          ValueError, "unknown mode 'fancy'"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusal_messages(case):
+    build, error, message = REFUSALS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()

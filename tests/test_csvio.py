@@ -10,6 +10,7 @@ message from both. The band writer's grid check closes the file.
 
 import csv
 import io
+import re
 from unittest import mock
 
 import numpy as np
@@ -281,3 +282,23 @@ def test_band_csv_refuses_a_band_that_does_not_fit_the_grid(tmp_path):
     with pytest.raises(ShapeError, match=r"band bounds have shapes \[\(1, 3\)\]"):
         csvio.write_band_csv(tmp_path / "band.csv", uniform_grid(5), band)
     assert not (tmp_path / "band.csv").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "line 1: empty file"),
+    ('"' + "x" * 131073 + '",component,t,value\n',
+     "line 1: field larger than field limit (131072)"),
+])
+@pytest.mark.parametrize("read", [csvio.read_curves, csvio.read_scalar_covariates])
+def test_header_refusal_messages(tmp_path, read, text, message):
+    (tmp_path / "in.csv").write_text(text)
+    with pytest.raises(csvio.SchemaError, match=f"^{re.escape(message)}$"):
+        read(tmp_path / "in.csv")
+
+
+def test_an_infinite_band_is_not_written(tmp_path):
+    band = Band(lower=None, upper=None, infinite=True)
+    with pytest.raises(ValueError, match="^an infinite band has no finite bounds to write$"):
+        csvio.write_band_csv(tmp_path / "band.csv", uniform_grid(5), band)
+    assert not (tmp_path / "band.csv").exists()
+

@@ -264,3 +264,14 @@ def test_a_large_cell_run_back_to_back_keeps_its_pages():
     done = subprocess.run([sys.executable, "-c", probe], env=env, timeout=120,
                           capture_output=True, text=True, check=True)
     assert int(done.stdout) < 50 * 20
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"l": 20}, "need 1 <= l <= n-1"),
+    ({"n_reps": 0}, "need at least one replication"),
+    ({"method": "pointwise"}, "unknown method 'pointwise'"),
+])
+def test_study_config_refusal_messages(fields, message):
+    spec = ScenarioSpec(study=1, scenario=1, n=20)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        StudyConfig(**{"scenario": spec, "l": 9, "n_reps": 1, **fields})

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -279,3 +281,13 @@ class TestInvariants:
         s = s_const(grid2).scale(3.0)
         assert not s.unit_integral
         assert s.total == pytest.approx(3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: s_const(uniform_grid(5)).scale(0.0), "scale factor must be positive"),
+    (lambda: modulate.make_modulation("sbar", [np.ones((3, 5))], uniform_grid(5)),
+     "sbar needs a TrimConfig"),
+])
+def test_refusal_messages(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -366,3 +368,15 @@ class TestStackedSolve:
             with pytest.raises(np.linalg.LinAlgError, match=message):
                 regress._solve(X, y, 0)
         capfd.readouterr()  # LAPACK reports the NaN on stdout
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"kind": "spline"}, "unknown regressor kind 'spline'"),
+    ({"kind": "intercept_only", "intercept": False},
+     "intercept_only requires the intercept"),
+    ({"kind": "concurrent_fos", "terms": (("w",), ()), "intercept": False},
+     "a component with no terms needs an intercept"),
+])
+def test_regressor_spec_refusal_messages(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RegressorSpec(**fields)

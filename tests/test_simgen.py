@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from mfconformal import (
 )
 from mfconformal.regress import residuals
 from mfconformal.simgen import (
+    BSplineBasis,
     _coefficient_curves,
     _contamination_cells,
     _design_points,
@@ -512,3 +514,21 @@ def test_generator_pinned_per_cell(study, scenario):
         assert x_new.scalar == {}
     else:
         assert x_new.scalar["w"] == pytest.approx(w, rel=1e-12)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: BSplineBasis(order=0, n_basis=4, knots=np.zeros(4)),
+     "need n_basis >= order >= 1"),
+    (lambda: BSplineBasis(order=2, n_basis=4, knots=np.zeros(5)),
+     "knot vector must have n_basis + order = 6 entries"),
+    (lambda: eval_bspline(uniform_bspline_basis(4, 6), np.zeros(5), 0.5),
+     "need 6 coefficients, got (5,)"),
+    (lambda: ScenarioSpec(study=4, scenario=1, n=20), "study must be 1, 2 or 3"),
+    (lambda: ScenarioSpec(study=1, scenario=3, n=20), "study 1 has scenarios 1..2"),
+    (lambda: ScenarioSpec(study=1, scenario=1, n=20, covariate_set=4),
+     "covariate_set must be 1, 2 or 3"),
+    (lambda: ScenarioSpec(study=1, scenario=1, n=1), "n must be at least 2"),
+])
+def test_refusal_messages(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

@@ -13,6 +13,7 @@ kernels, so CI runs this module under the default kernels as well as under
 
 import sys
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -167,8 +168,10 @@ RULES = {
                     ("sigma", "smoothed", "mpb"), "_calibrated refused the stack"),
     "split closure": (lambda at: refusing(conformal, "_split_closed", ValueError, at),
                       ("sigma", "split", "mpb"), "_split_closed refused the stack"),
-    "band size": (lambda at: refusing(conformal, "_checked_size", MFConformalError, at),
-                  ("s0", "split", "mpb"), "_checked_size refused the stack"),
+    "band size": (lambda at: refusing(conformal, "_band_size", MFConformalError, at),
+                  ("s0", "split", "mpb"), "_band_size refused the stack"),
+    "band size, cub": (lambda at: refusing(conformal, "_band_size", MFConformalError, at),
+                       ("s0", "split", "cub"), "_band_size refused the stack"),
     "bounds": (lambda at: refusing(conformal, "_bounds", ValueError, at),
                ("s0", "split", "cub"), "_bounds refused the stack"),
 }
@@ -237,6 +240,22 @@ def test_overflowing_stacks_fail_as_the_reference_does(
         got = outcome(cfg)
         with per_replication():
             assert got == outcome(cfg)
+
+
+def test_an_overflowing_cub_band_size_fails_its_replication():
+    # The cub bounds stay finite, but the band area overflows from
+    # replication 2 on; no size is left as inf.
+    spec = ScenarioSpec(study=1, scenario=1, n=20, coeff_seed=1,
+                        grid_points=30, error_scale=2e307)
+    cfg = StudyConfig(scenario=spec, l=9, n_reps=5, modulation="s0",
+                      method="cub", master_seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert outcome(cfg) == ("ReplicationError: replication 2 failed: "
+                                "band size overflows: quadrature gives inf")
+        report = run_study(replace(cfg, skip_failures=True))
+    assert report.n_failed == 3
+    assert np.isfinite([report.size_q1, report.size_median, report.size_q3]).all()
 
 
 def stacks(cfg: StudyConfig) -> list[list[int]]:

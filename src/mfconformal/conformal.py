@@ -363,12 +363,14 @@ def _band_size(radii, fns, grid, radius=None):
     2 * radius if the area agrees within 1e-10 * max(1, |2 * radius|)
     (mpb), the area if finite (cub, no ``radius``); else MFConformalError,
     naming the first replication of a stack that fails."""
-    area = 2.0 * sum(k * a for k, a in zip(radii, _integrals(fns, grid)))
-    if radius is None:
-        size, bad = area, ~np.isfinite(area)
-    else:
-        size = 2.0 * radius
-        bad = ~(np.abs(area - size) <= 1e-10 * np.maximum(1.0, np.abs(size)))
+    # An overflow is left to the rule below, which names it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        area = 2.0 * sum(k * a for k, a in zip(radii, _integrals(fns, grid)))
+        if radius is None:
+            size, bad = area, ~np.isfinite(area)
+        else:
+            size = 2.0 * radius
+            bad = ~(np.abs(area - size) <= 1e-10 * np.maximum(1.0, np.abs(size)))
     bad = np.ravel(bad)
     if bad.any():
         at = bad.argmax()

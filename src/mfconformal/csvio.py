@@ -26,14 +26,24 @@ line it spans. Long tables are parsed ``_CHUNK_ROWS`` records at a time into
 column arrays: within a chunk the earliest faulty row is reported, its
 fields checked in the order width, component, t, value; duplicate rows and
 coverage are checked once the whole file is read.
+
+A plain long table, whose bytes are all printable ASCII but the quote, tab
+or newline and whose lines are no longer than ``csv.field_size_limit()``, is
+parsed by numpy's C reader (``np.loadtxt``), about a mebibyte of lines at a
+time, into the same columns. Every other file takes the ``csv`` path above,
+and so does every plain file in which the C reader meets a fault: a field it
+cannot parse, a component below 1, a non-finite t or value, a duplicate row
+or no data rows. The ``csv`` path reads such a file from the start, so every
+result, message and line number is the one ``csv`` gives.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from contextlib import contextmanager
-from itertools import islice, repeat
+from itertools import islice
 
 import numpy as np
 
@@ -65,6 +75,14 @@ class SchemaError(MFConformalError, ValueError):
 # reader about a fifth slower on a 400k-row file.
 _CHUNK_ROWS = 512
 _INT64_MAX = np.iinfo(np.int64).max
+# Bytes of a file that numpy's C reader splits and parses as ``csv`` and
+# Python's ``int`` and ``float`` do: printable ASCII but the quote, which only
+# ``csv`` reads, plus tab and newline. Other control bytes, such as \r, \x0b
+# and \x1e, are whitespace or line breaks to one reader and not to the other.
+_PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\n"
+# Bytes of whole lines the C reader parses at a time, so that its structured
+# rows stay small beside the column arrays.
+_CHUNK_BYTES = 1 << 20
 
 
 @contextmanager
@@ -202,29 +220,90 @@ def _parse_chunk(lines, rows, name: str, ids: _Memo, components: _Memo, ts: _Mem
     return curve, comps, points, values, np.fromiter(lines, np.int64, n)
 
 
-def _read_long_table(path, value_col: str):
-    """Parse a ``curve_id,component,t,<value_col>`` file column-wise into the
-    value column's name, the stripped curve ids in first-seen order and, per
-    component, a ``(points, keys, values)`` column: the sorted distinct t
-    (a zero keeps the sign of its first row), each row's ``curve * G_j +
-    point index`` and each row's value."""
+def _check_header(header, value_col: str) -> str:
+    """The value column's name of a long-table header."""
+    names = [h.strip() for h in header[:3]]
+    if len(header) != 4 or names != ["curve_id", "component", "t"]:
+        raise SchemaError(f"line 1: expected header curve_id,component,t,{value_col}")
+    return header[3].strip()
+
+
+def _csv_table(path, value_col: str):
+    """The value column's name, the id and component memos, and the curve,
+    component, t, value and line columns of a long table, read by ``csv``."""
     ids = _Memo(lambda cid: len(ids))  # first-seen index; keys in that order
     components, ts = _Memo(_component_code), _Memo(_number)
     with _csv_reader(path) as (header, reader):
-        if len(header) != 4 or [h.strip() for h in header[:3]] != [
-            "curve_id",
-            "component",
-            "t",
-        ]:
-            raise SchemaError(
-                f"line 1: expected header curve_id,component,t,{value_col}"
-            )
-        name = header[3].strip()
+        name = _check_header(header, value_col)
         # The chunks' arrays live only until they are concatenated.
-        curve, comp, t, values, lines = map(np.concatenate, zip(*[
+        columns = map(np.concatenate, zip(*[
             _parse_chunk(numbers, rows, name, ids, components, ts)
             for numbers, rows in _data_chunks(reader, 4)
         ]))
+        return name, ids, components, *columns
+
+
+def _by_runs(raw: np.ndarray, code) -> np.ndarray:
+    """``code(entry)`` of each entry of a bytes array, called once per run of
+    equal entries."""
+    heads = np.flatnonzero(np.r_[True, raw[1:] != raw[:-1]])
+    codes = np.array([code(entry) for entry in raw[heads].tolist()], np.int64)
+    return np.repeat(codes, np.diff(np.r_[heads, raw.size]))
+
+
+def _plain_table(path, value_col: str):
+    """What ``_csv_table`` returns, lines left out, parsed by numpy's C
+    reader; None when the file is not plain or holds a row fault, so that the
+    csv path reads it again and words the fault."""
+    ids = _Memo(lambda cid: len(ids))
+    components = _Memo(_component_code)
+    limit, chunks = csv.field_size_limit(), []
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if (header.translate(None, _PLAIN) or not header.endswith(b"\n")
+                or len(header) > limit + 1):
+            return None
+        try:
+            name = _check_header(header[:-1].decode("ascii").split(","), value_col)
+        except SchemaError:
+            return None
+        while chunk := fh.read(_CHUNK_BYTES):
+            if not chunk.endswith(b"\n"):
+                chunk += fh.readline()
+            if chunk.translate(None, _PLAIN):
+                return None
+            if not chunk.strip(b"\n"):  # blank lines only: loadtxt would warn
+                continue
+            breaks = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+            longest = int(np.diff(breaks, prepend=-1, append=len(chunk)).max()) - 1
+            if longest > limit:
+                return None
+            text = f"S{longest}"
+            try:
+                rows = np.loadtxt(  # iterating lines splits on b"\n" only
+                    io.BytesIO(chunk), delimiter=",", comments=None, encoding="ascii",
+                    dtype=[("id", text), ("comp", text), ("t", float), ("v", float)],
+                    ndmin=1)
+            except ValueError:
+                return None
+            curve = _by_runs(rows["id"], lambda raw: ids[raw.decode("ascii").strip()])
+            comp = _by_runs(rows["comp"], lambda raw: components[raw.decode("ascii")])
+            t, values = rows["t"].copy(), rows["v"].copy()
+            del rows
+            if (comp < 1).any() or not (np.isfinite(t).all() and np.isfinite(values).all()):
+                return None
+            chunks.append((curve, comp, t, values))
+    if not chunks:
+        return None
+    return name, ids, components, *map(np.concatenate, zip(*chunks)), None
+
+
+def _long_columns(name, ids, components, curve, comp, t, values, lines):
+    """The value column's name, the ids in first-seen order and, per
+    component, a ``(points, keys, values)`` column: the sorted distinct t (a
+    zero keeps the sign of its first row), each row's ``curve * G_j + point
+    index`` and each row's value. None for a duplicate row when ``lines`` is
+    None, for the csv path to report with its line."""
     comps = sorted({int(text) for text in components})  # unclipped, for the message
     if comps != list(range(1, len(comps) + 1)):
         raise SchemaError(f"component indices must be contiguous from 1, got {comps}")
@@ -236,6 +315,8 @@ def _read_long_table(path, value_col: str):
         keys = curve[at] * points.size + np.searchsorted(points, t[at])
         _, once = np.unique(keys, return_index=True)
         if once.size < keys.size:
+            if lines is None:
+                return None
             repeat = np.ones(keys.size, bool)
             repeat[once] = False
             r = at[np.argmax(repeat)]
@@ -245,6 +326,18 @@ def _read_long_table(path, value_col: str):
     if duplicates:
         raise SchemaError("line {}: {}".format(*min(duplicates)))
     return name, list(ids), columns
+
+
+def _read_long_table(path, value_col: str):
+    """Parse a ``curve_id,component,t,<value_col>`` file column-wise into
+    what ``_long_columns`` returns: numpy's C reader parses a plain file, and
+    the csv path every other file and every file the C reader declines."""
+    table = _plain_table(path, value_col)
+    if table is not None:
+        columns = _long_columns(*table)
+        if columns is not None:
+            return columns
+    return _long_columns(*_csv_table(path, value_col))
 
 
 def _blocks(ids: list[str], columns) -> list[np.ndarray]:
@@ -369,11 +462,12 @@ def write_band_csv(path, grid: Grid, band: Band) -> None:
     if band.infinite:
         raise ValueError("an infinite band has no finite bounds to write")
     grid.validate_blocks([b[None] for b in band.lower], "band bounds")
+    rows = ["component,t,lower,upper,closure\r\n"]
+    # The bytes csv.writer writes: a Python float as its repr, the shortest
+    # exact form; no field needs quoting.
+    for j, comp in enumerate(grid.components):
+        rows += [f"{j + 1},{t!r},{lo!r},{hi!r},{band.closure}\r\n"
+                 for t, lo, hi in zip(comp.points.tolist(), band.lower[j].tolist(),
+                                      band.upper[j].tolist())]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["component", "t", "lower", "upper", "closure"])
-        # csv writes a Python float as its repr, the shortest exact form.
-        for j, comp in enumerate(grid.components):
-            writer.writerows(zip(repeat(j + 1), comp.points.tolist(),
-                                 band.lower[j].tolist(), band.upper[j].tolist(),
-                                 repeat(band.closure)))
+        fh.write("".join(rows))

@@ -5,12 +5,16 @@ On every generated file both readers must agree: a file one accepts the
 other accepts with byte-equal ids, grid points, weights and values (so a
 ``-0.0`` read as ``0.0`` shows), and a file one rejects the other rejects
 with the same exception type. Files with a single fault get the same
-message from both. The band writer's grid check closes the file.
+message from both. Plain files, which numpy's C reader parses, must reach it
+whenever they are valid; every other file, and every fault, must give the
+oracle's result through the csv path. The band writer's grid check closes the
+file.
 """
 
 import csv
 import io
 import re
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -31,25 +35,42 @@ POINT_TEXT = {0.0: ["0", "0.0", "-0.0", "+0", "-0"], 0.25: ["0.25", "2_5e-2"],
 VALUE_TEXT = ["0.0", "-0.0", "1.5", "-2.25e3", "1_000", "３", " 7 ", "+4"]
 # Spellings neither reader accepts, per column.
 BAD_COMPONENT = ["0", "-1", "x", "", "1.0"]
-BAD_NUMBER = ["nan", "inf", "-1e999", "x", ""]
+BAD_NUMBER = ["nan", "inf", "-1e999", "1e999", "x", ""]
 IDS = ["a", "b", "c,d", 'e"f', "g\nh", "é"]
 ID_PADDING = ["{}", " {} ", "{}\t"]
 FAULTS = ["drop", "drop component", "duplicate", "field", "width"]
+# Plain files: printable ASCII without quotes, tabs and "\n" line ends, with
+# spellings that numpy's C reader and Python's int and float both accept.
+PLAIN_COMPONENT_TEXT = {1: ["1", "+1", " 1", "01", "\t1"], 2: ["2", "+2", "2 ", "02"],
+                        3: ["3", "\t3", " 3 "], 10: ["10", "+10", "010"]}
+PLAIN_POINT_TEXT = {0.0: ["0", "0.0", "-0.0", "+0", "-0", "0e9"],
+                    0.25: ["0.25", ".25", "25e-2"],
+                    0.5: ["0.5", ".5", "+.5", "5e-1", " 0.5 "],
+                    1.0: ["1", "1.0", "1.", "10e-1", "\t1"]}
+PLAIN_VALUE_TEXT = ["0.0", "-0.0", "1.5", "-2.25e3", "1000", " 7 ", "+4", "\t3", ".5",
+                    "5e-1", "1E2"]
+PLAIN_IDS = ["a", "b", "c d", "e-f", "g#h", "i'j"]
+PLAIN_ID_PADDING = [*ID_PADDING, "\t{} "]
 
 
 @st.composite
-def long_tables(draw, value_name="value"):
-    """A small long-format CSV as text, valid about half of the time."""
-    curves = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=4, unique=True))
+def long_tables(draw, value_name="value", plain=False):
+    """A small long-format CSV as text, valid about half of the time; a plain
+    one ends its lines with "\n" and may miss the last."""
+    component_text, point_text, value_text, ids, id_padding = (
+        (PLAIN_COMPONENT_TEXT, PLAIN_POINT_TEXT, PLAIN_VALUE_TEXT, PLAIN_IDS,
+         PLAIN_ID_PADDING) if plain else
+        (COMPONENT_TEXT, POINT_TEXT, VALUE_TEXT, IDS, ID_PADDING))
+    curves = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4, unique=True))
     comps = draw(st.sampled_from([[1], [1, 2], [1, 2, 3]]))
     if draw(st.integers(0, 9)) == 0:
         comps = draw(st.sampled_from([[1, 3], [2], [1, 10]]))  # not contiguous
     least = 1 if draw(st.integers(0, 9)) == 0 else 2  # a one-point grid is a fault
-    points = {c: draw(st.lists(st.sampled_from(sorted(POINT_TEXT)), min_size=least,
+    points = {c: draw(st.lists(st.sampled_from(sorted(point_text)), min_size=least,
                                max_size=4, unique=True)) for c in comps}
-    rows = [[draw(st.sampled_from(ID_PADDING)).format(cid),
-             draw(st.sampled_from(COMPONENT_TEXT[c])),
-             draw(st.sampled_from(POINT_TEXT[t])), draw(st.sampled_from(VALUE_TEXT))]
+    rows = [[draw(st.sampled_from(id_padding)).format(cid),
+             draw(st.sampled_from(component_text[c])),
+             draw(st.sampled_from(point_text[t])), draw(st.sampled_from(value_text))]
             for cid in curves for c in comps for t in points[c]]
     rows = draw(st.permutations(rows))
     faults = draw(st.lists(st.sampled_from(FAULTS), max_size=2)) if draw(st.booleans()) else []
@@ -64,7 +85,7 @@ def long_tables(draw, value_name="value"):
             cell = (row[0].strip(), int(row[1]))
             rows = [r for r in rows if (r[0].strip(), int(r[1])) != cell]
         elif fault == "duplicate":  # under the same or another spelling
-            row[1] = draw(st.sampled_from(COMPONENT_TEXT[int(row[1])]))
+            row[1] = draw(st.sampled_from(component_text[int(row[1])]))
             rows.insert(draw(st.integers(0, len(rows))), row)
         elif fault == "field":
             col = draw(st.integers(1, 3))
@@ -77,6 +98,9 @@ def long_tables(draw, value_name="value"):
     header = draw(st.sampled_from([["curve_id", "component", "t", value_name]] * 4 + [
         [" curve_id", "component ", "t", f" {value_name} "],
         ["curve_id", "component", "t", "other"]]))
+    if plain:
+        text = "\n".join(",".join(row) for row in [header, *rows])
+        return text + draw(st.sampled_from(["\n", ""]))
     out = io.StringIO()
     csv.writer(out, quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
                ).writerows([header, *rows])
@@ -105,9 +129,10 @@ def rejected(new, old) -> bool:
     return False
 
 
-def assert_same_curves(new, old):
+def assert_same_curves(new, old) -> bool:
+    """Whether both readers accepted the file, with the same curves."""
     if rejected(new, old):
-        return
+        return False
     (grid, ids, curves), (old_grid, old_ids, old_curves) = new, old
     assert ids == old_ids
     for comp, old_comp in zip(grid.components, old_grid.components, strict=True):
@@ -116,15 +141,18 @@ def assert_same_curves(new, old):
     for curve, old_curve in zip(curves, old_curves, strict=True):
         for v, old_v in zip(curve.values, old_curve.values, strict=True):
             assert same_arrays(v, old_v)
+    return True
 
 
-def assert_same_covariate(new, old):
+def assert_same_covariate(new, old) -> bool:
+    """Whether both readers accepted the file, with the same covariate."""
     if rejected(new, old):
-        return
+        return False
     assert new[0] == old[0] and list(new[1]) == list(old[1])
     for cid, values in new[1].items():
         for v, old_v in zip(values, old[1][cid], strict=True):
             assert same_arrays(v, old_v)
+    return True
 
 
 @pytest.fixture(scope="module")
@@ -132,11 +160,11 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("csvio")
 
 
-def check_curves(workdir, text):
+def check_curves(workdir, text) -> bool:
     path = workdir / "curves.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    assert_same_curves(outcome(csvio.read_curves, path),
-                       outcome(oracle.read_curves, path))
+    return assert_same_curves(outcome(csvio.read_curves, path),
+                              outcome(oracle.read_curves, path))
 
 
 def own_grid(path):
@@ -150,12 +178,28 @@ def own_grid(path):
         return uniform_grid(3, p=2)
 
 
-def check_covariate(workdir, text, own):
+def check_covariate(workdir, text, own) -> bool:
     path = workdir / "covariate.csv"
     path.write_text(text, encoding="utf-8", newline="")
     grid = own_grid(path) if own else uniform_grid(3, p=2)  # points 0, 0.5, 1
-    assert_same_covariate(outcome(csvio.read_functional_covariate, path, grid),
-                          outcome(oracle.read_functional_covariate, path, grid))
+    return assert_same_covariate(outcome(csvio.read_functional_covariate, path, grid),
+                                 outcome(oracle.read_functional_covariate, path, grid))
+
+
+@contextmanager
+def c_reader_calls(chunk_bytes=csvio._CHUNK_BYTES):
+    """Whether numpy's C reader accepted each file read while the block runs,
+    in order, reading ``chunk_bytes`` of lines at a time."""
+    calls, plain_table = [], csvio._plain_table
+
+    def counted(path, value_col):
+        table = plain_table(path, value_col)
+        calls.append(table is not None)
+        return table
+
+    with mock.patch.object(csvio, "_plain_table", counted), \
+            mock.patch.object(csvio, "_CHUNK_BYTES", chunk_bytes):
+        yield calls
 
 
 @settings(max_examples=300, deadline=None)
@@ -168,6 +212,27 @@ def test_read_curves_matches_rowwise_oracle(workdir, text):
 @given(text=long_tables(value_name="temp"), own=st.booleans())
 def test_read_functional_covariate_matches_rowwise_oracle(workdir, text, own):
     check_covariate(workdir, text, own)
+
+
+# 1 byte puts each line in its own chunk, blank lines too.
+CHUNK_BYTES = [csvio._CHUNK_BYTES, 64, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=long_tables(plain=True), chunk=st.sampled_from(CHUNK_BYTES))
+def test_plain_files_take_the_c_reader_and_match_rowwise_oracle(workdir, text, chunk):
+    with c_reader_calls(chunk) as calls:
+        valid = check_curves(workdir, text)
+    assert calls[0] or not valid
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=long_tables(value_name="temp", plain=True), own=st.booleans(),
+       chunk=st.sampled_from(CHUNK_BYTES))
+def test_plain_functional_covariates_take_the_c_reader(workdir, text, own, chunk):
+    with c_reader_calls(chunk) as calls:
+        valid = check_covariate(workdir, text, own)
+    assert calls[0] or not valid
 
 
 @settings(max_examples=150, deadline=None)
@@ -220,6 +285,51 @@ def test_single_fault_messages_match_rowwise_oracle(workdir, fault, chunk):
     with mock.patch.object(csvio, "_CHUNK_ROWS", chunk):
         new = outcome(csvio.read_curves, path)
     assert isinstance(new[0], type) and new == outcome(oracle.read_curves, path)
+
+
+def replaced(old, new):
+    return [row.replace(old, new, 1) for row in VALID]
+
+
+# Files with the C reader's verdict on each: False where it must decline and
+# leave the file to the csv path; the chunk size it reads them in.
+C_READER_CASES = {
+    "quoted id": (table(replaced("a,", '"e""f",')), csvio._CHUNK_BYTES, False),
+    # Whitespace to numpy, not to Python's float.
+    "record separator in t": (table(VALID[:3] + ["a,2,\x1e0,1"] + VALID[4:]),
+                              csvio._CHUNK_BYTES, False),
+    # Whitespace to Python's float and line breaks to str.splitlines.
+    "vertical tab in a value": (table(VALID[:3] + ["a,2,0,\x0b3"] + VALID[4:]),
+                                csvio._CHUNK_BYTES, False),
+    "form feed in a value": (table(VALID[:3] + ["a,2,0,3\x0c"] + VALID[4:]),
+                             csvio._CHUNK_BYTES, False),
+    "CRLF line ends": (table(VALID).replace("\n", "\r\n"), csvio._CHUNK_BYTES, False),
+    "NUL byte": (table(VALID[:3] + ["a\x00,2,0,1"] + VALID[4:]), csvio._CHUNK_BYTES, False),
+    "non-ASCII id": (table(replaced("a,", "é,")), csvio._CHUNK_BYTES, False),
+    "field over the field limit": (table(VALID[:3] + ["x" * 131073 + ",2,0,1"] + VALID[4:]),
+                                   csvio._CHUNK_BYTES, False),
+    # Every field within the limit, the line not.
+    "line over the field limit": (table(replaced("a,", "a" * 131072 + ",")),
+                                  csvio._CHUNK_BYTES, False),
+    "whitespace-only line": (table(VALID[:3] + ["  "] + VALID[3:]), csvio._CHUNK_BYTES, False),
+    "tab-only line": (table(VALID[:3] + ["\t"] + VALID[3:]), csvio._CHUNK_BYTES, False),
+    # loadtxt warns on a chunk with no data; the warning filter makes that an error.
+    "a chunk of blank lines only": (table(VALID[:3] + ["", "", ""] + VALID[3:] + [""]),
+                                    1, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(C_READER_CASES))
+def test_c_reader_leaves_what_it_cannot_read_as_csv_does_to_the_csv_path(workdir, case):
+    text, chunk, accepted = C_READER_CASES[case]
+    path = workdir / "c_reader.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with c_reader_calls(chunk) as calls:
+        new = outcome(csvio.read_curves, path)
+    old = outcome(oracle.read_curves, path)
+    assert calls == [accepted]
+    if not assert_same_curves(new, old):
+        assert new == old
 
 
 @pytest.mark.parametrize("later", ["a,2,0", '"' + "x" * 131073 + '",1,0,1'])

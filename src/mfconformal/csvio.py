@@ -30,11 +30,14 @@ coverage are checked once the whole file is read.
 A plain long table, whose bytes are all printable ASCII but the quote, tab
 or newline and whose lines are no longer than ``csv.field_size_limit()``, is
 parsed by numpy's C reader (``np.loadtxt``), about a mebibyte of lines at a
-time, into the same columns. Every other file takes the ``csv`` path above,
-and so does every plain file in which the C reader meets a fault: a field it
-cannot parse, a component below 1, a non-finite t or value, a duplicate row
-or no data rows. The ``csv`` path reads such a file from the start, so every
-result, message and line number is the one ``csv`` gives.
+time, into the same columns, unless a line is so much longer than the lines
+around it that their rows would take more than ``_ROW_BYTES_PER_BYTE`` times
+their text. A scan of the whole file's bytes and line widths settles both
+before any of it is parsed. Every other file takes the ``csv`` path above,
+and so does every plain file in which the C reader meets a fault: a field
+it cannot parse, a component below 1, a non-finite t or value, a duplicate
+row or no data rows. The ``csv`` path reads such a file from the start, so
+every result, message and line number is the one ``csv`` gives.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import csv
 import io
 import math
 from contextlib import contextmanager
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -83,6 +86,11 @@ _PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\n"
 # Bytes of whole lines the C reader parses at a time, so that its structured
 # rows stay small beside the column arrays.
 _CHUNK_BYTES = 1 << 20
+# Most bytes the structured rows of a chunk may take per byte of the chunk.
+# A row is two fields as wide as the chunk's longest line plus two floats, so
+# one line much longer than the rest, such as a long curve id, would make the
+# rows far larger than the text; such a file takes the csv path.
+_ROW_BYTES_PER_BYTE = 8
 
 
 @contextmanager
@@ -251,33 +259,56 @@ def _by_runs(raw: np.ndarray, code) -> np.ndarray:
     return np.repeat(codes, np.diff(np.r_[heads, raw.size]))
 
 
+def _line_chunks(fh):
+    """Runs of whole lines of the rest of a binary file, about
+    ``_CHUNK_BYTES`` each."""
+    while chunk := fh.read(_CHUNK_BYTES):
+        if not chunk.endswith(b"\n"):
+            chunk += fh.readline()
+        yield chunk
+
+
+def _plain_widths(fh):
+    """The longest line of each of ``_line_chunks(fh)``, 0 for blank lines
+    only; None when a byte is not plain, a line is longer than
+    ``csv.field_size_limit()`` or a chunk's rows would be too large."""
+    limit, widths = csv.field_size_limit(), []
+    for chunk in _line_chunks(fh):
+        if chunk.translate(None, _PLAIN):
+            return None
+        breaks = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+        lengths = np.diff(breaks, prepend=-1, append=len(chunk)) - 1
+        longest, count = int(lengths.max()), np.count_nonzero(lengths)
+        if longest > limit or count * (2 * longest + 16) > _ROW_BYTES_PER_BYTE * len(chunk):
+            return None
+        widths.append(longest)
+    return widths
+
+
 def _plain_table(path, value_col: str):
     """What ``_csv_table`` returns, lines left out, parsed by numpy's C
     reader; None when the file is not plain or holds a row fault, so that the
     csv path reads it again and words the fault."""
     ids = _Memo(lambda cid: len(ids))
     components = _Memo(_component_code)
-    limit, chunks = csv.field_size_limit(), []
+    chunks = []
     with open(path, "rb") as fh:
         header = fh.readline()
         if (header.translate(None, _PLAIN) or not header.endswith(b"\n")
-                or len(header) > limit + 1):
+                or len(header) > csv.field_size_limit() + 1):
             return None
         try:
             name = _check_header(header[:-1].decode("ascii").split(","), value_col)
         except SchemaError:
             return None
-        while chunk := fh.read(_CHUNK_BYTES):
-            if not chunk.endswith(b"\n"):
-                chunk += fh.readline()
-            if chunk.translate(None, _PLAIN):
-                return None
-            if not chunk.strip(b"\n"):  # blank lines only: loadtxt would warn
+        # The whole file is scanned first, so that one it declines costs no parse.
+        widths = _plain_widths(fh)
+        if widths is None:
+            return None
+        fh.seek(len(header))
+        for chunk, longest in zip(_line_chunks(fh), widths):
+            if not longest:  # blank lines only: loadtxt would warn
                 continue
-            breaks = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
-            longest = int(np.diff(breaks, prepend=-1, append=len(chunk)).max()) - 1
-            if longest > limit:
-                return None
             text = f"S{longest}"
             try:
                 rows = np.loadtxt(  # iterating lines splits on b"\n" only
@@ -462,12 +493,11 @@ def write_band_csv(path, grid: Grid, band: Band) -> None:
     if band.infinite:
         raise ValueError("an infinite band has no finite bounds to write")
     grid.validate_blocks([b[None] for b in band.lower], "band bounds")
-    rows = ["component,t,lower,upper,closure\r\n"]
-    # The bytes csv.writer writes: a Python float as its repr, the shortest
-    # exact form; no field needs quoting.
-    for j, comp in enumerate(grid.components):
-        rows += [f"{j + 1},{t!r},{lo!r},{hi!r},{band.closure}\r\n"
-                 for t, lo, hi in zip(comp.points.tolist(), band.lower[j].tolist(),
-                                      band.upper[j].tolist())]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("".join(rows))
+        writer = csv.writer(fh)
+        writer.writerow(["component", "t", "lower", "upper", "closure"])
+        # csv writes a Python float as its repr, the shortest exact form.
+        for j, comp in enumerate(grid.components):
+            writer.writerows(zip(repeat(j + 1), comp.points.tolist(),
+                                 band.lower[j].tolist(), band.upper[j].tolist(),
+                                 repeat(band.closure)))

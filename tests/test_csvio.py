@@ -291,6 +291,13 @@ def replaced(old, new):
     return [row.replace(old, new, 1) for row in VALID]
 
 
+def wide_id_rows(widths):
+    """Rows of one curve per id width, each (component, t) of every curve in
+    turn, so that lines of every width fall in each chunk."""
+    ids = [str(i).rjust(width, "x") for i, width in enumerate(widths)]
+    return [f"{cid},{c},{t},1" for c in (1, 2) for t in ("0", "0.5", "1") for cid in ids]
+
+
 # Files with the C reader's verdict on each: False where it must decline and
 # leave the file to the csv path; the chunk size it reads them in.
 C_READER_CASES = {
@@ -316,6 +323,11 @@ C_READER_CASES = {
     # loadtxt warns on a chunk with no data; the warning filter makes that an error.
     "a chunk of blank lines only": (table(VALID[:3] + ["", "", ""] + VALID[3:] + [""]),
                                     1, True),
+    # A row is as wide as its chunk's longest line: one id within the field
+    # limit among short ones would make a chunk's rows ~150 times its text.
+    "a long id among short ones": (table(wide_id_rows([3] * 60 + [100_000])), 4096,
+                                   False),
+    "long ids of one width": (table(wide_id_rows([3000] * 8)), 4096, True),
 }
 
 
@@ -330,6 +342,23 @@ def test_c_reader_leaves_what_it_cannot_read_as_csv_does_to_the_csv_path(workdir
     assert calls == [accepted]
     if not assert_same_curves(new, old):
         assert new == old
+
+
+@pytest.mark.parametrize("rows,chunk", [
+    (VALID[:-1] + ["é" + VALID[-1][1:]], 64),
+    (wide_id_rows([3] * 600 + [100_000]), 4096),
+], ids=["late non-ASCII id", "late long id"])
+def test_a_declined_file_is_declined_before_any_parse(workdir, rows, chunk):
+    """The scan finds a byte that is not plain, or a line too long beside its
+    chunk, past the first chunk before numpy's C reader parses any."""
+    path = workdir / "late.csv"
+    path.write_text(table(rows), encoding="utf-8")
+    with c_reader_calls(chunk) as calls, \
+            mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        new = outcome(csvio.read_curves, path)
+    assert calls == [False] and loadtxt.call_count == 0
+    if not assert_same_curves(new, outcome(oracle.read_curves, path)):
+        assert new == outcome(oracle.read_curves, path)
 
 
 @pytest.mark.parametrize("later", ["a,2,0", '"' + "x" * 131073 + '",1,0,1'])

@@ -360,26 +360,23 @@ def p_value_smoothed(calib_scores: Scores, new_score: float, tau: float) -> floa
 def _band_size(radii, fns, grid, radius=None):
     """Band size from the quadrature area 2 * sum_j radii[j] * integral of
     s_j, where a leading axis stacks radii (R,) and functions (R, G_j):
-    2 * radius if the area agrees within 1e-10 * max(1, |2 * radius|)
-    (mpb), the area if finite (cub, no ``radius``); else MFConformalError,
-    naming the first replication of a stack that fails."""
-    # An overflow is left to the rule below, which names it.
+    2 * radius (mpb) or the area (cub, no ``radius``). The size must be
+    finite, then agree with the area within 1e-10 * max(1, |size|); else
+    MFConformalError, naming the first replication of a stack that fails."""
+    # An overflow is left to the rules below, which name it.
     with np.errstate(over="ignore", invalid="ignore"):
         area = 2.0 * sum(k * a for k, a in zip(radii, _integrals(fns, grid)))
-        if radius is None:
-            size, bad = area, ~np.isfinite(area)
-        else:
-            size = 2.0 * radius
-            bad = ~(np.abs(area - size) <= 1e-10 * np.maximum(1.0, np.abs(size)))
-    bad = np.ravel(bad)
+        size = area if radius is None else 2.0 * radius
+        bad = np.ravel(~(np.abs(area - size) <= 1e-10 * np.maximum(1.0, np.abs(size))))
+    area, overflow = np.ravel(area), np.ravel(~np.isfinite(size))
+    if overflow.any():
+        raise MFConformalError(
+            f"band size overflows: quadrature gives {float(area[overflow.argmax()])!r}")
     if bad.any():
         at = bad.argmax()
-        got = float(np.ravel(area)[at])
-        if radius is None:
-            raise MFConformalError(f"band size overflows: quadrature gives {got!r}")
         raise MFConformalError(
             f"band size self-check failed: 2*radius={float(np.ravel(size)[at])!r} "
-            f"but quadrature gives {got!r}; is the modulation set normalized?")
+            f"but quadrature gives {float(area[at])!r}; is the modulation set normalized?")
     return size
 
 

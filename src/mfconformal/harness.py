@@ -21,11 +21,12 @@ its response block.
 Each stage checks the whole stack with the rule its module applies to the
 public objects, under their labels and in their order: finite values,
 training rows, design rank, modulation, calibration, split closure, bounds
-and band size (2 * radius for ``mpb``, a finite area for ``cub``). A stack
-that a rule or a floating-point fault refuses runs again as stacks of one,
-with floating-point faults left to the rules, so a failure's message and
-the ``skip_failures`` count are those the public objects give for that
-replication.
+and band size (finite, and for ``mpb`` 2 * radius). The engine ignores
+floating-point faults: an overflow leaves an inf or a NaN, which these
+rules refuse. A stack that a rule refuses runs again as stacks of one, so a
+failure's message and the ``skip_failures`` count are those the public
+objects give for that replication, whatever the caller's floating-point
+and warnings settings.
 
 Determinism contract: a record depends only on the cell and its
 replication index, not on the stack size, the worker count or how the
@@ -287,29 +288,26 @@ def _raise_malloc_thresholds() -> None:
 
 def _replication_batch(cfg: StudyConfig, reps: list[int]):
     """The records of ``reps``, in stacks of :func:`_stack_size`
-    replications; a stack with a fault is run again as stacks of one."""
+    replications with floating-point faults ignored; a stack that a check
+    refuses runs again as stacks of one, for the exact message or count."""
     _raise_malloc_thresholds()
     size, out = _stack_size(cfg), []
-    for i in range(0, len(reps), size):
-        stack = reps[i : i + size]
-        # A failed check or a floating-point fault of any replication sends
-        # the stack through _stacked again, one replication at a time and
-        # with floating-point faults left to the checks, which gives the
-        # exact message or failure count.
-        try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                out += _stacked(cfg, stack)
-            continue
-        except (ArithmeticError, ValueError, MFConformalError):
-            pass
-        for rep in stack:
+    with np.errstate(all="ignore"):
+        for i in range(0, len(reps), size):
+            stack = reps[i : i + size]
             try:
-                out += _stacked(cfg, [rep])
-            except Exception as exc:
-                if cfg.skip_failures:
-                    out.append(ReplicationRecord(rep, None, None, False))
-                else:
-                    raise ReplicationError(f"replication {rep} failed: {exc}") from exc
+                out += _stacked(cfg, stack)
+                continue
+            except (ValueError, MFConformalError):
+                pass
+            for rep in stack:
+                try:
+                    out += _stacked(cfg, [rep])
+                except Exception as exc:
+                    if cfg.skip_failures:
+                        out.append(ReplicationRecord(rep, None, None, False))
+                    else:
+                        raise ReplicationError(f"replication {rep} failed: {exc}") from exc
     return out
 
 

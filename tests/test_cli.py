@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -756,11 +757,12 @@ class TestStudyCommand:
         write_config(tmp_path / "study.json", workers=1, configs=[
             {"study": 1, "scenario": 1, "n": 20, "l": 9, "n_reps": 3,
              "error_scale": 1e308}])
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["study", str(tmp_path / "study.json"),
                          "--report", str(tmp_path / "r.json"),
                          "--table", str(tmp_path / "t.csv")])
-        assert code == EXIT_NUMERIC
+        assert code == EXIT_NUMERIC and [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == (
             "error: replication 0 failed: responses component 0 contains "
             "non-finite entries\n")

@@ -436,6 +436,12 @@ class TestBandSize:
             conformal._band_size([np.array([0.5, 1.25, 1.75])], fns, grid, radius)
         assert np.array_equal(conformal._band_size([radius], fns, grid, radius),
                               2.0 * radius)
+        # 2 * radius overflows, and the area with it: an overflow, not a
+        # modulation that fails to integrate to 1.
+        radius = np.array([0.5, 1e308, 1.7e308])
+        with pytest.raises(MFConformalError, match=r"^band size overflows: "
+                           r"quadrature gives inf$"):
+            conformal._band_size([radius], fns, grid, radius)
 
     def test_cub_size_of_a_stack_names_its_first_overflowing_replication(self):
         # Each of the two s_const components integrates to 1/2.

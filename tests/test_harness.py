@@ -1,3 +1,4 @@
+import contextlib
 import os
 import pathlib
 import platform
@@ -5,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -154,17 +156,35 @@ class TestRunStudy:
     @pytest.mark.parametrize("skip_failures", [False, True])
     def test_a_floating_point_fault_ends_in_the_check_that_refuses_it(
             self, skip_failures):
-        # The responses overflow while a stack runs with floating-point
-        # faults raised; the stack runs again, and each replication fails at
-        # the dataset's finiteness check, never with a FloatingPointError.
+        # The responses overflow to inf without a warning; the stack runs
+        # again, and each replication fails at the dataset's finiteness check.
         scenario = replace(small_config().scenario, error_scale=1e308)
         cfg = small_config(scenario=scenario, n_reps=3, skip_failures=skip_failures)
         message = ("all 3 replications failed" if skip_failures else
                    "replication 0 failed: responses component 0 contains "
                    "non-finite entries")
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             with pytest.raises(ReplicationError, match=f"^{message}$"):
                 run_study(cfg)
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("raised", ["warnings", "floating-point errors"])
+    def test_a_floating_point_fault_reads_the_same_under_the_callers_settings(
+            self, raised):
+        # A caller that turns warnings or floating-point errors into
+        # exceptions does not make the overflow the failure's message.
+        scenario = ScenarioSpec(study=1, scenario=1, n=20, error_scale=1e308)
+        cfg = StudyConfig(scenario=scenario, l=9, n_reps=3)
+        with warnings.catch_warnings():
+            if raised == "warnings":
+                warnings.simplefilter("error")
+            with (np.errstate(all="raise") if raised == "floating-point errors"
+                  else contextlib.nullcontext()):
+                with pytest.raises(ReplicationError, match="^replication 0 failed: "
+                                   "responses component 0 contains non-finite "
+                                   "entries$"):
+                    run_study(cfg)
 
     def test_cub_replication_computes_residuals_once_per_part(self, monkeypatch):
         from mfconformal import conformal, regress
@@ -225,6 +245,17 @@ class TestRecordsAndInvariants:
         assert [r.rep for r in rep.records] == list(range(5))
         assert all(r.size is not None and not r.infinite for r in rep.records)
 
+    @pytest.mark.parametrize("keep_sizes", [False, True])
+    def test_keep_sizes_keeps_the_sorted_sizes_of_the_records(self, keep_sizes):
+        # Replications 2 and 5 fail and are skipped, so their sizes are None.
+        cfg = small_config(n_reps=8, keep_records=True, keep_sizes=keep_sizes,
+                           skip_failures=True)
+        with failing_replications({2, 5}, "stacked"):
+            rep = run_study(cfg)
+        sizes = [r.size for r in rep.records if r.size is not None]
+        assert len(sizes) == 6 and sizes != sorted(sizes)
+        assert rep.sizes == (tuple(sorted(sizes)) if keep_sizes else None)
+
     @pytest.mark.parametrize(
         "n,l,alpha",
         [(40, 19, 0.25), (110, 99, 0.10)],
@@ -245,17 +276,23 @@ class TestRecordsAndInvariants:
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="the fault count follows glibc's malloc thresholds")
-def test_a_large_cell_run_back_to_back_keeps_its_pages():
+@pytest.mark.parametrize("study,scenario,modulation,mode,method", [
+    (3, 1, "sigma", "split", "mpb"), (2, 3, "sigma", "split", "cub"),
+    (3, 3, "sbar", "smoothed", "mpb")])
+def test_a_large_cell_run_back_to_back_keeps_its_pages(study, scenario, modulation,
+                                                       mode, method):
     # A fresh process runs one n = 2000 cell, as every paper-grid cell runs.
     # With glibc's dynamic mmap threshold, each replication's few-MB blocks
-    # were mapped afresh: in study 3, scenario 1, about 1530 minor page faults
-    # per replication. Study 1, scenario 1 stays under the bound without
-    # harness._raise_malloc_thresholds, so it cannot show what the call does.
-    probe = textwrap.dedent("""
+    # were mapped afresh: without harness._raise_malloc_thresholds these
+    # cells took about 1530, 1820 and 2130 minor page faults per replication.
+    # Study 1, scenario 1 stays under the bound without the call, so it
+    # cannot show what the call does.
+    probe = textwrap.dedent(f"""
         import resource
         from mfconformal import ScenarioSpec, StudyConfig, harness
-        spec = ScenarioSpec(study=3, scenario=1, n=2000, coeff_seed=7)
-        cfg = StudyConfig(scenario=spec, l=999, n_reps=23)
+        spec = ScenarioSpec(study={study}, scenario={scenario}, n=2000, coeff_seed=7)
+        cfg = StudyConfig(scenario=spec, l=999, n_reps=23, modulation={modulation!r},
+                          mode={mode!r}, method={method!r})
         harness._replication_batch(cfg, [0, 1, 2])
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         harness._replication_batch(cfg, list(range(3, 23)))

@@ -356,14 +356,15 @@ class TestStackedSolve:
                            r"component 4 \(all grid points\): rank 1 < 2$"):
             regress._solve(X, y, 4, shared=True)
 
-    @pytest.mark.parametrize("errors", ["warn", "raise"])
+    @pytest.mark.parametrize("errors", ["warn", "raise", "ignore"])
     def test_a_nan_design_raises_numpys_error(self, rng, errors, capfd):
         X, y = rng.normal(size=(3, 10, 2)), rng.normal(size=(3, 10, 4))
         X[1, 0, 0] = np.nan
         message = "^SVD did not converge in Linear Least Squares$"
         with pytest.raises(np.linalg.LinAlgError, match=message):
             np.linalg.lstsq(X[1], y[1], rcond=regress.RANK_RCOND)
-        # The harness runs its stacks with floating-point errors raised.
+        # The harness runs its stacks with floating-point errors ignored, and
+        # a caller may have them raised.
         with np.errstate(all=errors):
             with pytest.raises(np.linalg.LinAlgError, match=message):
                 regress._solve(X, y, 0)

@@ -7,10 +7,10 @@ Three subcommands:
 - ``study``: run Monte Carlo studies from a JSON config, write a JSON
   report and a CSV summary table.
 
-Exit codes: 0 success, 2 schema error (malformed input files), 3 numeric or
-configuration error. Every command is deterministic given the seeds in its
-config. The environment variable ``MFCONFORMAL_WORKERS`` sets the worker
-count of a study config without a ``workers`` key.
+Exit codes: 0 success, 2 a CSV that breaks its schema, 3 any other refused
+input, numeric or configuration error. Every command is deterministic given
+the seeds in its config. The environment variable ``MFCONFORMAL_WORKERS``
+sets the worker count of a study config without a ``workers`` key.
 
 :func:`main` runs one command in-process. It builds its parser once per
 process, so repeated in-process calls do not pay for it again;
@@ -36,7 +36,6 @@ from .bundle import load_bundle, save_bundle
 from .core import (
     Dataset,
     MFConformalError,
-    ShapeError,
     Split,
     _feasible_rank,
     _guaranteed_coverage,
@@ -386,7 +385,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, ShapeError) as exc:
+    except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (MFConformalError, ValueError, OSError) as exc:

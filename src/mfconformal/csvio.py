@@ -8,8 +8,9 @@ names the covariate.
 
 What a file must hold to be accepted:
 
-- UTF-8 text as Python's ``csv`` module reads it; blank records are skipped,
-  and ids and header names are stripped of surrounding whitespace;
+- UTF-8 text, a leading byte-order mark allowed, as Python's ``csv`` module
+  reads it; blank records are skipped, and ids and header names are stripped
+  of surrounding whitespace;
 - each component field as parsed by Python's ``int`` (at least 1) and each
   ``t``, value and covariate field as parsed by Python's ``float`` (finite),
   so ``+1``, ``1_0`` and digits of other scripts are accepted as Python
@@ -34,13 +35,13 @@ time, into the same columns, unless a line is so much longer than the lines
 around it that their rows would take more than ``_ROW_BYTES_PER_BYTE`` times
 their text. A scan of the whole file's bytes and line widths settles both
 before any of it is parsed. The C reader parses the components as int64 and
-t and the values as floats; only the curve ids stay text. Every other file
-takes the ``csv`` path above, and so does every plain file in which the C
-reader meets a fault: a field it cannot parse (its integers take no ``_``
-and nothing beyond int64, which Python's ``int`` takes), a component below
-1, a non-finite t or value, a duplicate row or no data rows. The ``csv``
-path reads such a file from the start, so every result, message and line
-number is the one ``csv`` gives.
+t and the values as floats; only the curve ids stay text. Every other file,
+one that begins with a byte-order mark among them, takes the ``csv`` path
+above, and so does every plain file in which the C reader meets a fault: a
+field it cannot parse (its integers take no ``_`` and nothing beyond int64,
+which Python's ``int`` takes), a component below 1, a non-finite t or value,
+a duplicate row or no data rows. The ``csv`` path reads such a file from the
+start, so every result, message and line number is the one ``csv`` gives.
 """
 
 from __future__ import annotations
@@ -100,9 +101,9 @@ _ROW_BYTES_PER_BYTE = 8
 @contextmanager
 def _csv_reader(path):
     """The header row and a ``csv.reader`` over the data rows of a UTF-8
-    file. An empty file and faults of the reader or the decoder are schema
-    errors."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    file, a leading byte-order mark dropped. An empty file and faults of the
+    reader or the decoder are schema errors."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

@@ -1,4 +1,6 @@
 import contextlib
+import os
+import pathlib
 from dataclasses import replace
 from unittest import mock
 
@@ -17,6 +19,28 @@ from mfconformal import (
     simgen,
     uniform_grid,
 )
+
+
+# The kernels a byte pin runs on. OpenBLAS's Haswell kernels on one thread
+# fix the BLAS bits. numpy's x86-64-v3 SIMD kernels, those of any AVX2 host,
+# fix the bits of its ufuncs: on numpy 2.4.6, exp and log differ between
+# them and the AVX-512 kernels an X86_V4 host would otherwise pick.
+PINNED_KERNELS = {
+    "OPENBLAS_CORETYPE": "Haswell",
+    "OPENBLAS_NUM_THREADS": "1",
+    "NPY_ENABLE_CPU_FEATURES": "X86_V3",
+}
+
+
+def pinned_env():
+    """The environment for a subprocess whose outputs are pinned byte for
+    byte: the caller's, with :data:`PINNED_KERNELS` and this checkout's
+    ``src`` on ``PYTHONPATH``. The caller's numpy feature switches are dropped
+    first, because numpy refuses to import when both are set."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("NPY_ENABLE_CPU_FEATURES", "NPY_DISABLE_CPU_FEATURES")}
+    return {**env, **PINNED_KERNELS,
+            "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
 
 
 @pytest.fixture

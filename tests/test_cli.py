@@ -1,3 +1,4 @@
+import codecs
 import csv
 import json
 import os
@@ -329,6 +330,25 @@ class TestCalibrateCommand:
         )
         assert code == EXIT_SCHEMA
 
+    @pytest.mark.parametrize("present", [True, False], ids=["one-curve", "missing"])
+    def test_a_curves_csv_that_keeps_its_schema_exits_3(self, tmp_path, capsys,
+                                                         present):
+        # Only a CSV that breaks its schema exits 2: a well-formed file that
+        # holds one curve, and a file that cannot be opened, exit 3.
+        curves = tmp_path / "curves.csv"
+        if present:
+            write_curves_csv(curves, np.linspace(0, 1, 5), {"c0": [np.zeros(5)]})
+        write_scalar_csv(tmp_path / "cov.csv", {"c0": {"w": 0.5}}, ["w"])
+        write_config(tmp_path / "config.json", alpha=0.5,
+                     split={"strategy": "random", "l": 1, "seed": 0})
+        code = main(["calibrate", str(curves), str(tmp_path / "cov.csv"),
+                     str(tmp_path / "config.json"), "-o", str(tmp_path / "b.json")])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err == "error: " + (
+            "a dataset needs one row count n >= 2 for all blocks; the responses "
+            "have 1 rows, the covariates [1]\n" if present
+            else f"[Errno 2] No such file or directory: {str(curves)!r}\n")
+
     def test_unwritable_output_exits_3_before_any_csv_is_read(self, tmp_path, capsys):
         (tmp_path / "bad.csv").write_text("id,comp,t,value\nx,1,0.0,1.0\n")
         write_config(tmp_path / "config.json", alpha=0.5,
@@ -426,6 +446,19 @@ class TestBandCommand:
             assert float(row["upper"]) == expected.upper[0][g]
             assert row["closure"] == "closed"
 
+    def test_a_covariates_csv_with_a_byte_order_mark_gives_the_same_band(self, tmp_path):
+        # Excel's "CSV UTF-8" export begins a file with one.
+        bundle, *_ = self._calibrated_bundle(tmp_path)
+        write_scalar_csv(tmp_path / "new.csv", {"new": {"w": 0.37}}, ["w"])
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + (tmp_path / "new.csv").read_bytes())
+        bands = []
+        for new in (tmp_path / "new.csv", marked):
+            out = tmp_path / f"band_{new.stem}.csv"
+            assert main(["band", str(bundle), str(new), "-o", str(out)]) == EXIT_OK
+            bands.append(out.read_bytes())
+        assert bands[0] == bands[1]
+
     @pytest.mark.parametrize("where", ["missing directory", "directory"])
     def test_unwritable_output_exits_3_before_the_band_is_computed(
             self, tmp_path, capsys, monkeypatch, where):
@@ -507,6 +540,18 @@ class TestBandCommand:
                      "-o", str(tmp_path / "band.csv")])
         assert code == EXIT_NUMERIC
         assert capsys.readouterr().err == f"error: curve id 'r' not in {new}\n"
+        assert not (tmp_path / "band.csv").exists()
+
+    def test_covariates_without_a_regressor_term_exit_3(self, tmp_path, capsys):
+        # The file keeps its schema; the bundle's regressor names 'w'.
+        bundle, *_ = self._calibrated_bundle(tmp_path)
+        write_scalar_csv(tmp_path / "new.csv", {"new": {"v": 0.3}}, ["v"])
+        capsys.readouterr()
+        code = main(["band", str(bundle), str(tmp_path / "new.csv"),
+                     "-o", str(tmp_path / "band.csv")])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "error: covariate 'w' missing from the observation\n")
         assert not (tmp_path / "band.csv").exists()
 
     def test_nan_covariate_at_band_time_is_schema_error(self, tmp_path, capfd):

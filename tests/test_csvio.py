@@ -11,6 +11,7 @@ oracle's result through the csv path. The band writer's grid check closes the
 file.
 """
 
+import codecs
 import csv
 import io
 import re
@@ -442,6 +443,25 @@ def test_functional_covariate_fault_messages_match_rowwise_oracle(workdir, rows)
     new = outcome(csvio.read_functional_covariate, path, grid)
     assert isinstance(new[0], type)
     assert new == outcome(oracle.read_functional_covariate, path, grid)
+
+
+@pytest.mark.parametrize("read,text,same,c_reader", [
+    (csvio.read_curves, table(VALID), assert_same_curves, [False, True]),
+    (lambda path: csvio.read_functional_covariate(path, uniform_grid(3, p=2)),
+     table(VALID, "curve_id,component,t,temp"), assert_same_covariate, [False, True]),
+    (csvio.read_scalar_covariates, "curve_id,w,v\na,0.5,1\nb,-2,3\n",
+     lambda new, old: new == old, []),
+], ids=["curves", "functional", "scalar"])
+def test_a_leading_byte_order_mark_is_accepted(tmp_path, read, text, same, c_reader):
+    # Excel's "CSV UTF-8" export begins a file with one. The C reader
+    # declines its bytes, so such a long table takes the csv path: c_reader
+    # says whether the C reader took the marked file, then the plain one.
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+    with c_reader_calls() as calls:
+        assert same(read(marked), read(plain))
+    assert calls == c_reader
 
 
 def test_band_csv_refuses_a_band_that_does_not_fit_the_grid(tmp_path):

@@ -202,6 +202,9 @@ CALIBRATE_REPROS = [
     ([(["seed"], 1.5)], "config key 'seed' must be an integer seed, got 1.5"),
     ([(["seed"], -1)], "config key 'seed' must be an integer seed, got -1"),
     ([(["mode"], 5)], "config key 'mode' must be a JSON string, got 5"),
+    # A regressor that does not fit the data, as from a bundle.
+    ([(["regressor", "terms"], [["w"]])], "spec lists terms for 1 components, data has 2"),
+    ([(["regressor", "terms"], [["z"], ["w"]])], "covariate 'z' missing from the observation"),
 ]
 STUDY_REPROS = [
     ([(["configs", 0, "n"], 2), (["configs", 0, "l"], 1)], "replication 0 failed"),
@@ -472,7 +475,8 @@ def test_component_with_one_point_names_file_and_component(inputs):
 
 def test_concurrent_fos_refuses_a_functional_covariate(inputs):
     # Before, calibrate fitted the functional 'v' pointwise, and band
-    # predicted from such a bundle.
+    # predicted from such a bundle. A regressor that does not fit the data is
+    # not a CSV schema fault, so it exits 3.
     d, paths = inputs
     message = "covariate 'v' is functional; concurrent_fos takes scalar covariates only"
     files = [functional_covariate(d, "v", "fos")]
@@ -481,8 +485,8 @@ def test_concurrent_fos_refuses_a_functional_covariate(inputs):
                                   "regressor": {"kind": "concurrent_fos",
                                                 "terms": [["v"], ["v"]]}}))
     code, err = calibrate(d, paths, config=config)
-    assert code == EXIT_SCHEMA and message in err
+    assert code == EXIT_NUMERIC and message in err
     bundle = mutated_bundle(d, paths, [(["regressor", "terms"], [["v"], ["v"]])])
     code, err = check(*run(["band", str(bundle), str(paths["new"]), "--functional",
                             files[0], "-o", str(d / "fos_band.csv")]))
-    assert code == EXIT_SCHEMA and message in err
+    assert code == EXIT_NUMERIC and message in err

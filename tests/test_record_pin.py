@@ -10,15 +10,17 @@ cell the report's numeric fields. One digest per n names the sample size
 that moved. A refactor that claims bit-identity must leave every digest as
 it is; re-pin only for a deliberate, documented change of outputs.
 
-The n = 2000 bytes depend on the BLAS kernels, so the matrix runs in a
-subprocess with ``OPENBLAS_CORETYPE=Haswell`` and one BLAS thread.
+The n = 2000 bytes depend on the BLAS kernels, and study 1, scenario 2
+calls ``exp``, whose bits depend on numpy's SIMD kernels, so the matrix runs
+in a subprocess under ``conftest.pinned_env``: ``OPENBLAS_CORETYPE=Haswell``,
+one BLAS thread and ``NPY_ENABLE_CPU_FEATURES=X86_V3``.
 """
 
 import json
-import os
-import pathlib
 import subprocess
 import sys
+
+from conftest import PINNED_KERNELS, pinned_env
 
 PROBE = r'''
 import hashlib, json
@@ -91,10 +93,10 @@ print(json.dumps({"digests": digests, "faults": faults}))
 # Under the kernels above. A changed digest is a changed output: re-pin it
 # only with a documented reason.
 DIGESTS = {
-    "20": "61a009c7b4bab93b421fa14695c32343169aae40763d2be0fecdfd1621805db3",
-    "40": "07f0b5c34798084055fe9e716f499b100accc43339d4373839cfe90dc7c57588",
-    "200": "e4956ea81e10299d9ecc2d5e9ec119d1a421f1135888fafd5e08a4ea81844f43",
-    "2000": "141347ff20d85569bebfb6425eddc5737a4856d405b251e3bea93b0e5c40aa03",
+    "20": "f74956be95bca85888f808a2347f276fbda1d194d0539cc1535f260661162966",
+    "40": "84c5cbbf87cf7d6194553ae5f51d6b7ef451b99059747ae812b45403419bfaf9",
+    "200": "334bb09de997bef9dc032921c800319457110293249acda153b58f781a02255b",
+    "2000": "d800d99cfc462b06408c9efe7725ac27c6569be7dd7a3f1ca602f6e806ebab2f",
 }
 
 FAULTS = {
@@ -133,10 +135,32 @@ FAULTS = {
 
 
 def test_records_of_the_pinned_matrix():
-    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
-    done = subprocess.run([sys.executable, "-c", PROBE], env=env, timeout=300,
+    done = subprocess.run([sys.executable, "-c", PROBE], env=pinned_env(), timeout=300,
                           capture_output=True, text=True, check=True)
     got = json.loads(done.stdout)
     assert got["faults"] == FAULTS
     assert got["digests"] == DIGESTS
+
+
+# What numpy's dispatch and OpenBLAS chose in a pinned subprocess.
+KERNELS = r'''
+import ctypes, glob, json, os
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+
+libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+openblas, = glob.glob(os.path.join(libs, "libscipy_openblas*"))
+corename = ctypes.CDLL(openblas).scipy_openblas_get_corename64_
+corename.argtypes, corename.restype = [], ctypes.c_char_p
+print(json.dumps({"X86_V4": __cpu_features__["X86_V4"],
+                  "X86_V3": __cpu_features__["X86_V3"], "blas": corename().decode()}))
+'''
+
+
+def test_a_pinned_subprocess_runs_the_kernels_it_pins():
+    # A numpy or OpenBLAS that ignored its variable would pin other bytes.
+    # NPY_ENABLE_CPU_FEATURES=X86_V3 leaves X86_V3 on and turns X86_V4 off.
+    done = subprocess.run([sys.executable, "-c", KERNELS], env=pinned_env(), timeout=60,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == {
+        "X86_V4": False, "X86_V3": True, "blas": PINNED_KERNELS["OPENBLAS_CORETYPE"]}

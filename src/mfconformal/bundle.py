@@ -8,12 +8,9 @@ are written with Python's shortest exact representation).
 
 from __future__ import annotations
 
-import json
-
-import numpy as np
-
 from .conformal import BandPredictor
-from .core import ComponentGrid, Grid, MFConformalError, _json_object, _json_value
+from .core import (ComponentGrid, Grid, MFConformalError, _json_object, _json_value,
+                   _json_write)
 from .modulate import ModulationSet
 from .regress import FittedRegressor, RegressorSpec
 
@@ -36,11 +33,10 @@ def _grid_to_doc(grid: Grid) -> dict:
 
 
 def _grid_from_doc(doc: dict) -> Grid:
-    comps = tuple(
-        ComponentGrid(np.array(c["points"]), np.array(c["weights"]))
-        for c in doc["components"]
-    )
-    return Grid(comps)
+    return Grid(tuple(
+        ComponentGrid(_json_value(c, "points", list), _json_value(c, "weights", list))
+        for c in _json_value(doc, "components", list, item=dict)
+    ))
 
 
 def predictor_to_doc(pred: BandPredictor, metadata: dict | None = None) -> dict:
@@ -87,12 +83,12 @@ def predictor_from_doc(doc: dict) -> tuple[BandPredictor, dict]:
         model = FittedRegressor(
             grid=grid,
             spec=spec,
-            coefficients=tuple(np.array(c) for c in reg["coefficients"]),
+            coefficients=tuple(_json_value(reg, "coefficients", list)),
         )
         mod = _json_value(doc, "modulation", dict)
         s = ModulationSet(
             grid=grid,
-            fns=tuple(np.array(f) for f in mod["fns"]),
+            fns=tuple(_json_value(mod, "fns", list)),
             label=_json_value(mod, "label", str),
             unit_integral=_json_value(mod, "unit_integral", bool, False),
         )
@@ -108,16 +104,13 @@ def predictor_from_doc(doc: dict) -> tuple[BandPredictor, dict]:
             infinite=infinite,
         )
         metadata = _json_value(doc, "metadata", dict, {})
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise BundleFormatError(f"malformed bundle: {exc}") from exc
     return pred, dict(metadata)
 
 
 def save_bundle(path, pred: BandPredictor, metadata: dict | None = None) -> None:
-    doc = predictor_to_doc(pred, metadata)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _json_write(path, predictor_to_doc(pred, metadata))
 
 
 def load_bundle(path) -> tuple[BandPredictor, dict]:

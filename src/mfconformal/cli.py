@@ -25,7 +25,6 @@ import argparse
 import csv
 import dataclasses
 import functools
-import json
 import os
 import sys
 
@@ -41,6 +40,7 @@ from .core import (
     _guaranteed_coverage,
     _json_object,
     _json_value,
+    _json_write,
     _level,
     _seed,
     random_split,
@@ -290,19 +290,14 @@ def _cmd_study(args) -> int:
     if "workers" in doc:
         workers = _convert(doc, "workers", int)
     else:
-        try:
-            workers = harness.default_workers()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        workers = harness.default_workers()
     configs = [_study_config_from_doc(entry, workers) for entry in entries]
     _check_output(args.report, "--report")
     _check_output(args.table, "--table")
     reports = [harness.run_study(cfg) for cfg in configs]
     docs = [_report_to_doc(r) for r in reports]
 
-    with open(args.report, "w", encoding="utf-8") as fh:
-        json.dump({"reports": docs}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _json_write(args.report, {"reports": docs})
     with open(args.table, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_TABLE_COLUMNS)

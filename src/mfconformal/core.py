@@ -81,18 +81,21 @@ def _json_value(doc: dict, key: str, kind: type, *default, item: type = object,
     dict), the default when absent; else ``error``, naming ``label`` and the
     key. A boolean or a string is not a number, an int may not have a
     fraction (``4.0`` gives 4, ``Infinity`` is refused), and each entry of a
-    list must be an ``item``."""
+    list must be an ``item`` (a refusal quotes the first entry that is not)."""
     if key not in doc:
         if default:
             return default[0]
         raise error(f"{label}{key!r} is missing")
     value, number = doc[key], kind in (int, float)
     if (isinstance(value, bool) != (kind is bool)
-            or not isinstance(value, (int, float) if number else kind)
-            or (kind is list and not all(isinstance(v, item) for v in value))):
+            or not isinstance(value, (int, float) if number else kind)):
         of = "" if item is object else f" of {_JSON_KINDS[item]}s"
         raise error(f"{label}{key!r} must be a JSON {_JSON_KINDS[kind]}{of}, "
                     f"got {json.dumps(value)}")
+    if kind is list and (bad := [i for i, v in enumerate(value)
+                                 if not isinstance(v, item)]):
+        raise error(f"{label}{key!r} entry {bad[0]} must be a JSON "
+                    f"{_JSON_KINDS[item]}, got {json.dumps(value[bad[0]])}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise error(f"{label}{key!r} must be an integer, got {json.dumps(value)}")
     try:
@@ -102,10 +105,10 @@ def _json_value(doc: dict, key: str, kind: type, *default, item: type = object,
 
 
 def _json_object(path, error: type, what: str) -> dict:
-    """The JSON object in the file at ``path``; ``error`` naming ``what`` when
-    the text is not JSON or its top level is not an object. An OSError from
-    opening or reading the file passes through."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """The JSON object in the UTF-8 file at ``path``, which may begin with a
+    byte-order mark; ``error`` naming ``what`` when the text is not JSON or its
+    top level is not an object. An OSError from the file passes through."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -113,6 +116,13 @@ def _json_object(path, error: type, what: str) -> dict:
     if not isinstance(doc, dict):
         raise error(f"malformed {what}: the top level must be a JSON object")
     return doc
+
+
+def _json_write(path, doc: dict) -> None:
+    """Write ``doc`` to ``path`` as UTF-8 JSON: sorted keys, indent 2, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def trapezoid_weights(points: np.ndarray) -> np.ndarray:
@@ -233,6 +243,8 @@ def uniform_grid(
     """Grid with ``p`` identical components of equispaced points on ``domain``
     and trapezoid weights."""
     a, b = domain
+    n_points = _integer(n_points, "n_points", ShapeError)
+    p = _integer(p, "p", ShapeError)
     if not (n_points >= 2 and b > a):
         raise ShapeError("need n_points >= 2 and a non-empty domain")
     comp = ComponentGrid.from_points(np.linspace(a, b, n_points))
@@ -273,10 +285,16 @@ class Covariates:
     functional: dict[str, tuple[np.ndarray, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        scalar = {k: float(v) for k, v in self.scalar.items()}
-        for k, v in scalar.items():
-            if not math.isfinite(v):
+        # float() would parse a string or bytes; math.isfinite raises
+        # TypeError for them, as for an array of several entries.
+        for k, v in self.scalar.items():
+            try:
+                finite = math.isfinite(v)
+            except TypeError:
+                raise ShapeError(f"scalar covariate {k!r} is not a number: {v!r}") from None
+            if not finite:
                 raise ShapeError(f"scalar covariate {k!r} is not finite: {v!r}")
+        scalar = {k: float(v) for k, v in self.scalar.items()}
         object.__setattr__(self, "scalar", scalar)
         object.__setattr__(
             self,
@@ -472,6 +490,7 @@ def random_split(n: int, l: int, seed=None, strategy: str = "uniform") -> Split:
         are reassigned one at a time choosing the day closest to the center
         day (n+1)/2, with ties broken toward the earlier day.
     """
+    n, l = _integer(n, "n"), _integer(l, "l")
     if not (1 <= l <= n - 1):
         raise ValueError(f"need 1 <= l <= n-1, got l={l}, n={n}")
     if strategy == "uniform":
@@ -542,6 +561,7 @@ def order_stat_index(count: int, alpha: float, tau: float = 1.0) -> int:
     """
     # With x = F + frac for the snapped floor F, the ceiling is
     # count + 1 - F, less one when tau does not exceed frac.
+    count = _integer(count, "count")
     x = (count + 1) * alpha
     floor = _snap_floor(x)
     return count + 1 - floor - (tau <= max(x - floor, 0.0))

@@ -97,10 +97,9 @@ class ModulationSet:
     unit_integral: bool = True
 
     def __post_init__(self):
-        self.grid.validate_blocks([np.asarray(f)[None] for f in self.fns],
-                                  "modulation functions")
         fns = tuple(_readonly(f, f"modulation component {j}", error=ValueError)
                     for j, f in enumerate(self.fns))
+        self.grid.validate_blocks([f[None] for f in fns], "modulation functions")
         object.__setattr__(self, "fns", _checked(fns, self.grid, self.unit_integral))
 
     @property

@@ -1,5 +1,6 @@
 import codecs
 import csv
+import hashlib
 import json
 import os
 import pathlib
@@ -28,6 +29,8 @@ from mfconformal import (
 from mfconformal.bundle import save_bundle
 from mfconformal.cli import EXIT_NUMERIC, EXIT_OK, EXIT_SCHEMA, main
 from mfconformal.simgen import regressor_for
+
+from conftest import pinned_env
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -72,6 +75,14 @@ def corrupt_line(line, fault):
 def write_config(path, **kwargs):
     with open(path, "w") as fh:
         json.dump(kwargs, fh)
+
+
+def marked_copy(path):
+    """A copy of the file at ``path``, beside it, that begins with a UTF-8
+    byte-order mark, as a file saved by some Windows editors does."""
+    marked = path.with_name(f"marked_{path.name}")
+    marked.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    return marked
 
 
 class TestCalibrateCommand:
@@ -153,6 +164,22 @@ class TestCalibrateCommand:
             raw.append((tmp_path / name).read_bytes())
         assert raw[0] == raw[1]
         assert "created" not in json.loads(raw[0])["metadata"]
+
+    def test_a_config_with_a_byte_order_mark_gives_the_same_bundle(self, tmp_path):
+        points = np.linspace(0, 1, 6)
+        rng = np.random.default_rng(3)
+        write_curves_csv(tmp_path / "curves.csv", points,
+                         {f"c{i}": [rng.normal(size=6)] for i in range(6)})
+        write_config(tmp_path / "config.json", alpha=0.5, modulation="sigma",
+                     regressor={"kind": "intercept_only"},
+                     split={"strategy": "random", "l": 2, "seed": 11})
+        raw = []
+        for config in (tmp_path / "config.json", marked_copy(tmp_path / "config.json")):
+            out = tmp_path / f"bundle_{config.stem}.json"
+            assert main(["calibrate", str(tmp_path / "curves.csv"), str(config),
+                         "-o", str(out)]) == EXIT_OK
+            raw.append(out.read_bytes())
+        assert raw[0] == raw[1]
 
     @pytest.mark.parametrize("alpha", [0.0, -0.1])
     def test_alpha_outside_unit_interval_is_a_range_error(self, tmp_path, capsys, alpha):
@@ -450,12 +477,21 @@ class TestBandCommand:
         # Excel's "CSV UTF-8" export begins a file with one.
         bundle, *_ = self._calibrated_bundle(tmp_path)
         write_scalar_csv(tmp_path / "new.csv", {"new": {"w": 0.37}}, ["w"])
-        marked = tmp_path / "marked.csv"
-        marked.write_bytes(codecs.BOM_UTF8 + (tmp_path / "new.csv").read_bytes())
         bands = []
-        for new in (tmp_path / "new.csv", marked):
+        for new in (tmp_path / "new.csv", marked_copy(tmp_path / "new.csv")):
             out = tmp_path / f"band_{new.stem}.csv"
             assert main(["band", str(bundle), str(new), "-o", str(out)]) == EXIT_OK
+            bands.append(out.read_bytes())
+        assert bands[0] == bands[1]
+
+    def test_a_bundle_with_a_byte_order_mark_gives_the_same_band(self, tmp_path):
+        bundle, *_ = self._calibrated_bundle(tmp_path)
+        write_scalar_csv(tmp_path / "new.csv", {"new": {"w": 0.37}}, ["w"])
+        bands = []
+        for path in (bundle, marked_copy(bundle)):
+            out = tmp_path / f"band_{path.stem}.csv"
+            assert main(["band", str(path), str(tmp_path / "new.csv"),
+                         "-o", str(out)]) == EXIT_OK
             bands.append(out.read_bytes())
         assert bands[0] == bands[1]
 
@@ -726,6 +762,11 @@ class TestStudyCommand:
         assert done.stdout == "False\n"
 
     def test_golden_report_frozen_and_reproducible(self, tmp_path):
+        # The report's bytes move with the BLAS kernels even at n = 20: its
+        # size_q3 ends in ...677 on OpenBLAS's Haswell kernels and in ...674
+        # on its SkylakeX ones, the default of an AVX-512 host. So both runs
+        # take the pinned kernels, in a subprocess, and the digest pins the
+        # whole report.
         write_config(
             tmp_path / "study.json",
             configs=[
@@ -737,17 +778,30 @@ class TestStudyCommand:
         outputs = []
         for tag in ("1", "2"):
             report = tmp_path / f"report{tag}.json"
-            code = main(["study", str(tmp_path / "study.json"),
-                         "--report", str(report),
-                         "--table", str(tmp_path / f"table{tag}.csv")])
-            assert code == EXIT_OK
+            subprocess.run([sys.executable, "-m", "mfconformal.cli", "study",
+                            str(tmp_path / "study.json"), "--report", str(report),
+                            "--table", str(tmp_path / f"table{tag}.csv")],
+                           env=pinned_env(), capture_output=True, check=True, timeout=120)
             outputs.append(report.read_bytes())
         assert outputs[0] == outputs[1]
+        assert hashlib.sha256(outputs[0]).hexdigest() == (
+            "da31f0daf03c8ae7413f6ff1b91fdf02a4098d423b5bababee7e642f7f3ff57f")
         (entry,) = json.loads(outputs[0])["reports"]
         # golden values established once by this implementation
         assert entry["hits"] == 48
         assert entry["coverage"] == 0.96
         assert entry["size_median"] == 10.95265461885055
+
+    def test_a_config_with_a_byte_order_mark_gives_the_same_report(self, tmp_path):
+        write_config(tmp_path / "study.json", workers=1, configs=[
+            {"study": 1, "scenario": 1, "n": 8, "l": 4, "n_reps": 3, "grid_points": 10}])
+        outputs = []
+        for config in (tmp_path / "study.json", marked_copy(tmp_path / "study.json")):
+            report, table = (tmp_path / f"{config.stem}.{ext}" for ext in ("json", "csv"))
+            assert main(["study", str(config), "--report", str(report),
+                         "--table", str(table)]) == EXIT_OK
+            outputs.append((report.read_bytes(), table.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
                              ids=lambda p: p.name)

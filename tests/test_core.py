@@ -148,6 +148,14 @@ class TestGridTypes:
         with pytest.raises(ShapeError, match="scalar covariate 'w'"):
             Covariates(scalar={"v": 1.0, "w": value})
 
+    @pytest.mark.parametrize("value", ["1.5", b"2", np.array([1.0, 2.0])],
+                             ids=["str", "bytes", "array"])
+    def test_scalar_covariates_must_be_numbers(self, value):
+        # Before, "1.5" was stored as 1.5 and b"2" as 2.0, and the array
+        # raised numpy's TypeError; Dataset.from_blocks refuses all three.
+        with pytest.raises(ShapeError, match="^scalar covariate 'w' is not a number: "):
+            Covariates(scalar={"v": 1.0, "w": value})
+
 
 def stored_arrays(kind, arr):
     """The arrays a type stores when built from the caller's vector ``arr``
@@ -546,6 +554,25 @@ class TestOrderIndices:
         # (9.5, 0.1) 0.9048 and (True, 0.5) 0.5.
         with pytest.raises(ValueError, match=f"^{message}$"):
             theoretical_coverage(l, alpha)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: random_split(10.0, 3), ValueError, "n must be an integer, got 10.0"),
+    (lambda: random_split(10, 3.0), ValueError, "l must be an integer, got 3.0"),
+    (lambda: random_split(10, True), ValueError, "l must be an integer, got True"),
+    (lambda: order_stat_index(9.5, 0.1), ValueError, "count must be an integer, got 9.5"),
+    (lambda: smoothed_order_stat_index(9.5, 0.1, 0.5), ValueError,
+     "count must be an integer, got 9.5"),
+    (lambda: uniform_grid(5.5), ShapeError, "n_points must be an integer, got 5.5"),
+    (lambda: uniform_grid(5, p=1.5), ShapeError, "p must be an integer, got 1.5"),
+], ids=["split n", "split l", "split l bool", "rank count", "smoothed rank count",
+        "grid n_points", "grid p"])
+def test_integer_parameters_refuse_other_values(call, error, message):
+    # Before, random_split(10.0, 3) raised numpy's AxisError, (10, 3.0) a
+    # TypeError and (10, True) split with l = 1; order_stat_index(9.5, 0.1)
+    # gave the rank 9.5; both uniform_grid calls raised TypeErrors.
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # Each refusal of the core objects with its error type and exact message.

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -158,6 +159,13 @@ BUNDLE_REPROS = [
     ([(["regressor", "terms"], [[], []])],
      "coefficient block 0 has shape (5, 2), expected (5, 1)"),
     ([(["regressor", "terms"], [["w"]])], "spec lists terms for 1 components, data has 2"),
+    # Fields that were read by raw indexing.
+    ([(["regressor", "coefficients"], DELETE)], "'coefficients' is missing"),
+    ([(["modulation", "fns"], DELETE)], "'fns' is missing"),
+    ([(["grid", "components", 0, "weights"], DELETE)], "'weights' is missing"),
+    ([(["grid", "components"], 5)], "'components' must be a JSON list of objects, got 5"),
+    ([(["grid", "components"], [[0, 1]])],
+     "'components' entry 0 must be a JSON object, got [0, 1]"),
 ]
 CALIBRATE_REPROS = [
     ([(["functional_covariates"], [1])], "'functional_covariates'"),
@@ -253,16 +261,15 @@ def with_examples(cases):
     return decorate
 
 
-@pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
-    """Valid inputs for every command: 8 curves with 2 components on 5
-    points, a scalar covariate, a calibrate config and its bundle."""
-    d = tmp_path_factory.mktemp("fuzz")
+def write_inputs(d, n, n_points):
+    """Valid inputs for every command in ``d``: n curves with 2 components on
+    ``n_points`` points, a scalar covariate, a calibrate config and its
+    bundle."""
     rng = np.random.default_rng(11)
-    points = [0.0, 0.25, 0.5, 0.75, 1.0]
-    w = [(i + 1) / 9 for i in range(8)]
+    points = np.linspace(0.0, 1.0, n_points).tolist()
+    w = [(i + 1) / (n + 1) for i in range(n)]
     rows = ["curve_id,component,t,value"]
-    for i in range(8):
+    for i in range(n):
         for j in (1, 2):
             rows += [f"c{i},{j},{t!r},{1.5 * w[i] + 0.3 * float(rng.normal())!r}"
                      for t in points]
@@ -275,14 +282,21 @@ def inputs(tmp_path_factory):
     }
     paths["curves"].write_text("\n".join(rows) + "\n")
     paths["covariates"].write_text(
-        "curve_id,w\n" + "".join(f"c{i},{w[i]!r}\n" for i in range(8))
+        "curve_id,w\n" + "".join(f"c{i},{w[i]!r}\n" for i in range(n))
     )
     paths["new"].write_text("curve_id,w\nnew,0.5\n")
     paths["config"].write_text(json.dumps(CALIBRATE_CONFIG))
     code, err = run(["calibrate", str(paths["curves"]), str(paths["covariates"]),
                      str(paths["config"]), "-o", str(paths["bundle"])])
     assert code == EXIT_OK, err
-    return d, paths
+    return paths
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """Inputs for 8 curves on 5 points."""
+    d = tmp_path_factory.mktemp("fuzz")
+    return d, write_inputs(d, 8, 5)
 
 
 def run(argv):
@@ -490,3 +504,42 @@ def test_concurrent_fos_refuses_a_functional_covariate(inputs):
     code, err = check(*run(["band", str(bundle), str(paths["new"]), "--functional",
                             files[0], "-o", str(d / "fos_band.csv")]))
     assert code == EXIT_NUMERIC and message in err
+
+
+# Replacement values of the bundle walk; a JSON 1e999 reads as math.inf.
+PROBE_VALUES = [DELETE, None, 5, -1, 0.5, "x", True, [], {}, [1], [[1]], [None], ["a"],
+                {"a": 1}, [[]], [{}], math.inf, [[1, 2], [3]]]
+# Python's and numpy's own words for a wrong type or shape, which no
+# refusal of a bundle may show, and a refusal that names a key alone.
+RAW_ERROR = re.compile(r"'\w+' object|indices must be|not iterable|not subscriptable|"
+                       r"unhashable|argument of type|inhomogeneous")
+BARE_KEY = re.compile(r"^malformed bundle: '[^']*'$")
+
+
+def node_paths(node, prefix=()):
+    """The path of every node below ``node``; a list's first entry stands
+    for all of its entries."""
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node[:1]):
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from node_paths(child, prefix + (key,))
+
+
+def test_every_field_of_a_bundle_is_refused_precisely(tmp_path):
+    # 12 curves on 100 points: quoting a whole list of grid components would
+    # run to thousands of characters.
+    paths = write_inputs(tmp_path, 12, 100)
+    doc = {**json.loads(paths["bundle"].read_text()), "metadata": {}}
+    walked = list(node_paths(doc))
+    assert ("regressor", "coefficients", 0, 0, 0) in walked
+    faults = []
+    for path in walked:
+        for value in PROBE_VALUES:
+            bundle = tmp_path / "probe.json"
+            bundle.write_text(json.dumps(mutate(doc, list(path), value)))
+            code, err = band(tmp_path, paths, bundle)
+            message = err.strip().removeprefix("error: ")
+            if code != EXIT_OK and (code != EXIT_NUMERIC or RAW_ERROR.search(message)
+                                    or BARE_KEY.match(message) or len(message) > 180):
+                faults.append((path, value, code, message))
+    assert faults == []

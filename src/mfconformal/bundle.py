@@ -8,6 +8,8 @@ are written with Python's shortest exact representation).
 
 from __future__ import annotations
 
+import functools
+
 from .conformal import BandPredictor
 from .core import (ComponentGrid, Grid, MFConformalError, _json_object, _json_value,
                    _json_write)
@@ -32,10 +34,16 @@ def _grid_to_doc(grid: Grid) -> dict:
     }
 
 
+def _fields(doc: dict, key: str):
+    """A reader of the fields of the JSON object ``doc[key]``, naming ``key``."""
+    return functools.partial(_json_value, _json_value(doc, key, dict), label=f"{key}: ")
+
+
 def _grid_from_doc(doc: dict) -> Grid:
     return Grid(tuple(
-        ComponentGrid(_json_value(c, "points", list), _json_value(c, "weights", list))
-        for c in _json_value(doc, "components", list, item=dict)
+        ComponentGrid(*(_json_value(c, key, list, label=f"grid.components[{j}]: ")
+                        for key in ("points", "weights")))
+        for j, c in enumerate(_fields(doc, "grid")("components", list, item=dict))
     ))
 
 
@@ -73,24 +81,24 @@ def predictor_from_doc(doc: dict) -> tuple[BandPredictor, dict]:
             f"(this build reads version {FORMAT_VERSION})"
         )
     try:
-        grid = _grid_from_doc(_json_value(doc, "grid", dict))
-        reg = _json_value(doc, "regressor", dict)
+        grid = _grid_from_doc(doc)
+        reg = _fields(doc, "regressor")
         spec = RegressorSpec(
-            kind=_json_value(reg, "kind", str),
-            terms=tuple(map(tuple, _json_value(reg, "terms", list, item=list))),
-            intercept=_json_value(reg, "intercept", bool),
+            kind=reg("kind", str),
+            terms=tuple(map(tuple, reg("terms", list, item=list))),
+            intercept=reg("intercept", bool),
         )
         model = FittedRegressor(
             grid=grid,
             spec=spec,
-            coefficients=tuple(_json_value(reg, "coefficients", list)),
+            coefficients=tuple(reg("coefficients", list)),
         )
-        mod = _json_value(doc, "modulation", dict)
+        mod = _fields(doc, "modulation")
         s = ModulationSet(
             grid=grid,
-            fns=tuple(_json_value(mod, "fns", list)),
-            label=_json_value(mod, "label", str),
-            unit_integral=_json_value(mod, "unit_integral", bool, False),
+            fns=tuple(mod("fns", list)),
+            label=mod("label", str),
+            unit_integral=mod("unit_integral", bool, False),
         )
         infinite = _json_value(doc, "infinite", bool)
         pred = BandPredictor(

@@ -97,9 +97,10 @@ def _split_from_config(doc: dict):
     """Check a split config; returns the function that splits n curves, which
     checks what needs n: an explicit split's coverage and ``l <= n - 1``."""
     _known(doc, ("strategy", "train", "calib", "l", "seed"), "split config")
-    strategy = _convert(doc, "strategy", str, "random")
+    convert = functools.partial(_convert, doc, label="split config: config key ")
+    strategy = convert("strategy", str, "random")
     if strategy == "explicit":
-        train, calib = (_convert(doc, key, list, []) for key in ("train", "calib"))
+        train, calib = (convert(key, list, []) for key in ("train", "calib"))
         try:
             split = Split(tuple(train), tuple(calib))
         except (TypeError, ValueError, OverflowError) as exc:
@@ -115,7 +116,7 @@ def _split_from_config(doc: dict):
         return explicit
     if strategy not in ("random", "parity"):
         raise ConfigError(f"unknown split strategy {strategy!r}")
-    l = _convert(doc, "l", int)
+    l = convert("l", int)
     seed = _seed(doc.get("seed", 0), "config key 'split.seed'", ConfigError)
 
     def drawn(n: int) -> Split:
@@ -234,15 +235,16 @@ def _read_fields(doc: dict, fields) -> dict:
     }
 
 
-def _study_config_from_doc(doc: dict, workers: int) -> harness.StudyConfig:
-    _known(doc, _ENTRY_KEYS, "study config entry")
+def _study_config_from_doc(doc: dict, workers: int,
+                           index: int) -> harness.StudyConfig:
+    _known(doc, _ENTRY_KEYS, f"study config entry {index}")
     try:
         scenario = simgen.ScenarioSpec(**_read_fields(doc, _SPEC))
         return harness.StudyConfig(
             scenario=scenario, workers=workers, **_read_fields(doc, _CELL)
         )
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"study config entry: {exc}") from exc
+        raise ConfigError(f"study config entry {index}: {exc}") from exc
 
 
 def _report_to_doc(report: harness.StudyReport) -> dict:
@@ -291,7 +293,7 @@ def _cmd_study(args) -> int:
         workers = _convert(doc, "workers", int)
     else:
         workers = harness.default_workers()
-    configs = [_study_config_from_doc(entry, workers) for entry in entries]
+    configs = [_study_config_from_doc(e, workers, i) for i, e in enumerate(entries)]
     _check_output(args.report, "--report")
     _check_output(args.table, "--table")
     reports = [harness.run_study(cfg) for cfg in configs]

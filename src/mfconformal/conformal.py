@@ -76,7 +76,7 @@ class Scores:
     sorted_values: np.ndarray = dataclasses_field(init=False, default=None)
 
     def __post_init__(self):
-        vals = _readonly(self.values, "scores", error=ValueError)
+        vals = _readonly(self.values, "scores")
         if vals.size < 1:
             raise ShapeError("scores must be a non-empty vector")
         if (vals < 0).any():
@@ -155,7 +155,7 @@ class Band:
             if self.lower is not None or self.upper is not None:
                 raise ValueError("an infinite band carries no bounds")
             return
-        low, up = (tuple(_readonly(a, f"{side} bound component {j}", error=ValueError)
+        low, up = (tuple(_readonly(a, f"{side} bound component {j}")
                          for j, a in enumerate(getattr(self, side)))
                    for side in ("lower", "upper"))
         if len(low) != len(up):
@@ -299,7 +299,7 @@ def _bounds(fit, radii, fns):
     lower, upper = zip(*[(v - k * f, v + k * f) for v, k, f in zip(fit, radii, fns)])
     for side, bounds in (("lower", lower), ("upper", upper)):
         for j, a in enumerate(bounds):
-            _finite(a, f"{side} bound component {j}", ValueError)
+            _finite(a, f"{side} bound component {j}")
     _ordered(lower, upper)
     return lower, upper
 

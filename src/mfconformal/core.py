@@ -43,13 +43,13 @@ class MFConformalError(Exception):
 
 
 class ShapeError(MFConformalError, ValueError):
-    """Input does not conform to the expected grid layout."""
+    """Input is ragged, not numeric, mis-shaped for the grid or non-finite."""
 
 
-def _readonly(values, name: str, ndim: int = 1, error=ShapeError) -> np.ndarray:
-    """Read-only float copy with ``ndim`` dimensions and finite entries; a
-    non-finite entry raises ``error``. Entries must already be numbers: a
-    string such as ``"1"`` is refused, not parsed. The caller's array is
+def _readonly(values, name: str, ndim: int = 1) -> np.ndarray:
+    """Read-only float copy with ``ndim`` dimensions and finite entries, else
+    a ShapeError naming ``name``. Entries must already be numbers: a string
+    such as ``"1"`` is refused, not parsed. The caller's array is
     always copied and left as it is, so the copy never pins or exposes it."""
     try:
         arr = np.asarray(values)
@@ -60,28 +60,35 @@ def _readonly(values, name: str, ndim: int = 1, error=ShapeError) -> np.ndarray:
         raise ShapeError(f"{name} is ragged or not numeric") from None
     if arr.ndim != ndim:
         raise ShapeError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    _finite(arr, name, error)
+    _finite(arr, name)
     arr.setflags(write=False)
     return arr
 
 
-def _finite(arr: np.ndarray, name: str, error=ShapeError) -> None:
-    """Raise ``error`` naming ``name`` unless every entry of ``arr`` is finite."""
+def _finite(arr: np.ndarray, name: str) -> None:
+    """A ShapeError naming ``name`` unless every entry of ``arr`` is finite."""
     if not np.isfinite(arr).all():
-        raise error(f"{name} contains non-finite entries")
+        raise ShapeError(f"{name} contains non-finite entries")
 
 
 _JSON_KINDS = {bool: "boolean", int: "number", float: "number", str: "string",
                list: "list", dict: "object"}
 
 
+def _excerpt(value) -> str:
+    """``value`` as JSON text for a refusal, cut to 50 characters."""
+    text = json.dumps(value, default=repr)
+    return text if len(text) <= 50 else f"{text[:47]}..."
+
+
 def _json_value(doc: dict, key: str, kind: type, *default, item: type = object,
                 error: type = ValueError, label: str = ""):
     """``doc[key]`` as a JSON value of ``kind`` (bool, int, float, str, list or
-    dict), the default when absent; else ``error``, naming ``label`` and the
-    key. A boolean or a string is not a number, an int may not have a
-    fraction (``4.0`` gives 4, ``Infinity`` is refused), and each entry of a
-    list must be an ``item`` (a refusal quotes the first entry that is not)."""
+    dict), the default when absent; else ``error``, naming ``label``, which
+    says where ``doc`` is, and the key. A boolean or a string is not a number,
+    an int may not have a fraction (``4.0`` gives 4, ``Infinity`` is
+    refused), and each entry of a list must be an ``item`` (a refusal quotes
+    the first entry that is not). A refusal quotes at most 50 characters."""
     if key not in doc:
         if default:
             return default[0]
@@ -91,13 +98,13 @@ def _json_value(doc: dict, key: str, kind: type, *default, item: type = object,
             or not isinstance(value, (int, float) if number else kind)):
         of = "" if item is object else f" of {_JSON_KINDS[item]}s"
         raise error(f"{label}{key!r} must be a JSON {_JSON_KINDS[kind]}{of}, "
-                    f"got {json.dumps(value)}")
-    if kind is list and (bad := [i for i, v in enumerate(value)
-                                 if not isinstance(v, item)]):
+                    f"got {_excerpt(value)}")
+    if kind is list and item is not object and (
+            bad := [i for i, v in enumerate(value) if not isinstance(v, item)]):
         raise error(f"{label}{key!r} entry {bad[0]} must be a JSON "
-                    f"{_JSON_KINDS[item]}, got {json.dumps(value[bad[0]])}")
+                    f"{_JSON_KINDS[item]}, got {_excerpt(value[bad[0]])}")
     if kind is int and isinstance(value, float) and not value.is_integer():
-        raise error(f"{label}{key!r} must be an integer, got {json.dumps(value)}")
+        raise error(f"{label}{key!r} must be an integer, got {_excerpt(value)}")
     try:
         return kind(value) if number else value
     except OverflowError:
@@ -131,8 +138,8 @@ def trapezoid_weights(points: np.ndarray) -> np.ndarray:
     Endpoints are half-weighted; the weights sum exactly to the span
     ``points[-1] - points[0]``.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 1 or pts.size < 2:
+    pts = _readonly(points, "points")
+    if pts.size < 2 or not (np.diff(pts) > 0).all():
         raise ShapeError("need at least two ascending points")
     w = np.empty_like(pts)
     w[0] = (pts[1] - pts[0]) / 2.0
@@ -172,8 +179,7 @@ class ComponentGrid:
     @classmethod
     def from_points(cls, points) -> "ComponentGrid":
         """Component grid with trapezoid weights on the given points."""
-        pts = np.asarray(points, dtype=float)
-        return cls(pts, trapezoid_weights(pts))
+        return cls(points, trapezoid_weights(points))
 
     @property
     def size(self) -> int:
@@ -469,7 +475,8 @@ def _integrals(fns: Sequence[np.ndarray], grid: Grid) -> list:
 
 def total_integral(fns: Sequence[np.ndarray], grid: Grid) -> float:
     """Sum over components of the quadrature integral of each sampled function."""
-    grid.validate_blocks([np.asarray(f)[None] for f in fns], "integrands")
+    fns = [_readonly(f, f"integrand component {j}") for j, f in enumerate(fns)]
+    grid.validate_blocks([f[None] for f in fns], "integrands")
     return float(sum(_integrals(fns, grid)))
 
 
@@ -615,9 +622,8 @@ def _seed(value, name: str, error: type = ValueError):
         if min(out) < 0:
             raise TypeError
     except TypeError:
-        raise error(f"{name} must be an integer seed, got "
-                    f"{json.dumps(value, default=repr)} (an integer >= 0 or a "
-                    f"non-empty list of them)") from None
+        raise error(f"{name} must be an integer seed, got {_excerpt(value)} "
+                    f"(an integer >= 0 or a non-empty list of them)") from None
     return out if entries is value else out[0]
 
 

@@ -53,6 +53,7 @@ from .core import (
     _guaranteed_coverage,
     _integer,
     _level,
+    _readonly,
     _row_sups,
     _uniform_parts,
 )
@@ -162,6 +163,7 @@ class StudyReport:
 def coverage_ci(hits: int, n: int) -> tuple[float, float, float]:
     """Empirical coverage with its 95% normal-approximation interval
     p_hat -+ 1.96 * sqrt(p_hat (1 - p_hat) / n)."""
+    hits, n = _integer(hits, "hits"), _integer(n, "n")
     if n < 1:
         raise ValueError("need at least one replication")
     if not 0 <= hits <= n:
@@ -174,7 +176,7 @@ def coverage_ci(hits: int, n: int) -> tuple[float, float, float]:
 def size_quartiles(sizes) -> tuple[float, float, float]:
     """First quartile, median and third quartile with linear interpolation
     between closest ranks."""
-    arr = np.asarray(sizes, dtype=float)
+    arr = _readonly(sizes, "sizes")
     if arr.size == 0:
         raise ValueError("need at least one size")
     q1, med, q3 = np.percentile(arr, [25.0, 50.0, 75.0], method="linear")
@@ -252,7 +254,7 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
         radius, closed, infinite = None, True, np.zeros(count, bool)
     else:
         scores = _row_sups(conformal._modulated(calib_res, fns))
-        _finite(scores, "scores", ValueError)
+        _finite(scores, "scores")
         tau = np.array([_level(alpha, cfg.mode, t) for t in taus])
         radius, closed, infinite = conformal._calibrated(
             np.sort(scores, axis=-1), alpha, tau)

@@ -97,7 +97,7 @@ class ModulationSet:
     unit_integral: bool = True
 
     def __post_init__(self):
-        fns = tuple(_readonly(f, f"modulation component {j}", error=ValueError)
+        fns = tuple(_readonly(f, f"modulation component {j}")
                     for j, f in enumerate(self.fns))
         self.grid.validate_blocks([f[None] for f in fns], "modulation functions")
         object.__setattr__(self, "fns", _checked(fns, self.grid, self.unit_integral))
@@ -122,7 +122,7 @@ def _checked(fns, grid: Grid, unit: bool = True):
     integral 1 (per set of an (R, G_j) stack); else a ValueError, which
     names the total of the first set of a stack that is off."""
     for j, f in enumerate(fns):
-        _finite(f, f"modulation component {j}", ValueError)
+        _finite(f, f"modulation component {j}")
     for j, f in enumerate(fns):
         if not (f > 0).all():
             raise ValueError(f"modulation component {j} must be strictly positive")

@@ -64,9 +64,11 @@ class BSplineBasis:
     domain: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
+        for name in ("order", "n_basis"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.order < 1 or self.n_basis < self.order:
             raise ValueError("need n_basis >= order >= 1")
-        knots = _readonly(self.knots, "knot vector", error=ValueError)
+        knots = _readonly(self.knots, "knot vector")
         if knots.shape != (self.n_basis + self.order,):
             raise ValueError(
                 f"knot vector must have n_basis + order = "
@@ -84,6 +86,7 @@ def uniform_bspline_basis(
 ) -> BSplineBasis:
     """Clamped basis with ``n_basis - order`` equally spaced interior knots."""
     a, b = domain
+    order, n_basis = _integer(order, "order"), _integer(n_basis, "n_basis")
     interior = n_basis - order
     inner = np.linspace(a, b, interior + 2)[1:-1]
     knots = np.concatenate([np.full(order, a), inner, np.full(order, b)])
@@ -93,7 +96,7 @@ def uniform_bspline_basis(
 def eval_bspline(basis: BSplineBasis, coeffs, t: float) -> float:
     """Evaluate sum_k coeffs[k] * B_k(t): the row of :func:`basis_matrix` at
     ``t`` dotted with the coefficients."""
-    c = np.asarray(coeffs, dtype=float)
+    c = _readonly(coeffs, "coefficients")
     if c.shape != (basis.n_basis,):
         raise ValueError(f"need {basis.n_basis} coefficients, got {c.shape}")
     return float(basis_matrix(basis, [t])[0] @ c)
@@ -249,6 +252,7 @@ def _systematic_means(coeff_seed: int, n: int, grid_points: int, shared: bool):
 def draw_trig_coefficients(rng, count: int, scale: float = 1.0):
     """Amplitude vectors (count, 3) with unit variances and 0.7 cross
     correlation, plus uniform phases on [-0.5, 0.5]."""
+    count = _integer(count, "count")
     sigma = np.full((3, 3), 0.7)
     np.fill_diagonal(sigma, 1.0)
     chol = np.linalg.cholesky(sigma)

@@ -810,8 +810,8 @@ class TestStudyCommand:
         # paper-grid run.
         doc = json.loads(path.read_text())
         assert set(doc) <= {"configs", "workers"}
-        for entry in doc["configs"]:
-            cli._study_config_from_doc(entry, workers=1)
+        for i, entry in enumerate(doc["configs"]):
+            cli._study_config_from_doc(entry, workers=1, index=i)
 
     def test_absent_entry_keys_take_the_dataclass_defaults(self, tmp_path):
         required = {"study": 1, "scenario": 1, "n": 8, "l": 4, "n_reps": 3}

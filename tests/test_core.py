@@ -20,17 +20,22 @@ from mfconformal import (
     ShapeError,
     Split,
     TrimConfig,
+    coverage_ci,
+    eval_bspline,
     predict,
     random_split,
     s_const,
     score,
+    size_quartiles,
     sup_abs,
     theoretical_coverage,
     total_integral,
+    uniform_bspline_basis,
     uniform_grid,
 )
-from mfconformal.core import _snap_floor, order_stat_index, smoothed_order_stat_index
-from mfconformal.simgen import BSplineBasis
+from mfconformal.core import (_snap_floor, order_stat_index, smoothed_order_stat_index,
+                              trapezoid_weights)
+from mfconformal.simgen import BSplineBasis, draw_trig_coefficients
 
 from conftest import random_curve
 
@@ -182,12 +187,15 @@ class TestStoredArrays:
         arr[0] = 2.0
         assert all(held[0] == 0.25 for held in stored)
 
-    @pytest.mark.parametrize("kind", ["Band", "Scores", "ModulationSet", "BSplineBasis"])
-    def test_non_finite_entry_is_a_value_error_not_a_shape_error(self, kind):
-        # The CLI maps ShapeError to exit 2 and other ValueErrors to exit 3.
-        with pytest.raises(ValueError, match="non-finite") as info:
+    @pytest.mark.parametrize("kind, name", [
+        ("Band", "lower bound component 0"), ("Scores", "scores"),
+        ("ModulationSet", "modulation component 0"), ("BSplineBasis", "knot vector"),
+    ], ids=["Band", "Scores", "ModulationSet", "BSplineBasis"])
+    def test_non_finite_entry_is_a_shape_error(self, kind, name):
+        # One non-finite rule for every stored array: a ShapeError, which
+        # is a ValueError and exits 3 from the CLI.
+        with pytest.raises(ShapeError, match=f"^{name} contains non-finite entries$"):
             stored_arrays(kind, np.array([0.25, np.nan, 0.75, 1.0]))
-        assert not isinstance(info.value, ShapeError)
 
 
     @pytest.mark.parametrize("entries", [["1", "2"], [1.0, "2"], [b"1", b"2"]])
@@ -572,6 +580,56 @@ def test_integer_parameters_refuse_other_values(call, error, message):
     # TypeError and (10, True) split with l = 1; order_stat_index(9.5, 0.1)
     # gave the rank 9.5; both uniform_grid calls raised TypeErrors.
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: coverage_ci(5.5, 10), "hits must be an integer, got 5.5"),
+    (lambda: coverage_ci(True, 10), "hits must be an integer, got True"),
+    (lambda: coverage_ci(5, "10"), "n must be an integer, got '10'"),
+    (lambda: BSplineBasis(2.5, 6, np.zeros(8)), "order must be an integer, got 2.5"),
+    (lambda: BSplineBasis(2, 6.0, np.zeros(8)), "n_basis must be an integer, got 6.0"),
+    (lambda: uniform_bspline_basis(4.0, 6), "order must be an integer, got 4.0"),
+    (lambda: draw_trig_coefficients(np.random.default_rng(0), 2.0),
+     "count must be an integer, got 2.0"),
+], ids=["hits", "hits bool", "n text", "basis order", "basis n_basis",
+        "uniform basis order", "trig count"])
+def test_counts_refuse_other_values(call, message):
+    # Before, coverage_ci(5.5, 10) gave 0.55, (True, 10) a lower bound of
+    # -0.086 and (5, "10") Python's comparison TypeError; BSplineBasis(2.5,
+    # ...) asked for 8.5 knots, BSplineBasis(2, 6.0, ...) was built, and the
+    # last two raised numpy's TypeError.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: trapezoid_weights(["0", "0.5", "1"]), "points is ragged or not numeric"),
+    (lambda: trapezoid_weights([0.0, math.nan, 1.0]), "points contains non-finite entries"),
+    (lambda: trapezoid_weights([1.0, 0.5, 0.0]), "need at least two ascending points"),
+    (lambda: ComponentGrid.from_points(["0", "0.5", "1"]),
+     "points is ragged or not numeric"),
+    (lambda: ComponentGrid.from_points([0.0, 1.0, 0.5]),
+     "need at least two ascending points"),
+    (lambda: size_quartiles(["1", "2"]), "sizes is ragged or not numeric"),
+    (lambda: size_quartiles([1.0, math.nan]), "sizes contains non-finite entries"),
+    (lambda: size_quartiles([[1, 2], [3, 4]]),
+     "sizes must be 1-dimensional, got shape (2, 2)"),
+    (lambda: eval_bspline(uniform_bspline_basis(4, 6), ["1"] * 6, 0.5),
+     "coefficients is ragged or not numeric"),
+    (lambda: total_integral((np.array([0.0, math.nan, 1.0]),), uniform_grid(3)),
+     "integrand component 0 contains non-finite entries"),
+    (lambda: total_integral((["0", "0.5", "1"],), uniform_grid(3)),
+     "integrand component 0 is ragged or not numeric"),
+], ids=["weights text", "weights nan", "weights descending", "grid text",
+        "grid unsorted", "quartiles text", "quartiles nan", "quartiles 2-d",
+        "spline text", "integral nan", "integral text"])
+def test_public_functions_convert_arrays_by_the_one_rule(call, message):
+    # Before, the text inputs were parsed as numbers (total_integral raised
+    # numpy's "data type must provide an itemsize"), NaN came back as NaN,
+    # descending points gave negative weights, the 2-d sizes were flattened
+    # and the unsorted grid read "grid points must be strictly increasing".
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
         call()
 
 

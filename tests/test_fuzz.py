@@ -25,6 +25,9 @@ from hypothesis import strategies as st
 from mfconformal.cli import EXIT_NUMERIC, EXIT_OK, EXIT_SCHEMA, main
 
 DELETE = "<delete>"
+# A value whose JSON text runs to thousands of characters, which no refusal
+# may quote whole.
+LONG_LIST = [0.125] * 500
 
 # Replacement values for a JSON node. The study set has no large integers:
 # a mutated "n", "n_reps" or "workers" must not allocate or spawn much.
@@ -166,6 +169,12 @@ BUNDLE_REPROS = [
     ([(["grid", "components"], 5)], "'components' must be a JSON list of objects, got 5"),
     ([(["grid", "components"], [[0, 1]])],
      "'components' entry 0 must be a JSON object, got [0, 1]"),
+    # Fields named with the object that holds them.
+    ([(["grid", "components", 1, "points"], DELETE)],
+     "malformed bundle: grid.components[1]: 'points' is missing"),
+    ([(["regressor", "kind"], DELETE)], "malformed bundle: regressor: 'kind' is missing"),
+    ([(["modulation", "label"], DELETE)], "malformed bundle: modulation: 'label' is missing"),
+    ([(["grid", "components"], DELETE)], "malformed bundle: grid: 'components' is missing"),
 ]
 CALIBRATE_REPROS = [
     ([(["functional_covariates"], [1])], "'functional_covariates'"),
@@ -213,6 +222,7 @@ CALIBRATE_REPROS = [
     # A regressor that does not fit the data, as from a bundle.
     ([(["regressor", "terms"], [["w"]])], "spec lists terms for 1 components, data has 2"),
     ([(["regressor", "terms"], [["z"], ["w"]])], "covariate 'z' missing from the observation"),
+    ([(["split", "l"], DELETE)], "split config: config key 'l' is missing"),
 ]
 STUDY_REPROS = [
     ([(["configs", 0, "n"], 2), (["configs", 0, "l"], 1)], "replication 0 failed"),
@@ -242,14 +252,15 @@ STUDY_REPROS = [
     ([(["configs", 0, "mode"], True)], "config key 'mode' must be a JSON string, got true"),
     ([(["worker"], 2)], "study config has unknown keys ['worker']"),
     ([(["configs", 0, "alpah"], 0.3), (["configs", 0, "modulaton"], "sbar")],
-     "study config entry has unknown keys ['alpah', 'modulaton']"),
+     "study config entry 0 has unknown keys ['alpah', 'modulaton']"),
     ([(["configs", 0, "n"], "12")], "config key 'n' must be a JSON number, got \"12\""),
     ([(["configs", 0, "coeff_seed"], -1)],
-     "study config entry: coeff_seed must be an integer seed, got -1"),
+     "study config entry 0: coeff_seed must be an integer seed, got -1"),
     ([(["configs", 0, "study"], 3), (["configs", 0, "scenario"], 3),
       (["configs", 0, "n"], 30)],
-     "study config entry: study 3, scenario 3: the contamination pattern is "
+     "study config entry 0: study 3, scenario 3: the contamination pattern is "
      "defined for n = 20 or n divisible by 40, got n=30"),
+    ([(["configs", 0, "l"], DELETE)], "study config entry 0: config key 'l' is missing"),
 ]
 
 
@@ -421,6 +432,31 @@ def test_malformed_study_exits_3(inputs, edits, message):
     assert code == EXIT_NUMERIC and message in err
 
 
+@pytest.mark.parametrize("command,edits,start", [
+    ("study", [(["configs", 1, "alpha"], LONG_LIST)],
+     "study config entry 1: config key 'alpha' must be a JSON number, got [0.125, "),
+    ("calibrate", [(["seed"], LONG_LIST)],
+     "config key 'seed' must be an integer seed, got [0.125, "),
+    ("calibrate", [(["split", "seed"], LONG_LIST)],
+     "config key 'split.seed' must be an integer seed, got [0.125, "),
+    ("calibrate", [(["functional_covariates"], [LONG_LIST])],
+     "config key 'functional_covariates' entry 0 must be a JSON string, got [0.125, "),
+    ("calibrate", [(["split", "l"], LONG_LIST)],
+     "split config: config key 'l' must be a JSON number, got [0.125, "),
+], ids=["study alpha", "seed", "split seed", "functional_covariates", "split l"])
+def test_config_refusals_name_their_object_and_stay_short(inputs, command, edits, start):
+    # Before, a refusal quoted the whole value (2 463 characters for the
+    # study entry's alpha) and named neither the study entry nor the split.
+    d, paths = inputs
+    if command == "study":
+        entries = [dict(entry) for entry in STUDY_CONFIG["configs"] * 2]
+        code, err = study(d, mutate_all({**STUDY_CONFIG, "configs": entries}, edits))
+    else:
+        code, err = calibrate(d, paths, config=mutated_config(d, edits))
+    message = err.strip().removeprefix("error: ")
+    assert code == EXIT_NUMERIC and message.startswith(start) and len(message) <= 180
+
+
 @pytest.mark.parametrize("value", ["two", "0", "-2", "1.5", ""])
 def test_bad_workers_variable_is_config_error(inputs, monkeypatch, value):
     d, _ = inputs
@@ -527,14 +563,20 @@ def node_paths(node, prefix=()):
 
 def test_every_field_of_a_bundle_is_refused_precisely(tmp_path):
     # 12 curves on 100 points: quoting a whole list of grid components would
-    # run to thousands of characters.
+    # run to thousands of characters, and so would quoting LONG_LIST.
     paths = write_inputs(tmp_path, 12, 100)
     doc = {**json.loads(paths["bundle"].read_text()), "metadata": {}}
     walked = list(node_paths(doc))
     assert ("regressor", "coefficients", 0, 0, 0) in walked
     faults = []
     for path in walked:
-        for value in PROBE_VALUES:
+        node = doc
+        for key in path:
+            node = node[key]
+        # Each object and each number is also replaced by LONG_LIST.
+        number = isinstance(node, (int, float)) and not isinstance(node, bool)
+        long = [LONG_LIST] if number or isinstance(node, dict) else []
+        for value in PROBE_VALUES + long:
             bundle = tmp_path / "probe.json"
             bundle.write_text(json.dumps(mutate(doc, list(path), value)))
             code, err = band(tmp_path, paths, bundle)

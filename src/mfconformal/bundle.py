@@ -39,10 +39,17 @@ def _fields(doc: dict, key: str):
     return functools.partial(_json_value, _json_value(doc, key, dict), label=f"{key}: ")
 
 
+def _component_from_doc(j: int, doc: dict) -> ComponentGrid:
+    """Grid component ``j``; a refusal, the grid's own among them, names it."""
+    try:
+        return ComponentGrid(*(_json_value(doc, key, list) for key in ("points", "weights")))
+    except ValueError as exc:
+        raise ValueError(f"grid.components[{j}]: {exc}") from exc
+
+
 def _grid_from_doc(doc: dict) -> Grid:
     return Grid(tuple(
-        ComponentGrid(*(_json_value(c, key, list, label=f"grid.components[{j}]: ")
-                        for key in ("points", "weights")))
+        _component_from_doc(j, c)
         for j, c in enumerate(_fields(doc, "grid")("components", list, item=dict))
     ))
 

@@ -227,10 +227,12 @@ _ENTRY_KEYS = [f.name for f in _SPEC + _CELL]
 
 def _read_fields(doc: dict, fields) -> dict:
     """Each of ``fields`` that ``doc`` sets, converted by the type of its
-    default, and each without a default, which is a required integer."""
+    default (``coeff_seed`` by the seed rule), and each without a default,
+    which is a required integer."""
     required = {f.name for f in fields if f.default is dataclasses.MISSING}
     return {
-        f.name: _convert(doc, f.name, int if f.name in required else type(f.default))
+        f.name: _seed(doc[f.name], f.name, ConfigError) if f.name == "coeff_seed"
+        else _convert(doc, f.name, int if f.name in required else type(f.default))
         for f in fields if f.name in doc or f.name in required
     }
 

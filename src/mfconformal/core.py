@@ -138,6 +138,12 @@ def trapezoid_weights(points: np.ndarray) -> np.ndarray:
     Endpoints are half-weighted; the weights sum exactly to the span
     ``points[-1] - points[0]``.
     """
+    return _trapezoid(points)[1]
+
+
+def _trapezoid(points) -> tuple[np.ndarray, np.ndarray]:
+    """``points`` read-only and their trapezoid weights; a ShapeError unless
+    there are two or more, strictly ascending."""
     pts = _readonly(points, "points")
     if pts.size < 2 or not (np.diff(pts) > 0).all():
         raise ShapeError("need at least two ascending points")
@@ -146,7 +152,7 @@ def trapezoid_weights(points: np.ndarray) -> np.ndarray:
     w[-1] = (pts[-1] - pts[-2]) / 2.0
     if pts.size > 2:
         w[1:-1] = (pts[2:] - pts[:-2]) / 2.0
-    return w
+    return pts, w
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,6 +170,10 @@ class ComponentGrid:
             raise ShapeError("a component grid needs at least 2 points")
         if not np.all(np.diff(pts) > 0):
             raise ShapeError("grid points must be strictly increasing")
+        self._weigh(pts, w)
+
+    def _weigh(self, pts: np.ndarray, w: np.ndarray) -> None:
+        """Check the weights ``w`` against the checked points ``pts`` and store both."""
         if w.shape != pts.shape:
             raise ShapeError("weights must have the same length as points")
         if not np.all(w > 0):
@@ -178,8 +188,12 @@ class ComponentGrid:
 
     @classmethod
     def from_points(cls, points) -> "ComponentGrid":
-        """Component grid with trapezoid weights on the given points."""
-        return cls(points, trapezoid_weights(points))
+        """Component grid with trapezoid weights on the given points, which
+        are converted and checked once."""
+        pts, w = _trapezoid(points)
+        grid = cls.__new__(cls)
+        grid._weigh(pts, _readonly(w, "weights"))
+        return grid
 
     @property
     def size(self) -> int:

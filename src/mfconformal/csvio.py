@@ -51,7 +51,7 @@ import io
 import math
 import warnings
 from contextlib import contextmanager
-from itertools import islice, repeat
+from itertools import islice
 
 import numpy as np
 
@@ -496,15 +496,15 @@ def merge_covariates(
 
 def write_band_csv(path, grid: Grid, band: Band) -> None:
     """Emit ``component,t,lower,upper,closure`` rows (components 1-based) of a
-    band shaped for ``grid``."""
+    band shaped for ``grid``, in the bytes of ``csv``'s default dialect:
+    ``\\r\\n`` line ends, no field quoted (none needs it) and each float as its
+    repr, the shortest exact form."""
     if band.infinite:
         raise ValueError("an infinite band has no finite bounds to write")
     grid.validate_blocks([b[None] for b in band.lower], "band bounds")
+    rows = ["component,t,lower,upper,closure\r\n"]
+    for j, comp in enumerate(grid.components):
+        rows += [f"{j + 1},{t!r},{lo!r},{hi!r},{band.closure}\r\n" for t, lo, hi in
+                 zip(comp.points.tolist(), band.lower[j].tolist(), band.upper[j].tolist())]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["component", "t", "lower", "upper", "closure"])
-        # csv writes a Python float as its repr, the shortest exact form.
-        for j, comp in enumerate(grid.components):
-            writer.writerows(zip(repeat(j + 1), comp.points.tolist(),
-                                 band.lower[j].tolist(), band.upper[j].tolist(),
-                                 repeat(band.closure)))
+        fh.write("".join(rows))

@@ -33,6 +33,7 @@ from mfconformal import (
     uniform_bspline_basis,
     uniform_grid,
 )
+from mfconformal import core
 from mfconformal.core import (_snap_floor, order_stat_index, smoothed_order_stat_index,
                               trapezoid_weights)
 from mfconformal.simgen import BSplineBasis, draw_trig_coefficients
@@ -116,6 +117,20 @@ class TestGridTypes:
     def test_rejects_unsorted_points(self):
         with pytest.raises(ShapeError):
             ComponentGrid.from_points([0.0, 0.5, 0.3])
+
+    def test_from_points_converts_its_points_once(self, monkeypatch):
+        converted, readonly = [], core._readonly
+
+        def spy(values, name, ndim=1):
+            converted.append(name)
+            return readonly(values, name, ndim)
+
+        monkeypatch.setattr(core, "_readonly", spy)
+        grid = ComponentGrid.from_points([0.0, 0.25, 1.0])
+        assert converted == ["points", "weights"]
+        assert grid == ComponentGrid(np.array([0.0, 0.25, 1.0]),
+                                     np.array([0.125, 0.5, 0.375]))
+        assert not (grid.points.flags.writeable or grid.weights.flags.writeable)
 
     def test_rejects_wrong_weight_total(self):
         with pytest.raises(ShapeError, match="domain length"):
@@ -638,6 +653,12 @@ REFUSALS = {
     "component grid of one point": (
         lambda: ComponentGrid(np.array([0.0]), np.array([1.0])),
         ShapeError, "a component grid needs at least 2 points"),
+    "unsorted component grid": (
+        lambda: ComponentGrid(np.array([0.0, 1.0, 0.5]), np.array([0.25, 0.5, 0.25])),
+        ShapeError, "grid points must be strictly increasing"),
+    "grid of text weights and one point": (
+        lambda: ComponentGrid(np.array([0.0]), ["1"]),
+        ShapeError, "weights is ragged or not numeric"),
     "mismatched weights": (
         lambda: ComponentGrid(np.array([0.0, 1.0]), np.array([1.0])),
         ShapeError, "weights must have the same length as points"),

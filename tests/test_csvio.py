@@ -8,20 +8,22 @@ with the same exception type. Files with a single fault get the same
 message from both. Plain files, which numpy's C reader parses, must reach it
 whenever they are valid; every other file, and every fault, must give the
 oracle's result through the csv path. The band writer's grid check closes the
-file.
+file, and the writer's bytes are those its former ``csv.writer`` code wrote.
 """
 
 import codecs
 import csv
 import io
+import math
 import re
 import warnings
 from contextlib import contextmanager
+from itertools import repeat
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rowwise_csvio as oracle
@@ -462,6 +464,54 @@ def test_a_leading_byte_order_mark_is_accepted(tmp_path, read, text, same, c_rea
     with c_reader_calls() as calls:
         assert same(read(marked), read(plain))
     assert calls == c_reader
+
+
+# Finite floats whose reprs stretch the band writer: a negative zero, the
+# smallest subnormal and the largest magnitudes.
+EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+FINITE = st.one_of(st.sampled_from(EDGE_FLOATS),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+def csv_module_band(path, grid, band):
+    """The band writer as it was when ``csv.writer`` formatted the rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["component", "t", "lower", "upper", "closure"])
+        for j, comp in enumerate(grid.components):
+            writer.writerows(zip(repeat(j + 1), comp.points.tolist(),
+                                 band.lower[j].tolist(), band.upper[j].tolist(),
+                                 repeat(band.closure)))
+
+
+@st.composite
+def bands(draw):
+    """A grid of 1-3 components of 2-8 points and a finite band on it."""
+    components, lower, upper = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        points = sorted(set(draw(st.lists(FINITE, min_size=2, max_size=8))))
+        while len(points) > 1 and not math.isfinite(points[-1] - points[0]):
+            points.pop(0)  # a span beyond the float range has no weights
+        assume(len(points) > 1)
+        try:
+            components.append(ComponentGrid.from_points(points))
+        except ShapeError:  # a point spacing that halves to a zero weight
+            assume(False)
+        bounds = st.lists(FINITE, min_size=len(points), max_size=len(points))
+        a, b = np.array(draw(bounds)), np.array(draw(bounds))
+        lower.append(np.minimum(a, b))
+        upper.append(np.maximum(a, b))
+    closure = draw(st.sampled_from(["closed", "open"]))
+    return Grid(tuple(components)), Band(tuple(lower), tuple(upper), closure=closure)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=bands())
+def test_band_csv_bytes_are_those_of_the_csv_module(workdir, case):
+    grid, band = case
+    csvio.write_band_csv(workdir / "band.csv", grid, band)
+    csv_module_band(workdir / "oracle.csv", grid, band)
+    assert (workdir / "band.csv").read_bytes() == (workdir / "oracle.csv").read_bytes()
 
 
 def test_band_csv_refuses_a_band_that_does_not_fit_the_grid(tmp_path):

@@ -22,7 +22,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mfconformal import harness
 from mfconformal.cli import EXIT_NUMERIC, EXIT_OK, EXIT_SCHEMA, main
+from mfconformal.simgen import ScenarioSpec
 
 DELETE = "<delete>"
 # A value whose JSON text runs to thousands of characters, which no refusal
@@ -149,6 +151,10 @@ BUNDLE_REPROS = [
      "'tau' must be a JSON number, got \"0.5\""),
     ([(["grid", "components", 0, "points"], ["0", "0.25", "0.5", "0.75", "1"])],
      "points is ragged or not numeric"),
+    ([(["grid", "components", 1, "points"], ["a"] * 5)],
+     "malformed bundle: grid.components[1]: points is ragged or not numeric"),
+    ([(["grid", "components", 0, "weights"], [0.5, 0.5])],
+     "malformed bundle: grid.components[0]: weights must have the same length as points"),
     ([(["alpha"], 10**400)], "'alpha' is beyond the float range"),
     ([(["regressor", "terms"], "ww")], "'terms' must be a JSON list of lists, got \"ww\""),
     ([(["modulation", "label"], 5)], "'label' must be a JSON string, got 5"),
@@ -256,6 +262,12 @@ STUDY_REPROS = [
     ([(["configs", 0, "n"], "12")], "config key 'n' must be a JSON number, got \"12\""),
     ([(["configs", 0, "coeff_seed"], -1)],
      "study config entry 0: coeff_seed must be an integer seed, got -1"),
+    ([(["configs", 0, "coeff_seed"], True)],
+     "study config entry 0: coeff_seed must be an integer seed, got true"),
+    ([(["configs", 0, "coeff_seed"], [1, True])],
+     "study config entry 0: coeff_seed must be an integer seed, got [1, true]"),
+    ([(["configs", 0, "coeff_seed"], 4.0)],
+     "study config entry 0: coeff_seed must be an integer seed, got 4.0"),
     ([(["configs", 0, "study"], 3), (["configs", 0, "scenario"], 3),
       (["configs", 0, "n"], 30)],
      "study config entry 0: study 3, scenario 3: the contamination pattern is "
@@ -468,6 +480,26 @@ def test_bad_workers_variable_is_config_error(inputs, monkeypatch, value):
     # The variable is read only when the config has no "workers" key.
     code, err = study(d, STUDY_CONFIG)
     assert code == EXIT_OK, err
+
+
+def test_a_study_entry_takes_a_list_coeff_seed(inputs):
+    # Before, "coeff_seed": [1, 2] was refused "config key 'coeff_seed' must be
+    # a JSON number, got [1, 2]", although ScenarioSpec takes the list.
+    d, _ = inputs
+    edits = [(["configs", 0, "coeff_seed"], [1, 2]), (["configs", 0, "n_reps"], 12)]
+    code, err = study(d, mutate_all(STUDY_CONFIG, edits))
+    assert code == EXIT_OK, err
+    (report,) = json.loads((d / "report.json").read_text())["reports"]
+    assert report["config"]["coeff_seed"] == [1, 2]
+    entry = STUDY_CONFIG["configs"][0]
+    spec = {k: entry[k] for k in ("study", "scenario", "n", "covariate_set",
+                                  "grid_points", "error_scale")}
+    cell = {k: entry[k] for k in ("l", "alpha", "modulation", "mode", "method",
+                                  "master_seed")}
+    direct = harness.run_study(harness.StudyConfig(
+        scenario=ScenarioSpec(**spec, coeff_seed=(1, 2)), n_reps=12, **cell))
+    assert (report["hits"], report["size_q1"], report["size_median"], report["size_q3"]) == (
+        direct.hits, direct.size_q1, direct.size_median, direct.size_q3)
 
 
 def test_integral_floats_still_set_integer_keys(inputs):

@@ -114,13 +114,15 @@ class TestRunStudy:
         from mfconformal import simgen
 
         built = []
-        real = core.ComponentGrid.__post_init__
+        real = core.ComponentGrid._weigh
 
-        def counting(self):
+        # Every construction, by the constructor or by from_points, stores
+        # its arrays through _weigh.
+        def counting(self, pts, w):
             built.append(self)
-            real(self)
+            real(self, pts, w)
 
-        monkeypatch.setattr(core.ComponentGrid, "__post_init__", counting)
+        monkeypatch.setattr(core.ComponentGrid, "_weigh", counting)
         simgen._grid.cache_clear()
         for cells, grid_points in enumerate((50, 30), start=1):
             scenario = replace(small_config().scenario, grid_points=grid_points)

@@ -151,10 +151,6 @@ BUNDLE_REPROS = [
      "'tau' must be a JSON number, got \"0.5\""),
     ([(["grid", "components", 0, "points"], ["0", "0.25", "0.5", "0.75", "1"])],
      "points is ragged or not numeric"),
-    ([(["grid", "components", 1, "points"], ["a"] * 5)],
-     "malformed bundle: grid.components[1]: points is ragged or not numeric"),
-    ([(["grid", "components", 0, "weights"], [0.5, 0.5])],
-     "malformed bundle: grid.components[0]: weights must have the same length as points"),
     ([(["alpha"], 10**400)], "'alpha' is beyond the float range"),
     ([(["regressor", "terms"], "ww")], "'terms' must be a JSON list of lists, got \"ww\""),
     ([(["modulation", "label"], 5)], "'label' must be a JSON string, got 5"),
@@ -181,6 +177,10 @@ BUNDLE_REPROS = [
     ([(["regressor", "kind"], DELETE)], "malformed bundle: regressor: 'kind' is missing"),
     ([(["modulation", "label"], DELETE)], "malformed bundle: modulation: 'label' is missing"),
     ([(["grid", "components"], DELETE)], "malformed bundle: grid: 'components' is missing"),
+    ([(["grid", "components", 1, "points"], ["a"] * 5)],
+     "malformed bundle: grid.components[1]: points is ragged or not numeric"),
+    ([(["grid", "components", 0, "weights"], [0.5, 0.5])],
+     "malformed bundle: grid.components[0]: weights must have the same length as points"),
 ]
 CALIBRATE_REPROS = [
     ([(["functional_covariates"], [1])], "'functional_covariates'"),
@@ -262,17 +262,17 @@ STUDY_REPROS = [
     ([(["configs", 0, "n"], "12")], "config key 'n' must be a JSON number, got \"12\""),
     ([(["configs", 0, "coeff_seed"], -1)],
      "study config entry 0: coeff_seed must be an integer seed, got -1"),
+    ([(["configs", 0, "study"], 3), (["configs", 0, "scenario"], 3),
+      (["configs", 0, "n"], 30)],
+     "study config entry 0: study 3, scenario 3: the contamination pattern is "
+     "defined for n = 20 or n divisible by 40, got n=30"),
+    ([(["configs", 0, "l"], DELETE)], "study config entry 0: config key 'l' is missing"),
     ([(["configs", 0, "coeff_seed"], True)],
      "study config entry 0: coeff_seed must be an integer seed, got true"),
     ([(["configs", 0, "coeff_seed"], [1, True])],
      "study config entry 0: coeff_seed must be an integer seed, got [1, true]"),
     ([(["configs", 0, "coeff_seed"], 4.0)],
      "study config entry 0: coeff_seed must be an integer seed, got 4.0"),
-    ([(["configs", 0, "study"], 3), (["configs", 0, "scenario"], 3),
-      (["configs", 0, "n"], 30)],
-     "study config entry 0: study 3, scenario 3: the contamination pattern is "
-     "defined for n = 20 or n divisible by 40, got n=30"),
-    ([(["configs", 0, "l"], DELETE)], "study config entry 0: config key 'l' is missing"),
 ]
 
 

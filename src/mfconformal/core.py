@@ -143,16 +143,26 @@ def trapezoid_weights(points: np.ndarray) -> np.ndarray:
 
 def _trapezoid(points) -> tuple[np.ndarray, np.ndarray]:
     """``points`` read-only and their trapezoid weights; a ShapeError unless
-    there are two or more, strictly ascending."""
+    there are two or more, strictly ascending, with a finite span."""
     pts = _readonly(points, "points")
-    if pts.size < 2 or not (np.diff(pts) > 0).all():
+    if pts.size < 2 or not (pts[1:] > pts[:-1]).all():
         raise ShapeError("need at least two ascending points")
+    _span(pts)  # every difference of ascending points is at most the span
     w = np.empty_like(pts)
     w[0] = (pts[1] - pts[0]) / 2.0
     w[-1] = (pts[-1] - pts[-2]) / 2.0
     if pts.size > 2:
         w[1:-1] = (pts[2:] - pts[:-2]) / 2.0
     return pts, w
+
+
+def _span(pts: np.ndarray) -> float:
+    """``pts[-1] - pts[0]`` of ascending points; a ShapeError when it overflows."""
+    span = float(pts[-1]) - float(pts[0])
+    if math.isinf(span):
+        raise ShapeError(f"grid points span {pts[0]:g} to {pts[-1]:g}, a length "
+                         "beyond the float range")
+    return span
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +178,7 @@ class ComponentGrid:
         w = _readonly(self.weights, "weights")
         if pts.size < 2:
             raise ShapeError("a component grid needs at least 2 points")
-        if not np.all(np.diff(pts) > 0):
+        if not np.all(pts[1:] > pts[:-1]):
             raise ShapeError("grid points must be strictly increasing")
         self._weigh(pts, w)
 
@@ -178,10 +188,14 @@ class ComponentGrid:
             raise ShapeError("weights must have the same length as points")
         if not np.all(w > 0):
             raise ShapeError("quadrature weights must be strictly positive")
-        span = pts[-1] - pts[0]
-        if abs(float(w.sum()) - span) > 1e-6 * max(1.0, span):
+        span = _span(pts)
+        with np.errstate(over="ignore"):
+            total = float(w.sum())
+        if math.isinf(total):
+            raise ShapeError("weights sum beyond the float range")
+        if abs(total - span) > 1e-6 * max(1.0, span):
             raise ShapeError(
-                f"weights sum to {w.sum():g} but the domain length is {span:g}"
+                f"weights sum to {total:g} but the domain length is {span:g}"
             )
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
@@ -267,6 +281,7 @@ def uniform_grid(
     p = _integer(p, "p", ShapeError)
     if not (n_points >= 2 and b > a):
         raise ShapeError("need n_points >= 2 and a non-empty domain")
+    _span(domain)
     comp = ComponentGrid.from_points(np.linspace(a, b, n_points))
     return Grid((comp,) * p)
 

@@ -4,7 +4,9 @@ Each replication generates a fresh sample plus one held-out pair, splits,
 fits, calibrates and records whether the held-out curve falls inside the
 band together with the band size. Per-replication randomness is derived from
 ``(master_seed, replication_index, stream)`` with one stream each for the
-sample, the split and the smoothed tie-breaker.
+sample, the split and the smoothed tie-breaker. :func:`_generators` builds a
+stack's generators in one pass, each equal bit for bit to
+``np.random.default_rng((master_seed, rep, stream))``.
 
 :func:`_stacked` is the one engine: it computes a stack of R replications
 of a cell as arrays with a leading replication axis. Each replication still
@@ -190,6 +192,42 @@ def _stack_size(cfg: StudyConfig) -> int:
     return max(1, STACK_BYTES // ((spec.n + 1) * 2 * spec.grid_points * 8))
 
 
+# generate_state's output hash (numpy/random/bit_generator.pyx): output word i
+# is pool word i % 4 xored with INIT_B * MULT_B**i, times the next factor, then
+# xored with itself >> 16; PCG64 reads pairs of words as little-endian uint64.
+_HASH = np.array([0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) % (1 << 32)
+                  for i in range(9)], np.uint32)
+
+
+class _Seeded(np.random.bit_generator.ISeedSequence):
+    """A PCG64's seed sequence: its entropy key and the 4 uint64 words it reads."""
+
+    def __init__(self, entropy, state):
+        self.entropy, self._state = entropy, state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._state
+
+
+def _words(x: int) -> list[int]:
+    """numpy's uint32 words of a seed integer: 32-bit little-endian, 0 -> [0]."""
+    return [x >> k & 0xFFFFFFFF for k in range(0, max(x.bit_length(), 1), 32)]
+
+
+def _generators(seed: int, reps: list[int], streams: int) -> list[list]:
+    """For each stream s < ``streams``, the generators of ``reps``, bit for bit
+    those of ``np.random.default_rng((seed, rep, s))``. numpy's SeedSequence
+    mixes each key's words; one pass of the hash gives every state word."""
+    keys = [(seed, rep, s) for s in range(streams) for rep in reps]
+    pools = np.array([np.random.SeedSequence(np.array(
+        sum(map(_words, key), []), np.uint32)).pool for key in keys])
+    state = (np.tile(pools, 2) ^ _HASH[:-1]) * _HASH[1:]
+    state = (state ^ state >> 16).astype("<u4").view("<u8").astype(np.uint64)
+    gens = [np.random.Generator(np.random.PCG64(_Seeded(key, words)))
+            for key, words in zip(keys, state)]
+    return [gens[s * len(reps):(s + 1) * len(reps)] for s in range(streams)]
+
+
 def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
     """The records of ``reps``, computed as stacked arrays with a leading
     replication axis. Raises on the first fault of any replication in the
@@ -201,17 +239,16 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
     spec, alpha, l = cfg.scenario, cfg.alpha, cfg.l
     n, count = spec.n, len(reps)
     grid = simgen._grid(spec.grid_points)
-    rngs = [np.random.default_rng((cfg.master_seed, rep, 0)) for rep in reps]
+    # streams 0 (generation), 1 (split) and, smoothed, 2 (tie-breakers)
+    rngs, splits, *ties = _generators(cfg.master_seed, reps,
+                                      3 if cfg.mode == "smoothed" else 2)
     y = simgen._responses(spec, rngs)  # (R, 2, n+1, G), generated rows
     perm = np.array([rng.permutation(n + 1) for rng in rngs])
-    train, calib = _uniform_parts(np.array([
-        np.random.default_rng((cfg.master_seed, rep, 1)).permutation(n)
-        for rep in reps]), l)
+    train, calib = _uniform_parts(np.array([rng.permutation(n) for rng in splits]), l)
     # Dataset row i is generated row perm[:, i]; the held-out one is the last.
     train, calib = (np.take_along_axis(perm, part, 1) for part in (train, calib))
     out, stack = perm[:, -1], np.arange(count)[:, None]
-    taus = [float(np.random.default_rng((cfg.master_seed, rep, 2)).uniform())
-            if cfg.mode == "smoothed" else None for rep in reps]  # tie-breakers
+    taus = [float(rng.uniform()) for rng in ties[0]] if ties else [None] * count
 
     regressor = simgen.regressor_for(spec)
     columns = SimpleNamespace(scalar=simgen._covariates(spec), functional={})

@@ -648,6 +648,8 @@ def test_public_functions_convert_arrays_by_the_one_rule(call, message):
         call()
 
 
+SPAN_FAULT = "grid points span -1e+308 to 1e+308, a length beyond the float range"
+
 # Each refusal of the core objects with its error type and exact message.
 REFUSALS = {
     "component grid of one point": (
@@ -682,6 +684,21 @@ REFUSALS = {
         ValueError, "unknown split strategy 'blocks'"),
     "unknown trim mode": (lambda: TrimConfig(alpha=0.1, mode="fancy"),
                           ValueError, "unknown mode 'fancy'"),
+    # Grids whose span or weight total overflows. Before, numpy's overflow
+    # warnings came first, and under filterwarnings = error they were the
+    # failure: the weights came back [5e307, inf, 5e307], and the
+    # constructor accepted weights that sum to inf.
+    "trapezoid weights whose span overflows": (
+        lambda: trapezoid_weights([-1e308, 0.0, 1e308]), ShapeError, SPAN_FAULT),
+    "component grid whose span overflows": (
+        lambda: ComponentGrid([-1e308, 1e308], [1e308, 1e308]), ShapeError, SPAN_FAULT),
+    "trapezoid grid whose span overflows": (
+        lambda: ComponentGrid.from_points([-1e308, 1e308]), ShapeError, SPAN_FAULT),
+    "uniform grid whose span overflows": (
+        lambda: uniform_grid(5, (-1e308, 1e308)), ShapeError, SPAN_FAULT),
+    "weights whose sum overflows": (
+        lambda: ComponentGrid([0.0, 1.0], [1e308, 1e308]),
+        ShapeError, "weights sum beyond the float range"),
 }
 
 

@@ -181,6 +181,10 @@ BUNDLE_REPROS = [
      "malformed bundle: grid.components[1]: points is ragged or not numeric"),
     ([(["grid", "components", 0, "weights"], [0.5, 0.5])],
      "malformed bundle: grid.components[0]: weights must have the same length as points"),
+    # Before, numpy's overflow warning came before the refusal.
+    ([(["grid", "components", 1, "points"], [-1e308, -5e307, 0.0, 5e307, 1e308])],
+     "malformed bundle: grid.components[1]: grid points span -1e+308 to 1e+308, "
+     "a length beyond the float range"),
 ]
 CALIBRATE_REPROS = [
     ([(["functional_covariates"], [1])], "'functional_covariates'"),
@@ -553,6 +557,20 @@ def test_component_with_one_point_names_file_and_component(inputs):
     assert code == EXIT_SCHEMA
     assert err == (f"error: {curves}: component 1: need at least two ascending "
                    "points\n")
+
+
+def test_curves_whose_span_overflows_are_a_schema_error(inputs):
+    # Before, numpy's overflow warning in the trapezoid weights came before
+    # the refusal, and under filterwarnings = error it was the failure.
+    d, paths = inputs
+    curves = d / "huge_span.csv"
+    curves.write_text("curve_id,component,t,value\n" + "".join(
+        f"c{i},{j},{t!r},{i + j}\n" for i in range(8) for j in (1, 2)
+        for t in (-1e308, 1e308)))
+    code, err = calibrate(d, paths, curves=curves)
+    assert code == EXIT_SCHEMA
+    assert err == (f"error: {curves}: component 1: grid points span -1e+308 to "
+                   "1e+308, a length beyond the float range\n")
 
 
 def test_concurrent_fos_refuses_a_functional_covariate(inputs):

@@ -11,9 +11,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import failing_replications, replication
-from mfconformal import ScenarioSpec, StudyConfig, coverage_ci, run_study, size_quartiles
+from mfconformal import (ScenarioSpec, StudyConfig, coverage_ci, harness, run_study,
+                         size_quartiles)
 from mfconformal.harness import ReplicationError
 
 
@@ -240,6 +243,44 @@ class TestRunStudy:
         assert rep.coverage == 1.0
 
 
+class TestSeeding:
+    """``harness._generators`` against ``np.random.default_rng``, the seeding
+    that ``simgen.generate``, ``random_split`` and the tests' reference
+    replication use."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 3]),
+                          st.integers(0, 2**130)),
+           reps=st.lists(st.integers(0, 2**40), max_size=4),
+           big=st.integers(2**32, 2**70), streams=st.sampled_from([2, 3]))
+    def test_generators_equal_default_rng_bit_for_bit(self, seed, reps, big, streams):
+        reps = [0, *reps, big]
+        gens = harness._generators(seed, reps, streams)
+        assert [len(g) for g in gens] == [len(reps)] * streams
+        for stream, stream_gens in enumerate(gens):
+            for rep, gen in zip(reps, stream_gens):
+                ref = np.random.default_rng((seed, rep, stream))
+                assert gen.bit_generator.state == ref.bit_generator.state
+                # tests/conftest.py's failing_replications reads the key
+                assert gen.bit_generator.seed_seq.entropy == (seed, rep, stream)
+                assert np.array_equal(gen.standard_normal(3), ref.standard_normal(3))
+                assert np.array_equal(gen.permutation(21), ref.permutation(21))
+
+    @pytest.mark.parametrize("mode", ["split", "smoothed"])
+    def test_a_cell_seeds_its_replications_without_default_rng(self, monkeypatch, mode):
+        cfg = small_config(n_reps=20, mode=mode)
+        run_study(replace(cfg, n_reps=1))  # builds the cell's cached constants
+        seeds, real = [], np.random.default_rng
+
+        def counting(seed=None):
+            seeds.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        run_study(cfg)
+        assert seeds == []
+
+
 class TestRecordsAndInvariants:
     def test_keep_records(self):
         rep = run_study(small_config(n_reps=5, keep_records=True))
@@ -257,6 +298,21 @@ class TestRecordsAndInvariants:
         sizes = [r.size for r in rep.records if r.size is not None]
         assert len(sizes) == 6 and sizes != sorted(sizes)
         assert rep.sizes == (tuple(sorted(sizes)) if keep_sizes else None)
+
+    def test_cub_equals_mpb_hit_for_hit_on_identical_components(self):
+        # In study 2, scenario 3 the two components are identical, so each
+        # replication's two cub ranks are mpb's one rank: the records must
+        # agree exactly, not within Monte Carlo error.
+        scenario = ScenarioSpec(study=2, scenario=3, n=20)
+        records = [run_study(StudyConfig(scenario=scenario, l=9, n_reps=250,
+                                         method=method, master_seed=77,
+                                         keep_records=True)).records
+                   for method in ("mpb", "cub")]
+        assert [r.hit for r in records[1]] == [r.hit for r in records[0]]
+        assert 0 < sum(not r.hit for r in records[0])
+        for mpb, cub in zip(*records):
+            assert not (mpb.infinite or cub.infinite)
+            assert cub.size == pytest.approx(mpb.size, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "n,l,alpha",

@@ -32,6 +32,7 @@ from .core import (
     _level,
     _readonly,
     _row_sups,
+    order_stat_index,
 )
 from .modulate import ModulationSet
 from .regress import FittedRegressor, predict, residuals
@@ -238,10 +239,10 @@ def _calibrated(srt: np.ndarray, alpha: float, tau):
     each: the rank-th smallest score, closed for tau above a threshold built
     from the tie counts around it; a whole space is closed with radius 0."""
     l, tau = srt.shape[-1], np.asarray(tau)
-    found = [_feasible_rank(l, alpha, t) for t in tau.ravel().tolist()]
-    if crossed := next((c for rank, c in found if rank < 1), None):
+    rank = order_stat_index(l, alpha, tau)
+    if (rank < 1).any():  # the message of the first tau that crosses
+        crossed = _feasible_rank(l, alpha, float(tau.flat[np.argmax(rank < 1)]))[1]
         raise EmptyBandError(f"{crossed}; the smoothed band is empty")
-    rank = np.reshape([rank for rank, _ in found], tau.shape)
     infinite, rank = rank > l, np.minimum(rank, l)
     w = np.take_along_axis(srt, rank[..., None] - 1, -1)
     # Scores equal to w sit next to rank in the sorted order.

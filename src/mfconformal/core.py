@@ -135,8 +135,8 @@ def _json_write(path, doc: dict) -> None:
 def trapezoid_weights(points: np.ndarray) -> np.ndarray:
     """Trapezoid quadrature weights for an ascending vector of points.
 
-    Endpoints are half-weighted; the weights sum exactly to the span
-    ``points[-1] - points[0]``.
+    Endpoints are half-weighted; the weights sum to the span
+    ``points[-1] - points[0]`` up to rounding.
     """
     return _trapezoid(points)[1]
 
@@ -219,8 +219,6 @@ class ComponentGrid:
         return float(self.weights.sum())
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
         if not isinstance(other, ComponentGrid):
             return NotImplemented
         return np.array_equal(self.points, other.points) and np.array_equal(
@@ -503,10 +501,16 @@ def _integrals(fns: Sequence[np.ndarray], grid: Grid) -> list:
 
 
 def total_integral(fns: Sequence[np.ndarray], grid: Grid) -> float:
-    """Sum over components of the quadrature integral of each sampled function."""
+    """Sum over components of the quadrature integral of each sampled
+    function; a ShapeError when the total is beyond the float range."""
     fns = [_readonly(f, f"integrand component {j}") for j, f in enumerate(fns)]
     grid.validate_blocks([f[None] for f in fns], "integrands")
-    return float(sum(_integrals(fns, grid)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(sum(_integrals(fns, grid)))
+    if not math.isfinite(total):
+        raise ShapeError(f"the integrands' total is beyond the float range: "
+                         f"quadrature gives {total!r}")
+    return total
 
 
 def random_split(n: int, l: int, seed=None, strategy: str = "uniform") -> Split:
@@ -590,7 +594,8 @@ def _level(alpha: float | None, mode: str = "split", tau: float | None = None) -
 
 def order_stat_index(count: int, alpha: float, tau: float = 1.0) -> int:
     """1-based rank ceil(count + tau - (count+1)*alpha) of the calibration
-    quantile, ceil((count+1)*(1-alpha)) at the default tau = 1.
+    quantile, ceil((count+1)*(1-alpha)) at the default tau = 1. ``tau`` may
+    be an array of tie-breakers, which gives an array of ranks, one each.
 
     May be < 1 (band would be empty) or > count (band is infinite); callers
     decide how to handle those regimes.

@@ -6,7 +6,10 @@ band together with the band size. Per-replication randomness is derived from
 ``(master_seed, replication_index, stream)`` with one stream each for the
 sample, the split and the smoothed tie-breaker. :func:`_generators` builds a
 stack's generators in one pass, each equal bit for bit to
-``np.random.default_rng((master_seed, rep, stream))``.
+``np.random.default_rng((master_seed, rep, stream))``. A stack's tie-breakers
+are one array, all ones in split mode (split is smoothed at tau = 1), which
+``core.order_stat_index`` turns into the ``sbar`` trimming ranks and the
+calibration ranks of the whole stack at once.
 
 :func:`_stacked` is the one engine: it computes a stack of R replications
 of a cell as arrays with a leading replication axis. Each replication still
@@ -58,6 +61,7 @@ from .core import (
     _readonly,
     _row_sups,
     _uniform_parts,
+    order_stat_index,
 )
 
 __all__ = [
@@ -235,7 +239,9 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
     public objects on the same replication, checked in their order. One
     branch on the band method gives the radii: ``cub`` ranks each component
     (the whole space below the feasibility bound), ``mpb`` calibrates one
-    radius; the bounds, the band size and the hits are shared."""
+    radius; the bounds, the band size and the hits are shared. The stack's
+    tie-breakers are one array: stream 2's draws in smoothed mode, all ones
+    in split mode."""
     spec, alpha, l = cfg.scenario, cfg.alpha, cfg.l
     n, count = spec.n, len(reps)
     grid = simgen._grid(spec.grid_points)
@@ -248,7 +254,7 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
     # Dataset row i is generated row perm[:, i]; the held-out one is the last.
     train, calib = (np.take_along_axis(perm, part, 1) for part in (train, calib))
     out, stack = perm[:, -1], np.arange(count)[:, None]
-    taus = [float(rng.uniform()) for rng in ties[0]] if ties else [None] * count
+    tau = np.array([rng.uniform() for rng in ties[0]]) if ties else np.ones(count)
 
     regressor = simgen.regressor_for(spec)
     columns = SimpleNamespace(scalar=simgen._covariates(spec), functional={})
@@ -280,8 +286,8 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
     elif cfg.modulation == "sigma":
         fns = modulate._checked(modulate._sigma_fns(res, grid), grid)
     else:
-        ranks = [modulate.TrimConfig(alpha, cfg.mode, tau).rank(n - l) for tau in taus]
-        fns = modulate._checked(modulate._sbar_fns(res, ranks, grid), grid)
+        rank = order_stat_index(n - l, alpha, tau)
+        fns = modulate._checked(modulate._sbar_fns(res, rank, grid), grid)
 
     if cfg.method == "cub":
         rank, crossed = _feasible_rank(l, alpha)
@@ -292,7 +298,6 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
     else:
         scores = _row_sups(conformal._modulated(calib_res, fns))
         _finite(scores, "scores")
-        tau = np.array([_level(alpha, cfg.mode, t) for t in taus])
         radius, closed, infinite = conformal._calibrated(
             np.sort(scores, axis=-1), alpha, tau)
         conformal._split_closed(closed, cfg.mode)

@@ -386,6 +386,21 @@ class TestCalibrateCommand:
         assert capsys.readouterr().err == (
             f"error: cannot write -o {tmp_path}: it is a directory\n")
 
+    def test_an_overflowing_modulation_exits_3_without_numpy_warnings(self, tmp_path,
+                                                                      capsys):
+        # The sigma modulation squares residuals near 1e200: numpy's overflow
+        # and invalid-value warnings stay silent, the finite check names it.
+        rng = np.random.default_rng(3)
+        write_curves_csv(tmp_path / "curves.csv", np.linspace(0, 1, 5),
+                         {f"c{i}": list(rng.uniform(0.5, 2.0, (2, 5)) * 1e200)
+                          for i in range(30)})
+        write_config(tmp_path / "config.json", alpha=0.5, modulation="sigma",
+                     split={"strategy": "random", "l": 10, "seed": 0})
+        code = main(["calibrate", str(tmp_path / "curves.csv"),
+                     str(tmp_path / "config.json"), "-o", str(tmp_path / "b.json")])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "error: modulation component 0 contains non-finite entries\n")
 
     @pytest.mark.parametrize("split,unwritable,message", [
         ({"strategy": "blocks", "l": 10}, False, "unknown split strategy 'blocks'"),

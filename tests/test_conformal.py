@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from mfconformal.conformal import (
     Calibration,
     EmptyBandError,
     InfiniteBandError,
+    _calibrated,
     cub_radii,
     pointwise_radii,
 )
@@ -169,6 +171,14 @@ class TestCalibrateSmoothed:
     def test_alpha_above_feasibility_raises(self):
         with pytest.raises(EmptyBandError):
             calibrate_smoothed(Scores(np.arange(1.0, 10.0)), 0.97, 0.2)
+
+    def test_a_stack_names_its_first_tau_that_empties_the_band(self):
+        # At l = 9, alpha = 0.95 reaches the bound (l + tau)/(l + 1) for
+        # tau = 0.2 and 0.1 but not for tau = 1.
+        srt = np.tile(np.arange(1.0, 10.0), (2, 3, 1))
+        with pytest.raises(EmptyBandError, match=re.escape(
+                "needs alpha < (l+0.2)/(l+1) = 0.92; the smoothed band is empty")):
+            _calibrated(srt, 0.95, np.array([[1.0, 1.0, 0.2], [0.1, 1.0, 1.0]]))
 
 
 class TestBands:

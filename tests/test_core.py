@@ -106,6 +106,17 @@ class TestTotalIntegral:
         with pytest.raises(ShapeError):
             total_integral([np.ones(3), np.ones(3)], grid2)
 
+    # Finite integrands on a finite grid whose products overflow: to inf,
+    # and to inf and -inf in two components, which sum to NaN.
+    @pytest.mark.parametrize("signs,total", [((1,), "inf"), ((1, -1), "nan")],
+                             ids=["inf", "nan"])
+    def test_refuses_a_total_beyond_the_float_range(self, signs, total):
+        comp = ComponentGrid.from_points([0.0, 1e300, 2e300])
+        with pytest.raises(ShapeError, match=f"beyond the float range: "
+                                             f"quadrature gives {total}"):
+            total_integral([np.full(3, s * 1e10) for s in signs],
+                           Grid((comp,) * len(signs)))
+
 
 class TestGridTypes:
     def test_trapezoid_weights_sum_to_span(self):
@@ -158,6 +169,11 @@ class TestGridTypes:
                       Grid(grid.components * 2)):
             assert grid != other and not grid == other
         assert grid != "grid"
+
+    def test_component_grid_equality_with_itself_and_other_types(self):
+        comp = ComponentGrid.from_points([0.0, 1.0])
+        assert comp == comp and not comp != comp
+        assert not comp == "x" and comp != "x"
 
     def test_curve_must_be_finite(self):
         with pytest.raises(ShapeError):

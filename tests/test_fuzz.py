@@ -218,7 +218,7 @@ CALIBRATE_REPROS = [
     ([(["split"], {"strategy": "explicit", "train": [0, True, 2, 3],
                    "calib": [4, 5, 6, 7]})],
      "explicit split: split index True is not an integer"),
-    ([(["tau"], 0.3)], "config key 'tau' applies to smoothed mode"),
+    ([(["tau"], 0.3)], "tau applies to smoothed mode; split mode uses tau = 1, got 0.3"),
     ([(["alpah"], 0.3)], "calibrate config has unknown keys ['alpah']"),
     ([(["split", "sede"], 3)], "split config has unknown keys ['sede']"),
     ([(["regressor", "intercep"], False)],

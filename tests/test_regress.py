@@ -216,6 +216,17 @@ class TestPredictOptions:
         assert np.all(raw.values[0] < 0)
         assert np.all(clamped.values[0] == 0.0)
 
+    def test_method_equals_the_function(self, rng, grid2):
+        ds = make_dataset(rng, grid2, 6)
+        model = fit(ds, range(6), RegressorSpec("concurrent_fos", (("w",), ("w",))))
+        x = Covariates(scalar={"w": -3.0})  # negative predictions, so truncation shows
+        for method, function in (
+                (model.predict(x), predict(model, x)),
+                (model.predict(x, truncate_at_zero=True),
+                 predict(model, x, truncate_at_zero=True))):
+            assert [a.tobytes() for a in method.values] == [
+                b.tobytes() for b in function.values]
+
     def test_layout_mismatch(self, rng, grid2):
         ds = make_dataset(rng, grid2, 6)
         spec = RegressorSpec(kind="concurrent_fos", terms=(("w",), ("w",)))

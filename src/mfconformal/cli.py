@@ -150,13 +150,14 @@ def _cmd_calibrate(args) -> int:
     trim = modulate.TrimConfig(alpha=alpha, mode=mode, tau=tau)
     _check_output(args.output, "-o")
 
-    grid, curve_ids, curves = csvio.read_curves(args.curves)
+    grid, curve_ids, responses = csvio._curve_blocks(args.curves)
     scalar = None
     if args.covariates is not None:
         _, scalar = csvio.read_scalar_covariates(args.covariates)
     functional = [csvio.read_functional_covariate(path, grid) for path in paths]
-    covs = csvio.merge_covariates(curve_ids, scalar, functional)
-    dataset = Dataset(grid=grid, pairs=tuple(zip(covs, curves)))
+    dataset = Dataset.from_blocks(
+        grid, responses, *csvio._covariate_blocks(curve_ids, scalar, functional)
+    )
 
     split = make_split(dataset.n)
     if mode == "split" and (crossed := _feasible_rank(split.l, alpha)[1]):

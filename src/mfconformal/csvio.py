@@ -337,29 +337,39 @@ def _plain_table(path, value_col: str):
 
 def _long_columns(name, ids, numbers, curve, comp, t, values, lines):
     """The value column's name, the ids in first-seen order and, per
-    component, a ``(points, keys, values)`` column: the sorted distinct t (a
-    zero keeps the sign of its first row), each row's ``curve * G_j + point
-    index`` and each row's value. ``numbers`` are the distinct component
-    numbers, unclipped for the message. None for a duplicate row when
-    ``lines`` is None, for the csv path to report with its line."""
+    component, a ``(points, keys, values)`` column: the sorted distinct t,
+    each row's ``curve * G_j + point index`` and each row's value. ``numbers``
+    are the distinct component numbers, unclipped for the message.
+
+    A zero point keeps the sign of the component's first row at zero, as the
+    first-seen distinct t would. Two rows with one key are a duplicate; of
+    each component's first repeated row, the one on the earliest line is
+    reported, or None returned when ``lines`` is None, for the csv path to
+    report it with its line. The keys are sorted only when a count cannot rule
+    a duplicate out: when the rows are not ``len(ids) * G_j``, as in a table
+    with gaps, or a key counts twice. So no count is longer than the rows."""
     comps = sorted(numbers)
     if comps != list(range(1, len(comps) + 1)):
         raise SchemaError(f"component indices must be contiguous from 1, got {comps}")
     columns, duplicates = [], []
     for j in comps:
         at = np.flatnonzero(comp == j)
-        _, first = np.unique(t[at], return_index=True)
-        points = t[at[first]]
-        keys = curve[at] * points.size + np.searchsorted(points, t[at])
-        _, once = np.unique(keys, return_index=True)
-        if once.size < keys.size:
-            if lines is None:
-                return None
-            repeat = np.ones(keys.size, bool)
-            repeat[once] = False
-            r = at[np.argmax(repeat)]
-            duplicates.append((int(lines[r]), f"duplicate (curve {list(ids)[curve[r]]!r}, "
-                               f"component {j}, t={float(t[r])!r})"))
+        tj = t[at]
+        points = np.unique(tj)
+        zero = np.searchsorted(points, 0.0)
+        if zero < points.size and points[zero] == 0:
+            points[zero] = tj[np.argmax(tj == 0)]
+        keys = curve[at] * points.size + np.searchsorted(points, tj)
+        if keys.size != len(ids) * points.size or np.bincount(keys).max() > 1:
+            _, once = np.unique(keys, return_index=True)
+            if once.size < keys.size:
+                if lines is None:
+                    return None
+                repeat = np.ones(keys.size, bool)
+                repeat[once] = False
+                r = at[np.argmax(repeat)]
+                duplicates.append((int(lines[r]), f"duplicate (curve {list(ids)[curve[r]]!r}, "
+                                   f"component {j}, t={float(t[r])!r})"))
         columns.append((points, keys, values[at]))
     if duplicates:
         raise SchemaError("line {}: {}".format(*min(duplicates)))
@@ -402,9 +412,9 @@ def _blocks(ids: list[str], columns) -> list[np.ndarray]:
     return blocks
 
 
-def read_curves(path) -> tuple[Grid, list[str], list[MFCurve]]:
-    """Read response curves; the shared grid (trapezoid weights) is inferred
-    from the union of sampled points."""
+def _curve_blocks(path) -> tuple[Grid, list[str], list[np.ndarray]]:
+    """The grid, the curve ids in first-seen order and one ``(n, G_j)``
+    response block per component of a curves file."""
     name, ids, columns = _read_long_table(path, "value")
     if name != "value":
         raise SchemaError(f"line 1: value column must be named 'value', got {name!r}")
@@ -414,9 +424,15 @@ def read_curves(path) -> tuple[Grid, list[str], list[MFCurve]]:
             components.append(ComponentGrid.from_points(points))
         except ShapeError as exc:
             raise SchemaError(f"{path}: component {j}: {exc}") from None
-    grid = Grid(tuple(components))
-    curves = [MFCurve(values) for values in zip(*_blocks(ids, columns))]
-    return grid, ids, curves
+    return Grid(tuple(components)), ids, _blocks(ids, columns)
+
+
+def read_curves(path) -> tuple[Grid, list[str], list[MFCurve]]:
+    """Read response curves; the shared grid (trapezoid weights) is inferred
+    from the union of sampled points. A per-curve view of the blocks that
+    ``calibrate`` reads."""
+    grid, ids, blocks = _curve_blocks(path)
+    return grid, ids, [MFCurve(values) for values in zip(*blocks)]
 
 
 def read_scalar_covariates(path) -> tuple[list[str], dict[str, dict[str, float]]]:
@@ -459,14 +475,18 @@ def read_functional_covariate(
     return name, dict(zip(ids, zip(*_blocks(ids, columns))))
 
 
-def merge_covariates(
+def _covariate_blocks(
     curve_ids: list[str],
     scalar: dict[str, dict[str, float]] | None,
     functional: list[tuple[str, dict[str, tuple[np.ndarray, ...]]]],
-) -> list[Covariates]:
-    """Assemble one Covariates object per curve id, requiring every covariate
-    table to cover every curve and every covariate name to be defined once."""
-    scalar_names = set(next(iter(scalar.values()), {})) if scalar else set()
+) -> tuple[dict[str, list[float]], dict[str, tuple[np.ndarray, ...]]]:
+    """The scalar covariates as one column per name and the functional ones
+    as one ``(n, G_j)`` block per component, rows in ``curve_ids`` order;
+    every scalar row carries the names of the first, as
+    ``read_scalar_covariates`` reads them. Every covariate name must be
+    defined once, then every table must cover every curve: the first curve
+    with a gap raises, the scalar table's gap before a functional file's."""
+    scalar_names = list(next(iter(scalar.values()), {})) if scalar else []
     functional_names = set()
     for name, _ in functional:
         if name in scalar_names:
@@ -476,22 +496,37 @@ def merge_covariates(
             raise SchemaError(f"covariate {name!r} is defined twice: by two "
                               "functional covariate files")
         functional_names.add(name)
-    out = []
     for cid in curve_ids:
-        sc = {}
-        if scalar is not None:
-            if cid not in scalar:
-                raise SchemaError(f"covariates file has no row for curve {cid!r}")
-            sc = scalar[cid]
-        fn = {}
+        if scalar is not None and cid not in scalar:
+            raise SchemaError(f"covariates file has no row for curve {cid!r}")
         for name, table in functional:
             if cid not in table:
                 raise SchemaError(
                     f"functional covariate {name!r} has no rows for curve {cid!r}"
                 )
-            fn[name] = table[cid]
-        out.append(Covariates(scalar=sc, functional=fn))
-    return out
+    rows = [scalar[cid] for cid in curve_ids] if scalar is not None else []
+    return (
+        {name: [row[name] for row in rows] for name in scalar_names},
+        {name: tuple(np.stack(arrays) for arrays in zip(*(table[cid] for cid in curve_ids)))
+         for name, table in functional},
+    )
+
+
+def merge_covariates(
+    curve_ids: list[str],
+    scalar: dict[str, dict[str, float]] | None,
+    functional: list[tuple[str, dict[str, tuple[np.ndarray, ...]]]],
+) -> list[Covariates]:
+    """Assemble one Covariates object per curve id, requiring every covariate
+    table to cover every curve and every covariate name to be defined once.
+    A per-curve view of the columns that ``calibrate`` reads."""
+    columns, blocks = _covariate_blocks(curve_ids, scalar, functional)
+    return [
+        Covariates(scalar={name: column[i] for name, column in columns.items()},
+                   functional={name: tuple(b[i] for b in block)
+                               for name, block in blocks.items()})
+        for i in range(len(curve_ids))
+    ]
 
 
 def write_band_csv(path, grid: Grid, band: Band) -> None:

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -15,7 +16,9 @@ from mfconformal import (
     Band,
     ComponentGrid,
     Covariates,
+    Dataset,
     Grid,
+    MFCurve,
     ScenarioSpec,
     calibrate,
     cli,
@@ -715,6 +718,75 @@ class TestFunctionalCovariates:
         mid = [(float(r["lower"]) + float(r["upper"])) / 2 for r in rows]
         # the fitted response should roughly track 0.5 + 2 cos(t)
         assert np.allclose(mid, 0.5 + 2.0 * np.cos(points), atol=0.2)
+
+
+class TestCalibrateBlockPath:
+    """calibrate parses its CSVs straight into column blocks. It builds no
+    per-curve object, and its bundle is the one the public per-curve readers
+    give: ``read_curves``, ``merge_covariates`` and ``Dataset(grid, pairs)``."""
+
+    @staticmethod
+    def write_inputs(tmp_path, functional):
+        """Eight curves of two components, a scalar covariate table in
+        reverse curve order and, for ``functional``, a covariate file that
+        lists the curves in another order again."""
+        rng = np.random.default_rng(41)
+        points = np.linspace(0, 1, 6)
+        ids = [f"c{i}" for i in range(8)]
+        ws = {cid: (i + 1) / 9 for i, cid in enumerate(ids)}
+        temps = {cid: [np.sin(3 * points + i), np.cos(2 * points - i)]
+                 for i, cid in enumerate(ids)}
+        curves = {cid: [1.0 + 2.0 * ws[cid] + t + 0.1 * rng.normal(size=6)
+                        for t in temps[cid]] for cid in ids}
+        write_curves_csv(tmp_path / "curves.csv", points, curves, p=2)
+        write_scalar_csv(tmp_path / "cov.csv", {c: {"w": ws[c]} for c in ids[::-1]}, ["w"])
+        config = {"alpha": 0.25, "modulation": "sigma",
+                  "split": {"strategy": "random", "l": 4, "seed": 3}}
+        if functional:
+            order = [ids[i] for i in (3, 0, 7, 5, 1, 6, 2, 4)]
+            write_functional_csv(tmp_path / "temp.csv", "temp", points,
+                                 {c: temps[c] for c in order}, p=2)
+            config["regressor"] = {"kind": "concurrent_fof",
+                                   "terms": [["w", "temp"], ["temp"]]}
+            config["functional_covariates"] = [str(tmp_path / "temp.csv")]
+        else:
+            config["regressor"] = {"kind": "concurrent_fos", "terms": [["w"], ["w"]]}
+        write_config(tmp_path / "config.json", **config)
+
+    @staticmethod
+    def calibrate_bytes(tmp_path, name):
+        out = tmp_path / name
+        assert main(["calibrate", str(tmp_path / "curves.csv"), str(tmp_path / "cov.csv"),
+                     str(tmp_path / "config.json"), "-o", str(out)]) == EXIT_OK
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("functional", [False, True], ids=["scalar", "functional"])
+    def test_no_per_curve_objects_and_the_per_curve_bundle(self, tmp_path, monkeypatch,
+                                                           functional):
+        self.write_inputs(tmp_path, functional)
+        made = {MFCurve: 0, Covariates: 0}
+        for cls in made:
+            def counted(obj, post_init=cls.__post_init__, cls=cls):
+                made[cls] += 1
+                post_init(obj)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        blocks = self.calibrate_bytes(tmp_path, "blocks.json")
+        assert made == {MFCurve: 0, Covariates: 0}
+
+        grid, ids, curves = csvio.read_curves(tmp_path / "curves.csv")
+        _, rows = csvio.read_scalar_covariates(tmp_path / "cov.csv")
+        tables = [csvio.read_functional_covariate(tmp_path / "temp.csv", grid)
+                  ] if functional else []
+        covs = csvio.merge_covariates(ids, rows, tables)
+        for cid, cov in zip(ids, covs, strict=True):  # each curve's own rows
+            assert cov.scalar == rows[cid]
+            for name, table in tables:
+                assert np.array_equal(cov.functional[name], table[cid])
+        per_curve = Dataset(grid, tuple(zip(covs, curves)))
+        monkeypatch.setattr(cli, "Dataset", types.SimpleNamespace(
+            from_blocks=lambda *blocks: per_curve))
+        assert self.calibrate_bytes(tmp_path, "curves.json") == blocks
+        assert made == {MFCurve: 8, Covariates: 8}
 
 
 class TestStudyCommand:

@@ -539,3 +539,119 @@ def test_an_infinite_band_is_not_written(tmp_path):
         csvio.write_band_csv(tmp_path / "band.csv", uniform_grid(5), band)
     assert not (tmp_path / "band.csv").exists()
 
+
+
+def sorted_index_long_columns(name, ids, numbers, curve, comp, t, values, lines):
+    """``csvio._long_columns`` as it was when stable sorts took each
+    component's distinct t and found its duplicate rows."""
+    comps = sorted(numbers)
+    if comps != list(range(1, len(comps) + 1)):
+        raise csvio.SchemaError(f"component indices must be contiguous from 1, got {comps}")
+    columns, duplicates = [], []
+    for j in comps:
+        at = np.flatnonzero(comp == j)
+        _, first = np.unique(t[at], return_index=True)
+        points = t[at[first]]
+        keys = curve[at] * points.size + np.searchsorted(points, t[at])
+        _, once = np.unique(keys, return_index=True)
+        if once.size < keys.size:
+            if lines is None:
+                return None
+            repeat = np.ones(keys.size, bool)
+            repeat[once] = False
+            r = at[np.argmax(repeat)]
+            duplicates.append((int(lines[r]), f"duplicate (curve {list(ids)[curve[r]]!r}, "
+                               f"component {j}, t={float(t[r])!r})"))
+        columns.append((points, keys, values[at]))
+    if duplicates:
+        raise csvio.SchemaError("line {}: {}".format(*min(duplicates)))
+    return name, list(ids), columns
+
+
+@st.composite
+def long_columns_inputs(draw):
+    """Parsed long-table columns: every curve on every point of each
+    component, zeros of both signs in either order, then rows dropped or
+    repeated about half of the time, in any row order."""
+    ids = {cid: i for i, cid in enumerate(draw(st.lists(
+        st.sampled_from("abcde"), min_size=1, max_size=4, unique=True)))}
+    numbers = draw(st.sampled_from([{1}, {1, 2}, {1, 2, 3}] * 3 + [{1, 3}]))
+    rows = []
+    for j in sorted(numbers):
+        points = draw(st.lists(st.sampled_from([-1.0, 0.25, 0.5, 2.0]), max_size=3,
+                               unique=True)) + [0.0] * draw(st.integers(0, 1))
+        for i in ids.values():
+            rows += [(i, j, draw(st.sampled_from([0.0, -0.0])) if p == 0 else p,
+                      draw(FINITE)) for p in points or [0.0]]
+    rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            k = draw(st.integers(0, len(rows) - 1))
+            if draw(st.booleans()) and len(rows) > 1:
+                del rows[k]
+            else:
+                rows.insert(draw(st.integers(0, len(rows))), rows[k])
+    curve, comp, t, values = (np.array(c, dtype) for c, dtype in
+                              zip(zip(*rows), (np.intp, np.int64, float, float)))
+    numbers = set(comp.tolist())  # the readers take them from the rows
+    lines = None
+    if draw(st.booleans()):  # the csv path: increasing lines, some skipped
+        lines = 2 + np.cumsum(draw(st.lists(st.integers(0, 2), min_size=len(rows),
+                                            max_size=len(rows))), dtype=np.int64)
+    return "value", ids, numbers, curve, comp, t, values, lines
+
+
+def long_columns_outcome(inputs, long_columns):
+    try:
+        return long_columns(*inputs)
+    except csvio.SchemaError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=long_columns_inputs())
+def test_long_columns_match_the_sorted_index_oracle(inputs):
+    """Points (the sign of zero included), keys, values and duplicate
+    messages are those of the stable-sort index, on the plain path
+    (``lines`` None) and the csv path."""
+    new = long_columns_outcome(inputs, csvio._long_columns)
+    old = long_columns_outcome(inputs, sorted_index_long_columns)
+    if not isinstance(old, tuple):
+        assert new == old
+        return
+    assert new[:2] == old[:2]
+    for column, old_column in zip(new[2], old[2], strict=True):
+        for a, b in zip(column, old_column, strict=True):
+            assert same_arrays(a, b)
+
+
+def test_a_sparse_long_table_is_not_counted_key_by_key(tmp_path, monkeypatch):
+    """Each of 300 curves on its own point spans 300 x 300 keys; no count
+    array is longer than the table."""
+    bincount, longest = np.bincount, []
+
+    def counted(*args, **kwargs):
+        out = bincount(*args, **kwargs)
+        longest.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "bincount", counted)
+    rows = [f"c{i},1,{i},1.0" for i in range(300)] + ["c0,1,0,2.0"]
+    (tmp_path / "curves.csv").write_text("\n".join(["curve_id,component,t,value", *rows]))
+    with pytest.raises(csvio.SchemaError, match="^line 302: duplicate "
+                       r"\(curve 'c0', component 1, t=0.0\)$"):
+        csvio.read_curves(tmp_path / "curves.csv")
+    assert max(longest, default=0) <= len(rows)
+
+
+@pytest.mark.parametrize("merge", [csvio._covariate_blocks, csvio.merge_covariates])
+@pytest.mark.parametrize("scalar_gap,functional_gap,message", [
+    ("c", "b", "functional covariate 'f' has no rows for curve 'b'"),
+    ("b", "b", "covariates file has no row for curve 'b'"),
+], ids=["earlier curve first", "scalar gap first"])
+def test_the_first_curve_with_a_gap_names_it(merge, scalar_gap, functional_gap, message):
+    ids = ["a", "b", "c"]
+    scalar = {cid: {"w": 1.0} for cid in ids if cid != scalar_gap}
+    table = {cid: (np.zeros(2),) for cid in ids if cid != functional_gap}
+    with pytest.raises(csvio.SchemaError, match=f"^{re.escape(message)}$"):
+        merge(ids, scalar, [("f", table)])

@@ -31,6 +31,8 @@ from .core import (
     _integrals,
     _level,
     _readonly,
+    _readonly_blocks,
+    _real,
     _row_sups,
     order_stat_index,
 )
@@ -96,7 +98,7 @@ def _outcome(closure: str, radius: float = 0.0, infinite: bool = False) -> None:
     whole space, a finite radius >= 0."""
     if closure not in ("closed", "open"):
         raise ValueError(f"unknown closure {closure!r}")
-    if not infinite and not 0 <= radius < math.inf:
+    if not infinite and not 0 <= _real(radius, "radius") < math.inf:
         raise ValueError(f"radius must be finite and >= 0, got {radius!r}")
 
 
@@ -156,8 +158,7 @@ class Band:
             if self.lower is not None or self.upper is not None:
                 raise ValueError("an infinite band carries no bounds")
             return
-        low, up = (tuple(_readonly(a, f"{side} bound component {j}")
-                         for j, a in enumerate(getattr(self, side)))
+        low, up = (_readonly_blocks(getattr(self, side), f"{side} bound", 1)
                    for side in ("lower", "upper"))
         if len(low) != len(up):
             raise ShapeError("lower and upper need the same component count")
@@ -351,6 +352,7 @@ def p_value_smoothed(calib_scores: Scores, new_score: float, tau: float) -> floa
     against itself) weighted by ``tau``. A NaN new score, which no ordering
     places among the calibration scores, raises ValueError."""
     _level(None, "smoothed", tau)
+    new_score = _real(new_score, "new_score")
     if math.isnan(new_score):
         raise ValueError("the new score is NaN")
     strict = int(np.count_nonzero(calib_scores.values > new_score))

@@ -49,20 +49,43 @@ class ShapeError(MFConformalError, ValueError):
 def _readonly(values, name: str, ndim: int = 1) -> np.ndarray:
     """Read-only float copy with ``ndim`` dimensions and finite entries, else
     a ShapeError naming ``name``. Entries must already be numbers: a string
-    such as ``"1"`` is refused, not parsed. The caller's array is
-    always copied and left as it is, so the copy never pins or exposes it."""
+    such as ``"1"`` is refused, not parsed, and so is an int beyond the float
+    range. The caller's array is always copied and left as it is, so the copy
+    never pins or exposes it."""
+    arr = _numeric(values, name, ndim)
+    _finite(arr, name)
+    arr.setflags(write=False)
+    return arr
+
+
+def _numeric(values, name: str, ndim: int) -> np.ndarray:
+    """:func:`_readonly`'s conversion, which lets NaN and inf through: a float
+    copy with ``ndim`` dimensions of bools, ints (Python's of any size
+    included) and floats; else a ShapeError naming ``name``."""
     try:
         arr = np.asarray(values)
-        if arr.dtype.kind not in "biuf":
+        # numpy holds an int beyond the int64 range as an object, as it
+        # holds a Fraction, and would parse text within an object array.
+        if arr.dtype.kind not in "biuf" and not (arr.dtype.kind == "O" and all(
+                isinstance(v, (int, float, np.integer, np.floating))
+                for v in arr.flat)):
             raise TypeError
         arr = np.array(arr, dtype=float)
+    except OverflowError:
+        raise ShapeError(f"{name} is beyond the float range") from None
     except (TypeError, ValueError):
         raise ShapeError(f"{name} is ragged or not numeric") from None
     if arr.ndim != ndim:
         raise ShapeError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    _finite(arr, name)
-    arr.setflags(write=False)
     return arr
+
+
+def _real(value, name: str) -> float:
+    """A scalar parameter as a float by the 0-d form of the array rule, NaN
+    and inf included, which the caller's range check words; a ShapeError
+    naming ``name`` for text, an array of entries or an int beyond the float
+    range."""
+    return float(_numeric(value, name, 0))
 
 
 def _finite(arr: np.ndarray, name: str) -> None:
@@ -274,12 +297,12 @@ def uniform_grid(
 ) -> Grid:
     """Grid with ``p`` identical components of equispaced points on ``domain``
     and trapezoid weights."""
-    a, b = domain
+    a, b = (_real(v, "domain") for v in domain)
     n_points = _integer(n_points, "n_points", ShapeError)
     p = _integer(p, "p", ShapeError)
     if not (n_points >= 2 and b > a):
         raise ShapeError("need n_points >= 2 and a non-empty domain")
-    _span(domain)
+    _span((a, b))
     comp = ComponentGrid.from_points(np.linspace(a, b, n_points))
     return Grid((comp,) * p)
 
@@ -291,10 +314,7 @@ class MFCurve:
     values: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        vals = tuple(
-            _readonly(v, f"curve component {j}")
-            for j, v in enumerate(self.values)
-        )
+        vals = _readonly_blocks(self.values, "curve", 1)
         if len(vals) < 1:
             raise ShapeError("a curve needs at least one component")
         object.__setattr__(self, "values", vals)
@@ -311,32 +331,23 @@ class Covariates:
     ``scalar`` maps names to real values; ``functional`` maps names to one
     sampled curve per component (each matching the grid of its component).
     Which names feed which component's regression is declared by the
-    regressor specification, not here.
+    regressor specification, not here. Both convert by the rule a
+    :class:`Dataset` row takes: each scalar is a 0-d array to it, stored as
+    a float, so text, a ``Fraction``, a ``Decimal``, an array of entries
+    (one entry included) and an int beyond the float range are refused with
+    the words a dataset's scalar column gives.
     """
 
     scalar: dict[str, float] = field(default_factory=dict)
     functional: dict[str, tuple[np.ndarray, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        # float() would parse a string or bytes; math.isfinite raises
-        # TypeError for them, as for an array of several entries.
-        for k, v in self.scalar.items():
-            try:
-                finite = math.isfinite(v)
-            except TypeError:
-                raise ShapeError(f"scalar covariate {k!r} is not a number: {v!r}") from None
-            if not finite:
-                raise ShapeError(f"scalar covariate {k!r} is not finite: {v!r}")
-        scalar = {k: float(v) for k, v in self.scalar.items()}
+        scalar = {k: float(_readonly(v, f"scalar covariate {k!r}", 0))
+                  for k, v in self.scalar.items()}
+        functional = {k: _readonly_blocks(arrs, f"functional covariate {k!r}", 1)
+                      for k, arrs in self.functional.items()}
         object.__setattr__(self, "scalar", scalar)
-        object.__setattr__(
-            self,
-            "functional",
-            {
-                k: tuple(_readonly(a, f"functional covariate {k!r}") for a in arrs)
-                for k, arrs in self.functional.items()
-            },
-        )
+        object.__setattr__(self, "functional", functional)
 
 
 def _columns(rows, p: int, what: str) -> list[list[np.ndarray]]:
@@ -350,8 +361,10 @@ def _columns(rows, p: int, what: str) -> list[list[np.ndarray]]:
     return [[row[j] for row in rows] for j in range(p)]
 
 
-def _readonly_blocks(blocks, what: str) -> tuple[np.ndarray, ...]:
-    return tuple(_readonly(b, f"{what} component {j}", 2) for j, b in enumerate(blocks))
+def _readonly_blocks(blocks, what: str, ndim: int = 2) -> tuple[np.ndarray, ...]:
+    """One :func:`_readonly` array of ``ndim`` dimensions per component, each
+    named as component j of ``what``."""
+    return tuple(_readonly(b, f"{what} component {j}", ndim) for j, b in enumerate(blocks))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -503,7 +516,7 @@ def _integrals(fns: Sequence[np.ndarray], grid: Grid) -> list:
 def total_integral(fns: Sequence[np.ndarray], grid: Grid) -> float:
     """Sum over components of the quadrature integral of each sampled
     function; a ShapeError when the total is beyond the float range."""
-    fns = [_readonly(f, f"integrand component {j}") for j, f in enumerate(fns)]
+    fns = _readonly_blocks(fns, "integrand", 1)
     grid.validate_blocks([f[None] for f in fns], "integrands")
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(sum(_integrals(fns, grid)))
@@ -578,7 +591,7 @@ def _level(alpha: float | None, mode: str = "split", tau: float | None = None) -
     tie-breaker, 1 in split mode (split mode is smoothed at tau = 1).
     ``alpha=None`` checks the mode and tie-breaker alone, for a p-value,
     which has no level."""
-    if alpha is not None and not 0.0 < alpha < 1.0:
+    if alpha is not None and not 0.0 < _real(alpha, "alpha") < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if mode == "split":
         if tau is not None:
@@ -587,7 +600,7 @@ def _level(alpha: float | None, mode: str = "split", tau: float | None = None) -
         return 1.0
     if mode != "smoothed":
         raise ValueError(f"unknown mode {mode!r}")
-    if tau is None or not 0.0 <= tau <= 1.0:
+    if tau is None or not 0.0 <= _real(tau, "tau") <= 1.0:
         raise ValueError(f"smoothed mode needs tau in [0, 1], got {tau}")
     return tau
 

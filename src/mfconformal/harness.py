@@ -59,6 +59,7 @@ from .core import (
     _integer,
     _level,
     _readonly,
+    _real,
     _row_sups,
     _uniform_parts,
     order_stat_index,
@@ -170,6 +171,7 @@ def coverage_ci(hits: int, n: int) -> tuple[float, float, float]:
     """Empirical coverage with its 95% normal-approximation interval
     p_hat -+ 1.96 * sqrt(p_hat (1 - p_hat) / n)."""
     hits, n = _integer(hits, "hits"), _integer(n, "n")
+    _real(n, "n")  # the interval divides a float by n
     if n < 1:
         raise ValueError("need at least one replication")
     if not 0 <= hits <= n:

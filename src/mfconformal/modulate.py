@@ -29,7 +29,8 @@ from .core import (
     _finite,
     _integrals,
     _level,
-    _readonly,
+    _readonly_blocks,
+    _real,
     _row_sups,
     order_stat_index,
 )
@@ -97,8 +98,7 @@ class ModulationSet:
     unit_integral: bool = True
 
     def __post_init__(self):
-        fns = tuple(_readonly(f, f"modulation component {j}")
-                    for j, f in enumerate(self.fns))
+        fns = _readonly_blocks(self.fns, "modulation", 1)
         self.grid.validate_blocks([f[None] for f in fns], "modulation functions")
         object.__setattr__(self, "fns", _checked(fns, self.grid, self.unit_integral))
 
@@ -108,6 +108,7 @@ class ModulationSet:
 
     def scale(self, factor: float) -> "ModulationSet":
         """Positive rescaling; the result is no longer claimed normalized."""
+        factor = _real(factor, "scale factor")
         if not factor > 0:
             raise ValueError("scale factor must be positive")
         return replace(

@@ -36,6 +36,7 @@ from .core import (
     MFCurve,
     _integer,
     _readonly,
+    _real,
     _seed,
     uniform_grid,
 )
@@ -85,7 +86,7 @@ def uniform_bspline_basis(
     order: int, n_basis: int, domain: tuple[float, float] = (0.0, 1.0)
 ) -> BSplineBasis:
     """Clamped basis with ``n_basis - order`` equally spaced interior knots."""
-    a, b = domain
+    a, b = (_real(v, "domain") for v in domain)
     order, n_basis = _integer(order, "order"), _integer(n_basis, "n_basis")
     interior = n_basis - order
     inner = np.linspace(a, b, interior + 2)[1:-1]
@@ -99,7 +100,7 @@ def eval_bspline(basis: BSplineBasis, coeffs, t: float) -> float:
     c = _readonly(coeffs, "coefficients")
     if c.shape != (basis.n_basis,):
         raise ValueError(f"need {basis.n_basis} coefficients, got {c.shape}")
-    return float(basis_matrix(basis, [t])[0] @ c)
+    return float(basis_matrix(basis, [_real(t, "t")])[0] @ c)
 
 
 def basis_matrix(basis: BSplineBasis, ts) -> np.ndarray:
@@ -189,7 +190,7 @@ class ScenarioSpec:
             )
         if self.grid_points < 2:
             raise ValueError("grid_points must be at least 2")
-        if not 0.0 <= self.error_scale < float("inf"):
+        if not 0.0 <= _real(self.error_scale, "error_scale") < float("inf"):
             raise ValueError(
                 f"error_scale must be finite and >= 0, got {self.error_scale!r}"
             )

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from mfconformal import (
     Band,
+    Calibration,
     ComponentGrid,
     Covariates,
     Dataset,
@@ -16,12 +18,16 @@ from mfconformal import (
     ModulationSet,
     MFCurve,
     RegressorSpec,
+    ScenarioSpec,
     Scores,
     ShapeError,
     Split,
+    StudyConfig,
     TrimConfig,
     coverage_ci,
     eval_bspline,
+    p_value,
+    p_value_smoothed,
     predict,
     random_split,
     s_const,
@@ -39,6 +45,11 @@ from mfconformal.core import (_snap_floor, order_stat_index, smoothed_order_stat
 from mfconformal.simgen import BSplineBasis, draw_trig_coefficients
 
 from conftest import random_curve
+
+# Entries that neither one observation nor one dataset row may hold.
+BAD_ENTRIES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "str": "1.5",
+               "bytes": b"2", "int beyond the float range": 10**400,
+               "fraction": Fraction(1, 3)}
 
 
 class TestSupAbs:
@@ -184,13 +195,53 @@ class TestGridTypes:
         with pytest.raises(ShapeError, match="scalar covariate 'w'"):
             Covariates(scalar={"v": 1.0, "w": value})
 
-    @pytest.mark.parametrize("value", ["1.5", b"2", np.array([1.0, 2.0])],
-                             ids=["str", "bytes", "array"])
+    @pytest.mark.parametrize("value", [*BAD_ENTRIES.values(), np.array([1.0, 2.0])],
+                             ids=[*BAD_ENTRIES, "array"])
     def test_scalar_covariates_must_be_numbers(self, value):
-        # Before, "1.5" was stored as 1.5 and b"2" as 2.0, and the array
-        # raised numpy's TypeError; Dataset.from_blocks refuses all three.
-        with pytest.raises(ShapeError, match="^scalar covariate 'w' is not a number: "):
+        # Before, Covariates checked its scalars by a rule of its own: text
+        # read "scalar covariate 'w' is not a number: '1.5'", NaN "is not
+        # finite: nan", 10**400 raised OverflowError and Fraction(1, 3) was
+        # stored as 0.333... Now one observation and one dataset row refuse
+        # the same value in the same words.
+        with pytest.raises(ShapeError) as one:
             Covariates(scalar={"v": 1.0, "w": value})
+        if isinstance(value, np.ndarray):
+            assert str(one.value) == ("scalar covariate 'w' must be 0-dimensional, "
+                                      "got shape (2,)")
+            return
+        with pytest.raises(ShapeError) as row:
+            Dataset.from_blocks(uniform_grid(3), [np.zeros((2, 3))],
+                                {"v": [1.0, 1.0], "w": [value, 1.0]})
+        assert str(one.value) == str(row.value)
+
+    @pytest.mark.parametrize("value", BAD_ENTRIES.values(), ids=list(BAD_ENTRIES))
+    @pytest.mark.parametrize("kind", ["curve", "functional"])
+    def test_one_observation_and_one_dataset_row_refuse_alike(self, kind, value):
+        grid, good, bad = uniform_grid(3, p=2), np.zeros(3), [0.0, value, 1.0]
+        blocks = (np.zeros((2, 3)), [bad, good])
+        if kind == "curve":
+            one = lambda: MFCurve((good, bad))
+            rows = lambda: Dataset.from_blocks(grid, blocks)
+            labels = ("curve component 1", "responses component 1")
+        else:
+            one = lambda: Covariates(functional={"f": (good, bad)})
+            rows = lambda: Dataset.from_blocks(grid, (np.zeros((2, 3)),) * 2,
+                                               functional={"f": blocks})
+            labels = ("functional covariate 'f' component 1",) * 2
+        with pytest.raises(ShapeError) as observation:
+            one()
+        with pytest.raises(ShapeError) as row:
+            rows()
+        message = str(observation.value)
+        assert message.startswith(f"{labels[0]} ")
+        assert message.replace(*labels, 1) == str(row.value)
+
+    @pytest.mark.parametrize("value", [10**20, np.float32(0.1), True, np.int64(3),
+                                       np.array(2.5), 2**53 + 1],
+                             ids=["int beyond int64", "float32", "bool", "int64",
+                                  "0-d array", "int of 54 bits"])
+    def test_scalar_covariates_accepted_before_convert_as_before(self, value):
+        assert Covariates(scalar={"w": value}).scalar["w"] == float(value)
 
 
 def stored_arrays(kind, arr):
@@ -715,6 +766,69 @@ REFUSALS = {
     "weights whose sum overflows": (
         lambda: ComponentGrid([0.0, 1.0], [1e308, 1e308]),
         ShapeError, "weights sum beyond the float range"),
+    # Scalar parameters of text or of an int beyond the float range. Before,
+    # the text met a comparison (TypeError) or was parsed, and the int was
+    # stored or raised OverflowError once used.
+    "trim level of text": (lambda: TrimConfig(alpha="0.1"),
+                           ShapeError, "alpha is ragged or not numeric"),
+    "study level of text": (
+        lambda: StudyConfig(ScenarioSpec(study=1, scenario=1, n=5), l=2, n_reps=1,
+                            alpha="0.1"),
+        ShapeError, "alpha is ragged or not numeric"),
+    "coverage level of text": (lambda: theoretical_coverage(5, "0.1"),
+                               ShapeError, "alpha is ragged or not numeric"),
+    "tie-breaker of text": (lambda: TrimConfig(alpha=0.1, mode="smoothed", tau="0.5"),
+                            ShapeError, "tau is ragged or not numeric"),
+    "radius of text": (lambda: Calibration(radius="1", closure="closed"),
+                       ShapeError, "radius is ragged or not numeric"),
+    "radius beyond the float range": (
+        lambda: Calibration(radius=10**400, closure="closed"),
+        ShapeError, "radius is beyond the float range"),
+    "error scale of text": (
+        lambda: ScenarioSpec(study=1, scenario=1, n=5, error_scale="1"),
+        ShapeError, "error_scale is ragged or not numeric"),
+    "error scale beyond the float range": (
+        lambda: ScenarioSpec(study=1, scenario=1, n=5, error_scale=10**400),
+        ShapeError, "error_scale is beyond the float range"),
+    "scale factor of text": (lambda: s_const(uniform_grid(5)).scale("2"),
+                             ShapeError, "scale factor is ragged or not numeric"),
+    "scale factor beyond the float range": (
+        lambda: s_const(uniform_grid(5)).scale(10**400),
+        ShapeError, "scale factor is beyond the float range"),
+    "new score of text": (lambda: p_value_smoothed(Scores([1.0, 2.0]), "1", 0.5),
+                          ShapeError, "new_score is ragged or not numeric"),
+    "new score beyond the float range": (
+        lambda: p_value(Scores([1.0, 2.0]), 10**400),
+        ShapeError, "new_score is beyond the float range"),
+    "grid domain beyond the float range": (
+        lambda: uniform_grid(5, (0, 10**400)),
+        ShapeError, "domain is beyond the float range"),
+    "grid domain of text": (lambda: uniform_grid(5, ("0", "1")),
+                            ShapeError, "domain is ragged or not numeric"),
+    "spline domain beyond the float range": (
+        lambda: uniform_bspline_basis(4, 6, (0, 10**400)),
+        ShapeError, "domain is beyond the float range"),
+    "spline point beyond the float range": (
+        lambda: eval_bspline(uniform_bspline_basis(4, 6), np.ones(6), 10**400),
+        ShapeError, "t is beyond the float range"),
+    "spline point of text": (
+        lambda: eval_bspline(uniform_bspline_basis(4, 6), np.ones(6), "0.5"),
+        ShapeError, "t is ragged or not numeric"),
+    "replication count beyond the float range": (
+        lambda: coverage_ci(10**400, 10**401),
+        ShapeError, "n is beyond the float range"),
+    # The array rule names an int beyond the float range; before, it read
+    # "is ragged or not numeric", as for text, and Covariates raised
+    # OverflowError.
+    "0-d array beyond the float range": (
+        lambda: core._readonly(10**400, "x", 0), ShapeError, "x is beyond the float range"),
+    "dataset scalar beyond the float range": (
+        lambda: Dataset.from_blocks(uniform_grid(3), [np.zeros((2, 3))],
+                                    {"w": [10**400, 1.0]}),
+        ShapeError, "scalar covariate 'w' is beyond the float range"),
+    "observation scalar beyond the float range": (
+        lambda: Covariates(scalar={"w": 10**400}),
+        ShapeError, "scalar covariate 'w' is beyond the float range"),
 }
 
 

@@ -428,10 +428,9 @@ def cub_radii(
 ) -> np.ndarray:
     """Per-component radii of the concatenated univariate construction.
 
-    Component j is calibrated on the per-component sup scores alone; each
-    radius is bounded above by the simultaneous radius. Undefined below the
-    feasibility bound alpha < 1/(l+1).
-    """
+    Component j is calibrated on its own sup scores, so each radius is at
+    most the simultaneous radius. Undefined below the feasibility bound
+    alpha < 1/(l+1). :func:`cub_band` states what the radii cover."""
     return np.array(_split_radii(dataset, split, model, s, alpha, strict=True))
 
 
@@ -445,8 +444,13 @@ def cub_band(
 ) -> Band:
     """Concatenation of the p independently calibrated univariate bands.
 
-    Below the feasibility bound every univariate band is the whole space, so
-    the concatenation is returned as an infinite band."""
+    With k = ceil((1-alpha)(l+1)) and continuous scores, each band covers its
+    component with probability k/(l+1), and all p cover together with
+    probability in [1 - p(1 - k/(l+1)), k/(l+1)]: k/(l+1) for identical
+    components, at least (k/(l+1))**p for independent ones with one error
+    law. A study's ``theoretical_coverage`` for ``cub`` is k/(l+1), the
+    ceiling. Below the feasibility bound every univariate band is the whole
+    space, so the concatenation is returned as an infinite band."""
     radii = _split_radii(dataset, split, model, s, alpha)
     return _concatenated_band(model, s, radii, x)
 

@@ -297,13 +297,15 @@ def uniform_grid(
 ) -> Grid:
     """Grid with ``p`` identical components of equispaced points on ``domain``
     and trapezoid weights."""
-    a, b = (_real(v, "domain") for v in domain)
+    ends = _numeric(domain, "domain", 1)
+    if ends.shape != (2,):
+        raise ShapeError(f"domain must be a pair (a, b), got shape {ends.shape}")
     n_points = _integer(n_points, "n_points", ShapeError)
     p = _integer(p, "p", ShapeError)
-    if not (n_points >= 2 and b > a):
+    if not (n_points >= 2 and ends[0] < ends[1]):
         raise ShapeError("need n_points >= 2 and a non-empty domain")
-    _span((a, b))
-    comp = ComponentGrid.from_points(np.linspace(a, b, n_points))
+    _span(ends)
+    comp = ComponentGrid.from_points(np.linspace(*ends, n_points))
     return Grid((comp,) * p)
 
 

@@ -215,18 +215,12 @@ class _Seeded(np.random.bit_generator.ISeedSequence):
         return self._state
 
 
-def _words(x: int) -> list[int]:
-    """numpy's uint32 words of a seed integer: 32-bit little-endian, 0 -> [0]."""
-    return [x >> k & 0xFFFFFFFF for k in range(0, max(x.bit_length(), 1), 32)]
-
-
 def _generators(seed: int, reps: list[int], streams: int) -> list[list]:
     """For each stream s < ``streams``, the generators of ``reps``, bit for bit
     those of ``np.random.default_rng((seed, rep, s))``. numpy's SeedSequence
     mixes each key's words; one pass of the hash gives every state word."""
     keys = [(seed, rep, s) for s in range(streams) for rep in reps]
-    pools = np.array([np.random.SeedSequence(np.array(
-        sum(map(_words, key), []), np.uint32)).pool for key in keys])
+    pools = np.array([np.random.SeedSequence(key).pool for key in keys])
     state = (np.tile(pools, 2) ^ _HASH[:-1]) * _HASH[1:]
     state = (state ^ state >> 16).astype("<u4").view("<u8").astype(np.uint64)
     gens = [np.random.Generator(np.random.PCG64(_Seeded(key, words)))
@@ -279,9 +273,9 @@ def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
         # (R, q, G): the transposed coefficient blocks
         coef = regress._solve(x, res_j, j, shared=True)
         _finite(coef, f"coefficient component {j}")
-        res_j -= regress._fitted(x, coef)
-        cal_j -= regress._fitted(d[calib], coef)
-        fit.append(regress._fitted(d[out][:, None, :], coef)[:, 0])  # (R, G)
+        res_j -= x @ coef
+        cal_j -= d[calib] @ coef
+        fit.append((d[out][:, None, :] @ coef)[:, 0])  # (R, G)
 
     if cfg.modulation == "s0":
         fns = modulate.s_const(grid).fns

@@ -143,22 +143,6 @@ def _design(columns, spec: RegressorSpec, names: tuple[str, ...], j: int, rows):
     return X
 
 
-def _fitted(X, coef) -> np.ndarray:
-    """``np.matmul(X, coef)`` of designs (..., n_rows, q) and coefficient
-    blocks (..., q, G), bit for bit. A one-column design takes one multiply,
-    a product that does not depend on BLAS. On numpy 2.4.6 with one OpenBLAS
-    thread and Haswell kernels, the matrix product with K = 1 took 1.1 to 1.5
-    times as long on the benchmark's shapes, (20, 10 or 11, 1) by
-    (20, 1, 100) and (1000 or 1001, 1) by (1, 100). The ``+= 0.0`` gives a
-    zero product the sign the matrix product gives it, +0.0, where the plain
-    multiply can give -0.0."""
-    if X.shape[-1] != 1:
-        return np.matmul(X, coef)
-    out = X * coef
-    out += 0.0
-    return out
-
-
 def _predictions(model: FittedRegressor, columns, rows) -> list[np.ndarray]:
     """Fitted values at the given rows of ``columns``: one (n_rows, G_j) array
     per component."""
@@ -166,8 +150,7 @@ def _predictions(model: FittedRegressor, columns, rows) -> list[np.ndarray]:
     out = []
     for j, coef in enumerate(model.coefficients):
         X = _design(columns, model.spec, terms[j], j, rows)
-        out.append(_fitted(X, coef.T) if X.ndim == 2
-                   else np.einsum("igq,gq->ig", X, coef))
+        out.append(X @ coef.T if X.ndim == 2 else np.einsum("igq,gq->ig", X, coef))
     return out
 
 

@@ -34,7 +34,9 @@ from .core import (
     Dataset,
     Grid,
     MFCurve,
+    ShapeError,
     _integer,
+    _numeric,
     _readonly,
     _real,
     _seed,
@@ -75,6 +77,8 @@ class BSplineBasis:
                 f"knot vector must have n_basis + order = "
                 f"{self.n_basis + self.order} entries"
             )
+        if np.any(knots[1:] < knots[:-1]):
+            raise ValueError("knot vector must be non-decreasing")
         object.__setattr__(self, "knots", knots)
 
     @property
@@ -86,11 +90,14 @@ def uniform_bspline_basis(
     order: int, n_basis: int, domain: tuple[float, float] = (0.0, 1.0)
 ) -> BSplineBasis:
     """Clamped basis with ``n_basis - order`` equally spaced interior knots."""
-    a, b = (_real(v, "domain") for v in domain)
     order, n_basis = _integer(order, "order"), _integer(n_basis, "n_basis")
-    interior = n_basis - order
-    inner = np.linspace(a, b, interior + 2)[1:-1]
-    knots = np.concatenate([np.full(order, a), inner, np.full(order, b)])
+    if order < 1 or n_basis < order:
+        raise ValueError("need n_basis >= order >= 1")
+    ends = _numeric(domain, "domain", 1)
+    if ends.shape != (2,) or not ends[0] < ends[1]:
+        raise ShapeError("domain must be a pair (a, b) with a < b")
+    inner = np.linspace(*ends, n_basis - order + 2)[1:-1]
+    knots = np.pad(inner, order, constant_values=ends)  # each end repeated order times
     return BSplineBasis(order=order, n_basis=n_basis, knots=knots, domain=domain)
 
 
@@ -108,7 +115,7 @@ def basis_matrix(basis: BSplineBasis, ts) -> np.ndarray:
 
     Vectorized Cox-de Boor triangular recursion over the evaluation points.
     """
-    ts = np.asarray(ts, dtype=float)
+    ts = _numeric(ts, "evaluation points", 1)
     a, b = basis.domain
     if not np.all((a <= ts) & (ts <= b)):
         raise ValueError(f"evaluation points outside the basis domain [{a}, {b}]")
@@ -254,9 +261,9 @@ def draw_trig_coefficients(rng, count: int, scale: float = 1.0):
     """Amplitude vectors (count, 3) with unit variances and 0.7 cross
     correlation, plus uniform phases on [-0.5, 0.5]."""
     count = _integer(count, "count")
-    sigma = np.full((3, 3), 0.7)
-    np.fill_diagonal(sigma, 1.0)
-    chol = np.linalg.cholesky(sigma)
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    chol = np.linalg.cholesky(0.7 + 0.3 * np.eye(3))
     amps = rng.standard_normal((count, 3)) @ chol.T * scale
     phases = rng.uniform(-0.5, 0.5, count)
     return amps, phases

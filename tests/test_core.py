@@ -42,7 +42,7 @@ from mfconformal import (
 from mfconformal import core
 from mfconformal.core import (_snap_floor, order_stat_index, smoothed_order_stat_index,
                               trapezoid_weights)
-from mfconformal.simgen import BSplineBasis, draw_trig_coefficients
+from mfconformal.simgen import BSplineBasis, basis_matrix, draw_trig_coefficients
 
 from conftest import random_curve
 
@@ -703,14 +703,22 @@ def test_counts_refuse_other_values(call, message):
      "integrand component 0 contains non-finite entries"),
     (lambda: total_integral((["0", "0.5", "1"],), uniform_grid(3)),
      "integrand component 0 is ragged or not numeric"),
+    (lambda: basis_matrix(uniform_bspline_basis(4, 6), ["0.5"]),
+     "evaluation points is ragged or not numeric"),
+    (lambda: basis_matrix(uniform_bspline_basis(4, 6), [10**400]),
+     "evaluation points is beyond the float range"),
+    (lambda: basis_matrix(uniform_bspline_basis(4, 6), [[0.5]]),
+     "evaluation points must be 1-dimensional, got shape (1, 1)"),
 ], ids=["weights text", "weights nan", "weights descending", "grid text",
         "grid unsorted", "quartiles text", "quartiles nan", "quartiles 2-d",
-        "spline text", "integral nan", "integral text"])
+        "spline text", "integral nan", "integral text", "basis points text",
+        "basis points beyond the float range", "basis points 2-d"])
 def test_public_functions_convert_arrays_by_the_one_rule(call, message):
     # Before, the text inputs were parsed as numbers (total_integral raised
     # numpy's "data type must provide an itemsize"), NaN came back as NaN,
     # descending points gave negative weights, the 2-d sizes were flattened
-    # and the unsorted grid read "grid points must be strictly increasing".
+    # and the unsorted grid read "grid points must be strictly increasing";
+    # basis_matrix parsed "0.5" and raised OverflowError for 10**400.
     with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
         call()
 
@@ -829,6 +837,24 @@ REFUSALS = {
     "observation scalar beyond the float range": (
         lambda: Covariates(scalar={"w": 10**400}),
         ShapeError, "scalar covariate 'w' is beyond the float range"),
+    # The builders' counts and domains. Before, the first two raised numpy's
+    # "Number of samples, -1, must be non-negative." and "negative
+    # dimensions are not allowed", a domain of one end Python's "not enough
+    # values to unpack", and the reversed domain and the decreasing knots
+    # built a basis that refused every point as outside its domain.
+    "uniform basis of fewer functions than its order": (
+        lambda: uniform_bspline_basis(4, 1), ValueError, "need n_basis >= order >= 1"),
+    "negative trig count": (
+        lambda: draw_trig_coefficients(np.random.default_rng(0), -1),
+        ValueError, "count must be >= 0, got -1"),
+    "grid domain of one end": (lambda: uniform_grid(5, (0.0,)), ShapeError,
+                               "domain must be a pair (a, b), got shape (1,)"),
+    "spline domain of one end": (lambda: uniform_bspline_basis(4, 6, (0.0,)), ShapeError,
+                                 "domain must be a pair (a, b) with a < b"),
+    "reversed spline domain": (lambda: uniform_bspline_basis(4, 6, (1.0, 0.0)), ShapeError,
+                               "domain must be a pair (a, b) with a < b"),
+    "decreasing knot vector": (lambda: BSplineBasis(2, 3, [1, 1, 0.5, 0, 0]), ValueError,
+                               "knot vector must be non-decreasing"),
 }
 
 

@@ -316,16 +316,21 @@ class TestOneColumnFit:
         design = np.array([0.0, -0.0, 1.0, -1.0, 3.5, -2.25, 1e-300, -7e-200])
         coef = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                          1e-310, -1.5, 4.0, 1e300])
-        # One design, as the public path fits it, and a stack of shuffled
-        # ones with their own coefficient rows, as the stacked path does.
-        cases = [(design[:, None], coef[None, :]),
-                 (np.array([rng.permutation(design) for _ in range(3)])[..., None],
-                  np.array([rng.permutation(coef) for _ in range(3)])[:, None])]
-        for X, b in cases:
-            got, want = regress._fitted(X, b), np.matmul(X, b)
-            assert got.shape == want.shape == X.shape[:-1] + coef.shape
-            assert np.array_equal(got, want)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+        # The stacked path multiplies a stack of shuffled one-column designs,
+        # and a stack of one-row held-out designs, by their own coefficient
+        # rows in one np.matmul call; the public path takes one 2-D design at
+        # a time. Each slice of the stacked product is that slice's own
+        # product, zero signs included, and each entry the rounded multiply.
+        designs = np.array([rng.permutation(design) for _ in range(3)])[..., None]
+        b = np.array([rng.permutation(coef) for _ in range(3)])[:, None]
+        for X in (designs, designs[:, :1]):
+            got = np.matmul(X, b)
+            assert got.shape == X.shape[:-1] + coef.shape
+            assert np.array_equal(got, X * b)
+            for r in range(len(X)):
+                want = np.matmul(X[r], b[r])
+                assert np.array_equal(got[r], want)
+                assert np.array_equal(np.signbit(got[r]), np.signbit(want))
 
 
 class TestStackedSolve:

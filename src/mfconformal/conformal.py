@@ -187,6 +187,8 @@ def score(residual: MFCurve, s: ModulationSet) -> float:
 def _modulated_residuals(dataset, split, model, s) -> list[np.ndarray]:
     """|residual| / s of the calibration observations: one (l, G_j) array per
     component, the common input of every calibration reduction."""
+    if model.grid != s.grid:
+        raise ShapeError("model and modulation grids differ")
     return _modulated(residuals(model, dataset, split.calib_idx), s.fns)
 
 

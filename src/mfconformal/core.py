@@ -295,15 +295,15 @@ def uniform_grid(
     domain: tuple[float, float] = (0.0, 1.0),
     p: int = 1,
 ) -> Grid:
-    """Grid with ``p`` identical components of equispaced points on ``domain``
-    and trapezoid weights."""
+    """Grid with ``p`` identical components of ``n_points >= 2`` equispaced
+    points on ``domain``, a pair (a, b) with a < b, and trapezoid weights."""
     ends = _numeric(domain, "domain", 1)
-    if ends.shape != (2,):
-        raise ShapeError(f"domain must be a pair (a, b), got shape {ends.shape}")
+    if ends.shape != (2,) or not ends[0] < ends[1]:
+        raise ShapeError("domain must be a pair (a, b) with a < b")
     n_points = _integer(n_points, "n_points", ShapeError)
     p = _integer(p, "p", ShapeError)
-    if not (n_points >= 2 and ends[0] < ends[1]):
-        raise ShapeError("need n_points >= 2 and a non-empty domain")
+    if n_points < 2:
+        raise ShapeError("need n_points >= 2")
     _span(ends)
     comp = ComponentGrid.from_points(np.linspace(*ends, n_points))
     return Grid((comp,) * p)

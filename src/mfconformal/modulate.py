@@ -16,7 +16,6 @@ component, one row per curve, so every family is a reduction over rows.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -152,7 +151,7 @@ def zero_adjust(fns: list[np.ndarray]) -> list[np.ndarray]:
     :class:`PathologicalDataError` when everything is zero. For (R, G_j)
     stacks of R sets of functions, each set is adjusted by its own maximum.
     """
-    gmax = functools.reduce(np.maximum, [f.max(axis=-1) for f in fns])
+    gmax = _row_sups(fns)
     if (gmax <= 0.0).any():
         raise PathologicalDataError(
             "residual envelope vanishes identically; cannot modulate"

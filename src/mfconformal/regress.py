@@ -244,9 +244,9 @@ def predict(model, x: Covariates, truncate_at_zero: bool = False) -> MFCurve:
     """Evaluate a fitted model at one covariate value.
 
     ``model`` is usually a :class:`FittedRegressor`; any object exposing
-    ``grid`` and ``predict(x) -> MFCurve`` can stand in (band validity never
-    depends on the estimator). With ``truncate_at_zero`` the predicted curves
-    are clamped at 0 from below (for responses that cannot be negative).
+    ``grid`` and ``predict(x) -> MFCurve`` can stand in, and its curve must
+    fit ``grid`` (a ShapeError otherwise). ``truncate_at_zero`` clamps the
+    predicted curves at 0 from below (for responses that cannot be negative).
     """
     if isinstance(model, FittedRegressor):
         for name, arrs in x.functional.items():
@@ -255,23 +255,25 @@ def predict(model, x: Covariates, truncate_at_zero: bool = False) -> MFCurve:
         values = [p[0] for p in _predictions(model, x, [0])]
     else:
         values = model.predict(x).values
+        model.grid.validate_blocks([v[None] for v in values], "predicted curve components")
     if truncate_at_zero:
         values = [np.maximum(v, 0.0) for v in values]
     return MFCurve(tuple(values))
 
 
 def residuals(model, dataset: Dataset, idx) -> list[np.ndarray]:
-    """Residuals y_i - prediction of the given observations: one
-    (len(idx), G_j) block per component, rows in the order of ``idx``.
-
-    The built-in regressor predicts all rows in one batch per component;
-    other estimators are called one observation at a time.
+    """Residuals y_i - prediction of the given observations, whose grid must
+    be the model's: one (len(idx), G_j) block per component, rows in the
+    order of ``idx``. The built-in regressor predicts all rows in one batch
+    per component; other estimators go through :func:`predict` one by one.
     """
+    if model.grid != dataset.grid:
+        raise ShapeError("model and dataset grids differ")
     idx = np.fromiter(idx, np.intp)
     if isinstance(model, FittedRegressor):
         preds = _predictions(model, dataset, idx)
     else:
-        rows = [model.predict(dataset.covariates(i)).values for i in idx]
+        rows = [predict(model, dataset.covariates(i)).values for i in idx]
         preds = [np.array([r[j] for r in rows]) for j in range(dataset.grid.p)]
     res = [y[idx] for y in dataset.responses]  # fresh copies, written in place
     for r, yhat in zip(res, preds):

@@ -34,7 +34,6 @@ from .core import (
     Dataset,
     Grid,
     MFCurve,
-    ShapeError,
     _integer,
     _numeric,
     _readonly,
@@ -58,8 +57,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class BSplineBasis:
-    """Clamped B-spline basis: ``order`` repeated boundary knots and equally
-    spaced interior knots."""
+    """B-spline basis of ``order`` on ``knots``: ``n_basis`` functions defined
+    on the knots' span [knots[order - 1], knots[n_basis]], not on ``domain``."""
 
     order: int
     n_basis: int
@@ -89,15 +88,13 @@ class BSplineBasis:
 def uniform_bspline_basis(
     order: int, n_basis: int, domain: tuple[float, float] = (0.0, 1.0)
 ) -> BSplineBasis:
-    """Clamped basis with ``n_basis - order`` equally spaced interior knots."""
+    """Clamped basis whose knots are the points of ``uniform_grid(n_basis -
+    order + 2, domain)``, the inner ones once and each end ``order`` times."""
     order, n_basis = _integer(order, "order"), _integer(n_basis, "n_basis")
     if order < 1 or n_basis < order:
         raise ValueError("need n_basis >= order >= 1")
-    ends = _numeric(domain, "domain", 1)
-    if ends.shape != (2,) or not ends[0] < ends[1]:
-        raise ShapeError("domain must be a pair (a, b) with a < b")
-    inner = np.linspace(*ends, n_basis - order + 2)[1:-1]
-    knots = np.pad(inner, order, constant_values=ends)  # each end repeated order times
+    breaks = uniform_grid(n_basis - order + 2, domain).components[0].points
+    knots = np.pad(breaks[1:-1], order, constant_values=breaks[[0, -1]])  # clamped ends
     return BSplineBasis(order=order, n_basis=n_basis, knots=knots, domain=domain)
 
 
@@ -113,10 +110,10 @@ def eval_bspline(basis: BSplineBasis, coeffs, t: float) -> float:
 def basis_matrix(basis: BSplineBasis, ts) -> np.ndarray:
     """All basis functions at all points: matrix of shape (len(ts), n_basis).
 
-    Vectorized Cox-de Boor triangular recursion over the evaluation points.
-    """
+    Vectorized Cox-de Boor triangular recursion over the evaluation points,
+    which must lie in the knots' span."""
     ts = _numeric(ts, "evaluation points", 1)
-    a, b = basis.domain
+    a, b = basis.knots[[basis.degree, basis.n_basis]].tolist()
     if not np.all((a <= ts) & (ts <= b)):
         raise ValueError(f"evaluation points outside the basis domain [{a}, {b}]")
     p = basis.degree
@@ -150,7 +147,7 @@ def basis_matrix(basis: BSplineBasis, ts) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _unit_grid_basis(order: int, n_basis: int, n_points: int) -> np.ndarray:
     basis = uniform_bspline_basis(order, n_basis)
-    mat = basis_matrix(basis, np.linspace(0.0, 1.0, n_points))
+    mat = basis_matrix(basis, _grid(n_points).components[0].points)
     mat.setflags(write=False)
     return mat
 

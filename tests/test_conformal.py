@@ -626,6 +626,48 @@ class TestEstimatorExtensionPoint:
             with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
                 call()
 
+    @pytest.mark.parametrize("fault", ["short component", "missing component"])
+    def test_foreign_estimator_curves_are_checked_against_its_grid(self, instance, fault):
+        # Before, predict returned such a curve unchecked, residuals and
+        # calibrate raised numpy's broadcast error (IndexError for the
+        # missing component) and make_band built a band of one component.
+        ds, split, model, s = instance
+        x = ds.covariates(0)
+        curve = predict(model, x).values
+        curve = (curve[0][:-1], curve[1]) if fault == "short component" else curve[:1]
+
+        class FixedPredictor:
+            grid = model.grid
+
+            def predict(self, x):
+                return MFCurve(curve)
+
+        bad = FixedPredictor()
+        pred = conformal.BandPredictor(model=bad, modulation=s, radius=1.0,
+                                       closure="closed", alpha=0.25, mode="split")
+        for call in (lambda: predict(bad, x),
+                     lambda: residuals(bad, ds, split.calib_idx),
+                     lambda: calibrate(ds, split, bad, s, 0.25),
+                     lambda: make_band(pred, x)):
+            with pytest.raises(ShapeError, match="^predicted curve components have shapes"):
+                call()
+
+    def test_model_and_modulation_on_another_grid_are_refused(self, instance, rng):
+        # Before, each call raised numpy's broadcast error.
+        ds, split, model, s = instance  # a 40-point grid
+        other = uniform_grid(50, p=2)
+        spec = RegressorSpec(kind="concurrent_fos", terms=(("w",), ("w",)))
+        foreign_fit = fit(make_dataset(rng, other, 30), split.train_idx, spec)
+        for call in (lambda: residuals(foreign_fit, ds, split.calib_idx),
+                     lambda: calibrate(ds, split, foreign_fit, s_const(other), 0.25)):
+            with pytest.raises(ShapeError, match="^model and dataset grids differ$"):
+                call()
+        for call in (lambda: calibrate(ds, split, model, s_const(other), 0.25),
+                     lambda: cub_band(ds, split, model, s_const(other), 0.25, ds.covariates(0)),
+                     lambda: calibration_scores(ds, split, model, s_const(other))):
+            with pytest.raises(ShapeError, match="^model and modulation grids differ$"):
+                call()
+
 
 class TestRaggedGrids:
     def test_components_with_different_grids(self, rng):

@@ -747,9 +747,9 @@ REFUSALS = {
     "grid of a number": (lambda: Grid((1,)), ShapeError,
                          "grid components must be ComponentGrid instances"),
     "uniform grid of one point": (lambda: uniform_grid(1), ShapeError,
-                                  "need n_points >= 2 and a non-empty domain"),
+                                  "need n_points >= 2"),
     "empty domain": (lambda: uniform_grid(5, (1.0, 1.0)), ShapeError,
-                     "need n_points >= 2 and a non-empty domain"),
+                     "domain must be a pair (a, b) with a < b"),
     "curve of no components": (lambda: MFCurve(()), ShapeError,
                                "a curve needs at least one component"),
     "empty training part": (lambda: Split((), (0,)), ShapeError,
@@ -848,13 +848,26 @@ REFUSALS = {
         lambda: draw_trig_coefficients(np.random.default_rng(0), -1),
         ValueError, "count must be >= 0, got -1"),
     "grid domain of one end": (lambda: uniform_grid(5, (0.0,)), ShapeError,
-                               "domain must be a pair (a, b), got shape (1,)"),
+                               "domain must be a pair (a, b) with a < b"),
     "spline domain of one end": (lambda: uniform_bspline_basis(4, 6, (0.0,)), ShapeError,
                                  "domain must be a pair (a, b) with a < b"),
     "reversed spline domain": (lambda: uniform_bspline_basis(4, 6, (1.0, 0.0)), ShapeError,
                                "domain must be a pair (a, b) with a < b"),
     "decreasing knot vector": (lambda: BSplineBasis(2, 3, [1, 1, 0.5, 0, 0]), ValueError,
                                "knot vector must be non-decreasing"),
+    # Spline knots lie on uniform_grid's points, and a basis is defined on its
+    # knots' span. Before, numpy's RuntimeWarning came first for the two
+    # domains, and the basis on [0, 1] knots with a domain of [0, 2]
+    # extrapolated its polynomials to t = 1.5.
+    "spline domain of infinite length": (
+        lambda: uniform_bspline_basis(4, 6, (0, math.inf)), ShapeError,
+        "grid points span 0 to inf, a length beyond the float range"),
+    "spline domain whose span overflows": (
+        lambda: uniform_bspline_basis(4, 6, (-1e308, 1e308)), ShapeError, SPAN_FAULT),
+    "basis point beyond the knots": (
+        lambda: basis_matrix(BSplineBasis(4, 6, uniform_bspline_basis(4, 6).knots,
+                                          domain=(0.0, 2.0)), [1.5]),
+        ValueError, "evaluation points outside the basis domain [0.0, 1.0]"),
 }
 
 

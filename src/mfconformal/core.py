@@ -290,6 +290,18 @@ class Grid:
         return count
 
 
+def _uniform_points(n_points: int, domain: tuple[float, float]) -> np.ndarray:
+    """``n_points >= 2`` equispaced, ascending points on ``domain``, a pair (a, b), a < b."""
+    ends = _numeric(domain, "domain", 1)
+    if ends.shape != (2,) or not ends[0] < ends[1]:
+        raise ShapeError("domain must be a pair (a, b) with a < b")
+    n_points = _integer(n_points, "n_points", ShapeError)
+    if n_points < 2:
+        raise ShapeError("need n_points >= 2")
+    _span(ends)
+    return _trapezoid(np.linspace(*ends, n_points))[0]
+
+
 def uniform_grid(
     n_points: int = 100,
     domain: tuple[float, float] = (0.0, 1.0),
@@ -297,16 +309,8 @@ def uniform_grid(
 ) -> Grid:
     """Grid with ``p`` identical components of ``n_points >= 2`` equispaced
     points on ``domain``, a pair (a, b) with a < b, and trapezoid weights."""
-    ends = _numeric(domain, "domain", 1)
-    if ends.shape != (2,) or not ends[0] < ends[1]:
-        raise ShapeError("domain must be a pair (a, b) with a < b")
-    n_points = _integer(n_points, "n_points", ShapeError)
-    p = _integer(p, "p", ShapeError)
-    if n_points < 2:
-        raise ShapeError("need n_points >= 2")
-    _span(ends)
-    comp = ComponentGrid.from_points(np.linspace(*ends, n_points))
-    return Grid((comp,) * p)
+    comp = ComponentGrid.from_points(_uniform_points(n_points, domain))
+    return Grid((comp,) * _integer(p, "p", ShapeError))
 
 
 @dataclass(frozen=True, eq=False)
@@ -507,11 +511,10 @@ def sup_abs(curve: MFCurve) -> float:
 
 def _integrals(fns: Sequence[np.ndarray], grid: Grid) -> list:
     """Quadrature integral of each sampled component function: one float per
-    component or, for an (R, G_j) stack of R functions, one (R,) array whose
-    entries are each their own ``np.dot``, so equal to the integral of that
-    function alone."""
-    return [float(np.dot(c.weights, f)) if np.ndim(f) == 1
-            else np.array([np.dot(c.weights, r) for r in f])
+    component or, for an (R, G_j) stack of R functions, one (R,) array from
+    ``np.vecdot``, whose dot loop gives each entry the bits of that
+    function's own ``np.dot``."""
+    return [float(np.dot(c.weights, f)) if np.ndim(f) == 1 else np.vecdot(f, c.weights)
             for c, f in zip(grid.components, fns)]
 
 

@@ -24,9 +24,9 @@ What a file must hold to be accepted:
 Schema violations report the file line on which the faulty record starts,
 the header being line 1, so a quoted field that spans lines counts every
 line it spans. Long tables are parsed ``_CHUNK_ROWS`` records at a time into
-column arrays: within a chunk the earliest faulty row is reported, its
-fields checked in the order width, component, t, value; duplicate rows and
-coverage are checked once the whole file is read.
+column arrays, split by component: within a chunk the earliest faulty row is
+reported, its fields checked in the order width, component, t, value;
+duplicate rows and coverage are checked once the whole file is read.
 
 A plain long table, whose bytes are all printable ASCII but the quote, tab
 or newline and whose lines are no longer than ``csv.field_size_limit()``, is
@@ -35,13 +35,15 @@ time, into the same columns, unless a line is so much longer than the lines
 around it that their rows would take more than ``_ROW_BYTES_PER_BYTE`` times
 their text. A scan of the whole file's bytes and line widths settles both
 before any of it is parsed. The C reader parses the components as int64 and
-t and the values as floats; only the curve ids stay text. Every other file,
-one that begins with a byte-order mark among them, takes the ``csv`` path
-above, and so does every plain file in which the C reader meets a fault: a
-field it cannot parse (its integers take no ``_`` and nothing beyond int64,
-which Python's ``int`` takes), a component below 1, a non-finite t or value,
-a duplicate row or no data rows. The ``csv`` path reads such a file from the
-start, so every result, message and line number is the one ``csv`` gives.
+t and the values as floats; the plain path keeps about 20 bytes a row, an
+int32 curve code, t and the value, beside one chunk's rows. Every other
+file, one that begins with a byte-order mark among them, takes the ``csv``
+path above, and so does every plain file in which the C reader meets a
+fault: a field it cannot parse (its integers take no ``_`` and nothing
+beyond int64, which Python's ``int`` takes), a component below 1, a
+non-finite t or value, a duplicate row or no data rows. The ``csv`` path
+reads such a file from the start, so every result, message and line number
+is the one ``csv`` gives.
 """
 
 from __future__ import annotations
@@ -212,7 +214,7 @@ def _component_code(text: str) -> int:
 
 
 def _parse_chunk(lines, rows, name: str, ids: _Memo, components: _Memo, ts: _Memo):
-    """Curve index, component, t, value and line arrays of a chunk of rows.
+    """Component, curve index, t, value and line arrays of a chunk of rows.
     The earliest faulty row raises the row-wise message: component first,
     then t, then the value."""
     cid, comp, t, value = zip(*rows)
@@ -230,7 +232,7 @@ def _parse_chunk(lines, rows, name: str, ids: _Memo, components: _Memo, ts: _Mem
         _parse_component(comp[i], lines[i])
         _parse_float(t[i], lines[i], "t")
         _parse_float(value[i], lines[i], name)
-    return curve, comps, points, values, np.fromiter(lines, np.int64, n)
+    return comps, curve, points, values, np.fromiter(lines, np.int64, n)
 
 
 def _check_header(header, value_col: str) -> str:
@@ -241,21 +243,25 @@ def _check_header(header, value_col: str) -> str:
     return header[3].strip()
 
 
+def _add_parts(parts: dict, comp: np.ndarray, *columns) -> None:
+    """Append each column's rows of each component j of ``comp`` to ``parts[j]``."""
+    for j in set(comp[np.r_[True, comp[1:] != comp[:-1]]].tolist()):
+        at = comp == j
+        for kept, column in zip(parts.setdefault(j, [[] for _ in columns]), columns):
+            kept.append(column[at])
+
+
 def _csv_table(path, value_col: str):
-    """The value column's name, the id memo, the distinct component numbers,
-    and the curve, component, t, value and line columns of a long table, read
-    by ``csv``."""
+    """What ``_long_columns`` returns for a long table read by ``csv``."""
     ids = _Memo(lambda cid: len(ids))  # first-seen index; keys in that order
     components, ts = _Memo(_component_code), _Memo(_number)
+    parts = {}
     with _csv_reader(path) as (header, reader):
         name = _check_header(header, value_col)
-        # The chunks' arrays live only until they are concatenated.
-        columns = map(np.concatenate, zip(*[
-            _parse_chunk(numbers, rows, name, ids, components, ts)
-            for numbers, rows in _data_chunks(reader, 4)
-        ]))
-        # _parse_chunk has checked every component, so each key is an integer.
-        return name, ids, {int(text) for text in components}, *columns
+        for numbers, rows in _data_chunks(reader, 4):
+            _add_parts(parts, *_parse_chunk(numbers, rows, name, ids, components, ts))
+    # _parse_chunk has checked every component, so each key is an integer.
+    return _long_columns(name, ids, {int(text) for text in components}, parts)
 
 
 def _line_chunks(fh):
@@ -285,11 +291,11 @@ def _plain_widths(fh):
 
 
 def _plain_table(path, value_col: str):
-    """What ``_csv_table`` returns, lines left out, parsed by numpy's C
-    reader; None when the file is not plain or holds a row fault, so that the
-    csv path reads it again and words the fault."""
+    """The arguments ``_csv_table`` hands ``_long_columns``, lines left out,
+    parsed by numpy's C reader; None when the file is not plain, holds a row
+    fault or 2**31 curves (codes are int32), for the csv path to word it."""
     ids = _Memo(lambda cid: len(ids))
-    numbers, chunks = set(), []
+    parts = {}
     with open(path, "rb") as fh:
         header = fh.readline()
         if (header.translate(None, _PLAIN) or not header.endswith(b"\n")
@@ -322,55 +328,54 @@ def _plain_table(path, value_col: str):
             # Each run of equal raw ids is decoded once.
             heads = np.flatnonzero(np.r_[True, rows["id"][1:] != rows["id"][:-1]])
             codes = [ids[cid.decode("ascii").strip()] for cid in rows["id"][heads].tolist()]
-            curve = np.repeat(np.array(codes, np.int64), np.diff(np.r_[heads, rows.size]))
-            comp, t, values = (rows[field].copy() for field in ("comp", "t", "v"))
-            del rows
-            if (comp < 1).any() or not (np.isfinite(t).all() and np.isfinite(values).all()):
+            if len(ids) > 1 << 31 or (rows["comp"] < 1).any() or not (
+                    np.isfinite(rows["t"]).all() and np.isfinite(rows["v"]).all()):
                 return None
-            # Every distinct component starts at least one run of comp.
-            numbers.update(comp[np.r_[True, comp[1:] != comp[:-1]]].tolist())
-            chunks.append((curve, comp, t, values))
-    if not chunks:
-        return None
-    return name, ids, numbers, *map(np.concatenate, zip(*chunks)), None
+            curve = np.repeat(np.array(codes, np.int32), np.diff(np.r_[heads, rows.size]))
+            _add_parts(parts, rows["comp"], curve, rows["t"], rows["v"])
+            del rows  # before the next chunk is parsed
+    return (name, ids, set(parts), parts) if parts else None
 
 
-def _long_columns(name, ids, numbers, curve, comp, t, values, lines):
+def _long_columns(name, ids, numbers, parts):
     """The value column's name, the ids in first-seen order and, per
     component, a ``(points, keys, values)`` column: the sorted distinct t,
     each row's ``curve * G_j + point index`` and each row's value. ``numbers``
-    are the distinct component numbers, unclipped for the message.
+    are the distinct component numbers, unclipped for the message; ``parts``
+    holds each one's curve, t, value and (csv path) line column parts, popped
+    and joined one component, and one column, at a time.
 
     A zero point keeps the sign of the component's first row at zero, as the
     first-seen distinct t would. Two rows with one key are a duplicate; of
     each component's first repeated row, the one on the earliest line is
-    reported, or None returned when ``lines`` is None, for the csv path to
-    report it with its line. The keys are sorted only when a count cannot rule
-    a duplicate out: when the rows are not ``len(ids) * G_j``, as in a table
+    reported, or None returned without lines, for the csv path to report it
+    with its line. The keys are sorted only when a count cannot rule a
+    duplicate out: when the rows are not ``len(ids) * G_j``, as in a table
     with gaps, or a key counts twice. So no count is longer than the rows."""
     comps = sorted(numbers)
     if comps != list(range(1, len(comps) + 1)):
         raise SchemaError(f"component indices must be contiguous from 1, got {comps}")
     columns, duplicates = [], []
     for j in comps:
-        at = np.flatnonzero(comp == j)
-        tj = t[at]
-        points = np.unique(tj)
+        curve, t, values, *lines = parts.pop(j)
+        t = np.concatenate(t)
+        points = np.unique(t)
         zero = np.searchsorted(points, 0.0)
         if zero < points.size and points[zero] == 0:
-            points[zero] = tj[np.argmax(tj == 0)]
-        keys = curve[at] * points.size + np.searchsorted(points, tj)
+            points[zero] = t[np.argmax(t == 0)]
+        keys = np.concatenate(curve, dtype=np.intp) * points.size + np.searchsorted(points, t)
         if keys.size != len(ids) * points.size or np.bincount(keys).max() > 1:
             _, once = np.unique(keys, return_index=True)
             if once.size < keys.size:
-                if lines is None:
+                if not lines:
                     return None
                 repeat = np.ones(keys.size, bool)
                 repeat[once] = False
-                r = at[np.argmax(repeat)]
-                duplicates.append((int(lines[r]), f"duplicate (curve {list(ids)[curve[r]]!r}, "
+                r = np.argmax(repeat)
+                duplicates.append((int(np.concatenate(lines[0])[r]), "duplicate (curve "
+                                   f"{list(ids)[keys[r] // points.size]!r}, "
                                    f"component {j}, t={float(t[r])!r})"))
-        columns.append((points, keys, values[at]))
+        columns.append((points, keys, np.concatenate(values)))
     if duplicates:
         raise SchemaError("line {}: {}".format(*min(duplicates)))
     return name, list(ids), columns
@@ -381,11 +386,9 @@ def _read_long_table(path, value_col: str):
     what ``_long_columns`` returns: numpy's C reader parses a plain file, and
     the csv path every other file and every file the C reader declines."""
     table = _plain_table(path, value_col)
-    if table is not None:
-        columns = _long_columns(*table)
-        if columns is not None:
-            return columns
-    return _long_columns(*_csv_table(path, value_col))
+    if table is not None and (columns := _long_columns(*table)) is not None:
+        return columns
+    return _csv_table(path, value_col)
 
 
 def _blocks(ids: list[str], columns) -> list[np.ndarray]:

@@ -39,6 +39,7 @@ from .core import (
     _readonly,
     _real,
     _seed,
+    _uniform_points,
     uniform_grid,
 )
 from .regress import RegressorSpec
@@ -88,12 +89,12 @@ class BSplineBasis:
 def uniform_bspline_basis(
     order: int, n_basis: int, domain: tuple[float, float] = (0.0, 1.0)
 ) -> BSplineBasis:
-    """Clamped basis whose knots are the points of ``uniform_grid(n_basis -
-    order + 2, domain)``, the inner ones once and each end ``order`` times."""
+    """Clamped basis on the points of ``uniform_grid(n_basis - order + 2,
+    domain)``: the inner ones are knots once, each end ``order`` times."""
     order, n_basis = _integer(order, "order"), _integer(n_basis, "n_basis")
     if order < 1 or n_basis < order:
         raise ValueError("need n_basis >= order >= 1")
-    breaks = uniform_grid(n_basis - order + 2, domain).components[0].points
+    breaks = _uniform_points(n_basis - order + 2, domain)
     knots = np.pad(breaks[1:-1], order, constant_values=breaks[[0, -1]])  # clamped ends
     return BSplineBasis(order=order, n_basis=n_basis, knots=knots, domain=domain)
 
@@ -147,9 +148,7 @@ def basis_matrix(basis: BSplineBasis, ts) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _unit_grid_basis(order: int, n_basis: int, n_points: int) -> np.ndarray:
     basis = uniform_bspline_basis(order, n_basis)
-    mat = basis_matrix(basis, _grid(n_points).components[0].points)
-    mat.setflags(write=False)
-    return mat
+    return _readonly(basis_matrix(basis, _grid(n_points).components[0].points), "basis", 2)
 
 
 _CONTAMINATION_SIZES = (
@@ -218,19 +217,14 @@ def _coefficient_curves(coeff_seed: int, n_points: int) -> np.ndarray:
     """The three fixed coefficient functions sampled on the grid, (3, G)."""
     rng = np.random.default_rng(coeff_seed)
     coefs = rng.standard_normal((3, 6))
-    curves = coefs @ _unit_grid_basis(4, 6, n_points).T
-    curves.setflags(write=False)
-    return curves
+    return _readonly(coefs @ _unit_grid_basis(4, 6, n_points).T, "coefficient curves", 2)
 
 
 @lru_cache(maxsize=32)
 def _design_points(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The fixed covariates w_i = i/(n+1), i = 1..n+1, and their squares."""
     w = np.arange(1, n + 2) / (n + 1)
-    w2 = w * w
-    w.setflags(write=False)
-    w2.setflags(write=False)
-    return w, w2
+    return _readonly(w, "w"), _readonly(w * w, "w squared")
 
 
 @lru_cache(maxsize=2)
@@ -309,8 +303,13 @@ def _errors(spec: ScenarioSpec, rngs, points: np.ndarray) -> np.ndarray:
         draws = [draw_trig_coefficients(rng, count, spec.error_scale) for rng in rngs]
         amps = component_major([a for a, _ in draws])
         phases = component_major([ph for _, ph in draws])
-        arg = 10.0 * np.pi * (points[None, :] + phases[:, None])
-        eps = amps[:, [0]] + amps[:, [1]] * np.cos(arg) + amps[:, [2]] * np.sin(arg)
+        # a0 + a1 cos(arg) + a2 sin(arg) in place: the same roundings, so the same bits.
+        arg = points[None, :] + phases[:, None]
+        arg *= 10.0 * np.pi
+        eps = np.cos(arg)
+        eps *= amps[:, 1:2]
+        eps += amps[:, 0:1]
+        eps += np.multiply(np.sin(arg, out=arg), amps[:, 2:3], out=arg)
     else:
         n_basis, scale = 6, spec.error_scale
         if spec.study == 3:

@@ -868,6 +868,11 @@ REFUSALS = {
         lambda: basis_matrix(BSplineBasis(4, 6, uniform_bspline_basis(4, 6).knots,
                                           domain=(0.0, 2.0)), [1.5]),
         ValueError, "evaluation points outside the basis domain [0.0, 1.0]"),
+    # Knots too close for floats to tell apart, refused as uniform_grid
+    # refuses such points, not built into a basis that divides by zero.
+    "spline domain narrower than its knots": (
+        lambda: uniform_bspline_basis(4, 6, (0.0, 5e-324)), ShapeError,
+        "need at least two ascending points"),
 }
 
 
@@ -876,3 +881,17 @@ def test_refusal_messages(case):
     build, error, message = REFUSALS[case]
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_stacked_integrals_are_each_functions_own_dot():
+    """One np.vecdot per component gives each row of a stack the bits of its
+    own np.dot with the weights; a single function gives a Python float."""
+    rng = np.random.default_rng(7)
+    grid = Grid((ComponentGrid.from_points(np.sort(rng.uniform(0, 1, 37))),
+                 uniform_grid(100).components[0]))
+    for rows in (1, 2, 5, 64):
+        fns = [rng.standard_normal((rows, c.size)) * 10.0 ** rng.integers(-5, 5, (rows, 1))
+               for c in grid.components]
+        for c, f, stacked in zip(grid.components, fns, core._integrals(fns, grid)):
+            assert stacked.tobytes() == np.array([np.dot(c.weights, r) for r in f]).tobytes()
+        assert [type(v) for v in core._integrals([f[0] for f in fns], grid)] == [float] * 2

@@ -16,6 +16,7 @@ import csv
 import io
 import math
 import re
+import tracemalloc
 import warnings
 from contextlib import contextmanager
 from itertools import repeat
@@ -608,13 +609,24 @@ def long_columns_outcome(inputs, long_columns):
         return str(exc)
 
 
+def parted_long_columns(name, ids, numbers, curve, comp, t, values, lines):
+    """``csvio._long_columns`` of the columns grouped into per-component
+    parts as the readers group them, the rows read in two chunks."""
+    columns = (curve, t, values) if lines is None else (curve, t, values, lines)
+    parts = {}
+    for rows in np.array_split(np.arange(comp.size), 2):
+        if rows.size:
+            csvio._add_parts(parts, comp[rows], *(column[rows] for column in columns))
+    return csvio._long_columns(name, ids, numbers, parts)
+
+
 @settings(max_examples=300, deadline=None)
 @given(inputs=long_columns_inputs())
 def test_long_columns_match_the_sorted_index_oracle(inputs):
     """Points (the sign of zero included), keys, values and duplicate
     messages are those of the stable-sort index, on the plain path
     (``lines`` None) and the csv path."""
-    new = long_columns_outcome(inputs, csvio._long_columns)
+    new = long_columns_outcome(inputs, parted_long_columns)
     old = long_columns_outcome(inputs, sorted_index_long_columns)
     if not isinstance(old, tuple):
         assert new == old
@@ -655,3 +667,48 @@ def test_the_first_curve_with_a_gap_names_it(merge, scalar_gap, functional_gap, 
     table = {cid: (np.zeros(2),) for cid in ids if cid != functional_gap}
     with pytest.raises(csvio.SchemaError, match=f"^{re.escape(message)}$"):
         merge(ids, scalar, [("f", table)])
+
+
+def write_grid_table(path, curves: int, points: int) -> int:
+    """A curves file of two components on ``points`` points each; its rows."""
+    rows = [f"c{i},{j},{k / (points - 1)!r},{i + k / 8}"
+            for j in (1, 2) for i in range(curves) for k in range(points)]
+    path.write_text("\n".join(["curve_id,component,t,value", *rows]) + "\n")
+    return len(rows)
+
+
+def test_the_plain_path_keeps_few_bytes_a_row(tmp_path, monkeypatch):
+    """A table of about 130 chunks peaks at 36 traced bytes a row, a read of
+    the 400k-row benchmark table at 28.5; 44 leaves a fifth for the id memo,
+    the chunks' arrays and numpy's allocations. Whole-file columns, concatenated
+    beside their chunks, took about 70."""
+    monkeypatch.setattr(csvio, "_CHUNK_BYTES", 4096)
+    write_grid_table(tmp_path / "warm.csv", 2, 3)
+    csvio._curve_blocks(tmp_path / "warm.csv")  # numpy's and Python's lazy set-up
+    rows = write_grid_table(tmp_path / "curves.csv", 400, 25)
+    with c_reader_calls(4096) as calls:
+        tracemalloc.start()
+        try:
+            _, ids, blocks = csvio._curve_blocks(tmp_path / "curves.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert calls == [True] and len(ids) == 400 and [b.shape for b in blocks] == [(400, 25)] * 2
+    assert peak / rows <= 44
+
+
+def test_a_table_of_2_31_curves_takes_the_csv_path(tmp_path, monkeypatch):
+    """The plain path's int32 curve codes end at 2**31 - 1: a table with more
+    curves is declined to the csv path rather than raise OverflowError. Only
+    the plain path runs here: the id memo's length is faked, not its ids."""
+
+    class Offset(csvio._Memo):  # as if 2**31 - 1 curves came first
+        def __len__(self):
+            return super().__len__() + 2**31 - 1
+
+    monkeypatch.setattr(csvio, "_Memo", Offset)
+    path = tmp_path / "curves.csv"
+    path.write_text("curve_id,component,t,value\na,1,0,1\na,1,1,2\n")
+    assert csvio._plain_table(path, "value") is not None  # code 2**31 - 1
+    path.write_text("curve_id,component,t,value\na,1,0,1\na,1,1,2\nb,1,0,1\nb,1,1,2\n")
+    assert csvio._plain_table(path, "value") is None

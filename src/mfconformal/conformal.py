@@ -8,7 +8,8 @@ randomized by a uniform tie-breaker tau (exact coverage, open or closed
 bands); plain split calibration (closed bands, valid and often conservative
 coverage) is smoothed calibration at tau = 1. The concatenated per-component
 and pointwise constructions are included for comparison; both are provably
-subsets of the simultaneous band.
+subsets of the simultaneous band. A :class:`Split` given with a dataset
+must partition its rows 0..n-1, else a ShapeError.
 """
 
 from __future__ import annotations
@@ -189,6 +190,8 @@ def _modulated_residuals(dataset, split, model, s) -> list[np.ndarray]:
     component, the common input of every calibration reduction."""
     if model.grid != s.grid:
         raise ShapeError("model and modulation grids differ")
+    if split.m + split.l != dataset.n:
+        raise ShapeError(f"split covers {split.m + split.l} rows, dataset has {dataset.n}")
     return _modulated(residuals(model, dataset, split.calib_idx), s.fns)
 
 
@@ -267,8 +270,8 @@ def calibrate(
     mode: str = "split",
     tau: float | None = None,
 ) -> BandPredictor:
-    """End-to-end calibration: score the calibration set and wrap the result
-    into a band predictor."""
+    """End-to-end calibration on a split of the dataset's rows 0..n-1: score
+    the calibration set and wrap the result into a band predictor."""
     scores = calibration_scores(dataset, split, model, s)
     cal = calibrate_smoothed(scores, alpha, _level(alpha, mode, tau))
     return BandPredictor(
@@ -345,18 +348,21 @@ def _inside(lo, v, hi, closed):
 
 def p_value(calib_scores: Scores, new_score: float) -> float:
     """Conformal p-value, :func:`p_value_smoothed` at tau = 1: fraction of
-    calibration scores at least the new one, counting the new observation."""
+    calibration scores at least the new one, counting the new observation.
+    The new score is a nonnegative number, as every score is."""
     return p_value_smoothed(calib_scores, new_score, 1.0)
 
 
 def p_value_smoothed(calib_scores: Scores, new_score: float, tau: float) -> float:
     """Smoothed conformal p-value: ties (including the new observation
     against itself) weighted by ``tau``. A NaN new score, which no ordering
-    places among the calibration scores, raises ValueError."""
+    places among the calibration scores, or a negative one raises ValueError."""
     _level(None, "smoothed", tau)
     new_score = _real(new_score, "new_score")
     if math.isnan(new_score):
         raise ValueError("the new score is NaN")
+    if new_score < 0:
+        raise ValueError(f"the new score must be nonnegative, got {new_score!r}")
     strict = int(np.count_nonzero(calib_scores.values > new_score))
     ties = int(np.count_nonzero(calib_scores.values == new_score)) + 1
     return (strict + tau * ties) / (calib_scores.l + 1)

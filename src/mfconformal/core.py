@@ -356,17 +356,6 @@ class Covariates:
         object.__setattr__(self, "functional", functional)
 
 
-def _columns(rows, p: int, what: str) -> list[list[np.ndarray]]:
-    """Regroup per-observation rows of p component vectors into p lists, one
-    per component."""
-    for i, row in enumerate(rows):
-        if len(row) != p:
-            raise ShapeError(
-                f"{what} of pair {i} has {len(row)} components, grid has {p}"
-            )
-    return [[row[j] for row in rows] for j in range(p)]
-
-
 def _readonly_blocks(blocks, what: str, ndim: int = 2) -> tuple[np.ndarray, ...]:
     """One :func:`_readonly` array of ``ndim`` dimensions per component, each
     named as component j of ``what``."""
@@ -396,22 +385,22 @@ class Dataset:
         xs, ys = tuple(zip(*pairs)) or ((), ())
         x0 = xs[0] if xs else Covariates()
         names = (x0.scalar.keys(), x0.functional.keys())
-        for i, x in enumerate(xs):
+        for i, (x, y) in enumerate(zip(xs, ys)):
             if (x.scalar.keys(), x.functional.keys()) != names:
-                raise ShapeError(
-                    f"pair {i} carries covariates {[*x.scalar, *x.functional]}, "
-                    f"pair 0 carries {[*x0.scalar, *x0.functional]}"
-                )
-        self._hold(
-            grid,
-            _columns([y.values for y in ys], grid.p, "curve"),
-            {k: [x.scalar[k] for x in xs] for k in x0.scalar},
-            {
-                k: _columns([x.functional[k] for x in xs], grid.p,
-                            f"functional covariate {k!r}")
-                for k in x0.functional
-            },
-        )
+                raise ShapeError(f"pair {i} carries covariates {[*x.scalar, *x.functional]}, "
+                                 f"pair 0 carries {[*x0.scalar, *x0.functional]}")
+            for what, row in [("curve", y.values), *(
+                    (f"functional covariate {k!r}", x.functional[k]) for k in x0.functional)]:
+                if len(row) != grid.p:
+                    raise ShapeError(f"{what} of pair {i} has {len(row)} components, "
+                                     f"grid has {grid.p}")
+
+        def by_component(rows):
+            return [[r[j] for r in rows] for j in range(grid.p)]
+
+        self._hold(grid, by_component([y.values for y in ys]),
+                   {k: [x.scalar[k] for x in xs] for k in x0.scalar},
+                   {k: by_component([x.functional[k] for x in xs]) for k in x0.functional})
 
     @classmethod
     def from_blocks(cls, grid: Grid, responses, scalar=None, functional=None):
@@ -448,7 +437,8 @@ class Dataset:
         return self.responses[0].shape[0]
 
     def covariates(self, i: int) -> Covariates:
-        """The covariates of row i as one observation."""
+        """The covariates of row i, an integer in 0..n-1, as one observation."""
+        i = _rows((i,), self.n, "row index")[0]
         return Covariates(
             scalar={k: v[i] for k, v in self.scalar.items()},
             functional={k: tuple(b[i] for b in blocks)
@@ -456,30 +446,32 @@ class Dataset:
         )
 
     def curve(self, i: int) -> MFCurve:
-        """The response of row i as one curve."""
+        """The response of row i, an integer in 0..n-1, as one curve."""
+        i = _rows((i,), self.n, "row index")[0]
         return MFCurve(tuple(b[i] for b in self.responses))
 
 
-def _indices(values) -> tuple[int, ...]:
-    """``values`` as a tuple of Python ints; a ShapeError for a value that is
-    not an integer, such as ``1.9`` or ``2.0``, or for a boolean, which
-    ``int`` would take silently."""
-    idx = tuple(values)
-    for v in idx:
-        if isinstance(v, bool) or not hasattr(v, "__index__"):
-            raise ShapeError(f"split index {v!r} is not an integer")
-    return tuple(map(operator.index, idx))
+def _rows(values, n: int, name: str) -> np.ndarray:
+    """Row indices of an n-row dataset as an intp array: each an integer by
+    :func:`_integer` in 0..n-1, else a ShapeError naming ``name``. A negative
+    index does not wrap to a row from the end."""
+    idx = [_integer(v, name, ShapeError) for v in values]
+    if outside := [i for i in idx if not 0 <= i < n]:
+        raise ShapeError(f"{name} {outside[0]} is outside 0..{n - 1}")
+    return np.array(idx, np.intp)
 
 
 @dataclass(frozen=True)
 class Split:
-    """Disjoint training/calibration index sets partitioning 0..n-1."""
+    """Disjoint training/calibration sets of integer indices, stored as Python
+    ints, partitioning 0..n-1: the rows of the dataset it splits."""
 
     train_idx: tuple[int, ...]
     calib_idx: tuple[int, ...]
 
     def __post_init__(self):
-        train, calib = _indices(self.train_idx), _indices(self.calib_idx)
+        train, calib = (tuple(_integer(v, "split index", ShapeError) for v in part)
+                        for part in (self.train_idx, self.calib_idx))
         if len(train) < 1 or len(calib) < 1:
             raise ShapeError("both split parts must be non-empty")
         idx = train + calib

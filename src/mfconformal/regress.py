@@ -22,6 +22,7 @@ from .core import (
     MFCurve,
     ShapeError,
     _readonly_blocks,
+    _rows,
 )
 
 __all__ = [
@@ -205,7 +206,8 @@ def fit(dataset: Dataset, train_idx, spec: RegressorSpec) -> FittedRegressor:
     ----------
     dataset : Dataset
     train_idx : iterable of int
-        Indices of the training observations.
+        Indices of the training observations: integers in 0..n-1, else a
+        ShapeError.
     spec : RegressorSpec
 
     Returns
@@ -223,7 +225,7 @@ def fit(dataset: Dataset, train_idx, spec: RegressorSpec) -> FittedRegressor:
     numpy.linalg.LinAlgError
         If the SVD of a design does not converge.
     """
-    idx = np.fromiter(train_idx, np.intp)
+    idx = _rows(train_idx, dataset.n, "training index")
     grid = dataset.grid
     terms = spec.component_terms(grid.p)
     m = len(idx)
@@ -262,14 +264,14 @@ def predict(model, x: Covariates, truncate_at_zero: bool = False) -> MFCurve:
 
 
 def residuals(model, dataset: Dataset, idx) -> list[np.ndarray]:
-    """Residuals y_i - prediction of the given observations, whose grid must
-    be the model's: one (len(idx), G_j) block per component, rows in the
-    order of ``idx``. The built-in regressor predicts all rows in one batch
-    per component; other estimators go through :func:`predict` one by one.
+    """Residuals y_i - prediction at the rows ``idx``, integers in 0..n-1, of
+    a dataset on the model's grid: one (len(idx), G_j) block per component,
+    rows in the order of ``idx``. The built-in regressor predicts all rows in
+    one batch per component; others go row by row through :func:`predict`.
     """
     if model.grid != dataset.grid:
         raise ShapeError("model and dataset grids differ")
-    idx = np.fromiter(idx, np.intp)
+    idx = _rows(idx, dataset.n, "observation index")
     if isinstance(model, FittedRegressor):
         preds = _predictions(model, dataset, idx)
     else:

@@ -40,7 +40,7 @@ from mfconformal.conformal import (
     cub_radii,
     pointwise_radii,
 )
-from mfconformal.core import MFConformalError, ShapeError
+from mfconformal.core import MFConformalError, ShapeError, Split
 from mfconformal.regress import residuals
 
 from conftest import make_dataset, random_curve
@@ -325,6 +325,17 @@ class TestOutcomeChecks:
             with pytest.raises(ShapeError, match="model and modulation grids differ"):
                 dataclasses.replace(pred, modulation=s_const(grid))
 
+    @pytest.mark.parametrize("call", [calibrate, calibration_scores, cub_band])
+    def test_calibration_refuses_a_split_of_another_row_count(self, rng, grid2, call):
+        # Before, a split of 10 rows whose calibration rows fall below 8 was
+        # calibrated on 8 rows.
+        ds = make_dataset(rng, grid2, 8)
+        model = fit(ds, range(3, 8), RegressorSpec(kind="intercept_only"))
+        args = (ds, Split(range(3, 10), (0, 1, 2)), model, s_const(grid2))
+        extra = {calibrate: (0.5,), calibration_scores: (), cub_band: (0.5, Covariates())}
+        with pytest.raises(ShapeError, match="^split covers 10 rows, dataset has 8$"):
+            call(*args, *extra[call])
+
 
 class TestPValues:
     def test_larger_than_all(self):
@@ -368,8 +379,11 @@ class TestPValues:
         vals = rng.uniform(0, 1, size=15)
         scores = Scores(vals)
         for new in rng.uniform(-1, 2, size=50):
-            pv = p_value(scores, float(new))
-            assert 1 / 16 <= pv <= 1.0
+            if new < 0:  # no score is negative
+                with pytest.raises(ValueError, match="new score must be nonnegative"):
+                    p_value(scores, float(new))
+            else:
+                assert 1 / 16 <= p_value(scores, float(new)) <= 1.0
 
     @pytest.mark.parametrize("tau", [None, 0.5])
     def test_nan_score_is_refused(self, tau):
@@ -381,6 +395,17 @@ class TestPValues:
                 p_value(scores, math.nan)
             else:
                 p_value_smoothed(scores, math.nan, tau)
+
+    @pytest.mark.parametrize("tau", [None, 0.5])
+    def test_negative_score_is_refused(self, tau):
+        # Before, p_value(scores, -1.0) returned 1.0.
+        scores = Scores(np.array([0.5, 1.0, 2.0]))
+        with pytest.raises(ValueError,
+                           match="^the new score must be nonnegative, got -1.0$"):
+            if tau is None:
+                p_value(scores, -1.0)
+            else:
+                p_value_smoothed(scores, -1.0, tau)
 
 
 class TestMembershipDuality:

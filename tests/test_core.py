@@ -341,6 +341,24 @@ class TestDataset:
         with pytest.raises(ShapeError, match=r"pair 2 carries covariates"):
             Dataset(grid=grid2, pairs=pairs)
 
+    @pytest.mark.parametrize("fault,message", [
+        ("curve", "curve of pair 1 has 1 components, grid has 2"),
+        ("functional", "functional covariate 'temp' of pair 1 has 3 components, grid has 2"),
+    ], ids=["curve", "functional"])
+    def test_pairs_are_checked_in_order(self, rng, grid2, fault, message):
+        # Pair 1 has a wrong component count and pair 2 other covariate
+        # names: the earlier pair's fault is named. Before, every pair's names
+        # were checked before any component count, so pair 2 was named.
+        temp = tuple(np.zeros(c.size) for c in grid2.components)
+        pairs = [(Covariates(functional={"temp": temp}), random_curve(rng, grid2))
+                 for _ in range(3)]
+        x, y = pairs[1]
+        pairs[1] = ((x, MFCurve(y.values[:1])) if fault == "curve" else
+                    (Covariates(functional={"temp": temp + temp[:1]}), y))
+        pairs[2] = (Covariates(), pairs[2][1])
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            Dataset(grid=grid2, pairs=pairs)
+
 
 class TestDatasetFromBlocks:
     def blocks(self, rng, n=4):
@@ -539,7 +557,7 @@ class TestRandomSplit:
     ])
     def test_split_refuses_non_integer_indices(self, train, calib, bad):
         # int() would truncate 1.9 to 1 and take True as 1.
-        with pytest.raises(ShapeError, match=f"split index {bad} is not an integer"):
+        with pytest.raises(ShapeError, match=f"split index must be an integer, got {bad}"):
             Split(train, calib)
 
     def test_split_takes_numpy_integers_as_python_ints(self):
@@ -873,6 +891,18 @@ REFUSALS = {
     "spline domain narrower than its knots": (
         lambda: uniform_bspline_basis(4, 6, (0.0, 5e-324)), ShapeError,
         "need at least two ascending points"),
+    # A row index is an integer in 0..n-1. Before, curve(-1) gave the last
+    # row, curve(1.5) raised numpy's IndexError and covariates(5) of a
+    # covariate-free dataset returned an empty Covariates.
+    "curve of a negative row": (
+        lambda: Dataset.from_blocks(uniform_grid(3), [np.zeros((3, 3))]).curve(-1),
+        ShapeError, "row index -1 is outside 0..2"),
+    "curve of a fractional row": (
+        lambda: Dataset.from_blocks(uniform_grid(3), [np.zeros((3, 3))]).curve(1.5),
+        ShapeError, "row index must be an integer, got 1.5"),
+    "covariates of a row beyond n": (
+        lambda: Dataset.from_blocks(uniform_grid(3), [np.zeros((3, 3))]).covariates(5),
+        ShapeError, "row index 5 is outside 0..2"),
 }
 
 

@@ -214,10 +214,10 @@ CALIBRATE_REPROS = [
     ([(["split", "l"], 4.7)], "config key 'l' must be an integer, got 4.7"),
     ([(["split"], {"strategy": "explicit", "train": [0.5, 1.9, 2, 3],
                    "calib": [4, 5, 6, 7.7]})],
-     "explicit split: split index 0.5 is not an integer"),
+     "explicit split: split index must be an integer, got 0.5"),
     ([(["split"], {"strategy": "explicit", "train": [0, True, 2, 3],
                    "calib": [4, 5, 6, 7]})],
-     "explicit split: split index True is not an integer"),
+     "explicit split: split index must be an integer, got True"),
     ([(["tau"], 0.3)], "tau applies to smoothed mode; split mode uses tau = 1, got 0.3"),
     ([(["alpah"], 0.3)], "calibrate config has unknown keys ['alpah']"),
     ([(["split", "sede"], 3)], "split config has unknown keys ['sede']"),

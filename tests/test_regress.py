@@ -260,6 +260,28 @@ class TestFitErrors:
         with pytest.raises(ValueError):
             RegressorSpec(kind="intercept_only", terms=(("w",),))
 
+    @pytest.mark.parametrize("bad,message", [
+        (-1, "training index -1 is outside 0..7"),
+        (8, "training index 8 is outside 0..7"),
+        (1.9, "training index must be an integer, got 1.9"),
+        (True, "training index must be an integer, got True"),
+        ("1", "training index must be an integer, got '1'"),
+        (2**70, f"training index {2**70} is outside 0..7"),
+    ], ids=["negative", "n", "fraction", "bool", "text", "beyond int64"])
+    def test_fit_takes_row_indices_by_the_integer_rule(self, rng, grid2, bad, message):
+        # Before, -1 wrapped to the last row, 8 raised numpy's IndexError, 1.9
+        # was truncated, True taken as 1, "1" parsed and 2**70 raised
+        # OverflowError.
+        ds = make_dataset(rng, grid2, 8)
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            fit(ds, [0, 1, 2, bad], RegressorSpec(kind="intercept_only"))
+
+    def test_residuals_refuse_a_negative_row_index(self, rng, grid2):
+        ds = make_dataset(rng, grid2, 8)
+        model = fit(ds, range(4), RegressorSpec(kind="intercept_only"))
+        with pytest.raises(ShapeError, match="^observation index -1 is outside 0..7$"):
+            residuals(model, ds, [-1])
+
 
 def stacked_design(columns, spec, names, j, rows):
     """Reference design built by stacking broadcast columns."""

@@ -167,9 +167,7 @@ def trapezoid_weights(points: np.ndarray) -> np.ndarray:
 def _trapezoid(points) -> tuple[np.ndarray, np.ndarray]:
     """``points`` read-only and their trapezoid weights; a ShapeError unless
     there are two or more, strictly ascending, with a finite span."""
-    pts = _readonly(points, "points")
-    if pts.size < 2 or not (pts[1:] > pts[:-1]).all():
-        raise ShapeError("need at least two ascending points")
+    pts = _ascending(points)
     _span(pts)  # every difference of ascending points is at most the span
     w = np.empty_like(pts)
     w[0] = (pts[1] - pts[0]) / 2.0
@@ -177,6 +175,14 @@ def _trapezoid(points) -> tuple[np.ndarray, np.ndarray]:
     if pts.size > 2:
         w[1:-1] = (pts[2:] - pts[:-2]) / 2.0
     return pts, w
+
+
+def _ascending(points) -> np.ndarray:
+    """``points`` read-only; a ShapeError unless two or more, strictly ascending."""
+    pts = _readonly(points, "points")
+    if pts.size < 2 or not (pts[1:] > pts[:-1]).all():
+        raise ShapeError("need at least two ascending points")
+    return pts
 
 
 def _span(pts: np.ndarray) -> float:
@@ -197,13 +203,7 @@ class ComponentGrid:
     weights: np.ndarray
 
     def __post_init__(self):
-        pts = _readonly(self.points, "points")
-        w = _readonly(self.weights, "weights")
-        if pts.size < 2:
-            raise ShapeError("a component grid needs at least 2 points")
-        if not np.all(pts[1:] > pts[:-1]):
-            raise ShapeError("grid points must be strictly increasing")
-        self._weigh(pts, w)
+        self._weigh(_ascending(self.points), _readonly(self.weights, "weights"))
 
     def _weigh(self, pts: np.ndarray, w: np.ndarray) -> None:
         """Check the weights ``w`` against the checked points ``pts`` and store both."""
@@ -295,11 +295,9 @@ def _uniform_points(n_points: int, domain: tuple[float, float]) -> np.ndarray:
     ends = _numeric(domain, "domain", 1)
     if ends.shape != (2,) or not ends[0] < ends[1]:
         raise ShapeError("domain must be a pair (a, b) with a < b")
-    n_points = _integer(n_points, "n_points", ShapeError)
-    if n_points < 2:
-        raise ShapeError("need n_points >= 2")
+    n_points = _integer(n_points, "n_points", ShapeError, 2)
     _span(ends)
-    return _trapezoid(np.linspace(*ends, n_points))[0]
+    return _ascending(np.linspace(*ends, n_points))
 
 
 def uniform_grid(
@@ -396,7 +394,8 @@ class Dataset:
                                      f"grid has {grid.p}")
 
         def by_component(rows):
-            return [[r[j] for r in rows] for j in range(grid.p)]
+            return [[r[j] for r in rows] or np.empty((0, g))
+                    for j, g in enumerate(grid.sizes)]
 
         self._hold(grid, by_component([y.values for y in ys]),
                    {k: [x.scalar[k] for x in xs] for k in x0.scalar},
@@ -455,10 +454,7 @@ def _rows(values, n: int, name: str) -> np.ndarray:
     """Row indices of an n-row dataset as an intp array: each an integer by
     :func:`_integer` in 0..n-1, else a ShapeError naming ``name``. A negative
     index does not wrap to a row from the end."""
-    idx = [_integer(v, name, ShapeError) for v in values]
-    if outside := [i for i in idx if not 0 <= i < n]:
-        raise ShapeError(f"{name} {outside[0]} is outside 0..{n - 1}")
-    return np.array(idx, np.intp)
+    return np.array([_integer(v, name, ShapeError, 0, n - 1) for v in values], np.intp)
 
 
 @dataclass(frozen=True)
@@ -540,9 +536,8 @@ def random_split(n: int, l: int, seed=None, strategy: str = "uniform") -> Split:
         are reassigned one at a time choosing the day closest to the center
         day (n+1)/2, with ties broken toward the earlier day.
     """
-    n, l = _integer(n, "n"), _integer(l, "l")
-    if not (1 <= l <= n - 1):
-        raise ValueError(f"need 1 <= l <= n-1, got l={l}, n={n}")
+    n = _integer(n, "n", low=2)
+    l = _integer(l, "l", low=1, high=n - 1)
     if strategy == "uniform":
         train, calib = (part.tolist() for part in _uniform_parts(
             np.random.default_rng(seed).permutation(n), l))
@@ -641,9 +636,7 @@ def smoothed_order_stat_index(count: int, alpha: float, tau: float) -> int:
 def theoretical_coverage(l: int, alpha: float) -> float:
     """Exact unconditional coverage 1 - floor((l+1)*alpha)/(l+1) of the
     non-smoothed calibrated band, for an integer l >= 1 and alpha in (0, 1)."""
-    l = _integer(l, "l")
-    if l < 1:
-        raise ValueError(f"need l >= 1, got {l}")
+    l = _integer(l, "l", low=1)
     _level(alpha)
     return 1.0 - _snap_floor((l + 1) * alpha) / (l + 1)
 
@@ -662,22 +655,28 @@ def _seed(value, name: str, error: type = ValueError):
     try:
         if not entries:
             raise TypeError
-        out = tuple(_integer(v, name, TypeError) for v in entries)
-        if min(out) < 0:
-            raise TypeError
+        out = tuple(_integer(v, name, TypeError, 0) for v in entries)
     except TypeError:
         raise error(f"{name} must be an integer seed, got {_excerpt(value)} "
                     f"(an integer >= 0 or a non-empty list of them)") from None
     return out if entries is value else out[0]
 
 
-def _integer(value, name: str, error: type = ValueError) -> int:
-    """``value`` as a Python int by ``operator.index``; else ``error`` naming
-    ``name``. A boolean, which ``operator.index`` takes as 0 or 1, is
+def _integer(value, name: str, error: type = ValueError, low: int | None = None,
+             high: int | None = None) -> int:
+    """``value`` as a Python int by ``operator.index`` in ``low..high``, an
+    end left open when it is None; else ``error`` naming ``name``: "{name} {v}
+    is outside {low}..{high}" with both ends, "{name} {v} is below {low}" with
+    ``low`` alone. A boolean, which ``operator.index`` takes as 0 or 1, is
     refused, and so is a float even when it is whole, such as ``9.0``."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            v = operator.index(value)
         except TypeError:
             pass
+        else:
+            if (low is None or v >= low) and (high is None or v <= high):
+                return v
+            bounds = f"below {low}" if high is None else f"outside {low}..{high}"
+            raise error(f"{name} {v} is {bounds}")
     raise error(f"{name} must be an integer, got {value!r}")

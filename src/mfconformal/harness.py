@@ -116,12 +116,10 @@ class StudyConfig:
     skip_failures: bool = False
 
     def __post_init__(self):
-        for name in ("l", "n_reps", "workers"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if not 1 <= self.l <= self.scenario.n - 1:
-            raise ValueError("need 1 <= l <= n-1")
-        if self.n_reps < 1:
-            raise ValueError("need at least one replication")
+        for name, low, high in (("l", 1, self.scenario.n - 1), ("n_reps", 1, None),
+                                ("workers", 1, None), ("master_seed", 0, None)):
+            value = _integer(getattr(self, name), name, ValueError, low, high)
+            object.__setattr__(self, name, value)
         modulate._modulation_label(self.modulation)
         # Each smoothed replication draws its own tie-breaker in [0, 1).
         _level(self.alpha, self.mode, 0.0 if self.mode == "smoothed" else None)
@@ -129,12 +127,6 @@ class StudyConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "cub" and self.mode != "split":
             raise ValueError("the concatenated method is defined in split mode")
-        seed = _integer(self.master_seed, "master_seed")
-        if seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {seed}")
-        object.__setattr__(self, "master_seed", seed)
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -170,12 +162,9 @@ class StudyReport:
 def coverage_ci(hits: int, n: int) -> tuple[float, float, float]:
     """Empirical coverage with its 95% normal-approximation interval
     p_hat -+ 1.96 * sqrt(p_hat (1 - p_hat) / n)."""
-    hits, n = _integer(hits, "hits"), _integer(n, "n")
+    n = _integer(n, "n", low=1)
+    hits = _integer(hits, "hits", low=0, high=n)
     _real(n, "n")  # the interval divides a float by n
-    if n < 1:
-        raise ValueError("need at least one replication")
-    if not 0 <= hits <= n:
-        raise ValueError("hits must lie in 0..n")
     p = hits / n
     half = 1.96 * math.sqrt(p * (1.0 - p) / n)
     return p, p - half, p + half

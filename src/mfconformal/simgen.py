@@ -67,10 +67,8 @@ class BSplineBasis:
     domain: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        for name in ("order", "n_basis"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.order < 1 or self.n_basis < self.order:
-            raise ValueError("need n_basis >= order >= 1")
+        object.__setattr__(self, "order", _integer(self.order, "order", low=1))
+        object.__setattr__(self, "n_basis", _integer(self.n_basis, "n_basis", low=self.order))
         knots = _readonly(self.knots, "knot vector")
         if knots.shape != (self.n_basis + self.order,):
             raise ValueError(
@@ -91,9 +89,8 @@ def uniform_bspline_basis(
 ) -> BSplineBasis:
     """Clamped basis on the points of ``uniform_grid(n_basis - order + 2,
     domain)``: the inner ones are knots once, each end ``order`` times."""
-    order, n_basis = _integer(order, "order"), _integer(n_basis, "n_basis")
-    if order < 1 or n_basis < order:
-        raise ValueError("need n_basis >= order >= 1")
+    order = _integer(order, "order", low=1)
+    n_basis = _integer(n_basis, "n_basis", low=order)
     breaks = _uniform_points(n_basis - order + 2, domain)
     knots = np.pad(breaks[1:-1], order, constant_values=breaks[[0, -1]])  # clamped ends
     return BSplineBasis(order=order, n_basis=n_basis, knots=knots, domain=domain)
@@ -176,23 +173,16 @@ class ScenarioSpec:
     error_scale: float = 1.0
 
     def __post_init__(self):
-        for name in ("study", "scenario", "n", "covariate_set", "grid_points"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.study not in (1, 2, 3):
-            raise ValueError("study must be 1, 2 or 3")
-        top = 2 if self.study == 1 else 3
-        if not 1 <= self.scenario <= top:
-            raise ValueError(f"study {self.study} has scenarios 1..{top}")
-        if self.covariate_set not in (1, 2, 3):
-            raise ValueError("covariate_set must be 1, 2 or 3")
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
+        object.__setattr__(self, "study", _integer(self.study, "study", low=1, high=3))
+        for name, low, high in (("scenario", 1, 2 if self.study == 1 else 3),
+                                ("covariate_set", 1, 3), ("n", 2, None),
+                                ("grid_points", 2, None)):
+            value = _integer(getattr(self, name), name, ValueError, low, high)
+            object.__setattr__(self, name, value)
         if (self.study, self.scenario) == (3, 3) and self.n != 20 and self.n % 40:
             raise ValueError(
                 f"study 3, scenario 3: {_CONTAMINATION_SIZES}, got n={self.n}"
             )
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be at least 2")
         if not 0.0 <= _real(self.error_scale, "error_scale") < float("inf"):
             raise ValueError(
                 f"error_scale must be finite and >= 0, got {self.error_scale!r}"
@@ -251,9 +241,7 @@ def _systematic_means(coeff_seed: int, n: int, grid_points: int, shared: bool):
 def draw_trig_coefficients(rng, count: int, scale: float = 1.0):
     """Amplitude vectors (count, 3) with unit variances and 0.7 cross
     correlation, plus uniform phases on [-0.5, 0.5]."""
-    count = _integer(count, "count")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    count = _integer(count, "count", low=0)
     chol = np.linalg.cholesky(0.7 + 0.3 * np.eye(3))
     amps = rng.standard_normal((count, 3)) @ chol.T * scale
     phases = rng.uniform(-0.5, 0.5, count)

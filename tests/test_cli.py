@@ -408,7 +408,7 @@ class TestCalibrateCommand:
     @pytest.mark.parametrize("split,unwritable,message", [
         ({"strategy": "blocks", "l": 10}, False, "unknown split strategy 'blocks'"),
         ({"strategy": "random", "l": 40}, False,
-         "split config (l=40, seed=0): need 1 <= l <= n-1, got l=40, n=40"),
+         "split config (l=40, seed=0): l 40 is outside 1..39"),
         ({"strategy": "random", "l": 10}, True, "cannot write -o {out}: it is not writable"),
     ])
     def test_config_refusals_exit_3(self, tmp_path, capsys, monkeypatch, split,

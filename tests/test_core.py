@@ -652,8 +652,8 @@ class TestOrderIndices:
         (9, -0.5, r"alpha must lie in \(0, 1\), got -0\.5"),
         (9, 0.0, r"alpha must lie in \(0, 1\), got 0\.0"),
         (9, math.nan, r"alpha must lie in \(0, 1\), got nan"),
-        (0, 0.1, "need l >= 1, got 0"),
-        (-3, 0.1, "need l >= 1, got -3"),
+        (0, 0.1, "l 0 is below 1"),
+        (-3, 0.1, "l -3 is below 1"),
         (9.5, 0.1, r"l must be an integer, got 9\.5"),
         (True, 0.5, "l must be an integer, got True"),
     ])
@@ -747,13 +747,13 @@ SPAN_FAULT = "grid points span -1e+308 to 1e+308, a length beyond the float rang
 REFUSALS = {
     "component grid of one point": (
         lambda: ComponentGrid(np.array([0.0]), np.array([1.0])),
-        ShapeError, "a component grid needs at least 2 points"),
+        ShapeError, "need at least two ascending points"),
     "unsorted component grid": (
         lambda: ComponentGrid(np.array([0.0, 1.0, 0.5]), np.array([0.25, 0.5, 0.25])),
-        ShapeError, "grid points must be strictly increasing"),
+        ShapeError, "need at least two ascending points"),
     "grid of text weights and one point": (
         lambda: ComponentGrid(np.array([0.0]), ["1"]),
-        ShapeError, "weights is ragged or not numeric"),
+        ShapeError, "need at least two ascending points"),
     "mismatched weights": (
         lambda: ComponentGrid(np.array([0.0, 1.0]), np.array([1.0])),
         ShapeError, "weights must have the same length as points"),
@@ -765,7 +765,7 @@ REFUSALS = {
     "grid of a number": (lambda: Grid((1,)), ShapeError,
                          "grid components must be ComponentGrid instances"),
     "uniform grid of one point": (lambda: uniform_grid(1), ShapeError,
-                                  "need n_points >= 2"),
+                                  "n_points 1 is below 2"),
     "empty domain": (lambda: uniform_grid(5, (1.0, 1.0)), ShapeError,
                      "domain must be a pair (a, b) with a < b"),
     "curve of no components": (lambda: MFCurve(()), ShapeError,
@@ -861,10 +861,10 @@ REFUSALS = {
     # values to unpack", and the reversed domain and the decreasing knots
     # built a basis that refused every point as outside its domain.
     "uniform basis of fewer functions than its order": (
-        lambda: uniform_bspline_basis(4, 1), ValueError, "need n_basis >= order >= 1"),
+        lambda: uniform_bspline_basis(4, 1), ValueError, "n_basis 1 is below 4"),
     "negative trig count": (
         lambda: draw_trig_coefficients(np.random.default_rng(0), -1),
-        ValueError, "count must be >= 0, got -1"),
+        ValueError, "count -1 is below 0"),
     "grid domain of one end": (lambda: uniform_grid(5, (0.0,)), ShapeError,
                                "domain must be a pair (a, b) with a < b"),
     "spline domain of one end": (lambda: uniform_bspline_basis(4, 6, (0.0,)), ShapeError,
@@ -903,6 +903,13 @@ REFUSALS = {
     "covariates of a row beyond n": (
         lambda: Dataset.from_blocks(uniform_grid(3), [np.zeros((3, 3))]).covariates(5),
         ShapeError, "row index 5 is outside 0..2"),
+    # Before, n = 1 gave "need 1 <= l <= n-1, got l=1, n=1", an empty range.
+    "split of one observation": (lambda: random_split(1, 1), ValueError, "n 1 is below 2"),
+    # Before, no pairs gave "responses component 0 must be 2-dimensional".
+    "dataset of no pairs": (
+        lambda: Dataset(uniform_grid(3, p=2), []), ShapeError,
+        "responses have shapes [(0, 3), (0, 3)], expected one (count, G_j) block per "
+        "component with count >= 1 and G_j = (3, 3)"),
 }
 
 

@@ -236,8 +236,8 @@ CALIBRATE_REPROS = [
 ]
 STUDY_REPROS = [
     ([(["configs", 0, "n"], 2), (["configs", 0, "l"], 1)], "replication 0 failed"),
-    ([(["configs", 0, "grid_points"], 1)], "grid_points must be at least 2"),
-    ([(["configs", 0, "master_seed"], -1)], "master_seed must be >= 0"),
+    ([(["configs", 0, "grid_points"], 1)], "grid_points 1 is below 2"),
+    ([(["configs", 0, "master_seed"], -1)], "master_seed -1 is below 0"),
     ([(["configs", 0, "n"], 1e999)], "config key 'n'"),
     ([(["workers"], [])], "config key 'workers'"),
     ([(["configs", 0, "n_reps"], True)], "config key 'n_reps' must be a JSON number"),
@@ -250,8 +250,8 @@ STUDY_REPROS = [
     ([(["configs", 0, "l"], 4.7)], "config key 'l' must be an integer, got 4.7"),
     ([(["configs", 0, "n_reps"], 2.9)], "config key 'n_reps' must be an integer, got 2.9"),
     ([(["workers"], 1.5)], "config key 'workers' must be an integer, got 1.5"),
-    ([(["workers"], 0)], "workers must be >= 1, got 0"),
-    ([(["workers"], -2)], "workers must be >= 1, got -2"),
+    ([(["workers"], 0)], "workers 0 is below 1"),
+    ([(["workers"], -2)], "workers -2 is below 1"),
     ([(["configs", 0, "error_scale"], math.nan)],
      "error_scale must be finite and >= 0, got nan"),
     ([(["configs", 0, "error_scale"], math.inf)],
@@ -277,6 +277,7 @@ STUDY_REPROS = [
      "study config entry 0: coeff_seed must be an integer seed, got [1, true]"),
     ([(["configs", 0, "coeff_seed"], 4.0)],
      "study config entry 0: coeff_seed must be an integer seed, got 4.0"),
+    ([(["configs", 0, "n_reps"], 0)], "study config entry 0: n_reps 0 is below 1"),
 ]
 
 

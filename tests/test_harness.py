@@ -55,6 +55,14 @@ class TestCoverageCI:
         with pytest.raises(ValueError):
             coverage_ci(11, 10)
 
+    @pytest.mark.parametrize("hits,n,message", [
+        (6, 5, "hits 6 is outside 0..5"),
+        (0, 0, "n 0 is below 1"),
+    ])
+    def test_refusal_names_the_value(self, hits, n, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            coverage_ci(hits, n)
+
 
 class TestSizeQuartiles:
     def test_three_values_interpolated(self):
@@ -217,7 +225,7 @@ class TestRunStudy:
             small_config(master_seed=seed)
 
     def test_master_seed_may_be_a_numpy_integer(self):
-        with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+        with pytest.raises(ValueError, match="master_seed -1 is below 0"):
             small_config(master_seed=-1)
         rep = run_study(small_config(n_reps=3, master_seed=np.int64(3)))
         ref = run_study(small_config(n_reps=3))
@@ -364,8 +372,8 @@ def test_a_large_cell_run_back_to_back_keeps_its_pages(study, scenario, modulati
 
 
 @pytest.mark.parametrize("fields,message", [
-    ({"l": 20}, "need 1 <= l <= n-1"),
-    ({"n_reps": 0}, "need at least one replication"),
+    ({"l": 20}, "l 20 is outside 1..19"),
+    ({"n_reps": 0}, "n_reps 0 is below 1"),
     ({"method": "pointwise"}, "unknown method 'pointwise'"),
 ])
 def test_study_config_refusal_messages(fields, message):

@@ -282,6 +282,13 @@ class TestFitErrors:
         with pytest.raises(ShapeError, match="^observation index -1 is outside 0..7$"):
             residuals(model, ds, [-1])
 
+    def test_the_first_faulty_index_is_named(self, rng, grid2):
+        # Before, every index was checked for an integer before any for its
+        # range, so the fraction after an out-of-range index was named.
+        ds = make_dataset(rng, grid2, 8)
+        with pytest.raises(ShapeError, match="^training index 8 is outside 0..7$"):
+            fit(ds, [8, 1.5], RegressorSpec(kind="intercept_only"))
+
 
 def stacked_design(columns, spec, names, j, rows):
     """Reference design built by stacking broadcast columns."""

@@ -518,16 +518,16 @@ def test_generator_pinned_per_cell(study, scenario):
 
 @pytest.mark.parametrize("build,message", [
     (lambda: BSplineBasis(order=0, n_basis=4, knots=np.zeros(4)),
-     "need n_basis >= order >= 1"),
+     "order 0 is below 1"),
     (lambda: BSplineBasis(order=2, n_basis=4, knots=np.zeros(5)),
      "knot vector must have n_basis + order = 6 entries"),
     (lambda: eval_bspline(uniform_bspline_basis(4, 6), np.zeros(5), 0.5),
      "need 6 coefficients, got (5,)"),
-    (lambda: ScenarioSpec(study=4, scenario=1, n=20), "study must be 1, 2 or 3"),
-    (lambda: ScenarioSpec(study=1, scenario=3, n=20), "study 1 has scenarios 1..2"),
+    (lambda: ScenarioSpec(study=4, scenario=1, n=20), "study 4 is outside 1..3"),
+    (lambda: ScenarioSpec(study=1, scenario=3, n=20), "scenario 3 is outside 1..2"),
     (lambda: ScenarioSpec(study=1, scenario=1, n=20, covariate_set=4),
-     "covariate_set must be 1, 2 or 3"),
-    (lambda: ScenarioSpec(study=1, scenario=1, n=1), "n must be at least 2"),
+     "covariate_set 4 is outside 1..3"),
+    (lambda: ScenarioSpec(study=1, scenario=1, n=1), "n 1 is below 2"),
 ])
 def test_refusal_messages(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -537,6 +537,7 @@ def random_split(n: int, l: int, seed=None, strategy: str = "uniform") -> Split:
         day (n+1)/2, with ties broken toward the earlier day.
     """
     n = _integer(n, "n", low=2)
+    _integer(n, "n", low=2, high=np.iinfo(np.intp).max)  # numpy's largest permutation
     l = _integer(l, "l", low=1, high=n - 1)
     if strategy == "uniform":
         train, calib = (part.tolist() for part in _uniform_parts(
@@ -602,12 +603,12 @@ def order_stat_index(count: int, alpha: float, tau: float = 1.0) -> int:
     quantile, ceil((count+1)*(1-alpha)) at the default tau = 1. ``tau`` may
     be an array of tie-breakers, which gives an array of ranks, one each.
 
-    May be < 1 (band would be empty) or > count (band is infinite); callers
-    decide how to handle those regimes.
+    ``count`` is at least 1. The rank may be < 1 (band would be empty) or
+    > count (band is infinite); callers decide how to handle those regimes.
     """
     # With x = F + frac for the snapped floor F, the ceiling is
     # count + 1 - F, less one when tau does not exceed frac.
-    count = _integer(count, "count")
+    count = _integer(count, "count", low=1)
     x = (count + 1) * alpha
     floor = _snap_floor(x)
     return count + 1 - floor - (tau <= max(x - floor, 0.0))

@@ -1,43 +1,22 @@
 """Monte Carlo replication engine for coverage and band-size studies.
 
-Each replication generates a fresh sample plus one held-out pair, splits,
-fits, calibrates and records whether the held-out curve falls inside the
-band together with the band size. Per-replication randomness is derived from
-``(master_seed, replication_index, stream)`` with one stream each for the
-sample, the split and the smoothed tie-breaker. :func:`_generators` builds a
-stack's generators in one pass, each equal bit for bit to
-``np.random.default_rng((master_seed, rep, stream))``. A stack's tie-breakers
-are one array, all ones in split mode (split is smoothed at tau = 1), which
-``core.order_stat_index`` turns into the ``sbar`` trimming ranks and the
-calibration ranks of the whole stack at once.
+Replication ``rep`` draws from the generators of ``(master_seed, rep,
+stream)``: stream 0 for the sample and its held-out pair, 1 for the split
+and, in smoothed mode, 2 for the tie-breakers (all ones in split mode).
 
-:func:`_stacked` is the one engine: it computes a stack of R replications
-of a cell as arrays with a leading replication axis. Each replication still
-draws from its own generators in the same order, and the stages call the
-private helpers behind the public objects (``Dataset``, ``Split``,
-``FittedRegressor``, ``ModulationSet``, ``BandPredictor``, ``Band``) without
-building those objects. The least-squares fit is one ``regress._solve``
-call per stack and component, which runs LAPACK once per replication. R is
-:data:`STACK_BYTES` over the size of one replication's response block, and
-at least 1: at G = 100 on two components that is 31 at n = 20, 3 at n = 200
-and 1 at n = 2000. The budget bounds a stack's temporaries, a few copies of
-its response block.
-
-Each stage checks the whole stack with the rule its module applies to the
-public objects, under their labels and in their order: finite values,
-training rows, design rank, modulation, calibration, split closure, bounds
-and band size (finite, and for ``mpb`` 2 * radius). The engine ignores
-floating-point faults: an overflow leaves an inf or a NaN, which these
-rules refuse. A stack that a rule refuses runs again as stacks of one, so a
-failure's message and the ``skip_failures`` count are those the public
-objects give for that replication, whatever the caller's floating-point
-and warnings settings.
+:func:`_stacked` runs a stack of replications, as arrays with a leading
+replication axis, through seven stages named for perfbench's. Each checks
+the stack with the public objects' rules, under their labels and in their
+order, so a stack of one fails as the public objects do: ``_data``;
+``_split``, finite responses and held-out curves; ``_fit``, training rows,
+design rank and finite coefficients; ``_residuals``; ``_modulation``, the
+modulation rules; ``_calibrate``, finite scores, calibration and split
+closure; ``_band``, the bounds and the band size. Floating-point faults are
+ignored, since these rules refuse the infs and NaNs they leave.
 
 Determinism contract: a record depends only on the cell and its
-replication index, not on the stack size, the worker count or how the
-replications are chunked between workers, so reports are bit-identical for
-any worker count. The stacked stages are those whose results equal their
-per-replication form bit for bit.
+replication index, not on the stack size or the workers: each stage's
+results equal their per-replication form bit for bit.
 """
 
 from __future__ import annotations
@@ -181,8 +160,7 @@ def size_quartiles(sizes) -> tuple[float, float, float]:
 
 
 def _stack_size(cfg: StudyConfig) -> int:
-    """Replications per stack: :data:`STACK_BYTES` over the bytes of one
-    replication's (2, n+1, G) response block, at least 1."""
+    """Replications per stack: :data:`STACK_BYTES` over one replication's responses."""
     spec = cfg.scenario
     return max(1, STACK_BYTES // ((spec.n + 1) * 2 * spec.grid_points * 8))
 
@@ -218,84 +196,105 @@ def _generators(seed: int, reps: list[int], streams: int) -> list[list]:
 
 
 def _stacked(cfg: StudyConfig, reps: list[int]) -> list[ReplicationRecord]:
-    """The records of ``reps``, computed as stacked arrays with a leading
-    replication axis. Raises on the first fault of any replication in the
-    stack; for a stack of one, the fault and its message are those of the
-    public objects on the same replication, checked in their order. One
-    branch on the band method gives the radii: ``cub`` ranks each component
-    (the whole space below the feasibility bound), ``mpb`` calibrates one
-    radius; the bounds, the band size and the hits are shared. The stack's
-    tie-breakers are one array: stream 2's draws in smoothed mode, all ones
-    in split mode."""
-    spec, alpha, l = cfg.scenario, cfg.alpha, cfg.l
-    n, count = spec.n, len(reps)
-    grid = simgen._grid(spec.grid_points)
-    # streams 0 (generation), 1 (split) and, smoothed, 2 (tie-breakers)
-    rngs, splits, *ties = _generators(cfg.master_seed, reps,
-                                      3 if cfg.mode == "smoothed" else 2)
-    y = simgen._responses(spec, rngs)  # (R, 2, n+1, G), generated rows
-    perm = np.array([rng.permutation(n + 1) for rng in rngs])
-    train, calib = _uniform_parts(np.array([rng.permutation(n) for rng in splits]), l)
+    """The records of ``reps``: one stack through the seven stages, in order."""
+    st = SimpleNamespace(cfg=cfg, reps=reps, grid=simgen._grid(cfg.scenario.grid_points))
+    for stage in (_data, _split, _fit, _residuals, _modulation, _calibrate, _band):
+        stage(st)
+    return st.records
+
+
+def _data(st) -> None:
+    """The stack's generators, and stream 0's responses and row permutations."""
+    rngs, *st.streams = _generators(st.cfg.master_seed, st.reps,
+                                    3 if st.cfg.mode == "smoothed" else 2)
+    st.y = simgen._responses(st.cfg.scenario, rngs)  # (R, 2, n+1, G), generated rows
+    st.perm = np.array([rng.permutation(st.cfg.scenario.n + 1) for rng in rngs])
+
+
+def _split(st) -> None:
+    """The tie-breakers, and the training, calibration and held-out rows, checked finite."""
+    (splits, *ties), count = st.streams, len(st.reps)
+    parts = _uniform_parts(np.array([rng.permutation(st.cfg.scenario.n) for rng in splits]),
+                           st.cfg.l)
     # Dataset row i is generated row perm[:, i]; the held-out one is the last.
-    train, calib = (np.take_along_axis(perm, part, 1) for part in (train, calib))
-    out, stack = perm[:, -1], np.arange(count)[:, None]
-    tau = np.array([rng.uniform() for rng in ties[0]]) if ties else np.ones(count)
-
-    regressor = simgen.regressor_for(spec)
-    columns = SimpleNamespace(scalar=simgen._covariates(spec), functional={})
-    designs = [regress._design(columns, regressor, names, j, np.arange(n + 1))
-               for j, names in enumerate(regressor.component_terms(grid.p))]
-    # Training, calibration and held-out rows. The gathers copy the rows,
-    # so the residuals overwrite them.
-    res = [y[:, j][stack, train] for j in range(grid.p)]
-    calib_res = [y[:, j][stack, calib] for j in range(grid.p)]
-    y_out = [y[stack[:, 0], j, out] for j in range(grid.p)]  # (R, G)
-    for j in range(grid.p):  # the dataset's rows, then the held-out curve
-        _finite(res[j], f"responses component {j}")
-        _finite(calib_res[j], f"responses component {j}")
-    for j, v in enumerate(y_out):
+    st.train, st.calib = (np.take_along_axis(st.perm, part, 1) for part in parts)
+    st.tau = np.array([rng.uniform() for rng in ties[0]]) if ties else np.ones(count)
+    # The gathers copy the rows, so the residuals overwrite them.
+    stack, p = np.arange(count)[:, None], st.grid.p
+    st.res = [st.y[:, j][stack, st.train] for j in range(p)]
+    st.calib_res = [st.y[:, j][stack, st.calib] for j in range(p)]
+    st.y_out = [st.y[stack[:, 0], j, st.perm[:, -1]] for j in range(p)]  # (R, G)
+    for j in range(p):  # the dataset's rows, then the held-out curve
+        _finite(st.res[j], f"responses component {j}")
+        _finite(st.calib_res[j], f"responses component {j}")
+    for j, v in enumerate(st.y_out):
         _finite(v, f"curve component {j}")
-    fit = []
-    for j, (d, res_j, cal_j) in enumerate(zip(designs, res, calib_res)):
-        x = d[train]
-        regress._enough_rows(n - l, x.shape[-1], j)
-        # (R, q, G): the transposed coefficient blocks
-        coef = regress._solve(x, res_j, j, shared=True)
-        _finite(coef, f"coefficient component {j}")
-        res_j -= x @ coef
-        cal_j -= d[calib] @ coef
-        fit.append((d[out][:, None, :] @ coef)[:, 0])  # (R, G)
 
+
+def _fit(st) -> None:
+    """Each component's (R, q, G) coefficients, checked as ``regress.fit`` checks them."""
+    spec, regressor = st.cfg.scenario, simgen.regressor_for(st.cfg.scenario)
+    columns = SimpleNamespace(scalar=simgen._covariates(spec), functional={})
+    st.designs = [regress._design(columns, regressor, names, j, np.arange(spec.n + 1))
+                  for j, names in enumerate(regressor.component_terms(st.grid.p))]
+    st.coef = []
+    for j, (d, res_j) in enumerate(zip(st.designs, st.res)):
+        regress._enough_rows(spec.n - st.cfg.l, d.shape[-1], j)
+        st.coef.append(regress._solve(d[st.train], res_j, j, shared=True))
+        _finite(st.coef[j], f"coefficient component {j}")
+
+
+def _residuals(st) -> None:
+    """The training and calibration residuals, in place of their gathered rows."""
+    for d, coef, res_j, cal_j in zip(st.designs, st.coef, st.res, st.calib_res):
+        res_j -= d[st.train] @ coef
+        cal_j -= d[st.calib] @ coef
+
+
+def _modulation(st) -> None:
+    """The modulation functions, checked as ``modulate.make_modulation`` checks them."""
+    cfg, grid = st.cfg, st.grid
     if cfg.modulation == "s0":
-        fns = modulate.s_const(grid).fns
+        st.fns = modulate.s_const(grid).fns
     elif cfg.modulation == "sigma":
-        fns = modulate._checked(modulate._sigma_fns(res, grid), grid)
+        st.fns = modulate._checked(modulate._sigma_fns(st.res, grid), grid)
     else:
-        rank = order_stat_index(n - l, alpha, tau)
-        fns = modulate._checked(modulate._sbar_fns(res, rank, grid), grid)
+        rank = order_stat_index(cfg.scenario.n - cfg.l, cfg.alpha, st.tau)
+        st.fns = modulate._checked(modulate._sbar_fns(st.res, rank, grid), grid)
 
+
+def _calibrate(st) -> None:
+    """The radii: ``cub`` ranks each component, ``mpb`` calibrates one on the scores."""
+    cfg, count = st.cfg, len(st.reps)
     if cfg.method == "cub":
-        rank, crossed = _feasible_rank(l, alpha)
-        if crossed:
-            return [ReplicationRecord(rep, True, None, True) for rep in reps]
-        radii = conformal._rank_radii(conformal._modulated(calib_res, fns), rank)
-        radius, closed, infinite = None, True, np.zeros(count, bool)
+        rank, crossed = _feasible_rank(cfg.l, cfg.alpha)
+        st.radii = None if crossed else conformal._rank_radii(
+            conformal._modulated(st.calib_res, st.fns), rank)
+        st.radius, st.closed, st.infinite = None, True, np.zeros(count, bool)
     else:
-        scores = _row_sups(conformal._modulated(calib_res, fns))
+        scores = _row_sups(conformal._modulated(st.calib_res, st.fns))
         _finite(scores, "scores")
-        radius, closed, infinite = conformal._calibrated(
-            np.sort(scores, axis=-1), alpha, tau)
-        conformal._split_closed(closed, cfg.mode)
-        radii = [radius] * grid.p
+        st.radius, st.closed, st.infinite = conformal._calibrated(
+            np.sort(scores, axis=-1), cfg.alpha, st.tau)
+        conformal._split_closed(st.closed, cfg.mode)
+        st.radii = [st.radius] * st.grid.p
 
-    lower, upper = conformal._bounds(fit, [k[:, None] for k in radii], fns)
+
+def _band(st) -> None:
+    """The records: each band's bounds and size, and whether it holds the held-out curve."""
+    if st.radii is None:  # cub below its feasibility bound: the whole space
+        st.records = [ReplicationRecord(rep, True, None, True) for rep in st.reps]
+        return
+    out = st.perm[:, -1]
+    fit = [(d[out][:, None, :] @ coef)[:, 0] for d, coef in zip(st.designs, st.coef)]
+    lower, upper = conformal._bounds(fit, [k[:, None] for k in st.radii], st.fns)
     # checked after the bounds, as the public path checks it
-    sizes = conformal._band_size(radii, fns, grid, radius)
-    hits = np.all([conformal._inside(lo, v, hi, closed)
-                   for lo, v, hi in zip(lower, y_out, upper)], axis=0)
-    return [ReplicationRecord(rep, True, None, True) if inf
-            else ReplicationRecord(rep, bool(hit), float(q), False)
-            for rep, inf, hit, q in zip(reps, infinite, hits, sizes)]
+    sizes = conformal._band_size(st.radii, st.fns, st.grid, st.radius)
+    hits = np.all([conformal._inside(lo, v, hi, st.closed)
+                   for lo, v, hi in zip(lower, st.y_out, upper)], axis=0)
+    st.records = [ReplicationRecord(rep, True, None, True) if inf
+                  else ReplicationRecord(rep, bool(hit), float(q), False)
+                  for rep, inf, hit, q in zip(st.reps, st.infinite, hits, sizes)]
 
 
 @functools.cache

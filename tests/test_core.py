@@ -673,12 +673,17 @@ class TestOrderIndices:
      "count must be an integer, got 9.5"),
     (lambda: uniform_grid(5.5), ShapeError, "n_points must be an integer, got 5.5"),
     (lambda: uniform_grid(5, p=1.5), ShapeError, "p must be an integer, got 1.5"),
+    (lambda: random_split(2**70, 3), ValueError,
+     "n 1180591620717411303424 is outside 2..9223372036854775807"),
+    (lambda: order_stat_index(-5, 0.1), ValueError, "count -5 is below 1"),
 ], ids=["split n", "split l", "split l bool", "rank count", "smoothed rank count",
-        "grid n_points", "grid p"])
+        "grid n_points", "grid p", "split n beyond numpy", "rank negative count"])
 def test_integer_parameters_refuse_other_values(call, error, message):
     # Before, random_split(10.0, 3) raised numpy's AxisError, (10, 3.0) a
     # TypeError and (10, True) split with l = 1; order_stat_index(9.5, 0.1)
-    # gave the rank 9.5; both uniform_grid calls raised TypeErrors.
+    # gave the rank 9.5; both uniform_grid calls raised TypeErrors;
+    # random_split(2**70, 3) raised numpy's "Maximum allowed size exceeded"
+    # and order_stat_index(-5, 0.1) gave the rank -3.
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
 

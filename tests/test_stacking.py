@@ -11,6 +11,8 @@ kernels, so CI runs this module under the default kernels as well as under
 ``OPENBLAS_CORETYPE=Haswell``.
 """
 
+import ast
+import pathlib
 import sys
 from dataclasses import replace
 from unittest import mock
@@ -353,3 +355,23 @@ def test_kept_envelope_of_a_stack_is_that_of_each_replication():
     for r in range(50):
         alone = _kept_max([b[r] for b in res], int(rank[r]))
         assert all(np.array_equal(s[r], a) for s, a in zip(stacked, alone))
+
+
+def test_the_engine_stages_are_the_benchmark_stages():
+    # One list of stage names: the stages _stacked runs, in order, are the
+    # keys of perfbench's MC_STAGES without their "_ms", so timers in the
+    # engine and the benchmark's trace name the same stages. Both files are
+    # read as source; perfbench is not imported.
+    root = pathlib.Path(__file__).parents[1]
+
+    def tree(path):
+        return ast.parse((root / path).read_text())
+
+    (stacked,) = [node for node in tree("src/mfconformal/harness.py").body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_stacked"]
+    (loop,) = [node for node in stacked.body if isinstance(node, ast.For)]
+    (table,) = [node.value for node in tree("perfbench/workloads.py").body
+                if isinstance(node, ast.Assign)
+                and ast.unparse(node.targets[0]) == "MC_STAGES"]
+    assert [name.id.removeprefix("_") for name in loop.iter.elts] == [
+        key.value.removesuffix("_ms") for key in table.keys]
